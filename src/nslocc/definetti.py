@@ -6,6 +6,8 @@ sites.  Contracting the purification against a grid of product vectors
 phi_g^{⊗n} (a finite stand-in for the coherent-state resolution of the
 symmetric subspace) yields an operator-valued measure {M_g} on A together
 with product states phi_g, whose mixture approximates the k-site marginals.
+The measure is stored as the stacked pair (ms, phis) of arrays with one slice
+per grid point, and every stage after the grid runs on whole stacks.
 
 Grids are finite, so every downstream statement carries a grid residual:
 either the trace-norm gap between sum_g w_g D |phi_g^n><phi_g^n| and the
@@ -21,12 +23,12 @@ from math import pi, sqrt
 import numpy as np
 
 from .tensor_core import (
-    Factorization,
     Operator,
     TensorError,
-    partial_trace,
+    _psd_eigs,
+    int_power,
+    kron_power,
     permutation_matrix,
-    sqrtm_psd,
     sym_dim,
     symmetric_projector,
     trace_norm,
@@ -141,7 +143,7 @@ def purify_extension(omega: Operator, d_a: int | None = None) -> SymmetricExtens
                 f"omega is not permutation symmetric (transposition {i + 1},{i + 2}: "
                 f"deviation {dev:.3e})")
 
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = _psd_eigs(m)
     if w[-1] >= 1.0 - PURE_EIG_THRESHOLD:
         psi = v[:, -1].reshape(d_a, d ** n)
         psi = psi / np.linalg.norm(psi)
@@ -150,7 +152,7 @@ def purify_extension(omega: Operator, d_a: int | None = None) -> SymmetricExtens
         _check_site_symmetry(ext.psi, n, d, 1e-7)
         return ext
 
-    root = sqrtm_psd(omega).matrix
+    root = (v * np.sqrt(w)) @ v.conj().T
     # indices: (a, b1..bn ; a', b1'..bn') -> (a a') (b1 b1') ... (bn bn')
     t = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n)
     order = [0, n + 1]
@@ -338,23 +340,22 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
 class DeFinettiApprox:
     """Finite operator-valued measure with product factor states.
 
-    items: list of (M_g PSD on A, phi_g trace-1 state on the physical site);
+    The measure is the stacked pair (ms, phis), one slice per grid point g:
+    ms[g] = M_g, PSD on A, shape (G, d_a, d_a); phis[g] = phi_g, a trace-1
+    state on the physical site, shape (G, d, d) with d = site_keep_dim.
     M_g lives on the same side of the duality as the source state's A factor
     (for Choi states that is the transposed-POVM side).  grid_residual is the
     certified resolution defect inherited by every downstream bound;
     povm_deficit is the measured ‖sum_g M_g − omega_A‖₁.
     """
 
-    items: tuple[tuple[Operator, Operator], ...]
+    ms: np.ndarray = field(repr=False)
+    phis: np.ndarray = field(repr=False)
     grid_residual: float
     povm_deficit: float
     source_n: int
     d_a: int
     site_keep_dim: int
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(m.trace().real for m, _ in self.items))
 
 
 def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
@@ -368,16 +369,19 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
         chis = np.stack([chi for _, chi in ext.branches])      # (J, d)
         traces = np.array([np.trace(k).real for k, _ in ext.branches])
         c = grid.vectors.conj() @ chis.T                        # <phi_g|chi_j>
-        return (c ** ext.n) * np.sqrt(traces)[None, :]
+        return int_power(c, ext.n) * np.sqrt(traces)[None, :]
+    # Dense: contract the last site first, d grid points at a time, so the
+    # first and largest intermediate is no larger than psi itself.
     block = ext.psi.shape[0]
     d = ext.site_dim
+    sites = ext.psi.reshape(-1, d).T                            # (d, block d^(n-1))
     out = np.empty((grid.count, block), dtype=complex)
-    for g in range(grid.count):
-        cur = ext.psi
-        v = grid.vectors[g].conj()
-        for _ in range(ext.n):
-            cur = cur.reshape(-1, d) @ v
-        out[g] = cur.reshape(block)
+    for lo in range(0, grid.count, d):
+        v = grid.vectors[lo:lo + d].conj()                      # (C, d)
+        cur = v @ sites
+        for _ in range(ext.n - 1):
+            cur = cur.reshape(len(v), -1, d) @ v[:, :, None]
+        out[lo:lo + d] = cur.reshape(len(v), block)
     return out
 
 
@@ -400,22 +404,18 @@ def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
     vecs = grid.vectors
     for lo in range(0, grid.count, chunk):
         hi = min(lo + chunk, grid.count)
-        gram = (vecs[lo:hi].conj() @ vecs.T) ** grid.n       # <phi_g|phi_h>^n
+        gram = int_power(vecs[lo:hi].conj() @ vecs.T, grid.n)  # <phi_g|phi_h>^n
         inner = b[lo:hi].conj() @ b.T                          # <b_g, b_h>
         s2 += float(np.real(np.sum(gram * inner)))
     return sqrt(max(0.0, 1.0 - 2.0 * s1 + s2))
 
 
-def _site_state(ext: SymmetricExtension, vec: np.ndarray) -> Operator:
-    """Physical-site state of a grid vector (trace out the purifying half)."""
-    d = ext.site_keep_dim
-    if ext.purified:
-        g = vec.reshape(d, d)
-        rho = g @ g.conj().T
-    else:
-        rho = np.outer(vec, vec.conj())
-    rho = rho / np.trace(rho).real
-    return Operator(rho, Factorization.of(("B", d)))
+def _site_states(ext: SymmetricExtension, vectors: np.ndarray) -> np.ndarray:
+    """Physical-site states of grid vectors, (G, d, d): the purifying half of a
+    doubled site vector (its column index) is traced out."""
+    g = vectors.reshape(len(vectors), ext.site_keep_dim, -1)
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.einsum("gii->g", rho).real[:, None, None]
 
 
 def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiApprox:
@@ -428,30 +428,21 @@ def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiAppr
         raise TensorError(
             f"grid ({grid.d_eff}, n={grid.n}) does not match extension "
             f"({ext.site_dim}, n={ext.n})")
-    d_big = float(sym_dim(ext.n, ext.site_dim))
-    fac_a = Factorization.of(("A", ext.d_a))
-    items = []
+    scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
+    d_a = ext.d_a
     u = _block_overlaps(ext, grid)
     if ext.branches is not None:
         ks = np.stack([k for k, _ in ext.branches])
-        traces = np.array([np.trace(k).real for k, _ in ext.branches])
+        traces = np.einsum("jii->j", ks).real
         # columns of u are a_gj * sqrt(tr K_j); M_g needs |a_gj|^2 * K_j
         amp2 = np.abs(u) ** 2 / np.where(traces > 0, traces, 1.0)[None, :]
-        for g in range(grid.count):
-            m = np.tensordot(grid.weights[g] * d_big * amp2[g], ks, axes=(0, 0))
-            items.append((Operator(m, fac_a), _site_state(ext, grid.vectors[g])))
+        ms = ((scale[:, None] * amp2) @ ks.reshape(len(ks), -1)).reshape(-1, d_a, d_a)
     else:
-        d_a = ext.d_a
-        blk = ext.psi.shape[0]
-        for g in range(grid.count):
-            full = grid.weights[g] * d_big * np.outer(u[g], u[g].conj())
-            if blk == d_a:
-                m = full
-            else:
-                m = np.einsum("abcb->ac", full.reshape(d_a, blk // d_a, d_a, blk // d_a))
-            items.append((Operator(m, fac_a), _site_state(ext, grid.vectors[g])))
+        # the block index is (a, a') with a first; trace out a'
+        r = u.reshape(grid.count, d_a, -1)
+        ms = scale[:, None, None] * np.einsum("gar,gbr->gab", r, r.conj())
 
-    total = sum(m.matrix for m, _ in items)
+    total = ms.sum(axis=0)
     deficit = float(trace_norm(total - ext.block_marginal()))
     if grid.resolution_residual is not None:
         residual = grid.resolution_residual
@@ -459,11 +450,11 @@ def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiAppr
         # both terms upper-bound every state-side defect of the grid; the
         # triangle-inequality fallback mass+1 kicks in when the quadratic
         # surrogate degenerates on heavy-tailed under-resolved grids
-        mass = float(sum(np.trace(m.matrix).real for m, _ in items))
+        mass = float(np.trace(total).real)
         residual = min(subspace_residual(ext, grid, overlaps=u), mass + 1.0)
-    return DeFinettiApprox(items=tuple(items), grid_residual=residual,
-                           povm_deficit=deficit, source_n=ext.n,
-                           d_a=ext.d_a, site_keep_dim=ext.site_keep_dim)
+    return DeFinettiApprox(ms=ms, phis=_site_states(ext, grid.vectors),
+                           grid_residual=residual, povm_deficit=deficit,
+                           source_n=ext.n, d_a=d_a, site_keep_dim=ext.site_keep_dim)
 
 
 def approx_error(omega_k: Operator, approx: DeFinettiApprox, k: int) -> float:
@@ -479,13 +470,8 @@ def approx_error(omega_k: Operator, approx: DeFinettiApprox, k: int) -> float:
     dim = d_a * d ** k
     if omega_k.dim != dim:
         raise TensorError(f"omega_k dim {omega_k.dim} != expected {dim}")
-    acc = np.zeros((dim, dim), dtype=complex)
-    for m, phi in approx.items:
-        term = m.matrix
-        for _ in range(k):
-            term = np.kron(term, phi.matrix)
-        acc += term
-    return float(trace_norm(omega_k.matrix - acc))
+    acc = np.einsum("gab,gij->aibj", approx.ms, kron_power(approx.phis, k))
+    return float(trace_norm(omega_k.matrix - acc.reshape(dim, dim)))
 
 
 def definetti_bound(d_site: int, k: int, n: int) -> float:

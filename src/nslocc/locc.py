@@ -26,10 +26,12 @@ from .definetti import (
     purify_extension,
 )
 from .tensor_core import (
+    HERM_TOL,
     Factorization,
     Operator,
     TensorError,
     herm_fn,
+    kron_power,
     op_norm,
     operator_to_json,
     partial_trace,
@@ -161,37 +163,42 @@ class ConcentrationReport:
     grid_residual: float
 
 
-def _input_marginals(approx: DeFinettiApprox, d_x: int, d_y: int):
-    """Per-item (weight tr M_j, input marginal τ_j on X) from a measure."""
-    out = []
-    for m, phi in approx.items:
-        pair = site_to_pair(phi, d_x, d_y)
-        tau = partial_trace(pair, ["X1"])
-        out.append((float(m.trace().real), tau.matrix))
-    return out
+def _input_marginals(approx: DeFinettiApprox, d_x: int,
+                     d_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights tr M_g, shape (G,), and input marginals τ_g = tr_Y φ_g on X,
+    shape (G, d_X, d_X), of a measure."""
+    if approx.site_keep_dim != d_x * d_y:
+        raise TensorError(f"site dim {approx.site_keep_dim} != {d_x}*{d_y}")
+    count = len(approx.phis)
+    taus = np.einsum("gxyzy->gxz", approx.phis.reshape(count, d_x, d_y, d_x, d_y))
+    return np.einsum("gii->g", approx.ms).real, taus
+
+
+def _eigvalsh_stack(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a Hermitian (G, d, d) stack."""
+    adj = mats.conj().transpose(0, 2, 1)
+    anti = float(np.abs(mats - adj).max(initial=0.0))
+    if anti > HERM_TOL:
+        raise TensorError(f"operator is not Hermitian (anti part {anti:.3e} > {HERM_TOL:g})")
+    return np.linalg.eigvalsh((mats + adj) / 2)
+
+
+def _spread(taus: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """‖τ_g − E₁‖∞ for every input marginal of the stack."""
+    return np.abs(_eigvalsh_stack(taus - e1)).max(axis=1)
 
 
 def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
                          d_x: int, d_y: int) -> ConcentrationReport:
-    pairs = _input_marginals(approx, d_x, d_y)
-    weights = np.asarray([w for w, _ in pairs])
-    taus = np.stack([t for _, t in pairs])
+    weights, taus = _input_marginals(approx, d_x, d_y)
     e1 = np.tensordot(weights, taus, axes=(0, 0))
-    eye = np.eye(d_x) / d_x
+    eye = np.eye(d_x)[None] / d_x
     residuals = []
     for k in (1, 2):
-        ek = np.zeros((d_x ** k, d_x ** k), dtype=complex)
-        for w, t in pairs:
-            term = t
-            for _ in range(k - 1):
-                term = np.kron(term, t)
-            ek += w * term
-        target = eye
-        for _ in range(k - 1):
-            target = np.kron(target, eye)
-        residuals.append((k, float(trace_norm(ek - target)),
+        ek = np.tensordot(weights, kron_power(taus, k), axes=(0, 0))
+        residuals.append((k, float(trace_norm(ek - kron_power(eye, k)[0])),
                           k * delta + approx.grid_residual))
-    r_mass = float(sum(w for w, t in pairs if op_norm(t - e1) < epsilon))
+    r_mass = float(weights[_spread(taus, e1) < epsilon].sum())
     comp_mass = float(weights.sum()) - r_mass
     comp_bound = (d_x ** 2 / epsilon ** 2) * (2 * delta * (1 + 1 / d_x) + delta ** 2) \
         + approx.grid_residual
@@ -344,42 +351,36 @@ def build_locc_protocol(q: ChoiChannel, grid_spec="auto",
     report = concentration_report(approx, epsilon, delta, d_x, d_y)
     e1 = report.e1.matrix
 
-    povm_raw, channels = [], []
-    repaired = fallback = 0
+    _, taus = _input_marginals(approx, d_x, d_y)
+    repair = (_eigvalsh_stack(taus)[:, 0] > cutoff) & (_spread(taus, e1) < epsilon)
+    repaired = int(repair.sum())
+    fallback = len(repair) - repaired
     fallback_channel = depolarizing_choi(d_x, d_y)
-    for m, phi in approx.items:
-        pair = site_to_pair(phi, d_x, d_y)
-        tau = partial_trace(pair, ["X1"])
-        lo = float(np.linalg.eigvalsh(tau.hermitize().matrix).min())
-        if lo > cutoff and op_norm(tau.matrix - e1) < epsilon:
-            channels.append(_prep_to_channel(tp_repair(pair, cutoff), d_x, d_y))
-            repaired += 1
-        else:
-            channels.append(fallback_channel)
-            fallback += 1
-        povm_raw.append(d_a * m.matrix.T)  # Choi-side element -> physical POVM
+    fac_pair = Factorization.of(("X1", d_x), ("Y1", d_y))
+    channels = [_prep_to_channel(tp_repair(Operator(phi, fac_pair), cutoff), d_x, d_y)
+                if ok else fallback_channel
+                for phi, ok in zip(approx.phis, repair)]
 
-    total = sum(povm_raw)
+    povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
+    total = povm_raw.sum(axis=0)
     rescale = 1.0
     top = float(np.linalg.eigvalsh((total + total.conj().T) / 2).max())
     slack = np.eye(d_a) - total
     if float(np.linalg.eigvalsh((slack + slack.conj().T) / 2).min()) < -SLACK_TOL:
         # grid overshoot: shrink the whole family to restore feasibility
         rescale = 1.0 / top
-        povm_raw = [rescale * m for m in povm_raw]
-        slack = np.eye(d_a) - sum(povm_raw)
+        povm_raw = rescale * povm_raw
+        slack = np.eye(d_a) - povm_raw.sum(axis=0)
     w, v = np.linalg.eigh((slack + slack.conj().T) / 2)
     slack = (v * np.clip(w, 0, None)) @ v.conj().T
     slack_mass = float(np.trace(slack).real) / d_a
+    # final completeness polish: distribute any residual mismatch over the
+    # slack element (clipping can leave ~1e-9 crumbs)
+    slack = slack + (np.eye(d_a) - (povm_raw.sum(axis=0) + slack))
 
     fac_a = Factorization.of(("A", d_a))
     povm = [Operator(m, fac_a) for m in povm_raw] + [Operator(slack, fac_a)]
     channels.append(fallback_channel)
-
-    # final completeness polish: distribute any residual mismatch over the
-    # slack element (clipping can leave ~1e-9 crumbs)
-    mismatch = np.eye(d_a) - sum(m.matrix for m in povm)
-    povm[-1] = Operator(povm[-1].matrix + mismatch, fac_a)
 
     provenance = {
         "epsilon": epsilon,

@@ -21,11 +21,9 @@ from .tensor_core import (
     Operator,
     TensorError,
     embed,
-    identity,
     op_norm,
     partial_trace,
     partial_transpose,
-    permute_factors,
     tensor,
     tensor_all,
 )

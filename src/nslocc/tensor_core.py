@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -226,9 +226,14 @@ def permute_factors(operator: Operator, new_labels: Sequence[str]) -> Operator:
     return Operator(t.reshape(operator.dim, operator.dim), Factorization(new_factors))
 
 
-def align(operator: Operator, target_labels: Sequence[str]) -> np.ndarray:
-    """Matrix of `operator` permuted to `target_labels` factor order."""
-    return permute_factors(operator, target_labels).matrix
+def kron_power(stack: np.ndarray, k: int) -> np.ndarray:
+    """Batched Kronecker power: out[g] = stack[g]^{⊗k} for a (G, a, b) stack."""
+    count = stack.shape[0]
+    out = np.ones((count, 1, 1), dtype=stack.dtype)
+    for _ in range(k):
+        out = np.einsum("gij,gkl->gikjl", out, stack).reshape(
+            count, out.shape[1] * stack.shape[1], out.shape[2] * stack.shape[2])
+    return out
 
 
 def embed(operator: Operator, full: Factorization) -> Operator:
@@ -260,11 +265,6 @@ def op_norm(operator: Operator | np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
-def trace_distance(a: Operator, b: Operator) -> float:
-    """Normalized trace distance (1/2)‖a−b‖₁."""
-    return 0.5 * trace_norm(a - b)
-
-
 def _psd_eigs(m: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     if w.min() < -tol:
@@ -294,10 +294,6 @@ def herm_fn(operator: Operator, f: Callable[[np.ndarray], np.ndarray],
 def sqrtm_psd(operator: Operator) -> Operator:
     w, v = _psd_eigs(operator.matrix)
     return Operator((v * np.sqrt(w)) @ v.conj().T, operator.shape)
-
-
-def inv_sqrtm_psd(operator: Operator, cutoff: float = 1e-10) -> Operator:
-    return herm_fn(operator, lambda w: 1.0 / np.sqrt(w), cutoff=cutoff)
 
 
 def fidelity(rho: Operator, sigma: Operator) -> float:
@@ -341,6 +337,26 @@ def permutation_operator(perm: Sequence[int], site_dim: int,
 def sym_dim(n: int, d: int) -> int:
     """Dimension of the symmetric subspace of n d-level systems."""
     return comb(n + d - 1, n)
+
+
+def int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """Elementwise x**n for an integer n >= 0, by binary exponentiation.
+
+    Overlaps <phi|chi>^n of product states need large n, where numpy's
+    complex power leaves its repeated-multiplication fast path for a much
+    slower general one; squaring costs O(log n) array products instead.
+    """
+    if n < 0:
+        raise TensorError(f"exponent must be non-negative, got {n}")
+    base = np.array(x)  # a copy: squared in place below
+    out = np.ones_like(base)
+    while n:
+        if n & 1:
+            out *= base
+        n >>= 1
+        if n:
+            base *= base
+    return out
 
 
 def symmetric_projector(n: int, d: int, prefix: str = "B",

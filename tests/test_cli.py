@@ -25,6 +25,14 @@ def test_verify_passes(tmp_path, capsys):
     assert all(c["ok"] for c in report["checks"])
 
 
+def test_verify_reports_measured_repair_margin(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "3", "--out", str(out)]) == 0
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["name"] == "repair_distance_bound"]
+    assert 0.0 < check["lhs"] <= check["rhs"]
+
+
 def test_verify_negative_control_fails(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--seed", "3", "--inject-signalling",

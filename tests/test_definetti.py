@@ -15,6 +15,7 @@ from nslocc.definetti import (
 )
 from nslocc.tensor_core import (
     TensorError,
+    int_power,
     op,
     partial_trace,
     sym_dim,
@@ -22,7 +23,7 @@ from nslocc.tensor_core import (
     trace_norm,
 )
 
-from conftest import random_density, random_kraus
+from conftest import random_density, random_kraus, random_pure
 
 
 def symmetric_test_state(rng, d_a, d, n):
@@ -102,9 +103,73 @@ def test_branch_extraction_matches_dense(rng):
     grid = build_grid(ext_b.site_dim, n, mode="haar", seed=2, count=300)
     ma = extract_measure(ext_b, grid)
     md = extract_measure(ext_d, grid)
-    for (m1, p1), (m2, p2) in zip(ma.items, md.items):
-        assert np.allclose(m1.matrix, m2.matrix, atol=1e-8)
-        assert np.allclose(p1.matrix, p2.matrix, atol=1e-8)
+    assert np.allclose(ma.ms, md.ms, atol=1e-8)
+    assert np.allclose(ma.phis, md.phis, atol=1e-8)
+
+
+def per_point_measure(ext, grid):
+    """Reference extraction, one grid point at a time: (ms, phis) stacks."""
+    d_big = sym_dim(ext.n, ext.site_dim)
+    ms, phis = [], []
+    for v, w in zip(grid.vectors, grid.weights):
+        if ext.branches is not None:
+            m = sum(abs(np.vdot(v, chi)) ** (2 * ext.n) * k for k, chi in ext.branches)
+        else:
+            u = ext.psi
+            for _ in range(ext.n):
+                u = u.reshape(-1, ext.site_dim) @ v.conj()
+            r = len(u) // ext.d_a
+            m = np.einsum("abcb->ac", np.outer(u, u.conj()).reshape(ext.d_a, r, ext.d_a, r))
+        ms.append(w * d_big * m)
+        g = v.reshape(ext.site_keep_dim, -1)
+        rho = g @ g.conj().T
+        phis.append(rho / np.trace(rho).real)
+    return np.array(ms), np.array(phis)
+
+
+def test_stacked_extraction_matches_per_point_loop(rng):
+    n, d_a = 3, 2
+    mixed, _ = symmetric_test_state(rng, d_a, 2, n)
+    site = random_pure(rng, 2)
+    vec = random_pure(rng, d_a)
+    for _ in range(n):
+        vec = np.kron(vec, site)
+    pure = op(np.outer(vec, vec.conj()), ("A", d_a), *((f"B{i}", 2) for i in range(1, n + 1)))
+    parts = [(random_density(rng, d_a) * w, random_density(rng, 2)) for w in (0.3, 0.7)]
+    exts = [branch_extension(parts, n=5),
+            purify_extension(mixed, d_a=d_a),   # doubled sites
+            purify_extension(pure, d_a=d_a)]    # plain sites
+    assert [e.purified for e in exts] == [True, True, False]
+    for ext in exts:
+        grid = build_grid(ext.site_dim, ext.n, mode="haar", seed=7, count=150)
+        approx = extract_measure(ext, grid)
+        ms, phis = per_point_measure(ext, grid)
+        assert approx.ms.shape == (grid.count, d_a, d_a)
+        assert np.abs(approx.ms - ms).max() <= 1e-12
+        assert np.abs(approx.phis - phis).max() <= 1e-12
+
+
+def test_int_power_matches_numpy_power(rng):
+    z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    z /= np.abs(z).max()
+    # moduli 0.06 and 0.01 reach subnormal and zero at n=256
+    z[0, :3] = [0.06, 0.01j, 0.06 * np.exp(0.3j)]
+    for n in (1, 2, 3, 16, 64, 255, 256):
+        want = np.power(z, n)
+        assert np.allclose(int_power(z, n), want, rtol=1e-12, atol=1e-300), n
+    assert np.all(np.abs(int_power(z, 256)[0, :3]) < np.finfo(float).tiny)
+
+
+def test_approx_error_k2_matches_kron_loop(rng):
+    n, d_a = 3, 2
+    omega, _ = symmetric_test_state(rng, d_a, 2, n)
+    ext = purify_extension(omega, d_a=d_a)
+    approx = extract_measure(ext, build_grid(ext.site_dim, n, mode="haar",
+                                             seed=8, count=200))
+    omega_2 = partial_trace(omega, ["A", "B1", "B2"])
+    acc = sum(np.kron(np.kron(m, p), p) for m, p in zip(approx.ms, approx.phis))
+    assert abs(approx_error(omega_2, approx, 2)
+               - trace_norm(omega_2.matrix - acc)) <= 1e-12
 
 
 def test_extract_measure_k1_error_within_grid_budget(rng):

@@ -8,7 +8,9 @@ from nslocc.channels import (
     is_cptp,
     is_nonsignalling,
     random_nonsignalling_choi,
+    symmetrize_channel,
 )
+from nslocc.definetti import build_grid, extract_measure, purify_extension
 from nslocc.locc import (
     build_locc_protocol,
     choi_pairs_to_sites,
@@ -22,13 +24,28 @@ from nslocc.locc import (
     theorem1_bound,
     tp_repair,
 )
-from nslocc.tensor_core import TensorError, op, trace_norm
+from nslocc.tensor_core import TensorError, op, op_norm, trace_norm
 
 from conftest import random_density, random_kraus
 
 
 def random_pair_state(rng, d_x, d_y):
     return op(random_density(rng, d_x * d_y), ("X1", d_x), ("Y1", d_y))
+
+
+def measure_of(q, seed, count):
+    """The de Finetti measure build_locc_protocol extracts on a haar grid."""
+    ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)), d_a=q.d_a)
+    return extract_measure(ext, build_grid(ext.site_dim, q.n, mode="haar",
+                                           seed=seed, count=count))
+
+
+def per_point_marginals(approx, d_x, d_y):
+    """Reference (weights, input marginals), one Operator per grid point."""
+    weights = [np.trace(m).real for m in approx.ms]
+    taus = [marginal_input(site_to_pair(op(phi, ("B", d_x * d_y)), d_x, d_y)).matrix
+            for phi in approx.phis]
+    return weights, taus
 
 
 def test_pairs_sites_roundtrip(rng):
@@ -149,14 +166,39 @@ def test_build_protocol_json_roundtrip_fields(rng):
 def test_concentration_report_fields(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=13)
     proto = build_locc_protocol(q, grid_spec="haar:3:300")
-    # rebuild the measure to feed the report
-    from nslocc.definetti import build_grid, extract_measure, purify_extension
-    from nslocc.channels import symmetrize_channel
-    sites = choi_pairs_to_sites(symmetrize_channel(q))
-    ext = purify_extension(sites, d_a=2)
-    grid = build_grid(ext.site_dim, 2, mode="haar", seed=3, count=300)
-    approx = extract_measure(ext, grid)
+    approx = measure_of(q, seed=3, count=300)  # the measure proto was built from
     rep = concentration_report(approx, epsilon=0.2, delta=0.5, d_x=2, d_y=2)
     assert rep.complement_mass <= 1.0 + 1e-9
     assert rep.complement_bound >= 0.0
     assert rep.ek_residuals[0][0] == 1
+    # the stacked computation agrees with a per-point loop
+    weights, taus = per_point_marginals(approx, 2, 2)
+    e1 = sum(w * t for w, t in zip(weights, taus))
+    e2 = sum(w * np.kron(t, t) for w, t in zip(weights, taus))
+    near = sum(w for w, t in zip(weights, taus) if op_norm(t - e1) < 0.2)
+    assert np.abs(rep.e1.matrix - e1).max() <= 1e-12
+    assert abs(rep.ek_residuals[0][1] - trace_norm(e1 - np.eye(2) / 2)) <= 1e-12
+    assert abs(rep.ek_residuals[1][1] - trace_norm(e2 - np.eye(4) / 4)) <= 1e-12
+    assert abs(rep.r_eps_mass - near) <= 1e-12
+
+
+def test_protocol_assembled_from_stacked_measure():
+    q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
+    proto = build_locc_protocol(q, grid_spec="haar:1:400")
+    approx = measure_of(q, seed=1, count=400)
+    prov = proto.provenance
+    rep = concentration_report(approx, prov["epsilon"], prov["delta"], 2, 2)
+    _, taus = per_point_marginals(approx, 2, 2)
+    repaired = 0
+    for m, phi, tau, elem, ch in zip(approx.ms, approx.phis, taus,
+                                     proto.povm, proto.channels):
+        assert np.abs(elem.matrix - prov["povm_rescale"] * 2 * m.T).max() <= 1e-12
+        if (np.linalg.eigvalsh(tau).min() > 1e-8
+                and op_norm(tau - rep.e1.matrix) < prov["epsilon"]):
+            pair = op(phi, ("X1", 2), ("Y1", 2))
+            assert np.abs(ch.omega.matrix - tp_repair(pair).matrix).max() <= 1e-12
+            repaired += 1
+        else:
+            assert np.array_equal(ch.omega.matrix, depolarizing_choi(2, 2).omega.matrix)
+    assert repaired == prov["repaired_count"]
+    assert len(proto.povm) == len(approx.ms) + 1
