@@ -18,8 +18,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +31,8 @@ from .tensor_core import (
     op_norm,
     partial_trace,
     partial_transpose,
-    permutation_matrix,
     permute_factors,
+    symmetrize_sites,
     tensor_all,
     trace_norm,
 )
@@ -317,15 +315,11 @@ def symmetrize_channel(channel: ChoiChannel, max_n: int = 6) -> ChoiChannel:
     n = channel.n
     if n > max_n:
         raise TensorError(f"dense symmetrization supports n <= {max_n}, got {n}")
-    d_site = channel.d_x * channel.d_y
-    d_a = channel.d_a
-    m = channel.omega.matrix
-    total = np.zeros_like(m)
-    eye_a = np.eye(d_a)
-    for perm in permutations(range(n)):
-        p = np.kron(eye_a, permutation_matrix(perm, d_site))
-        total += p @ m @ p.conj().T
-    avg = total / factorial(n)
+    # rows and columns as (A, site_1..site_n) with site_i = (X_i, Y_i)
+    t = channel.omega.matrix.reshape(
+        2 * ((channel.d_a,) + (channel.d_x * channel.d_y,) * n))
+    rows, cols = range(1, n + 1), range(n + 2, 2 * n + 2)
+    avg = symmetrize_sites(t, [rows, cols]).reshape(channel.omega.matrix.shape)
     return ChoiChannel(Operator(avg, channel.omega.shape),
                        channel.d_a, channel.d_x, channel.d_y, n)
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
+
+from .tensor_core import symmetrize_sites
 
 NS_TOL = 1e-10
 MAX_FUNCTIONS = 10 ** 6
@@ -125,12 +126,8 @@ def symmetrize_classical(p: ClassicalProtocol, max_n: int = 6) -> ClassicalProto
     """Average over simultaneous permutations of the round coordinates."""
     if p.n > max_n:
         raise ClassicalError(f"dense symmetrization supports n <= {max_n}")
-    total = np.zeros_like(p.table)
-    for perm in itertools.permutations(range(p.n)):
-        axes = (0,) + tuple(1 + perm[i] for i in range(p.n)) \
-            + tuple(1 + p.n + perm[i] for i in range(p.n))
-        total += p.table.transpose(axes)
-    return ClassicalProtocol(total / factorial(p.n), p.na, p.nx, p.ny, p.n)
+    avg = symmetrize_sites(p.table, [p.x_axes, p.y_axes])
+    return ClassicalProtocol(avg, p.na, p.nx, p.ny, p.n)
 
 
 def single_round_map(p: ClassicalProtocol, a: int) -> np.ndarray:

@@ -46,7 +46,8 @@ from .definetti import (
 )
 from .locc import operator_chebyshev, repair_distance_bound
 from .risk import classification_task, risk_gap_experiment
-from .tensor_core import Factorization, Operator, kron_power, operator_to_json, partial_trace, op
+from .tensor_core import (Factorization, Operator, kron_power, op, operator_to_json,
+                          partial_trace, permutation_matrix)
 
 
 def _fail(msg: str) -> int:
@@ -59,14 +60,8 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    # explicit flags override file values
-    for key in ("seed", "out", "grid", "tol", "n"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key, val in vars(args).items():
-        if key not in cfg and val is not None:
-            cfg[key] = val
+    # every explicitly given flag overrides the file's value
+    cfg.update((key, val) for key, val in vars(args).items() if val is not None)
     return cfg
 
 
@@ -100,6 +95,11 @@ def _check(name: str, lhs: float, rhs: float, ok: bool | None = None) -> dict:
     return {"name": name, "ok": bool(ok), "lhs": float(lhs), "rhs": float(rhs)}
 
 
+def _crossing_channel():
+    """Two-round qubit channel that swaps the rounds: maximally signalling."""
+    return choi_of_global_kraus([permutation_matrix((1, 0), 2)], 2, 2, n=2)
+
+
 def _verify_checks(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
@@ -128,12 +128,7 @@ def _verify_checks(seed: int) -> list[dict]:
     mp = measure_and_prepare_choi(povm, preps, 2)
     checks.append(_check("measure_prepare_nonsignalling",
                          is_nonsignalling(mp).max_residual, 1e-10))
-    swap = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            swap[j * 2 + i, i * 2 + j] = 1
-    crossing = choi_of_global_kraus([swap], 2, 2, n=2)
-    res = is_nonsignalling(crossing).max_residual
+    res = is_nonsignalling(_crossing_channel()).max_residual
     checks.append(_check("output_crossing_detected", 0.5, res, ok=res >= 0.5))
 
     # trace-preserving repair distance guarantee, reported at the sample
@@ -181,12 +176,7 @@ def cmd_verify(cfg: dict) -> int:
     checks = _verify_checks(seed)
     if cfg.get("inject_signalling"):
         # negative-control fixture: a signalling channel must fail the gate
-        swap = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                swap[j * 2 + i, i * 2 + j] = 1
-        crossing = choi_of_global_kraus([swap], 2, 2, n=2)
-        res = is_nonsignalling(crossing).max_residual
+        res = is_nonsignalling(_crossing_channel()).max_residual
         checks.append(_check("injected_signalling_passes_gate", res, 1e-8))
     report = {"version": __version__, "seed": seed,
               "passed": all(c["ok"] for c in checks), "checks": checks}
@@ -218,6 +208,8 @@ def _classification_family(overlap: float):
 
 def cmd_risk_gap(cfg: dict) -> int:
     overlap = float(cfg.get("overlap", 0.6))
+    if not 0.0 <= overlap <= 1.0:
+        return _fail(f"--overlap must lie in [0, 1], got {overlap}")
     seed = int(cfg.get("seed", 0))
     ns = _parse_n_range(cfg.get("n", "1..4"))
     grid = cfg.get("grid") or f"haar:{seed}:2000"
@@ -301,14 +293,17 @@ def cmd_classical_demo(cfg: dict) -> int:
 def cmd_gen_channel(cfg: dict) -> int:
     seed = int(cfg.get("seed", 0))
     n = _parse_n_range(cfg.get("n", 2))[0]
+    if n < 1:
+        return _fail(f"--n must be at least 1, got {n}")
     d_a = int(cfg.get("d_a", 2))
     d_x = int(cfg.get("d_x", 2))
     d_y = int(cfg.get("d_y", 2))
     ch = random_nonsignalling_choi(d_a, d_x, d_y, n, seed=seed)
+    cptp = is_cptp(ch)
     payload = {
         "seed": seed, "d_a": d_a, "d_x": d_x, "d_y": d_y, "n": n,
-        "cptp": {"psd_violation": is_cptp(ch).psd_violation,
-                 "tp_violation": is_cptp(ch).tp_violation},
+        "cptp": {"psd_violation": cptp.psd_violation,
+                 "tp_violation": cptp.tp_violation},
         "ns_residual": is_nonsignalling(ch).max_residual,
         "omega": operator_to_json(ch.omega),
     }

@@ -28,7 +28,7 @@ from .tensor_core import (
     _psd_eigs,
     int_power,
     kron_power,
-    permutation_matrix,
+    permute_sites,
     sym_dim,
     symmetric_projector,
     trace_norm,
@@ -96,14 +96,19 @@ class SymmetricExtension:
         return np.einsum("abcb->ac", m.reshape(d, -1, d, m.shape[0] // d))
 
 
+def _transposition_deviations(t: np.ndarray, groups: list[range]):
+    """Yield (i, max |P t − t|) for each adjacent site transposition P = (i, i+1)."""
+    n = len(groups[0])
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        yield i, float(np.abs(permute_sites(t, perm, groups) - t).max())
+
+
 def _check_site_symmetry(psi: np.ndarray, n: int, d: int, tol: float):
     """Spot-check invariance under adjacent site transpositions."""
-    block = psi.shape[0]
-    t = psi.reshape((block,) + (d,) * n)
-    for i in range(n - 1):
-        axes = list(range(n + 1))
-        axes[1 + i], axes[2 + i] = axes[2 + i], axes[1 + i]
-        dev = float(np.abs(t - t.transpose(axes)).max())
+    t = psi.reshape((psi.shape[0],) + (d,) * n)
+    for i, dev in _transposition_deviations(t, [range(1, n + 1)]):
         if dev > tol:
             raise TensorError(
                 f"state is not symmetric under sites ({i + 1},{i + 2}): {dev:.3e}")
@@ -132,12 +137,8 @@ def purify_extension(omega: Operator, d_a: int | None = None) -> SymmetricExtens
 
     # permutation invariance of omega on the sites (adjacent transpositions)
     m = omega.matrix
-    eye_a = np.eye(d_a)
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        p = np.kron(eye_a, permutation_matrix(perm, d))
-        dev = float(np.abs(p @ m @ p.conj().T - m).max())
+    t = m.reshape(2 * ((d_a,) + (d,) * n))
+    for i, dev in _transposition_deviations(t, [range(1, n + 1), range(n + 2, 2 * n + 2)]):
         if dev > SYMMETRY_TOL:
             raise TensorError(
                 f"omega is not permutation symmetric (transposition {i + 1},{i + 2}: "

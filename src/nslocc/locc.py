@@ -30,7 +30,6 @@ from .tensor_core import (
     Factorization,
     Operator,
     TensorError,
-    herm_fn,
     kron_power,
     op_norm,
     operator_to_json,
@@ -84,12 +83,12 @@ def tp_repair(phi: Operator, cutoff: float = REPAIR_CUTOFF) -> Operator:
     must route singular inputs to a fallback channel instead.
     """
     tau = marginal_input(phi)
-    lo = float(np.linalg.eigvalsh(tau.hermitize().matrix).min())
-    if lo <= cutoff:
-        raise TensorError(f"input marginal nearly singular (min eig {lo:.3e})")
+    w, v = np.linalg.eigh(tau.hermitize().matrix)
+    if w[0] <= cutoff:
+        raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
     d_x = tau.dim
     d_y = phi.dim // d_x
-    inv_root = herm_fn(tau, lambda w: 1.0 / np.sqrt(w)).matrix
+    inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     big = np.kron(inv_root, np.eye(d_y))
     return Operator(big @ phi.matrix @ big / d_x, phi.shape)
 
@@ -227,6 +226,10 @@ class LoccProtocol:
         dev = float(np.abs(total - np.eye(self.povm[0].dim)).max())
         if dev > 1e-7:
             raise TensorError(f"POVM completeness violated by {dev:.3e}")
+        # marginal_choi reads every channel's Choi state as one (X1, Y1) state
+        if len(self.channels) != len(self.povm) or any(
+                (ch.n, ch.d_a) != (1, 1) for ch in self.channels):
+            raise TensorError("need one single-round channel with d_a=1 per POVM outcome")
 
     @property
     def d_a(self) -> int:
@@ -234,20 +237,18 @@ class LoccProtocol:
 
     def to_choi(self, n: int) -> ChoiChannel:
         """Dense n-round Choi state of the protocol (small n only)."""
-        preps = [partial_trace(ch.omega, ["X1", "Y1"]) for ch in self.channels]
-        return measure_and_prepare_choi(list(self.povm), preps, n)
+        return measure_and_prepare_choi(list(self.povm),
+                                        [ch.omega for ch in self.channels], n)
 
     def marginal_choi(self) -> Operator:
         """Single-round Choi state on (A, X1, Y1) of the symmetrized protocol."""
-        d_a = self.d_a
-        total = None
-        for m, ch in zip(self.povm, self.channels):
-            phi = partial_trace(ch.omega, ["X1", "Y1"])
-            term = np.kron(m.matrix.T / d_a, phi.matrix)
-            total = term if total is None else total + term
+        ms = np.stack([m.matrix for m in self.povm])
+        phis = np.stack([ch.omega.matrix for ch in self.channels])
+        # sum_g M_g^T / d_A ⊗ φ_g
+        total = np.einsum("gba,gij->aibj", ms, phis) / self.d_a
         ch0 = self.channels[0]
-        fac = choi_factorization(d_a, ch0.d_x, ch0.d_y, 1)
-        return Operator(total, fac)
+        fac = choi_factorization(self.d_a, ch0.d_x, ch0.d_y, 1)
+        return Operator(total.reshape(fac.dim, fac.dim), fac)
 
     def to_json(self) -> dict:
         return {

@@ -24,6 +24,7 @@ from .tensor_core import (
     op_norm,
     partial_trace,
     partial_transpose,
+    permutation_matrix,
     tensor,
     tensor_all,
 )
@@ -115,11 +116,7 @@ def classification_task(priors: list[float], states: list, n: int,
 
 
 def swap_matrix(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    return permutation_matrix((1, 0), d).real
 
 
 def tomography_task(priors: list[float], states: list, n: int,

@@ -311,21 +311,40 @@ def fidelity(rho: Operator, sigma: Operator) -> float:
 # permutations and the symmetric subspace
 # ---------------------------------------------------------------------------
 
+def permute_sites(t: np.ndarray, perm: Sequence[int],
+                  groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Move site k of every axis group to site position perm[k], as a view.
+
+    Each group lists the n site axes of t; all groups move together, so with
+    an operator's row and column sites as the groups this is P ω P† with
+    P = permutation_matrix(perm, d), without a single multiplication.
+    """
+    axes = list(range(t.ndim))
+    for group in groups:
+        for k, ax in enumerate(group):
+            axes[group[perm[k]]] = ax
+    return t.transpose(axes)
+
+
+def symmetrize_sites(t: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """S_n average of permute_sites over every permutation of the n sites."""
+    perms = list(itertools.permutations(range(len(groups[0]))))
+    return sum(permute_sites(t, perm, groups) for perm in perms) / len(perms)
+
+
+def _site_identity(n: int, d: int) -> np.ndarray:
+    """The identity on d^n, with its row index split into n site axes."""
+    return np.eye(d ** n, dtype=complex).reshape((d,) * n + (d ** n,))
+
+
 def permutation_matrix(perm: Sequence[int], site_dim: int) -> np.ndarray:
     """Unitary sending |i_1..i_n> to |i_{perm^{-1}(1)}..>, so P_s P_t = P_{s∘t}.
 
     `perm` is 0-indexed: perm[k] is the image of position k.
     """
     n = len(perm)
-    d = site_dim
-    total = d ** n
-    digits = np.array(np.unravel_index(np.arange(total), (d,) * n))
-    inv = np.argsort(np.asarray(perm))
-    new_digits = digits[inv, :]
-    new_idx = np.ravel_multi_index(tuple(new_digits), (d,) * n)
-    m = np.zeros((total, total), dtype=complex)
-    m[new_idx, np.arange(total)] = 1.0
-    return m
+    return permute_sites(_site_identity(n, site_dim), perm, [range(n)]).reshape(
+        site_dim ** n, -1)
 
 
 def permutation_operator(perm: Sequence[int], site_dim: int,
@@ -364,13 +383,9 @@ def symmetric_projector(n: int, d: int, prefix: str = "B",
     """Projector onto the symmetric subspace, as the S_n average of permutations."""
     if d ** n > max_dim:
         raise TensorError(f"symmetric projector dim {d}^{n} exceeds budget {max_dim}")
-    total = np.zeros((d ** n, d ** n), dtype=complex)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        total += permutation_matrix(perm, d)
-        count += 1
+    total = symmetrize_sites(_site_identity(n, d), [range(n)])
     fac = Factorization.of(*((f"{prefix}{i + 1}", d) for i in range(n)))
-    return Operator(total / count, fac)
+    return Operator(total.reshape(d ** n, d ** n), fac)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from nslocc.channels import (
     ChoiChannel,
     adjoint_apply,
     apply_channel,
+    choi_factorization,
     choi_of_global_kraus,
     choi_of_kraus,
     is_cptp,
@@ -18,9 +19,9 @@ from nslocc.channels import (
     reduction_residual,
     symmetrize_channel,
 )
-from nslocc.tensor_core import TensorError, op, permute_factors
+from nslocc.tensor_core import Operator, TensorError, op, permute_factors
 
-from conftest import random_density, random_kraus
+from conftest import dense_symmetrize, random_density, random_kraus
 
 
 def apply_kraus(kraus, rho):
@@ -116,6 +117,16 @@ def test_symmetrize_idempotent_and_permutation_invariant(rng):
         {"X2": "X1", "Y2": "Y1", "X1": "X2", "Y1": "Y2"})
     aligned = permute_factors(swapped, list(s.omega.labels))
     assert np.allclose(aligned.matrix, s.omega.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetrize_matches_dense_permutation_sandwich(rng, n):
+    # a generic Choi state: unit trace, but not symmetric under any site swap
+    fac = choi_factorization(2, 2, 2, n)
+    omega = random_density(rng, fac.dim)
+    got = symmetrize_channel(ChoiChannel(Operator(omega, fac), 2, 2, 2, n)).omega.matrix
+    assert np.abs(got - omega).max() > 1e-4
+    assert np.abs(got - dense_symmetrize(omega, 2, 4, n)).max() <= 1e-14
 
 
 @settings(max_examples=5, deadline=None)

@@ -70,6 +70,24 @@ def test_symmetrize_preserves_ns_and_is_idempotent():
     assert np.allclose(s.table, s2.table, atol=1e-12)
 
 
+def test_symmetrize_matches_per_permutation_loop():
+    rng = np.random.default_rng(5)
+    na, nx, ny, n = 2, 2, 3, 3
+    table = rng.random((na,) + (nx,) * n + (ny,) * n)
+    table /= table.sum(axis=tuple(range(1 + n, 1 + 2 * n)), keepdims=True)
+    p = ClassicalProtocol(table, na, nx, ny, n)
+    want = np.zeros_like(table)
+    perms = list(itertools.permutations(range(n)))
+    for perm in perms:
+        axes = (0,) + tuple(1 + perm[i] for i in range(n)) \
+            + tuple(1 + n + perm[i] for i in range(n))
+        want += table.transpose(axes)
+    want /= len(perms)
+    got = symmetrize_classical(p).table
+    assert np.abs(got - table).max() > 1e-3
+    assert np.abs(got - want).max() <= 1e-15
+
+
 def test_decompose_exact_product_measure():
     q = np.array([[0.7, 0.4], [0.3, 0.6]])  # q[y, x]
     mix = decompose_classifier_mixture(q)

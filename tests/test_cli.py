@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -93,6 +94,32 @@ def test_config_file_merges_with_flags(tmp_path):
     code = main(["risk-gap", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+    # an explicit flag beats the file: the run matches the same flags without it
+    over, flags = tmp_path / "over.csv", tmp_path / "flags.csv"
+    assert main(["risk-gap", "--config", str(cfg), "--overlap", "0.3",
+                 "--seed", "2", "--out", str(over)]) == 0
+    assert main(["risk-gap", "--n", "1..2", "--overlap", "0.3", "--seed", "2",
+                 "--grid", "haar:0:300", "--out", str(flags)]) == 0
+    assert over.read_bytes() == flags.read_bytes()
+    assert over.read_bytes() != out.read_bytes()
+
+
+def test_risk_gap_rejects_overlap_outside_unit_interval(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["risk-gap", "--n", "1", "--overlap", "1.5", "--out", str(out)])
+    assert code == 2
+    assert "--overlap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_channel_rejects_zero_rounds(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    code = main(["gen-channel", "--n", "0", "--out", str(out)])
+    assert code == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path):

@@ -79,6 +79,15 @@ def test_purify_extension_reduces_back(rng):
                        partial_trace(omega, ["A"]).matrix, atol=1e-10)
 
 
+def test_purify_extension_names_the_broken_transposition(rng):
+    # symmetric under swapping sites 1 and 2, not under swapping 2 and 3
+    sigma, tau = random_density(rng, 2), random_density(rng, 2)
+    m = np.kron(np.kron(random_density(rng, 2), np.kron(sigma, sigma)), tau)
+    omega = op(m, ("A", 2), ("B1", 2), ("B2", 2), ("B3", 2))
+    with pytest.raises(TensorError, match=r"transposition 2,3"):
+        purify_extension(omega)
+
+
 def test_branch_extension_requires_unit_mass():
     with pytest.raises(TensorError):
         branch_extension([(np.eye(2), np.eye(2) / 2)], n=2)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslocc.channels import (
+    ChoiChannel,
+    choi_factorization,
     choi_of_kraus,
     is_cptp,
     is_nonsignalling,
@@ -12,6 +14,7 @@ from nslocc.channels import (
 )
 from nslocc.definetti import build_grid, extract_measure, purify_extension
 from nslocc.locc import (
+    LoccProtocol,
     build_locc_protocol,
     choi_pairs_to_sites,
     concentration_report,
@@ -24,9 +27,9 @@ from nslocc.locc import (
     theorem1_bound,
     tp_repair,
 )
-from nslocc.tensor_core import TensorError, op, op_norm, trace_norm
+from nslocc.tensor_core import Operator, TensorError, op, op_norm, trace_norm
 
-from conftest import random_density, random_kraus
+from conftest import loop_marginal_choi, random_density, random_kraus
 
 
 def random_pair_state(rng, d_x, d_y):
@@ -202,3 +205,19 @@ def test_protocol_assembled_from_stacked_measure():
             assert np.array_equal(ch.omega.matrix, depolarizing_choi(2, 2).omega.matrix)
     assert repaired == prov["repaired_count"]
     assert len(proto.povm) == len(approx.ms) + 1
+
+
+def test_marginal_choi_matches_per_outcome_loop():
+    q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
+    proto = build_locc_protocol(q, grid_spec="haar:1:400")
+    got = proto.marginal_choi()
+    assert got.labels == ("A", "X1", "Y1")
+    assert np.abs(got.matrix - loop_marginal_choi(proto)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d_a, n", [(1, 2), (2, 1)])
+def test_protocol_rejects_channels_that_are_not_single_round(d_a, n):
+    fac = choi_factorization(d_a, 2, 2, n)
+    channel = ChoiChannel(Operator(np.eye(fac.dim) / fac.dim, fac), d_a, 2, 2, n)
+    with pytest.raises(TensorError, match="single-round"):
+        LoccProtocol(povm=(op(np.eye(2), ("A", 2)),), channels=(channel,))

@@ -1,13 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from nslocc import definetti, locc, risk
 from nslocc.channels import (
+    ChoiChannel,
+    choi_factorization,
     choi_of_kraus,
     measure_and_prepare_choi,
     product_channel,
     random_nonsignalling_choi,
 )
-from nslocc.locc import build_locc_protocol, theorem1_bound
+from nslocc.cli import _classification_family
+from nslocc.locc import LoccProtocol, build_locc_protocol, theorem1_bound
 from nslocc.risk import (
     LearningTask,
     classification_task,
@@ -20,13 +26,20 @@ from nslocc.risk import (
     tomography_task,
 )
 from nslocc.tensor_core import (
+    Operator,
     op,
     op_norm,
     permutation_operator,
     permute_factors,
 )
 
-from conftest import random_density, random_kraus
+from conftest import (
+    dense_permutation,
+    dense_symmetrize,
+    loop_marginal_choi,
+    random_density,
+    random_kraus,
+)
 
 
 def two_state_task(theta, n=1, prior=0.5):
@@ -166,3 +179,35 @@ def test_expected_risk_both_paths_gate(rng):
                      s=two_state_task(np.pi / 3).s, n=2)
     val = expected_risk(q, t, path="both")
     assert np.isfinite(val)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
+    """risk-gap values against a run where every S_n average is a dense P ω P†
+    sum and the protocol marginal a per-outcome kron loop."""
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    q = measure_and_prepare_choi(povm, preps, n)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+    fast = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+
+    def dense_symmetrize_channel(ch, max_n=6):
+        avg = dense_symmetrize(ch.omega.matrix, ch.d_a, ch.d_x * ch.d_y, ch.n)
+        return ChoiChannel(Operator(avg, ch.omega.shape), ch.d_a, ch.d_x, ch.d_y, ch.n)
+
+    def dense_projector(n, d, prefix="B"):
+        perms = list(itertools.permutations(range(n)))
+        total = sum(dense_permutation(perm, d) for perm in perms) / len(perms)
+        return op(total, *((f"{prefix}{i + 1}", d) for i in range(n)))
+
+    def loop_marginal(protocol):
+        ch0 = protocol.channels[0]
+        fac = choi_factorization(protocol.d_a, ch0.d_x, ch0.d_y, 1)
+        return Operator(loop_marginal_choi(protocol), fac)
+
+    monkeypatch.setattr(locc, "symmetrize_channel", dense_symmetrize_channel)
+    monkeypatch.setattr(risk, "symmetrize_channel", dense_symmetrize_channel)
+    monkeypatch.setattr(definetti, "symmetric_projector", dense_projector)
+    monkeypatch.setattr(LoccProtocol, "marginal_choi", loop_marginal)
+    slow = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    for key in ("risk_collective", "risk_locc", "gap", "grid_residual"):
+        assert getattr(fast, key) == pytest.approx(getattr(slow, key), rel=1e-9, abs=1e-12)
