@@ -43,17 +43,12 @@ PSD_TOL = 1e-8
 
 
 def _round_labels(n: int) -> list[str]:
-    out = []
-    for i in range(1, n + 1):
-        out += [f"X{i}", f"Y{i}"]
-    return out
+    return [f"{reg}{i}" for i in range(1, n + 1) for reg in "XY"]
 
 
 def choi_factorization(d_a: int, d_x: int, d_y: int, n: int) -> Factorization:
-    factors = [("A", d_a)]
-    for i in range(1, n + 1):
-        factors += [(f"X{i}", d_x), (f"Y{i}", d_y)]
-    return Factorization.of(*factors)
+    dim_of = {"X": d_x, "Y": d_y}
+    return Factorization.of(("A", d_a), *((lab, dim_of[lab[0]]) for lab in _round_labels(n)))
 
 
 @dataclass(frozen=True)
@@ -249,15 +244,34 @@ def is_nonsignalling(channel: ChoiChannel, tol: float = NS_TOL) -> NonSignalling
     means no other round's input can influence Y_i.  Trace norm, so the
     residual measures the total distinguishability bought by signalling.
     """
-    n = channel.n
-    residuals = []
-    for i in range(1, n + 1):
-        keep = ["A"] + [f"X{j}" for j in range(1, n + 1)] + [f"Y{i}"]
-        m_i = partial_trace(channel.omega, keep)
-        small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-        rebuilt = embed(small * (channel.d_x ** -(n - 1)), m_i.shape)
-        residuals.append(float(trace_norm(m_i - rebuilt)))
-    return NonSignallingReport(tuple(residuals))
+    dims = (channel.d_a, channel.d_x, channel.d_y, channel.n)
+    # rows and columns share one factor reordering, which keeps the trace norm
+    return NonSignallingReport(tuple(
+        float(trace_norm(_signalling_part(channel.omega.matrix, dims, i)[0]))
+        for i in range(1, channel.n + 1)))
+
+
+def _signalling_part(m: np.ndarray, dims: tuple[int, int, int, int],
+                     i: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_i − (tr_{X≠i} M_i) ⊗ 1/d_x^{n−1}, M_i the marginal of m on (A, X1..Xn, Y_i).
+
+    Returns it as a matrix on (A, X_i, Y_i, X_{j≠i}), and the view (writeable
+    if m is C-contiguous) of m on the diagonal y_j = y_j' for all j ≠ i, axes
+    (A, X_i, Y_i, X_{j≠i}) for the rows, for the columns, then Y_{j≠i}.
+    """
+    d_a, d_x, d_y, n = dims
+    k = 2 * n + 1
+    other_y = [2 * j for j in range(1, n + 1) if j != i]
+    cols = [a if a in other_y else k + a for a in range(k)]
+    axes = [0, 2 * i - 1, 2 * i] + [y - 1 for y in other_y]
+    # m's axes: (A, X1, Y1, .., Xn, Yn) for the rows, then for the columns
+    t = m.reshape(2 * ((d_a,) + (d_x, d_y) * n))
+    subs, out = list(range(k)) + cols, axes + [cols[a] for a in axes]
+    p, q = d_a * d_x * d_y, d_x ** (n - 1)
+    m_i = np.einsum(t, subs, out).reshape(p, q, p, q)
+    small = np.einsum("aqbq->ab", m_i)
+    part = m_i - np.einsum("ab,qr->aqbr", small, np.eye(q) / q)
+    return part.reshape(p * q, p * q), np.einsum(t, subs, out + other_y)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +315,6 @@ def marginal_channel(channel: ChoiChannel, k: int, tol: float = 1e-6) -> ChoiCha
             "is it non-signalling?")
     head = ["A"] + _round_labels(k)
     omega_k = partial_trace(channel.omega, head)
-    # renormalize: tracing Y factors keeps trace 1 but tracing X factors
-    # already happened inside partial_trace, so omega_k has trace 1 still
     return ChoiChannel(omega_k, channel.d_a, channel.d_x, channel.d_y, k)
 
 
@@ -329,84 +341,72 @@ def symmetrize_channel(channel: ChoiChannel, max_n: int = 6) -> ChoiChannel:
 # ---------------------------------------------------------------------------
 
 def _project_tp(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Orthogonal projection onto {omega : tr_out omega = 1/d_in}."""
+    """Orthogonal projection onto {omega : the marginal on its leading factors
+    of total dim d_in is 1/d_in}.  Meant as tr_out omega = 1/d_in, but omega
+    interleaves (A, X1, Y1, ..): for n = 3, all dims 2 it pins (A, X1, Y1, X2),
+    and for n >= 2 every sampled channel's (A, X1, Y1) marginal is maximally mixed.
+    """
     t = m.reshape(d_in, d_out, d_in, d_out)
     marg = np.einsum("iaja->ij", t)
     delta = np.eye(d_in) / d_in - marg
     return m + np.kron(delta, np.eye(d_out) / d_out)
 
 
-def _project_ns_round(omega: Operator, i: int, channel_dims: tuple[int, int, int, int]) -> Operator:
-    """Orthogonal projection onto the round-i non-signalling subspace."""
-    d_a, d_x, d_y, n = channel_dims
-    other_y = [f"Y{j}" for j in range(1, n + 1) if j != i]
-    keep = [lab for lab in omega.labels if lab not in other_y]
-    m_i = partial_trace(omega, keep)
-    small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-    target = embed(small * (d_x ** -(n - 1)), m_i.shape)
-    delta = target - m_i
-    correction = embed(delta * (d_y ** -(n - 1)), omega.shape)
-    return omega + correction
+def _project_nonsignalling(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
+    """Orthogonal projections onto the round-1..n non-signalling subspaces, in
+    turn: round i subtracts its signalling part ⊗ 1_{Y≠i}/d_y^{n−1}."""
+    d_y, n = dims[2:]
+    m = m.copy()
+    for i in range(1, n + 1):
+        s, view = _signalling_part(m, dims, i)
+        view -= s.reshape(view.shape[:2 * n + 4] + (1,) * (n - 1)) / d_y ** (n - 1)
+    return m
 
 
 def _project_psd_trace(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0, None)
-    s = w.sum()
+    """Clip the Hermitian part's negative eigenvalues, rescale to unit trace
+    (1/dim if nothing is left).  Not the Euclidean projection onto the unit-trace
+    PSD set, which would shift the eigenvalues before clipping them."""
+    h = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    s = w[w > 0].sum()
     if s <= 0:
-        w = np.ones_like(w)
-        s = w.sum()
-    w /= s
-    return (v * w) @ v.conj().T
+        return np.eye(len(m), dtype=complex) / len(m)
+    v_neg = v[:, w < 0]
+    return (h - (v_neg * w[w < 0]) @ v_neg.conj().T) / s
 
 
 def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
                               seed: int | None = None,
                               max_iter: int = 5000,
                               tol: float = 1e-9) -> ChoiChannel:
-    """Random non-signalling channel via Dykstra alternating projections.
+    """Random non-signalling channel by Dykstra-style alternating projections.
 
-    Starts from a Wishart-random density matrix and projects onto the
-    intersection of: PSD with unit trace, trace-preserving, and the n
-    non-signalling affine subspaces.  Dykstra corrections make the affine /
-    convex alternation converge to the nearest point of the intersection,
-    which for a generic start is a generic (typically signalling-free but
-    entangled across rounds) non-signalling Choi state.
+    From a Wishart-random density matrix, each sweep projects orthogonally onto
+    the affine set of _project_tp and the n non-signalling subspaces (these need
+    no Dykstra correction: it would lie in the orthogonal complement of the
+    set's direction), then applies _project_psd_trace with one, until no entry
+    moves by tol and is_cptp and is_nonsignalling pass.  The PSD step is not a
+    Euclidean projection, so the result is in general not the intersection's
+    point nearest the start.
     """
     rng = np.random.default_rng(seed)
-    fac = choi_factorization(d_a, d_x, d_y, n)
-    dim = fac.dim
-    d_in = d_a * d_x ** n
-    d_out = d_y ** n
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    dims = (d_a, d_x, d_y, n)
+    fac = choi_factorization(*dims)
+    g = rng.standard_normal((fac.dim,) * 2) + 1j * rng.standard_normal((fac.dim,) * 2)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    corrections = [np.zeros((dim, dim), dtype=complex) for _ in range(n + 2)]
-
+    correction = np.zeros_like(m)
     for _ in range(max_iter):
         prev = m
-        cur = m
-        new_corr = []
-        # affine projections (corrections are optional for affine sets but
-        # harmless); PSD set needs a genuine Dykstra correction
-        for j in range(n + 2):
-            y = cur + corrections[j]
-            if j == 0:
-                p = _project_tp(y, d_in, d_out)
-            elif j <= n:
-                p = _project_ns_round(Operator(y, fac), j, (d_a, d_x, d_y, n)).matrix
-            else:
-                p = _project_psd_trace(y)
-            new_corr.append(y - p)
-            cur = p
-        corrections = new_corr
-        m = cur
-        # convergence: every constraint satisfied at the current point
+        y = _project_nonsignalling(_project_tp(m, d_a * d_x ** n, d_y ** n), dims) + correction
+        m = _project_psd_trace(y)
+        correction = y - m
         if np.abs(m - prev).max() < tol:
-            ch = ChoiChannel(Operator(_project_psd_trace(m), fac), d_a, d_x, d_y, n)
+            ch = ChoiChannel(Operator(m, fac), *dims)
             if is_cptp(ch).ok and is_nonsignalling(ch).ok:
                 return ch
-    ch = ChoiChannel(Operator(_project_psd_trace(m), fac), d_a, d_x, d_y, n)
+    ch = ChoiChannel(Operator(m, fac), *dims)
     rep_c, rep_ns = is_cptp(ch), is_nonsignalling(ch)
     if rep_c.ok and rep_ns.ok:
         return ch

@@ -60,6 +60,9 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, "
+                             f"got {type(cfg).__name__}")
     # every explicitly given flag overrides the file's value
     cfg.update((key, val) for key, val in vars(args).items() if val is not None)
     return cfg
@@ -75,6 +78,11 @@ def _parse_n_range(spec) -> list[int]:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(v) for v in text.split(",")]
+
+
+def _require_positive(flag: str, values: list[int]) -> None:
+    if min(values) < 1:
+        raise ValueError(f"{flag} must be at least 1, got {min(values)}")
 
 
 def _write(out_path: str | None, text: str):
@@ -129,7 +137,7 @@ def _verify_checks(seed: int) -> list[dict]:
     checks.append(_check("measure_prepare_nonsignalling",
                          is_nonsignalling(mp).max_residual, 1e-10))
     res = is_nonsignalling(_crossing_channel()).max_residual
-    checks.append(_check("output_crossing_detected", 0.5, res, ok=res >= 0.5))
+    checks.append(_check("output_crossing_detected", res, 0.5, ok=res >= 0.5))
 
     # trace-preserving repair distance guarantee, reported at the sample
     # with the smallest margin rhs - lhs
@@ -212,6 +220,7 @@ def cmd_risk_gap(cfg: dict) -> int:
         return _fail(f"--overlap must lie in [0, 1], got {overlap}")
     seed = int(cfg.get("seed", 0))
     ns = _parse_n_range(cfg.get("n", "1..4"))
+    _require_positive("--n", ns)
     grid = cfg.get("grid") or f"haar:{seed}:2000"
     rho0, rho1, povm, preps = _classification_family(overlap)
     rows = []
@@ -237,6 +246,8 @@ def cmd_definetti(cfg: dict) -> int:
     seed = int(cfg.get("seed", 0))
     ns = _parse_n_range(cfg.get("n", [4, 8, 16, 32]))
     count = int(cfg.get("count", 5000))
+    _require_positive("--n", ns)
+    _require_positive("--count", [count])
     ks = _parse_n_range(cfg.get("k", [0, 1]))
     sigma = np.array([[1.0]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
@@ -293,8 +304,7 @@ def cmd_classical_demo(cfg: dict) -> int:
 def cmd_gen_channel(cfg: dict) -> int:
     seed = int(cfg.get("seed", 0))
     n = _parse_n_range(cfg.get("n", 2))[0]
-    if n < 1:
-        return _fail(f"--n must be at least 1, got {n}")
+    _require_positive("--n", [n])
     d_a = int(cfg.get("d_a", 2))
     d_x = int(cfg.get("d_x", 2))
     d_y = int(cfg.get("d_y", 2))
@@ -349,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _load_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
         return _fail(f"bad config: {exc}")
     handlers = {
         "verify": cmd_verify,

@@ -3,8 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from nslocc.channels import choi_of_kraus
-from nslocc.tensor_core import Factorization, Operator, partial_trace
+from nslocc.channels import (
+    ChoiChannel,
+    NS_TOL,
+    _project_tp,
+    choi_factorization,
+    choi_of_kraus,
+    is_cptp,
+)
+from nslocc.tensor_core import Factorization, Operator, embed, partial_trace, trace_norm
 
 
 def random_density(rng, d: int) -> np.ndarray:
@@ -68,6 +75,69 @@ def loop_marginal_choi(protocol) -> np.ndarray:
     return sum(np.kron(m.matrix.T / protocol.d_a,
                        partial_trace(ch.omega, ["X1", "Y1"]).matrix)
                for m, ch in zip(protocol.povm, protocol.channels))
+
+
+def oracle_signalling_residuals(channel) -> list[float]:
+    """Reference per-round ‖M_i − (tr_{X≠i} M_i) ⊗ 1/d_x^{n−1}‖₁ through
+    labelled partial traces, M_i kept in the Choi factor order."""
+    n = channel.n
+    out = []
+    for i in range(1, n + 1):
+        keep = ["A"] + [f"X{j}" for j in range(1, n + 1)] + [f"Y{i}"]
+        m_i = partial_trace(channel.omega, keep)
+        small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
+        out.append(trace_norm(m_i - embed(small * channel.d_x ** -(n - 1), m_i.shape)))
+    return out
+
+
+def oracle_project_ns_round(m: np.ndarray, dims, i: int) -> np.ndarray:
+    """Reference round-i non-signalling projection through Operators: subtract
+    the round-i marginal's signalling part, embedded with 1_{Y≠i}/d_y^{n−1}."""
+    d_a, d_x, d_y, n = dims
+    omega = Operator(m, choi_factorization(*dims))
+    other_y = [f"Y{j}" for j in range(1, n + 1) if j != i]
+    m_i = partial_trace(omega, [lab for lab in omega.labels if lab not in other_y])
+    small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
+    target = embed(small * (d_x ** -(n - 1)), m_i.shape)
+    return (omega + embed((target - m_i) * (d_y ** -(n - 1)), omega.shape)).matrix
+
+
+def _oracle_psd_trace(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w = np.clip(w, 0, None)
+    if w.sum() <= 0:
+        w = np.ones_like(w)
+    return (v * (w / w.sum())) @ v.conj().T
+
+
+def oracle_random_nonsignalling_choi(d_a, d_x, d_y, n, seed, max_iter=5000,
+                                     tol=1e-9) -> np.ndarray:
+    """Reference sampler: a Dykstra correction on every one of the n + 2 steps,
+    the PSD step rebuilt from all eigenpairs, one more PSD step at the end."""
+    dims = (d_a, d_x, d_y, n)
+    fac = choi_factorization(*dims)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((fac.dim, fac.dim)) + 1j * rng.standard_normal((fac.dim, fac.dim))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    corrections = [np.zeros_like(m) for _ in range(n + 2)]
+    for _ in range(max_iter):
+        prev = cur = m
+        for j in range(n + 2):
+            y = cur + corrections[j]
+            if j == 0:
+                cur = _project_tp(y, d_a * d_x ** n, d_y ** n)
+            elif j <= n:
+                cur = oracle_project_ns_round(y, dims, j)
+            else:
+                cur = _oracle_psd_trace(y)
+            corrections[j] = y - cur
+        m = cur
+        if np.abs(m - prev).max() < tol:
+            ch = ChoiChannel(Operator(_oracle_psd_trace(m), fac), *dims)
+            if is_cptp(ch).ok and max(oracle_signalling_residuals(ch)) <= NS_TOL:
+                return ch.omega.matrix
+    raise AssertionError("oracle sampler did not converge")
 
 
 @pytest.fixture

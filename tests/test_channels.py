@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from nslocc.channels import (
     ChoiChannel,
+    _project_nonsignalling,
+    _project_psd_trace,
     adjoint_apply,
     apply_channel,
     choi_factorization,
@@ -21,7 +23,14 @@ from nslocc.channels import (
 )
 from nslocc.tensor_core import Operator, TensorError, op, permute_factors
 
-from conftest import dense_symmetrize, random_density, random_kraus
+from conftest import (
+    dense_symmetrize,
+    oracle_project_ns_round,
+    oracle_random_nonsignalling_choi,
+    oracle_signalling_residuals,
+    random_density,
+    random_kraus,
+)
 
 
 def apply_kraus(kraus, rho):
@@ -144,3 +153,52 @@ def test_choi_unit_trace_enforced(rng):
     assert np.isclose(ch.omega.trace(), 1.0)
     with pytest.raises(TensorError):
         ChoiChannel(ch.omega * 2.0, 1, 2, 2, 1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 2, 3),
+                                  (1, 2, 3, 2), (2, 3, 2, 2)])
+def test_project_nonsignalling_matches_operator_oracle(rng, dims):
+    dim = choi_factorization(*dims).dim
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    want = m
+    for i in range(1, dims[3] + 1):
+        want = oracle_project_ns_round(want, dims, i)
+    got = _project_nonsignalling(m, dims)
+    # a single round has nothing to signal to: the projection is the identity
+    assert (np.abs(got - m).max() > 1e-2) == (dims[3] > 1)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_project_psd_trace_matches_full_rebuild(rng):
+    h = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    h = h + h.conj().T
+    w, v = np.linalg.eigh(h)
+    assert (w < 0).any() and (w > 0).any()
+    want = (v * np.clip(w, 0, None)) @ v.conj().T / np.clip(w, 0, None).sum()
+    assert np.abs(_project_psd_trace(h) - want).max() <= 1e-14
+    # nothing positive left: the maximally mixed state
+    assert np.abs(_project_psd_trace(-(h @ h)) - np.eye(16) / 16).max() == 0.0
+
+
+@pytest.mark.parametrize("n, seeds", [(2, (0, 1, 2)), (3, (0, 3, 6))])
+def test_random_nonsignalling_choi_matches_oracle_sampler(n, seeds):
+    for seed in seeds:
+        got = random_nonsignalling_choi(2, 2, 2, n, seed=seed).omega.matrix
+        want = oracle_random_nonsignalling_choi(2, 2, 2, n, seed=seed)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_nonsignalling_residuals_match_oracle(rng):
+    crossing = signalling_swap_channel()
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    povm = [op(np.outer(v, v.conj()), ("A", 2)),
+            op(np.eye(2) - np.outer(v, v.conj()), ("A", 2))]
+    preps = [choi_of_kraus(random_kraus(rng, 2, 3, count=2), 2, 3).omega
+             for _ in range(2)]
+    mp = measure_and_prepare_choi(povm, preps, n=3)
+    for ch, size in ((crossing, 1.5), (mp, 0.0)):
+        got = is_nonsignalling(ch).residuals
+        want = oracle_signalling_residuals(ch)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(got, size, rtol=0, atol=1e-10)

@@ -126,3 +126,32 @@ def test_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", "--config", str(bad)]) == 2
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1]")
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["definetti", "--n", "4", "--count", "0"], "--count"),
+    (["definetti", "--n", "0", "--count", "10"], "--n"),
+    (["risk-gap", "--n", "0"], "--n"),
+])
+def test_zero_counts_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_reports_measured_crossing_residual(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "3", "--out", str(out)]) == 0
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["name"] == "output_crossing_detected"]
+    assert check["ok"]
+    assert abs(check["lhs"] - 1.5) <= 1e-12   # the swap channel's residual
+    assert check["rhs"] == 0.5
