@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor_core import (
+    SYMMETRIZE_MAX_N,
     Factorization,
     Operator,
     TensorError,
@@ -38,6 +39,7 @@ from .tensor_core import (
 )
 
 NS_TOL = 1e-8
+REDUCTION_TOL = 1e-6  # largest reduction_residual marginal_channel accepts
 TP_TOL = 1e-8
 PSD_TOL = 1e-8
 
@@ -237,7 +239,7 @@ class NonSignallingReport:
         return self.max_residual <= NS_TOL
 
 
-def is_nonsignalling(channel: ChoiChannel, tol: float = NS_TOL) -> NonSignallingReport:
+def is_nonsignalling(channel: ChoiChannel) -> NonSignallingReport:
     """Per-round signalling residuals ‖M_i − (tr_{X≠i} M_i) ⊗ 1/d_x^{n−1}‖₁.
 
     M_i is the Choi marginal on (A, X1..Xn, Y_i).  A zero residual for round i
@@ -295,13 +297,13 @@ def reduction_residual(channel: ChoiChannel, k: int) -> float:
     return float(trace_norm(reduced - rebuilt))
 
 
-def marginal_channel(channel: ChoiChannel, k: int, tol: float = 1e-6) -> ChoiChannel:
+def marginal_channel(channel: ChoiChannel, k: int) -> ChoiChannel:
     """First-k-rounds channel of a non-signalling channel.
 
     For a non-signalling channel, discarding the later outputs leaves the
     earlier rounds acting as a bona fide channel on (A, X1..Xk); the unused
     input factors decouple as maximally mixed and can be traced away.  Errors
-    if the decoupling residual exceeds tol.
+    if the decoupling residual exceeds REDUCTION_TOL.
     """
     n = channel.n
     if not 1 <= k <= n:
@@ -309,9 +311,9 @@ def marginal_channel(channel: ChoiChannel, k: int, tol: float = 1e-6) -> ChoiCha
     if k == n:
         return channel
     res = reduction_residual(channel, k)
-    if res > tol:
+    if res > REDUCTION_TOL:
         raise TensorError(
-            f"channel does not reduce at k={k}: residual {res:.3e} > {tol:g}; "
+            f"channel does not reduce at k={k}: residual {res:.3e} > {REDUCTION_TOL:g}; "
             "is it non-signalling?")
     head = ["A"] + _round_labels(k)
     omega_k = partial_trace(channel.omega, head)
@@ -322,11 +324,12 @@ def marginal_channel(channel: ChoiChannel, k: int, tol: float = 1e-6) -> ChoiCha
 # symmetrization
 # ---------------------------------------------------------------------------
 
-def symmetrize_channel(channel: ChoiChannel, max_n: int = 6) -> ChoiChannel:
+def symmetrize_channel(channel: ChoiChannel) -> ChoiChannel:
     """Average omega over simultaneous permutations of the (X_i, Y_i) pairs."""
     n = channel.n
-    if n > max_n:
-        raise TensorError(f"dense symmetrization supports n <= {max_n}, got {n}")
+    if n > SYMMETRIZE_MAX_N:
+        raise TensorError(
+            f"dense symmetrization supports n <= {SYMMETRIZE_MAX_N}, got {n}")
     # rows and columns as (A, site_1..site_n) with site_i = (X_i, Y_i)
     t = channel.omega.matrix.reshape(
         2 * ((channel.d_a,) + (channel.d_x * channel.d_y,) * n))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import symmetrize_sites
+from .tensor_core import SYMMETRIZE_MAX_N, symmetrize_sites
 
 NS_TOL = 1e-10
 MAX_FUNCTIONS = 10 ** 6
@@ -109,8 +109,7 @@ class ClassicalNSReport:
         return self.max_deviation <= NS_TOL
 
 
-def is_nonsignalling_classical(p: ClassicalProtocol,
-                               tol: float = NS_TOL) -> ClassicalNSReport:
+def is_nonsignalling_classical(p: ClassicalProtocol) -> ClassicalNSReport:
     """Check that round i's output marginal ignores the other rounds' inputs."""
     devs = []
     for i in range(p.n):
@@ -122,10 +121,10 @@ def is_nonsignalling_classical(p: ClassicalProtocol,
     return ClassicalNSReport(tuple(devs))
 
 
-def symmetrize_classical(p: ClassicalProtocol, max_n: int = 6) -> ClassicalProtocol:
+def symmetrize_classical(p: ClassicalProtocol) -> ClassicalProtocol:
     """Average over simultaneous permutations of the round coordinates."""
-    if p.n > max_n:
-        raise ClassicalError(f"dense symmetrization supports n <= {max_n}")
+    if p.n > SYMMETRIZE_MAX_N:
+        raise ClassicalError(f"dense symmetrization supports n <= {SYMMETRIZE_MAX_N}")
     avg = symmetrize_sites(p.table, [p.x_axes, p.y_axes])
     return ClassicalProtocol(avg, p.na, p.nx, p.ny, p.n)
 
@@ -230,7 +229,7 @@ def lemma1_pipeline(p: ClassicalProtocol) -> tuple[ClassicalProtocol,
     every training value and every test distribution, provided the input is
     non-signalling.
     """
-    rep = is_nonsignalling_classical(p, tol=1e-8)
+    rep = is_nonsignalling_classical(p)
     if not rep.max_deviation <= 1e-8:
         raise ClassicalError(
             f"protocol is signalling (deviation {rep.max_deviation:.3e})")
@@ -261,8 +260,7 @@ def _project_normalized(t: np.ndarray, na: int, nxn: int, nyn: int) -> np.ndarra
     return (flat + (1.0 - flat.sum(axis=2, keepdims=True)) / nyn).reshape(t.shape)
 
 
-def _project_ns_round(t: np.ndarray, i: int, na: int, nx: int, ny: int,
-                      n: int) -> np.ndarray:
+def _project_ns_round(t: np.ndarray, i: int, ny: int, n: int) -> np.ndarray:
     y_axes = tuple(range(1 + n, 1 + 2 * n))
     other_y = tuple(ax for ax in y_axes if ax != y_axes[i])
     marg = t.sum(axis=other_y, keepdims=True)          # (a, x_1..x_n, 1..y_i..1)
@@ -292,7 +290,7 @@ def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
         prev = t
         t = _project_normalized(t, na, nx ** n, ny ** n)
         for i in range(n):
-            t = _project_ns_round(t, i, na, nx, ny, n)
+            t = _project_ns_round(t, i, ny, n)
         y = t + corr
         clipped = np.clip(y, 0.0, None)
         corr = y - clipped
@@ -302,7 +300,7 @@ def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
     t = np.clip(t, 0.0, None)
     t = _project_normalized(t, na, nx ** n, ny ** n)
     p = ClassicalProtocol(t, na, nx, ny, n)
-    rep = is_nonsignalling_classical(p, tol=1e-9)
+    rep = is_nonsignalling_classical(p)
     if rep.max_deviation > 1e-9:
         raise ClassicalError(
             f"alternating projections left deviation {rep.max_deviation:.3e}")

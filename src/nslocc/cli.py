@@ -56,6 +56,9 @@ def _fail(msg: str) -> int:
 
 
 def _load_config(args) -> dict:
+    # the subcommand's flags, by destination; the config may set only these
+    flags = {key: val for key, val in vars(args).items()
+             if key not in ("command", "config")}
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -63,8 +66,12 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise ValueError(f"{args.config} must hold a JSON object, "
                              f"got {type(cfg).__name__}")
+        unknown = sorted(set(cfg) - set(flags))
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))} "
+                             f"for {args.command}")
     # every explicitly given flag overrides the file's value
-    cfg.update((key, val) for key, val in vars(args).items() if val is not None)
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
     return cfg
 
 
@@ -81,6 +88,8 @@ def _parse_n_range(spec) -> list[int]:
 
 
 def _require_positive(flag: str, values: list[int]) -> None:
+    if not values:
+        raise ValueError(f"{flag} names no values")
     if min(values) < 1:
         raise ValueError(f"{flag} must be at least 1, got {min(values)}")
 
@@ -303,8 +312,9 @@ def cmd_classical_demo(cfg: dict) -> int:
 
 def cmd_gen_channel(cfg: dict) -> int:
     seed = int(cfg.get("seed", 0))
-    n = _parse_n_range(cfg.get("n", 2))[0]
-    _require_positive("--n", [n])
+    ns = _parse_n_range(cfg.get("n", 2))
+    _require_positive("--n", ns)
+    n = ns[0]
     d_a = int(cfg.get("d_a", 2))
     d_x = int(cfg.get("d_x", 2))
     d_y = int(cfg.get("d_y", 2))
@@ -337,10 +347,10 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--seed", type=int)
         sp.add_argument("--config")
         sp.add_argument("--out")
-        sp.add_argument("--grid")
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--n")
+        if name in ("risk-gap", "definetti", "gen-channel"):
+            sp.add_argument("--n")
         if name == "risk-gap":
+            sp.add_argument("--grid")
             sp.add_argument("--overlap", type=float)
         if name == "definetti":
             sp.add_argument("--count", type=int)

@@ -17,6 +17,7 @@ evaluated on the purification itself (large cases).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from math import pi, sqrt
 
@@ -37,6 +38,11 @@ from .tensor_core import (
 SYMMETRY_TOL = 1e-8
 PURE_EIG_THRESHOLD = 1e-10
 DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
+RESIDUAL_CHUNK = 512         # grid points per Gram block in subspace_residual
+GRID_GRAMMAR = "design | haar:SEED:COUNT"
+DEFAULT_GRID = "haar:0:2000"
+# decimal SEED and COUNT without leading zeros, so a grid's mode is its name
+_HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +84,6 @@ class SymmetricExtension:
             if abs(nrm - 1.0) > 1e-8:
                 raise TensorError(f"extension state norm {nrm} != 1")
 
-    @property
-    def block_dim(self) -> int:
-        if self.psi is not None:
-            return self.psi.shape[0]
-        return len(self.branches) * self.d_a * self.d_a
-
     def block_marginal(self) -> np.ndarray:
         """Reduced state on A only (d_a x d_a)."""
         if self.branches is not None:
@@ -114,7 +114,7 @@ def _check_site_symmetry(psi: np.ndarray, n: int, d: int, tol: float):
                 f"state is not symmetric under sites ({i + 1},{i + 2}): {dev:.3e}")
 
 
-def purify_extension(omega: Operator, d_a: int | None = None) -> SymmetricExtension:
+def purify_extension(omega: Operator) -> SymmetricExtension:
     """Symmetric purification of a state on A ⊗ B1..Bn.
 
     The factor layout of omega must be ("A", d_a), ("B1", d), ..., ("Bn", d);
@@ -286,8 +286,8 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
     projector to machine precision at any n.
 
     `include` appends extra unit vectors to a haar grid (weights stay
-    uniform across all points); use it to place known preparation states
-    on the grid.
+    uniform across all points; a design grid refuses them); use it to place
+    known preparation states on the grid.
 
     The resolution residual (trace-norm gap to the symmetric projector) is
     evaluated densely when d_eff**n is small and left None otherwise, in
@@ -298,6 +298,8 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
         if d_eff != 2:
             raise TensorError(f"design grids are only constructed for d_eff=2, "
                               f"got {d_eff}")
+        if include is not None and len(include):
+            raise TensorError("extra points only extend haar grids")
         nodes_u, w_u = np.polynomial.legendre.leggauss(n + 1)
         k_az = 2 * n + 1
         vecs, ws = [], []
@@ -313,8 +315,9 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
         weights = weights / weights.sum()
         mode_tag = "design"
     elif mode == "haar":
-        if count is None:
-            raise TensorError("haar mode requires a point count")
+        if count is None or count < 1:
+            raise TensorError(f"a haar grid needs at least 1 point, got {count}; "
+                              f"grid names are {GRID_GRAMMAR}")
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
         vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -331,6 +334,19 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
     if d_eff ** n <= DENSE_RESIDUAL_BUDGET:
         residual = _dense_resolution_residual(vectors, weights, n, d_eff)
     return MeasureGrid(vectors, weights, d_eff, n, mode_tag, residual)
+
+
+def grid_from_name(name: str, d_eff: int, n: int,
+                   include: np.ndarray | None = None) -> MeasureGrid:
+    """The grid a name picks: `design`, or `haar:SEED:COUNT` with `include`
+    appended; the grid's mode is the name."""
+    if name == "design":
+        return build_grid(d_eff, n, mode="design", include=include)
+    match = _HAAR_NAME.fullmatch(name) if isinstance(name, str) else None
+    if match is None:
+        raise TensorError(f"bad grid name {name!r}; grid names are {GRID_GRAMMAR}")
+    return build_grid(d_eff, n, mode="haar", seed=int(match[1]),
+                      count=int(match[2]), include=include)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +403,7 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
 
 
 def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
-                      overlaps: np.ndarray | None = None,
-                      chunk: int = 512) -> float:
+                      overlaps: np.ndarray | None = None) -> float:
     """sqrt(<psi|(T−P)²|psi>) with T the grid operator, P the symmetric projector.
 
     Since |psi> and every phi_g^{⊗n} lie inside the symmetric subspace, this
@@ -403,8 +418,8 @@ def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
     b = (w * d_big)[:, None] * u
     s2 = 0.0
     vecs = grid.vectors
-    for lo in range(0, grid.count, chunk):
-        hi = min(lo + chunk, grid.count)
+    for lo in range(0, grid.count, RESIDUAL_CHUNK):
+        hi = min(lo + RESIDUAL_CHUNK, grid.count)
         gram = int_power(vecs[lo:hi].conj() @ vecs.T, grid.n)  # <phi_g|phi_h>^n
         inner = b[lo:hi].conj() @ b.T                          # <b_g, b_h>
         s2 += float(np.real(np.sum(gram * inner)))

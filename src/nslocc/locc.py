@@ -18,11 +18,10 @@ import numpy as np
 from .channels import ChoiChannel, choi_factorization, measure_and_prepare_choi, \
     is_nonsignalling, symmetrize_channel
 from .definetti import (
+    DEFAULT_GRID,
     DeFinettiApprox,
-    MeasureGrid,
-    SymmetricExtension,
-    build_grid,
     extract_measure,
+    grid_from_name,
     purify_extension,
 )
 from .tensor_core import (
@@ -40,6 +39,11 @@ from .tensor_core import (
 
 REPAIR_CUTOFF = 1e-8
 SLACK_TOL = 1e-8
+NS_GATE = 1e-6  # largest signalling residual build_locc_protocol accepts
+# ε of the repair gate.  The asymptotic choice δ^{1/3} exceeds 1 for every
+# feasible n here, which would make the gate vacuous; a fixed desk-scale ε
+# keeps it informative.
+EPSILON = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +79,7 @@ def marginal_input(phi: Operator) -> Operator:
     return partial_trace(phi, [phi.labels[0]])
 
 
-def tp_repair(phi: Operator, cutoff: float = REPAIR_CUTOFF) -> Operator:
+def tp_repair(phi: Operator) -> Operator:
     """Rescale φ so its input marginal is maximally mixed.
 
     φ̃ = (1/d_X)(τ^{-1/2} ⊗ 1) φ (τ^{-1/2} ⊗ 1), τ = tr_Y φ.  This is the
@@ -84,7 +88,7 @@ def tp_repair(phi: Operator, cutoff: float = REPAIR_CUTOFF) -> Operator:
     """
     tau = marginal_input(phi)
     w, v = np.linalg.eigh(tau.hermitize().matrix)
-    if w[0] <= cutoff:
+    if w[0] <= REPAIR_CUTOFF:
         raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
     d_x = tau.dim
     d_y = phi.dim // d_x
@@ -270,57 +274,8 @@ def _prep_to_channel(phi_pair: Operator, d_x: int, d_y: int) -> ChoiChannel:
     return ChoiChannel(Operator(phi_pair.matrix, fac), 1, d_x, d_y, 1)
 
 
-def _parse_grid_spec(grid_spec, d_eff: int, n: int,
-                     include: np.ndarray | None) -> MeasureGrid:
-    if isinstance(grid_spec, MeasureGrid):
-        return grid_spec
-    if isinstance(grid_spec, str):
-        if grid_spec == "design":
-            return build_grid(d_eff, n, mode="design")
-        if grid_spec.startswith("haar"):
-            parts = grid_spec.split(":")
-            seed = int(parts[1]) if len(parts) > 1 else 0
-            count = int(parts[2]) if len(parts) > 2 else 2000
-            return build_grid(d_eff, n, mode="haar", seed=seed, count=count,
-                              include=include)
-        if grid_spec == "auto":
-            if d_eff == 2:
-                return build_grid(d_eff, n, mode="design")
-            return build_grid(d_eff, n, mode="haar", seed=0, count=2000,
-                              include=include)
-        raise TensorError(f"cannot parse grid spec {grid_spec!r}")
-    if isinstance(grid_spec, dict):
-        spec = dict(grid_spec)
-        mode = spec.pop("mode", "haar")
-        if mode == "design":
-            return build_grid(d_eff, n, mode="design")
-        return build_grid(d_eff, n, mode="haar",
-                          seed=spec.get("seed", 0),
-                          count=spec.get("count", 2000),
-                          include=include)
-    raise TensorError(f"unsupported grid spec type {type(grid_spec)}")
-
-
-def default_epsilon(delta: float, rule: str = "fixed:0.2") -> float:
-    """ε selection: the asymptotic rule δ^{1/3}, or a fixed desk-scale value.
-
-    The cube-root rule is the right asymptotic choice but gives ε > 1 for
-    every feasible n here, making the repair gate vacuous; a fixed ε keeps
-    the gate informative.
-    """
-    if rule == "delta_cube_root":
-        return float(delta ** (1.0 / 3.0))
-    if rule.startswith("fixed:"):
-        return float(rule.split(":", 1)[1])
-    raise TensorError(f"unknown epsilon rule {rule!r}")
-
-
-def build_locc_protocol(q: ChoiChannel, grid_spec="auto",
-                        cutoff: float = REPAIR_CUTOFF,
-                        epsilon_rule: str = "fixed:0.2",
-                        extension: SymmetricExtension | None = None,
-                        include_points: np.ndarray | None = None,
-                        ns_tol: float = 1e-6) -> LoccProtocol:
+def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
+                        include_points: np.ndarray | None = None) -> LoccProtocol:
     """Run the full reduction on a non-signalling channel.
 
     Stages: symmetrize, purify, grid, extract, per-point trace-preserving
@@ -331,34 +286,31 @@ def build_locc_protocol(q: ChoiChannel, grid_spec="auto",
     factor restoring feasibility; the factor is recorded in provenance
     rather than silently absorbed.
 
-    Pass `extension` to skip the dense symmetrize/purify stages (used for
-    structured measure-and-prepare inputs at large n).
+    grid_spec names the grid (see `definetti.grid_from_name`);
+    `include_points` are appended to a haar grid.
     """
     d_a, d_x, d_y, n = q.d_a, q.d_x, q.d_y, q.n
     rep = is_nonsignalling(q)
-    if rep.max_residual > ns_tol:
+    if rep.max_residual > NS_GATE:
         raise TensorError(
             f"channel is signalling (residual {rep.max_residual:.3e}); "
             "the reduction only applies to non-signalling channels")
 
-    if extension is None:
-        omega_bar = choi_pairs_to_sites(symmetrize_channel(q))
-        extension = purify_extension(omega_bar)
-    grid = _parse_grid_spec(grid_spec, extension.site_dim, n, include_points)
+    extension = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
+    grid = grid_from_name(grid_spec, extension.site_dim, n, include_points)
     approx = extract_measure(extension, grid)
 
     delta = 4.0 * (d_x * d_y) ** 2 / n
-    epsilon = default_epsilon(delta, epsilon_rule)
-    report = concentration_report(approx, epsilon, delta, d_x, d_y)
+    report = concentration_report(approx, EPSILON, delta, d_x, d_y)
     e1 = report.e1.matrix
 
     _, taus = _input_marginals(approx, d_x, d_y)
-    repair = (_eigvalsh_stack(taus)[:, 0] > cutoff) & (_spread(taus, e1) < epsilon)
+    repair = (_eigvalsh_stack(taus)[:, 0] > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
     repaired = int(repair.sum())
     fallback = len(repair) - repaired
     fallback_channel = depolarizing_choi(d_x, d_y)
     fac_pair = Factorization.of(("X1", d_x), ("Y1", d_y))
-    channels = [_prep_to_channel(tp_repair(Operator(phi, fac_pair), cutoff), d_x, d_y)
+    channels = [_prep_to_channel(tp_repair(Operator(phi, fac_pair)), d_x, d_y)
                 if ok else fallback_channel
                 for phi, ok in zip(approx.phis, repair)]
 
@@ -384,7 +336,7 @@ def build_locc_protocol(q: ChoiChannel, grid_spec="auto",
     channels.append(fallback_channel)
 
     provenance = {
-        "epsilon": epsilon,
+        "epsilon": EPSILON,
         "delta": delta,
         "repaired_count": repaired,
         "fallback_count": fallback,

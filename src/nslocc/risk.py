@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, marginal_channel, symmetrize_channel
+from .definetti import DEFAULT_GRID
 from .locc import LoccProtocol, build_locc_protocol, theorem1_bound
 from .tensor_core import (
     Factorization,
@@ -230,19 +231,18 @@ def _risk_direct(q: ChoiChannel, task: LearningTask) -> float:
     return float(val.real)
 
 
-def expected_risk(q: ChoiChannel, task: LearningTask, path: str = "auto") -> float:
+def expected_risk(q: ChoiChannel, task: LearningTask, path: str) -> float:
     """Expected risk of a channel on a task.
 
     path: "marginal" (symmetrize + single-round Choi against the R-operator,
     works at any n), "direct" (apply the channel to the full n-round input,
-    small n only), "auto" (marginal), or "both" (run both and insist they
-    agree to 1e-8).
+    small n only), or "both" (run both and insist they agree to 1e-8).
     """
     if q.n != task.n:
         raise TensorError(f"channel n={q.n} != task n={task.n}")
     if q.d_a != task.d_a or q.d_x != task.d_x or q.d_y != task.d_y:
         raise TensorError("channel dimensions do not match the task")
-    if path in ("auto", "marginal"):
+    if path == "marginal":
         return _risk_marginal(q, task)
     if path == "direct":
         return _risk_direct(q, task)
@@ -280,10 +280,10 @@ class RiskReport:
 
 
 def risk_gap_experiment(task: LearningTask, q: ChoiChannel,
-                        grid_spec="auto", **protocol_kwargs) -> RiskReport:
+                        grid_spec: str = DEFAULT_GRID) -> RiskReport:
     """Collective-vs-LOCC gap with the (loose) rate bound, both reported."""
     risk_q = expected_risk(q, task, path="marginal")
-    protocol = build_locc_protocol(q, grid_spec=grid_spec, **protocol_kwargs)
+    protocol = build_locc_protocol(q, grid_spec=grid_spec)
     risk_p = protocol_risk(protocol, task)
     r_inf = op_norm(r_operator(task))
     bound = theorem1_bound(task.d_a, task.d_x, task.d_y, task.n, r_inf)

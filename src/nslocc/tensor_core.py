@@ -16,6 +16,7 @@ import numpy as np
 
 HERM_TOL = 1e-9
 PSD_TOL = 1e-8
+SYMMETRIZE_MAX_N = 6  # largest n whose n! site permutations a dense symmetrizer sums
 
 
 class TensorError(ValueError):
@@ -101,9 +102,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.shape)
 
     def relabel(self, mapping: dict[str, str]) -> "Operator":
         return Operator(self.matrix, self.shape.relabel(mapping))

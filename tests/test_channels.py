@@ -143,7 +143,7 @@ def test_symmetrize_matches_dense_permutation_sandwich(rng, n):
 def test_random_nonsignalling_choi_is_valid(seed):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=seed)
     assert is_cptp(q, ).ok
-    rep = is_nonsignalling(q, tol=1e-6)
+    rep = is_nonsignalling(q)
     assert rep.ok, rep.residuals
 
 

@@ -66,8 +66,7 @@ def test_definetti_rows(tmp_path):
 
 def test_classical_demo_runs(tmp_path):
     out = tmp_path / "c.json"
-    code = main(["classical-demo", "--seed", "4", "--n", "2",
-                 "--out", str(out)])
+    code = main(["classical-demo", "--seed", "4", "--out", str(out)])
     assert code == 0
     blob = json.loads(out.read_text())
     assert "risks" in blob or len(blob) > 0
@@ -155,3 +154,40 @@ def test_verify_reports_measured_crossing_residual(tmp_path):
     assert check["ok"]
     assert abs(check["lhs"] - 1.5) <= 1e-12   # the swap channel's residual
     assert check["rhs"] == 0.5
+
+
+@pytest.mark.parametrize("grid", ["haar:0:0", "haarfoo", "haar:0:50:junk"])
+def test_bad_grid_name_exits_2_naming_the_grammar(tmp_path, capsys, grid):
+    out = tmp_path / "r.csv"
+    assert main(["risk-gap", "--n", "1", "--grid", grid, "--out", str(out)]) == 2
+    assert "design | haar:SEED:COUNT" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_n_range_exits_2_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["risk-gap", "--n", "3..1", "--out", str(out)]) == 2
+    assert "error: --n " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "tol": 1}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bad config: unknown key 'tol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, "--tol", "5"] for cmd in
+    ("verify", "risk-gap", "definetti", "classical-demo", "gen-channel")] + [
+    [cmd, "--grid", "design"] for cmd in
+    ("verify", "definetti", "classical-demo", "gen-channel")] + [
+    [cmd, "--n", "7"] for cmd in ("verify", "classical-demo")],
+    ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_flags_a_subcommand_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -10,6 +10,7 @@ from nslocc.definetti import (
     extension_from_measure_and_prepare,
     extract_measure,
     grid_from_json,
+    grid_from_name,
     purify_extension,
     subspace_residual,
 )
@@ -63,6 +64,40 @@ def test_haar_grid_residual_decreases_with_count():
     assert g2.resolution_residual < g1.resolution_residual
 
 
+@pytest.mark.parametrize("name, d_eff", [("design", 2), ("haar:7:30", 4),
+                                         ("haar:0:1", 4)])
+def test_grid_mode_is_the_name_it_was_built_from(name, d_eff):
+    assert grid_from_name(name, d_eff, 2).mode == name
+
+
+def test_named_haar_grid_matches_build_grid_with_extra_points():
+    extra = np.eye(4, dtype=complex)[:2]
+    got = grid_from_name("haar:7:30", 4, 2, include=extra)
+    want = build_grid(4, 2, mode="haar", seed=7, count=30, include=extra)
+    assert got.count == 32
+    assert np.array_equal(got.vectors, want.vectors)
+
+
+@pytest.mark.parametrize("name", ["auto", "haar", "haar:3", "haar:03:30", "haar:-1:30",
+                                  "haar:3:30:x", "haar:3:+30", " design", "haarfoo",
+                                  {"mode": "haar", "seed": 0, "count": 30}])
+def test_grid_names_outside_the_grammar_are_refused(name):
+    with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
+        grid_from_name(name, 4, 2)
+
+
+def test_haar_grid_without_points_is_refused():
+    with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
+        build_grid(4, 2, mode="haar", seed=0, count=0)
+    with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
+        grid_from_name("haar:0:0", 4, 2)
+
+
+def test_design_grid_refuses_extra_points():
+    with pytest.raises(TensorError, match="haar"):
+        grid_from_name("design", 2, 2, include=np.eye(2, dtype=complex))
+
+
 def test_grid_json_roundtrip():
     g = build_grid(2, 2, mode="haar", seed=5, count=50)
     back = grid_from_json(g.to_json())
@@ -74,7 +109,7 @@ def test_grid_json_roundtrip():
 def test_purify_extension_reduces_back(rng):
     n, d_a, d = 2, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
-    ext = purify_extension(omega, d_a=d_a)
+    ext = purify_extension(omega)
     assert np.allclose(ext.block_marginal(),
                        partial_trace(omega, ["A"]).matrix, atol=1e-10)
 
@@ -107,7 +142,7 @@ def test_branch_extraction_matches_dense(rng):
     q = measure_and_prepare_choi([op(m, ("A", 2)) for m in povm], preps, n=n)
     from nslocc.locc import choi_pairs_to_sites
     sites = choi_pairs_to_sites(q)
-    ext_d = purify_extension(sites, d_a=d_a)
+    ext_d = purify_extension(sites)
 
     grid = build_grid(ext_b.site_dim, n, mode="haar", seed=2, count=300)
     ma = extract_measure(ext_b, grid)
@@ -146,8 +181,8 @@ def test_stacked_extraction_matches_per_point_loop(rng):
     pure = op(np.outer(vec, vec.conj()), ("A", d_a), *((f"B{i}", 2) for i in range(1, n + 1)))
     parts = [(random_density(rng, d_a) * w, random_density(rng, 2)) for w in (0.3, 0.7)]
     exts = [branch_extension(parts, n=5),
-            purify_extension(mixed, d_a=d_a),   # doubled sites
-            purify_extension(pure, d_a=d_a)]    # plain sites
+            purify_extension(mixed),   # doubled sites
+            purify_extension(pure)]    # plain sites
     assert [e.purified for e in exts] == [True, True, False]
     for ext in exts:
         grid = build_grid(ext.site_dim, ext.n, mode="haar", seed=7, count=150)
@@ -172,7 +207,7 @@ def test_int_power_matches_numpy_power(rng):
 def test_approx_error_k2_matches_kron_loop(rng):
     n, d_a = 3, 2
     omega, _ = symmetric_test_state(rng, d_a, 2, n)
-    ext = purify_extension(omega, d_a=d_a)
+    ext = purify_extension(omega)
     approx = extract_measure(ext, build_grid(ext.site_dim, n, mode="haar",
                                              seed=8, count=200))
     omega_2 = partial_trace(omega, ["A", "B1", "B2"])
@@ -184,7 +219,7 @@ def test_approx_error_k2_matches_kron_loop(rng):
 def test_extract_measure_k1_error_within_grid_budget(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
-    ext = purify_extension(omega, d_a=d_a)
+    ext = purify_extension(omega)
     grid = build_grid(ext.site_dim, n, mode="haar", seed=1, count=2500)
     approx = extract_measure(ext, grid)
     omega_1 = partial_trace(omega, ["A", "B1"])
@@ -195,7 +230,7 @@ def test_extract_measure_k1_error_within_grid_budget(rng):
 def test_approx_error_monotone_in_k(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
-    ext = purify_extension(omega, d_a=d_a)
+    ext = purify_extension(omega)
     grid = build_grid(ext.site_dim, n, mode="haar", seed=3, count=2000)
     approx = extract_measure(ext, grid)
     errs = [approx_error(partial_trace(
@@ -220,7 +255,7 @@ def test_povm_deficit_bounded_by_residual(rng):
 def test_subspace_residual_nonnegative(rng):
     n = 3
     omega, _ = symmetric_test_state(rng, 2, 2, n)
-    ext = purify_extension(omega, d_a=2)
+    ext = purify_extension(omega)
     grid = build_grid(ext.site_dim, n, mode="haar", seed=6, count=500)
     r = subspace_residual(ext, grid)
     assert r >= 0.0

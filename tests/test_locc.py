@@ -18,7 +18,6 @@ from nslocc.locc import (
     build_locc_protocol,
     choi_pairs_to_sites,
     concentration_report,
-    default_epsilon,
     depolarizing_choi,
     marginal_input,
     operator_chebyshev,
@@ -38,7 +37,7 @@ def random_pair_state(rng, d_x, d_y):
 
 def measure_of(q, seed, count):
     """The de Finetti measure build_locc_protocol extracts on a haar grid."""
-    ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)), d_a=q.d_a)
+    ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
     return extract_measure(ext, build_grid(ext.site_dim, q.n, mode="haar",
                                            seed=seed, count=count))
 
@@ -113,13 +112,6 @@ def test_operator_chebyshev_is_valid_bound(rng):
             assert emp <= bound + 1e-12
 
 
-def test_default_epsilon_rules():
-    assert np.isclose(default_epsilon(0.008, rule="delta_cube_root"), 0.2)
-    assert default_epsilon(0.5, rule="fixed:0.3") == 0.3
-    with pytest.raises(TensorError):
-        default_epsilon(0.1, rule="nonsense")
-
-
 def test_theorem1_bound_scales_with_n():
     b8 = theorem1_bound(2, 2, 2, 8, 1.0)
     b64 = theorem1_bound(2, 2, 2, 64, 1.0)
@@ -145,7 +137,8 @@ def test_build_protocol_rejects_signalling_input(rng):
 
 def test_build_protocol_output_is_valid(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
-    proto = build_locc_protocol(q, grid_spec="haar:1:400")
+    proto = build_locc_protocol(q, "haar:1:400")
+    assert proto.provenance["grid_mode"] == "haar:1:400"
     total = sum(m.matrix for m in proto.povm)
     assert np.allclose(total, np.eye(2), atol=1e-7)
     for ch in proto.channels:
