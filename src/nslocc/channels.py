@@ -27,6 +27,7 @@ from .tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    eigh_herm,
     embed,
     identity,
     op_norm,
@@ -217,8 +218,7 @@ class CPTPReport:
 
 def is_cptp(channel: ChoiChannel) -> CPTPReport:
     """Check positivity of the Choi state and the trace-preservation marginal."""
-    w = np.linalg.eigvalsh(
-        (channel.omega.matrix + channel.omega.matrix.conj().T) / 2)
+    w = eigh_herm(channel.omega.matrix, vectors=False)
     psd_violation = max(0.0, float(-w.min()))
     marg = partial_trace(channel.omega, channel.input_labels)
     target = np.eye(channel.d_in) / channel.d_in

@@ -87,11 +87,17 @@ def _parse_n_range(spec) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
-def _require_positive(flag: str, values: list[int]) -> None:
+def _require_at_least(flag: str, values: list[int], low: int) -> None:
     if not values:
         raise ValueError(f"{flag} names no values")
-    if min(values) < 1:
-        raise ValueError(f"{flag} must be at least 1, got {min(values)}")
+    if min(values) < low:
+        raise ValueError(f"{flag} must be at least {low}, got {min(values)}")
+
+
+def _seed(cfg: dict) -> int:
+    seed = int(cfg.get("seed", 0))
+    _require_at_least("--seed", [seed], 0)
+    return seed
 
 
 def _write(out_path: str | None, text: str):
@@ -189,7 +195,7 @@ def _verify_checks(seed: int) -> list[dict]:
 
 
 def cmd_verify(cfg: dict) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     checks = _verify_checks(seed)
     if cfg.get("inject_signalling"):
         # negative-control fixture: a signalling channel must fail the gate
@@ -211,7 +217,9 @@ def _classification_family(overlap: float):
     v1 = np.array([overlap, np.sqrt(1 - overlap ** 2)])
     rho0, rho1 = np.outer(v0, v0), np.outer(v1, v1)
     d, v = np.linalg.eigh(rho0 / 2 - rho1 / 2)
-    p_plus = sum(np.outer(v[:, i], v[:, i].conj()) for i in range(2) if d[i] > 0)
+    # starts from a matrix: with identical class states no eigenvalue is positive
+    p_plus = sum((np.outer(v[:, i], v[:, i].conj()) for i in range(2) if d[i] > 0),
+                 np.zeros((2, 2)))
     povm = [op(np.kron(p_plus, np.eye(2)), ("A", 4)),
             op(np.kron(np.eye(2) - p_plus, np.eye(2)), ("A", 4))]
 
@@ -227,9 +235,9 @@ def cmd_risk_gap(cfg: dict) -> int:
     overlap = float(cfg.get("overlap", 0.6))
     if not 0.0 <= overlap <= 1.0:
         return _fail(f"--overlap must lie in [0, 1], got {overlap}")
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     ns = _parse_n_range(cfg.get("n", "1..4"))
-    _require_positive("--n", ns)
+    _require_at_least("--n", ns, 1)
     grid = cfg.get("grid") or f"haar:{seed}:2000"
     rho0, rho1, povm, preps = _classification_family(overlap)
     rows = []
@@ -252,12 +260,13 @@ def cmd_risk_gap(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_definetti(cfg: dict) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     ns = _parse_n_range(cfg.get("n", [4, 8, 16, 32]))
     count = int(cfg.get("count", 5000))
-    _require_positive("--n", ns)
-    _require_positive("--count", [count])
+    _require_at_least("--n", ns, 1)
+    _require_at_least("--count", [count], 1)
     ks = _parse_n_range(cfg.get("k", [0, 1]))
+    _require_at_least("--k", ks, 0)
     sigma = np.array([[1.0]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
     rows = []
@@ -288,7 +297,7 @@ def cmd_definetti(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_classical_demo(cfg: dict) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     p = random_nonsignalling_protocol(2, 2, 2, 2, seed=seed)
     rec, mixes = lemma1_pipeline(p)
     dist = np.array([[0.3, 0.2], [0.1, 0.4]])
@@ -311,9 +320,11 @@ def cmd_classical_demo(cfg: dict) -> int:
 
 
 def cmd_gen_channel(cfg: dict) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     ns = _parse_n_range(cfg.get("n", 2))
-    _require_positive("--n", ns)
+    _require_at_least("--n", ns, 1)
+    if len(ns) != 1:
+        raise ValueError(f"--n must name exactly one value for gen-channel, got {ns}")
     n = ns[0]
     d_a = int(cfg.get("d_a", 2))
     d_x = int(cfg.get("d_x", 2))

@@ -27,6 +27,7 @@ from .tensor_core import (
     Operator,
     TensorError,
     _psd_eigs,
+    eigh_herm,
     int_power,
     kron_power,
     permute_sites,
@@ -64,7 +65,9 @@ class SymmetricExtension:
 
     `site_dim` is the (possibly doubled) site dimension the grid must match;
     `site_keep_dim` is the physical site dimension after discarding the
-    purifying halves.
+    purifying halves.  `dropped_mass` is the purification's measured
+    residual: the summed eigenvalues of the source state that the stored
+    state leaves out (0 for branches, which are exact).
     """
 
     n: int
@@ -75,6 +78,7 @@ class SymmetricExtension:
     psi: np.ndarray | None = field(default=None, repr=False)
     branches: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
         default=None, repr=False)
+    dropped_mass: float = 0.0
 
     def __post_init__(self):
         if (self.psi is None) == (self.branches is None):
@@ -120,8 +124,15 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
     The factor layout of omega must be ("A", d_a), ("B1", d), ..., ("Bn", d);
     a missing A factor means d_a = 1.  If omega is (numerically) pure the
     state vector itself is returned with the original site dimension.
-    Otherwise the purification pairs each site with its mirror copy, giving
-    doubled sites of dimension d² and a block (A, A') of dimension d_a².
+    Otherwise the purification is vec √omega, which pairs each site with its
+    mirror copy, giving doubled sites of dimension d² and a block (A, A') of
+    dimension d_a².
+
+    The eigensolve runs in real arithmetic when omega is real (`eigh_herm`).
+    √omega is built only from the eigenpairs above the rank floor
+    w_max · D · eps of `numpy.linalg.matrix_rank` (D = omega's side), so the
+    solver's null-space noise never enters the state; the eigenvalue mass
+    left out is recorded as the extension's `dropped_mass`.
     """
     labels = list(omega.labels)
     if labels and labels[0] == "A":
@@ -149,11 +160,14 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
         psi = v[:, -1].reshape(d_a, d ** n)
         psi = psi / np.linalg.norm(psi)
         ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d, site_keep_dim=d,
-                                 purified=False, psi=psi)
+                                 purified=False, psi=psi,
+                                 dropped_mass=float(w[:-1].sum()))
         _check_site_symmetry(ext.psi, n, d, 1e-7)
         return ext
 
-    root = (v * np.sqrt(w)) @ v.conj().T
+    keep = w > w[-1] * len(w) * np.finfo(float).eps
+    v_r = v[:, keep]
+    root = (v_r * np.sqrt(w[keep])) @ v_r.conj().T
     # indices: (a, b1..bn ; a', b1'..bn') -> (a a') (b1 b1') ... (bn bn')
     t = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n)
     order = [0, n + 1]
@@ -163,9 +177,9 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
     psi = t.reshape(d_a * d_a, (d * d) ** n)
     psi = psi / np.linalg.norm(psi)
     ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                             purified=True, psi=psi)
+                             purified=True, psi=psi,
+                             dropped_mass=float(w[~keep].sum()))
     _check_site_symmetry(ext.psi, n, d * d, 1e-7)
-    # reduced state on the unprimed system must reproduce omega
     return ext
 
 
@@ -190,7 +204,7 @@ def branch_extension(parts: list[tuple[Operator | np.ndarray, Operator | np.ndar
         raise TensorError(f"branch blocks have total trace {mass}, need 1")
     branches = []
     for k_j, p_j in zip(blocks, preps):
-        w, v = np.linalg.eigh((p_j + p_j.conj().T) / 2)
+        w, v = eigh_herm(p_j)
         root = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
         chi = root.reshape(-1)  # (b, b') pairing, row index unprimed
         nrm = np.linalg.norm(chi)
@@ -391,7 +405,8 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
     # first and largest intermediate is no larger than psi itself.
     block = ext.psi.shape[0]
     d = ext.site_dim
-    sites = ext.psi.reshape(-1, d).T                            # (d, block d^(n-1))
+    # complex once here, rather than once per chunk product, when psi is real
+    sites = ext.psi.reshape(-1, d).T.astype(complex, copy=False)  # (d, block d^(n-1))
     out = np.empty((grid.count, block), dtype=complex)
     for lo in range(0, grid.count, d):
         v = grid.vectors[lo:lo + d].conj()                      # (C, d)

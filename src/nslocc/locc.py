@@ -25,10 +25,10 @@ from .definetti import (
     purify_extension,
 )
 from .tensor_core import (
-    HERM_TOL,
     Factorization,
     Operator,
     TensorError,
+    eigh_herm,
     kron_power,
     op_norm,
     operator_to_json,
@@ -86,15 +86,16 @@ def tp_repair(phi: Operator) -> Operator:
     Choi state of a trace-preserving map whenever τ is invertible; callers
     must route singular inputs to a fallback channel instead.
     """
-    tau = marginal_input(phi)
-    w, v = np.linalg.eigh(tau.hermitize().matrix)
+    if len(phi.labels) != 2:
+        raise TensorError("expected a two-factor (input, output) state")
+    d_x, d_y = phi.shape.dims
+    t = phi.matrix.reshape(d_x, d_y, d_x, d_y)
+    w, v = eigh_herm(np.einsum("xyzy->xz", t), check=True)
     if w[0] <= REPAIR_CUTOFF:
         raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
-    d_x = tau.dim
-    d_y = phi.dim // d_x
     inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    big = np.kron(inv_root, np.eye(d_y))
-    return Operator(big @ phi.matrix @ big / d_x, phi.shape)
+    out = np.einsum("xa,aybw,bz->xyzw", inv_root, t, inv_root) / d_x
+    return Operator(out.reshape(phi.dim, phi.dim), phi.shape)
 
 
 def repair_distance_bound(phi: Operator) -> tuple[float, float]:
@@ -177,18 +178,9 @@ def _input_marginals(approx: DeFinettiApprox, d_x: int,
     return np.einsum("gii->g", approx.ms).real, taus
 
 
-def _eigvalsh_stack(mats: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a Hermitian (G, d, d) stack."""
-    adj = mats.conj().transpose(0, 2, 1)
-    anti = float(np.abs(mats - adj).max(initial=0.0))
-    if anti > HERM_TOL:
-        raise TensorError(f"operator is not Hermitian (anti part {anti:.3e} > {HERM_TOL:g})")
-    return np.linalg.eigvalsh((mats + adj) / 2)
-
-
 def _spread(taus: np.ndarray, e1: np.ndarray) -> np.ndarray:
     """‖τ_g − E₁‖∞ for every input marginal of the stack."""
-    return np.abs(_eigvalsh_stack(taus - e1)).max(axis=1)
+    return np.abs(eigh_herm(taus - e1, vectors=False, check=True)).max(axis=1)
 
 
 def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
@@ -305,7 +297,8 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
     e1 = report.e1.matrix
 
     _, taus = _input_marginals(approx, d_x, d_y)
-    repair = (_eigvalsh_stack(taus)[:, 0] > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
+    lowest = eigh_herm(taus, vectors=False, check=True)[:, 0]
+    repair = (lowest > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
     repaired = int(repair.sum())
     fallback = len(repair) - repaired
     fallback_channel = depolarizing_choi(d_x, d_y)
@@ -317,14 +310,14 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
     povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
     total = povm_raw.sum(axis=0)
     rescale = 1.0
-    top = float(np.linalg.eigvalsh((total + total.conj().T) / 2).max())
+    top = float(eigh_herm(total, vectors=False).max())
     slack = np.eye(d_a) - total
-    if float(np.linalg.eigvalsh((slack + slack.conj().T) / 2).min()) < -SLACK_TOL:
+    if float(eigh_herm(slack, vectors=False).min()) < -SLACK_TOL:
         # grid overshoot: shrink the whole family to restore feasibility
         rescale = 1.0 / top
         povm_raw = rescale * povm_raw
         slack = np.eye(d_a) - povm_raw.sum(axis=0)
-    w, v = np.linalg.eigh((slack + slack.conj().T) / 2)
+    w, v = eigh_herm(slack)
     slack = (v * np.clip(w, 0, None)) @ v.conj().T
     slack_mass = float(np.trace(slack).real) / d_a
     # final completeness polish: distribute any residual mismatch over the
@@ -346,6 +339,7 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
         "grid_mode": grid.mode,
         "grid_count": grid.count,
         "povm_deficit": approx.povm_deficit,
+        "dropped_mass": extension.dropped_mass,
     }
     return LoccProtocol(povm=tuple(povm), channels=tuple(channels),
                         provenance=provenance)

@@ -21,6 +21,7 @@ from .tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    eigh_herm,
     embed,
     op_norm,
     partial_trace,
@@ -50,7 +51,7 @@ class LearningTask:
         for state in (self.rho_a, self.rho_xr):
             if abs(state.trace().real - 1.0) > 1e-9:
                 raise TensorError(f"state trace {state.trace().real} != 1")
-            if float(np.linalg.eigvalsh(state.hermitize().matrix).min()) < -1e-9:
+            if float(eigh_herm(state.matrix, vectors=False, check=True).min()) < -1e-9:
                 raise TensorError("task state is not PSD")
         self.s.hermitize()
         if self.rho_xr.labels != ("X1", "R1"):

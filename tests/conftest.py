@@ -11,6 +11,7 @@ from nslocc.channels import (
     choi_of_kraus,
     is_cptp,
 )
+from nslocc.definetti import SymmetricExtension
 from nslocc.tensor_core import Factorization, Operator, embed, partial_trace, trace_norm
 
 
@@ -138,6 +139,45 @@ def oracle_random_nonsignalling_choi(d_a, d_x, d_y, n, seed, max_iter=5000,
             if is_cptp(ch).ok and max(oracle_signalling_residuals(ch)) <= NS_TOL:
                 return ch.omega.matrix
     raise AssertionError("oracle sampler did not converge")
+
+
+def oracle_tp_repair(phi: Operator) -> Operator:
+    """Reference repair through labelled Operators: τ = tr_Y φ by partial_trace,
+    then the dense sandwich kron(τ^{-1/2}, 1) φ kron(τ^{-1/2}, 1) / d_X."""
+    tau = partial_trace(phi, [phi.labels[0]])
+    w, v = np.linalg.eigh(tau.hermitize().matrix)
+    d_x = tau.dim
+    big = np.kron((v * (1.0 / np.sqrt(w))) @ v.conj().T, np.eye(phi.dim // d_x))
+    return Operator(big @ phi.matrix @ big / d_x, phi.shape)
+
+
+def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricExtension:
+    """Reference purification vec √omega from a complex128 eigensolve: every
+    eigenpair (the full spectrum), or with `floor` only those above the
+    w_max · D · eps rank floor.  A missing A factor means d_a = 1."""
+    dims = omega.shape.dims
+    d_a, sites = (dims[0], dims[1:]) if omega.labels[0] == "A" else (1, dims)
+    d, n = sites[0], len(sites)
+    w, v = np.linalg.eigh(np.asarray(omega.hermitize().matrix, complex))
+    w = np.clip(w, 0, None)
+    keep = w > w[-1] * len(w) * np.finfo(float).eps if floor else w >= 0
+    root = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T
+    order = [0, n + 1] + [ax for i in range(n) for ax in (1 + i, n + 2 + i)]
+    psi = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n).transpose(order)
+    psi = psi.reshape(d_a * d_a, (d * d) ** n)
+    return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
+                              purified=True, psi=psi / np.linalg.norm(psi))
+
+
+def unprimed_state(ext: SymmetricExtension) -> np.ndarray:
+    """The state a dense purified extension leaves on the unprimed (A, B1..Bn)
+    when the mirror copies are traced out."""
+    n, d_a, d = ext.n, ext.d_a, ext.site_keep_dim
+    t = ext.psi.reshape((d_a, d_a) + (d, d) * n)
+    r = t.transpose([0] + [2 + 2 * i for i in range(n)]
+                    + [1] + [3 + 2 * i for i in range(n)])
+    r = r.reshape(d_a * d ** n, -1)
+    return r @ r.conj().T
 
 
 @pytest.fixture

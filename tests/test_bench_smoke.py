@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload",
-                         ["definetti_branch", "risk_gap_dense", "channel_gen"])
+                         ["definetti_branch", "risk_gap_dense", "risk_gap_wide_grid",
+                          "channel_gen"])
 def test_bench_reference_and_trace_gates(workload):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",

@@ -191,3 +191,47 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_risk_gap_identical_class_states_runs(tmp_path):
+    # overlap 1.0: the Helstrom projector is empty and the best guess is a coin
+    out = tmp_path / "r.csv"
+    assert main(["risk-gap", "--overlap", "1.0", "--n", "1,2",
+                 "--grid", "haar:0:200", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(float(row.split(",")[1]) - 0.5) <= 1e-12
+
+
+def test_gen_channel_rejects_several_rounds_values(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert main(["gen-channel", "--n", "1,3", "--out", str(out)]) == 2
+    assert "error: --n must name exactly one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, message", [("3..1", "--k names no values"),
+                                        ("-1", "--k must be at least 0")])
+def test_definetti_bad_k_exits_2_naming_the_flag(tmp_path, capsys, k, message):
+    out = tmp_path / "d.csv"
+    assert main(["definetti", "--n", "4", "--k", k, "--count", "10",
+                 "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["verify", "risk-gap", "definetti",
+                                 "classical-demo", "gen-channel"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, cmd):
+    out = tmp_path / "out"
+    assert main([cmd, "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: --seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_from_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -2}))
+    assert main(["classical-demo", "--config", str(cfg)]) == 2
+    assert "error: --seed must be at least 0" in capsys.readouterr().err

@@ -24,7 +24,13 @@ from nslocc.tensor_core import (
     trace_norm,
 )
 
-from conftest import random_density, random_kraus, random_pure
+from conftest import (
+    oracle_purify_extension,
+    random_density,
+    random_kraus,
+    random_pure,
+    unprimed_state,
+)
 
 
 def symmetric_test_state(rng, d_a, d, n):
@@ -112,6 +118,63 @@ def test_purify_extension_reduces_back(rng):
     ext = purify_extension(omega)
     assert np.allclose(ext.block_marginal(),
                        partial_trace(omega, ["A"]).matrix, atol=1e-10)
+
+
+def risk_gap_state(n):
+    """The symmetrized Choi state, on (A, B1..Bn), that risk-gap purifies."""
+    from nslocc.channels import symmetrize_channel
+    from nslocc.cli import _classification_family
+    from nslocc.locc import choi_pairs_to_sites
+    _, _, povm, preps = _classification_family(0.6)
+    return choi_pairs_to_sites(symmetrize_channel(measure_and_prepare_choi(povm, preps, n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_real_purification_matches_complex_solve_above_the_floor(n):
+    omega = risk_gap_state(n)
+    assert not omega.matrix.imag.any()
+    ext = purify_extension(omega)
+    assert ext.psi.dtype == np.float64   # the real solve ran
+    want = oracle_purify_extension(omega, floor=True)
+    assert np.abs(ext.psi - want.psi).max() <= 1e-12
+    assert np.abs(ext.block_marginal() - partial_trace(omega, ["A"]).matrix).max() <= 1e-12
+    assert 0.0 <= ext.dropped_mass <= 1e-13
+
+
+def test_complex_symmetric_state_takes_the_complex_solve(rng):
+    omega, _ = symmetric_test_state(rng, 2, 2, 2)
+    assert np.abs(omega.matrix.imag).max() > 1e-3
+    ext = purify_extension(omega)
+    assert np.iscomplexobj(ext.psi)
+    assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-12
+
+
+def test_purification_keeps_a_small_eigenvalue_above_the_floor(rng):
+    # (1 − ε)|00><00| + ε|11><11| in a rotated product basis, ε = 1e-9
+    eps = 1e-9
+    o, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    rot = np.kron(o, o)
+    omega = op(rot @ np.diag([1 - eps, 0.0, 0.0, eps]) @ rot.T, ("B1", 2), ("B2", 2))
+    ext = purify_extension(omega)
+    assert ext.purified and ext.dropped_mass <= 1e-15
+    back = rot.T @ unprimed_state(ext) @ rot
+    assert abs(back[3, 3] - eps) <= 1e-15
+    assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_risk_gap_matches_full_spectrum_complex_purification(monkeypatch, n):
+    from nslocc import locc
+    from nslocc.cli import _classification_family
+    from nslocc.risk import classification_task, risk_gap_experiment
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    q = measure_and_prepare_choi(povm, preps, n)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+    got = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    monkeypatch.setattr(locc, "purify_extension", oracle_purify_extension)
+    want = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    for key in ("risk_collective", "risk_locc", "gap", "grid_residual"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-8), key
 
 
 def test_purify_extension_names_the_broken_transposition(rng):

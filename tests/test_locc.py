@@ -28,7 +28,7 @@ from nslocc.locc import (
 )
 from nslocc.tensor_core import Operator, TensorError, op, op_norm, trace_norm
 
-from conftest import loop_marginal_choi, random_density, random_kraus
+from conftest import loop_marginal_choi, oracle_tp_repair, random_density, random_kraus
 
 
 def random_pair_state(rng, d_x, d_y):
@@ -64,6 +64,15 @@ def test_tp_repair_fixes_input_marginal(rng):
     tau = marginal_input(fixed)
     assert np.allclose(tau.matrix, np.eye(2) / 2, atol=1e-10)
     assert np.isclose(fixed.trace().real, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(2, 2), (2, 3), (3, 2)])
+def test_tp_repair_matches_operator_oracle(rng, d_x, d_y):
+    for _ in range(5):
+        phi = random_pair_state(rng, d_x, d_y)
+        fixed = tp_repair(phi)
+        assert fixed.shape == phi.shape
+        assert np.abs(fixed.matrix - oracle_tp_repair(phi).matrix).max() <= 1e-14
 
 
 def test_tp_repair_rejects_singular_marginal():
@@ -149,6 +158,17 @@ def test_build_protocol_output_is_valid(rng):
     assert is_nonsignalling(rebuilt).ok
     for key in ("epsilon", "delta", "grid_residual", "povm_rescale"):
         assert key in proto.provenance
+
+
+def test_build_protocol_reports_the_purification_dropped_mass():
+    from nslocc.channels import measure_and_prepare_choi
+    from nslocc.cli import _classification_family
+    _, _, povm, preps = _classification_family(0.6)
+    q = measure_and_prepare_choi(povm, preps, 2)
+    ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
+    proto = build_locc_protocol(q, "haar:0:200")
+    assert proto.provenance["dropped_mass"] == ext.dropped_mass
+    assert 0.0 <= ext.dropped_mass <= 1e-13
 
 
 def test_build_protocol_json_roundtrip_fields(rng):

@@ -7,6 +7,7 @@ from nslocc.tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    eigh_herm,
     embed,
     fidelity,
     herm_fn,
@@ -149,6 +150,35 @@ def test_herm_fn_cutoff_pseudo_inverse():
 def test_herm_fn_rejects_non_hermitian(rng):
     with pytest.raises(TensorError):
         herm_fn(op(complex_matrix(rng, 3), ("X", 3)), np.abs)
+
+
+def test_eigh_herm_solves_a_real_hermitian_part_in_real_arithmetic(rng):
+    m = rng.standard_normal((6, 6)).astype(complex)   # real, not symmetric
+    h = (m + m.conj().T) / 2
+    w, v = eigh_herm(m)
+    assert v.dtype == np.float64
+    assert np.abs((v * w) @ v.T - h).max() <= 1e-12
+    assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12
+    assert np.abs(eigh_herm(m, vectors=False) - w).max() <= 1e-12
+
+
+def test_eigh_herm_keeps_a_complex_hermitian_part_complex(rng):
+    g = complex_matrix(rng, 5)
+    h = g + g.conj().T
+    w, v = eigh_herm(h)
+    assert np.iscomplexobj(v)
+    assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-12
+    # a stack is solved complex as soon as one slice has an imaginary part
+    stack = np.stack([h.real.astype(complex), h])
+    assert np.abs(eigh_herm(stack, vectors=False)
+                  - np.linalg.eigvalsh(np.stack([h.real, h]))).max() <= 1e-12
+
+
+def test_eigh_herm_check_rejects_non_hermitian(rng):
+    m = complex_matrix(rng, 3)
+    with pytest.raises(TensorError, match="not Hermitian"):
+        eigh_herm(m, check=True)
+    eigh_herm(m + m.conj().T, check=True)
 
 
 def test_sqrtm_squares_back(rng):
