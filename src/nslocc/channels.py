@@ -27,6 +27,7 @@ from .tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    check_dense_budget,
     eigh_herm,
     embed,
     identity,
@@ -163,6 +164,7 @@ def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Op
     d_a = povm[0].dim
     d_x = preparations[0].shape.dim_of("X1")
     d_y = preparations[0].shape.dim_of("Y1")
+    check_dense_budget(d_a * (d_x * d_y) ** n, "measure_and_prepare_choi")
     total = None
     for m_j, phi_j in zip(povm, preparations):
         parts = [Operator(m_j.matrix.T / d_a, Factorization.of(("A", d_a)))]
@@ -330,6 +332,7 @@ def symmetrize_channel(channel: ChoiChannel) -> ChoiChannel:
     if n > SYMMETRIZE_MAX_N:
         raise TensorError(
             f"dense symmetrization supports n <= {SYMMETRIZE_MAX_N}, got {n}")
+    check_dense_budget(channel.omega.dim, "symmetrize_channel")
     # rows and columns as (A, site_1..site_n) with site_i = (X_i, Y_i)
     t = channel.omega.matrix.reshape(
         2 * ((channel.d_a,) + (channel.d_x * channel.d_y,) * n))

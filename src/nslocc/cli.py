@@ -75,16 +75,22 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _parse_n_range(spec) -> list[int]:
+def _parse_n_range(flag: str, spec) -> list[int]:
+    """The values a flag names: an int, a list, `LO..HI` or `A,B,..`; a value
+    named twice is refused."""
     if isinstance(spec, int):
-        return [spec]
-    if isinstance(spec, list):
-        return [int(v) for v in spec]
-    text = str(spec)
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        values = [spec]
+    elif isinstance(spec, list):
+        values = [int(v) for v in spec]
+    elif ".." in str(spec):
+        lo, hi = str(spec).split("..")
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(v) for v in str(spec).split(",")]
+    if len(set(values)) != len(values):
+        repeated = next(v for i, v in enumerate(values) if v in values[:i])
+        raise ValueError(f"{flag} names {repeated} more than once")
+    return values
 
 
 def _require_at_least(flag: str, values: list[int], low: int) -> None:
@@ -161,7 +167,7 @@ def _verify_checks(seed: int) -> list[dict]:
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = m @ m.conj().T
         m /= np.trace(m).real
-        samples.append(repair_distance_bound(op(m, ("X1", 2), ("Y1", 2))))
+        samples.append(repair_distance_bound(m, 2, 2))
     lhs, rhs = max(samples, key=lambda s: s[0] - s[1])
     checks.append(_check("repair_distance_bound", lhs, rhs + 1e-9))
 
@@ -236,7 +242,7 @@ def cmd_risk_gap(cfg: dict) -> int:
     if not 0.0 <= overlap <= 1.0:
         return _fail(f"--overlap must lie in [0, 1], got {overlap}")
     seed = _seed(cfg)
-    ns = _parse_n_range(cfg.get("n", "1..4"))
+    ns = _parse_n_range("--n", cfg.get("n", "1..4"))
     _require_at_least("--n", ns, 1)
     grid = cfg.get("grid") or f"haar:{seed}:2000"
     rho0, rho1, povm, preps = _classification_family(overlap)
@@ -261,11 +267,11 @@ def cmd_risk_gap(cfg: dict) -> int:
 
 def cmd_definetti(cfg: dict) -> int:
     seed = _seed(cfg)
-    ns = _parse_n_range(cfg.get("n", [4, 8, 16, 32]))
+    ns = _parse_n_range("--n", cfg.get("n", [4, 8, 16, 32]))
     count = int(cfg.get("count", 5000))
     _require_at_least("--n", ns, 1)
     _require_at_least("--count", [count], 1)
-    ks = _parse_n_range(cfg.get("k", [0, 1]))
+    ks = _parse_n_range("--k", cfg.get("k", [0, 1]))
     _require_at_least("--k", ks, 0)
     sigma = np.array([[1.0]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
@@ -321,7 +327,7 @@ def cmd_classical_demo(cfg: dict) -> int:
 
 def cmd_gen_channel(cfg: dict) -> int:
     seed = _seed(cfg)
-    ns = _parse_n_range(cfg.get("n", 2))
+    ns = _parse_n_range("--n", cfg.get("n", 2))
     _require_at_least("--n", ns, 1)
     if len(ns) != 1:
         raise ValueError(f"--n must name exactly one value for gen-channel, got {ns}")

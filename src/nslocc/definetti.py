@@ -11,8 +11,9 @@ per grid point, and every stage after the grid runs on whole stacks.
 
 Grids are finite, so every downstream statement carries a grid residual:
 either the trace-norm gap between sum_g w_g D |phi_g^n><phi_g^n| and the
-symmetric projector (dense, small cases), or a certified subspace surrogate
-evaluated on the purification itself (large cases).
+symmetric projector (small cases, evaluated in the Dicke basis of Sym^n), or
+a certified subspace surrogate evaluated on the purification itself (large
+cases).
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .tensor_core import (
     Operator,
     TensorError,
     _psd_eigs,
+    check_dense_budget,
+    dicke_coordinates,
     eigh_herm,
     int_power,
     kron_power,
     permute_sites,
     sym_dim,
-    symmetric_projector,
     trace_norm,
 )
 
@@ -145,6 +147,7 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
         raise TensorError(f"sites must share one dimension, got {site_dims}")
     d = site_dims[0]
     n = len(site_dims)
+    check_dense_budget(omega.dim, "purify_extension")
 
     # permutation invariance of omega on the sites (adjacent transpositions)
     m = omega.matrix
@@ -275,16 +278,16 @@ def grid_from_json(data: dict) -> MeasureGrid:
 
 def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
                                n: int, d: int) -> float:
-    """‖sum_g w_g D |phi_g^n><phi_g^n| − P_sym‖₁, materialized densely."""
-    prods = vectors[:, :]
-    stack = prods
-    for _ in range(n - 1):
-        stack = np.einsum("gi,gj->gij", stack.reshape(stack.shape[0], -1),
-                          vectors).reshape(vectors.shape[0], -1)
-    d_big = sym_dim(n, d)
-    t = (weights[:, None] * stack).T @ stack.conj() * d_big
-    proj = symmetric_projector(n, d).matrix
-    return float(trace_norm(t - proj))
+    """‖sum_g w_g D |phi_g^n><phi_g^n| − P_sym‖₁ in the Dicke basis of Sym^n.
+
+    Every phi_g^{⊗n} lies in Sym^n, the range of P_sym, so the difference
+    vanishes off Sym^n and its trace norm is that of the sym_dim x sym_dim
+    matrix sum_g w_g D c_g c_g† − 1, with c_g = dicke_coordinates(phi_g).
+    """
+    coords = dicke_coordinates(vectors, n)
+    d_big = coords.shape[1]
+    t = (weights[:, None] * coords).T @ coords.conj() * d_big
+    return float(trace_norm(t - np.eye(d_big)))
 
 
 def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
@@ -304,9 +307,11 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
     known preparation states on the grid.
 
     The resolution residual (trace-norm gap to the symmetric projector) is
-    evaluated densely when d_eff**n is small and left None otherwise, in
-    which case consumers substitute a subspace surrogate certified on the
-    contracted state.
+    evaluated when d_eff**n <= DENSE_RESIDUAL_BUDGET, as a dense
+    sym_dim x sym_dim matrix in the Dicke basis of Sym^n (neither the d_eff**n
+    space nor the projector is built), and left None otherwise, in which case
+    consumers substitute a subspace surrogate certified on the contracted
+    state.
     """
     if mode == "design":
         if d_eff != 2:

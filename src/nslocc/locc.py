@@ -28,12 +28,10 @@ from .tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    _psd_eigs,
     eigh_herm,
     kron_power,
     op_norm,
-    operator_to_json,
-    partial_trace,
-    sqrtm_psd,
     trace_norm,
 )
 
@@ -72,33 +70,31 @@ def site_to_pair(phi: Operator, d_x: int, d_y: int) -> Operator:
 # trace-preserving repair
 # ---------------------------------------------------------------------------
 
-def marginal_input(phi: Operator) -> Operator:
-    """Input marginal τ = tr_Y φ of a two-factor (input, output) state."""
-    if len(phi.labels) != 2:
-        raise TensorError("expected a two-factor (input, output) state")
-    return partial_trace(phi, [phi.labels[0]])
+def marginal_input(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
+    """Input marginal τ = tr_Y φ of a state φ on (X, Y), or of each state of a
+    (..., d_X·d_Y, d_X·d_Y) stack."""
+    t = phi.reshape(phi.shape[:-2] + (d_x, d_y, d_x, d_y))
+    return np.einsum("...xyzy->...xz", t)
 
 
-def tp_repair(phi: Operator) -> Operator:
-    """Rescale φ so its input marginal is maximally mixed.
+def tp_repair(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
+    """Rescale a state φ on (X, Y) so its input marginal is maximally mixed.
 
-    φ̃ = (1/d_X)(τ^{-1/2} ⊗ 1) φ (τ^{-1/2} ⊗ 1), τ = tr_Y φ.  This is the
-    Choi state of a trace-preserving map whenever τ is invertible; callers
-    must route singular inputs to a fallback channel instead.
+    φ̃ = (1/d_X)(τ^{-1/2} ⊗ 1) φ (τ^{-1/2} ⊗ 1), τ = tr_Y φ, both as
+    (d_X·d_Y) x (d_X·d_Y) matrices.  This is the Choi state of a
+    trace-preserving map whenever τ is invertible; a nearly singular τ raises
+    TensorError, so callers route such inputs to a fallback channel instead.
     """
-    if len(phi.labels) != 2:
-        raise TensorError("expected a two-factor (input, output) state")
-    d_x, d_y = phi.shape.dims
-    t = phi.matrix.reshape(d_x, d_y, d_x, d_y)
-    w, v = eigh_herm(np.einsum("xyzy->xz", t), check=True)
+    w, v = eigh_herm(marginal_input(phi, d_x, d_y), check=True)
     if w[0] <= REPAIR_CUTOFF:
         raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
     inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    t = phi.reshape(d_x, d_y, d_x, d_y)
     out = np.einsum("xa,aybw,bz->xyzw", inv_root, t, inv_root) / d_x
-    return Operator(out.reshape(phi.dim, phi.dim), phi.shape)
+    return out.reshape(phi.shape)
 
 
-def repair_distance_bound(phi: Operator) -> tuple[float, float]:
+def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, float]:
     """Trace distance moved by tp_repair against its closed-form guarantee.
 
     Returns (lhs, rhs) with lhs the normalized trace distance
@@ -107,10 +103,9 @@ def repair_distance_bound(phi: Operator) -> tuple[float, float]:
     states (standard fidelity-distance relation), so the 1/2 convention is
     load-bearing here.
     """
-    phi_t = tp_repair(phi)
-    tau = marginal_input(phi)
-    d_x = tau.dim
-    root_tr = float(np.trace(sqrtm_psd(tau).matrix).real)
+    phi_t = tp_repair(phi, d_x, d_y)
+    w, v = _psd_eigs(marginal_input(phi, d_x, d_y))
+    root_tr = float(np.trace((v * np.sqrt(w)) @ v.conj().T).real)
     rhs = float(np.sqrt(max(0.0, 1.0 - root_tr ** 2 / d_x)))
     lhs = 0.5 * trace_norm(phi - phi_t)
     return lhs, rhs
@@ -173,9 +168,7 @@ def _input_marginals(approx: DeFinettiApprox, d_x: int,
     shape (G, d_X, d_X), of a measure."""
     if approx.site_keep_dim != d_x * d_y:
         raise TensorError(f"site dim {approx.site_keep_dim} != {d_x}*{d_y}")
-    count = len(approx.phis)
-    taus = np.einsum("gxyzy->gxz", approx.phis.reshape(count, d_x, d_y, d_x, d_y))
-    return np.einsum("gii->g", approx.ms).real, taus
+    return np.einsum("gii->g", approx.ms).real, marginal_input(approx.phis, d_x, d_y)
 
 
 def _spread(taus: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -211,47 +204,51 @@ def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
 
 @dataclass(frozen=True)
 class LoccProtocol:
-    """Measure-then-apply protocol: POVM on A, one channel per outcome."""
+    """Measure-then-apply protocol: POVM on A, one channel per outcome.
 
-    povm: tuple[Operator, ...]
-    channels: tuple[ChoiChannel, ...]
+    Stored as stacks with one slice per outcome k: `povm` of shape
+    (K, d_A, d_A) holds the POVM elements and `chois` of shape
+    (K, d_X·d_Y, d_X·d_Y) the single-round Choi states (factors X1, Y1) of
+    the channels they select.
+    """
+
+    povm: np.ndarray = field(repr=False)
+    chois: np.ndarray = field(repr=False)
+    d_x: int
+    d_y: int
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        total = sum(m.matrix for m in self.povm)
-        dev = float(np.abs(total - np.eye(self.povm[0].dim)).max())
+        pair = self.d_x * self.d_y
+        if (self.povm.ndim != 3 or self.povm.shape[1] != self.povm.shape[2]
+                or self.chois.shape != (len(self.povm), pair, pair)):
+            raise TensorError(
+                f"need povm (K, d_a, d_a) and chois (K, {pair}, {pair}) stacks, "
+                f"got {self.povm.shape} and {self.chois.shape}")
+        dev = float(np.abs(self.povm.sum(axis=0) - np.eye(self.d_a)).max())
         if dev > 1e-7:
             raise TensorError(f"POVM completeness violated by {dev:.3e}")
-        # marginal_choi reads every channel's Choi state as one (X1, Y1) state
-        if len(self.channels) != len(self.povm) or any(
-                (ch.n, ch.d_a) != (1, 1) for ch in self.channels):
-            raise TensorError("need one single-round channel with d_a=1 per POVM outcome")
+        trace_dev = float(np.abs(np.einsum("kii->k", self.chois).real - 1.0).max())
+        if trace_dev > 1e-7:
+            raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
 
     @property
     def d_a(self) -> int:
-        return self.povm[0].dim
+        return self.povm.shape[1]
 
     def to_choi(self, n: int) -> ChoiChannel:
         """Dense n-round Choi state of the protocol (small n only)."""
-        return measure_and_prepare_choi(list(self.povm),
-                                        [ch.omega for ch in self.channels], n)
+        fac_a = Factorization.of(("A", self.d_a))
+        fac_pair = Factorization.of(("X1", self.d_x), ("Y1", self.d_y))
+        return measure_and_prepare_choi([Operator(m, fac_a) for m in self.povm],
+                                        [Operator(c, fac_pair) for c in self.chois], n)
 
     def marginal_choi(self) -> Operator:
         """Single-round Choi state on (A, X1, Y1) of the symmetrized protocol."""
-        ms = np.stack([m.matrix for m in self.povm])
-        phis = np.stack([ch.omega.matrix for ch in self.channels])
-        # sum_g M_g^T / d_A ⊗ φ_g
-        total = np.einsum("gba,gij->aibj", ms, phis) / self.d_a
-        ch0 = self.channels[0]
-        fac = choi_factorization(self.d_a, ch0.d_x, ch0.d_y, 1)
+        # sum_k M_k^T / d_A ⊗ φ_k
+        total = np.einsum("kba,kij->aibj", self.povm, self.chois) / self.d_a
+        fac = choi_factorization(self.d_a, self.d_x, self.d_y, 1)
         return Operator(total.reshape(fac.dim, fac.dim), fac)
-
-    def to_json(self) -> dict:
-        return {
-            "povm": [operator_to_json(m) for m in self.povm],
-            "channels": [operator_to_json(ch.omega) for ch in self.channels],
-            "provenance": dict(self.provenance),
-        }
 
 
 def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
@@ -259,11 +256,6 @@ def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
     fac = choi_factorization(1, d_x, d_y, 1)
     return ChoiChannel(Operator(np.eye(d_x * d_y) / (d_x * d_y), fac),
                        1, d_x, d_y, 1)
-
-
-def _prep_to_channel(phi_pair: Operator, d_x: int, d_y: int) -> ChoiChannel:
-    fac = choi_factorization(1, d_x, d_y, 1)
-    return ChoiChannel(Operator(phi_pair.matrix, fac), 1, d_x, d_y, 1)
 
 
 def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
@@ -301,11 +293,12 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
     repair = (lowest > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
     repaired = int(repair.sum())
     fallback = len(repair) - repaired
-    fallback_channel = depolarizing_choi(d_x, d_y)
-    fac_pair = Factorization.of(("X1", d_x), ("Y1", d_y))
-    channels = [_prep_to_channel(tp_repair(Operator(phi, fac_pair)), d_x, d_y)
-                if ok else fallback_channel
-                for phi, ok in zip(approx.phis, repair)]
+    # one Choi state per grid point plus the slack outcome's; every outcome
+    # not repaired keeps the depolarizing fallback
+    chois = np.empty((len(repair) + 1, d_x * d_y, d_x * d_y), dtype=complex)
+    chois[:] = depolarizing_choi(d_x, d_y).omega.matrix
+    for g in np.flatnonzero(repair):
+        chois[g] = tp_repair(approx.phis[g], d_x, d_y)
 
     povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
     total = povm_raw.sum(axis=0)
@@ -324,9 +317,7 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
     # slack element (clipping can leave ~1e-9 crumbs)
     slack = slack + (np.eye(d_a) - (povm_raw.sum(axis=0) + slack))
 
-    fac_a = Factorization.of(("A", d_a))
-    povm = [Operator(m, fac_a) for m in povm_raw] + [Operator(slack, fac_a)]
-    channels.append(fallback_channel)
+    povm = np.concatenate([povm_raw, slack[None]])
 
     provenance = {
         "epsilon": EPSILON,
@@ -341,7 +332,7 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
         "povm_deficit": approx.povm_deficit,
         "dropped_mass": extension.dropped_mass,
     }
-    return LoccProtocol(povm=tuple(povm), channels=tuple(channels),
+    return LoccProtocol(povm=povm, chois=chois, d_x=d_x, d_y=d_y,
                         provenance=provenance)
 
 

@@ -21,6 +21,7 @@ from .tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    check_dense_budget,
     eigh_herm,
     embed,
     op_norm,
@@ -30,9 +31,6 @@ from .tensor_core import (
     tensor,
     tensor_all,
 )
-
-DIRECT_PATH_MAX_DIM = 1 << 13
-
 
 @dataclass(frozen=True)
 class LearningTask:
@@ -209,10 +207,8 @@ def _risk_marginal(q: ChoiChannel, task: LearningTask) -> float:
 
 def _risk_direct(q: ChoiChannel, task: LearningTask) -> float:
     n = q.n
-    dim = task.d_a * (task.d_x * task.d_y * task.d_r) ** n
-    if dim > DIRECT_PATH_MAX_DIM:
-        raise TensorError(
-            f"direct risk evaluation needs dimension {dim}; use the marginal path")
+    check_dense_budget(task.d_a * (task.d_x * task.d_y * task.d_r) ** n,
+                       "direct risk evaluation")
     factors = [("A", task.d_a)]
     for i in range(1, n + 1):
         factors += [(f"X{i}", task.d_x), (f"Y{i}", task.d_y), (f"R{i}", task.d_r)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial, prod, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -17,10 +17,24 @@ import numpy as np
 HERM_TOL = 1e-9
 PSD_TOL = 1e-8
 SYMMETRIZE_MAX_N = 6  # largest n whose n! site permutations a dense symmetrizer sums
+# Bytes of the largest dense complex operator a dense constructor may build:
+# side 4096, 256 MiB.  A risk-gap run peaks near six operator-sized arrays, so
+# this caps it near 1.5 GiB.
+DENSE_BYTES_BUDGET = 1 << 28
 
 
 class TensorError(ValueError):
     """Shape, label or contract violation in a tensor_core operation."""
+
+
+def check_dense_budget(side: int, what: str) -> None:
+    """Refuse, before it is allocated, a dense complex side x side operator
+    whose size exceeds DENSE_BYTES_BUDGET."""
+    nbytes = 16 * side * side
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise TensorError(
+            f"{what} needs a dense {side} x {side} operator ({nbytes / 2 ** 20:.0f} MiB), "
+            f"over the {DENSE_BYTES_BUDGET / 2 ** 20:.0f} MiB budget")
 
 
 @dataclass(frozen=True)
@@ -373,6 +387,23 @@ def permutation_operator(perm: Sequence[int], site_dim: int,
 def sym_dim(n: int, d: int) -> int:
     """Dimension of the symmetric subspace of n d-level systems."""
     return comb(n + d - 1, n)
+
+
+def dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
+    """Coordinates <D_m|phi^{⊗n}> = sqrt(n!/prod_i m_i!) prod_i phi_i^{m_i} of
+    every row phi of a (G, d) stack in the orthonormal Dicke basis of Sym^n,
+    shape (G, sym_dim(n, d)).
+
+    The basis state D_m is the normalized symmetrization of |i_1..i_n> for a
+    sorted index tuple i_1 <= .. <= i_n with occupation numbers m; the
+    columns follow itertools.combinations_with_replacement order.
+    """
+    d = vectors.shape[1]
+    tuples = list(itertools.combinations_with_replacement(range(d), n))
+    scale = np.array([sqrt(factorial(n) // prod(factorial(t.count(i)) for i in set(t)))
+                      for t in tuples])
+    idx = np.array(tuples, dtype=int).reshape(len(tuples), n)
+    return scale * vectors[:, idx].prod(axis=2)
 
 
 def int_power(x: np.ndarray, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -71,11 +72,24 @@ def dense_symmetrize(omega: np.ndarray, d_a: int, d_site: int, n: int) -> np.nda
     return total / len(perms)
 
 
+def oracle_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
+                               n: int, d: int) -> float:
+    """Reference grid residual ‖sum_g w_g D |phi_g^n><phi_g^n| − P_sym‖₁ on the
+    full d^n space: phi_g^{⊗n} by repeated outer products, P_sym as the
+    average of dense permutation matrices."""
+    stack = vectors
+    for _ in range(n - 1):
+        stack = np.einsum("gi,gj->gij", stack, vectors).reshape(len(vectors), -1)
+    perms = list(itertools.permutations(range(n)))
+    proj = sum(dense_permutation(perm, d) for perm in perms) / len(perms)
+    t = (weights[:, None] * stack).T @ stack.conj() * comb(n + d - 1, n)
+    return float(trace_norm(t - proj))
+
+
 def loop_marginal_choi(protocol) -> np.ndarray:
-    """Reference single-round protocol marginal: sum_g kron(M_g^T / d_A, φ_g)."""
-    return sum(np.kron(m.matrix.T / protocol.d_a,
-                       partial_trace(ch.omega, ["X1", "Y1"]).matrix)
-               for m, ch in zip(protocol.povm, protocol.channels))
+    """Reference single-round protocol marginal: sum_k kron(M_k^T / d_A, φ_k)."""
+    return sum(np.kron(m.T / protocol.d_a, c)
+               for m, c in zip(protocol.povm, protocol.chois))
 
 
 def oracle_signalling_residuals(channel) -> list[float]:

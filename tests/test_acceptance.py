@@ -150,15 +150,15 @@ def test_criterion_4_repair_distance():
     while done < 500:
         d_x = int(rng.integers(2, 4))
         d_y = int(rng.integers(2, 4))
-        phi = op(random_density(rng, d_x * d_y), ("X1", d_x), ("Y1", d_y))
-        tau = marginal_input(phi)
-        if float(np.linalg.eigvalsh(tau.hermitize().matrix).min()) <= 1e-8:
+        phi = random_density(rng, d_x * d_y)
+        tau = marginal_input(phi, d_x, d_y)
+        if float(np.linalg.eigvalsh(tau).min()) <= 1e-8:
             continue
-        lhs, rhs = repair_distance_bound(phi)
+        lhs, rhs = repair_distance_bound(phi, d_x, d_y)
         worst_excess = max(worst_excess, lhs - rhs)
-        fixed = tp_repair(phi)
+        fixed = tp_repair(phi, d_x, d_y)
         worst_tp = max(worst_tp, float(np.abs(
-            marginal_input(fixed).matrix - np.eye(d_x) / d_x).max()))
+            marginal_input(fixed, d_x, d_y) - np.eye(d_x) / d_x).max()))
         done += 1
     elapsed = time.time() - t0
     ok = worst_excess <= 1e-9 and worst_tp <= 1e-9 and elapsed < 60

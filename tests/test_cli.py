@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from nslocc import tensor_core
 from nslocc.cli import main
 
 
@@ -235,3 +236,25 @@ def test_negative_seed_from_config_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": -2}))
     assert main(["classical-demo", "--config", str(cfg)]) == 2
     assert "error: --seed must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["risk-gap", "--n", "1,1", "--grid", "haar:0:100"], "--n names 1 more than once"),
+    (["definetti", "--n", "4,8", "--k", "0,0", "--count", "10"],
+     "--k names 0 more than once"),
+], ids=["n", "k"])
+def test_repeated_value_exits_2_naming_flag_and_value(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_dense_work_exits_2_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # a budget just below the n = 2 Choi state (side 64): n = 1 runs, n = 2 is refused
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64 - 1)
+    out = tmp_path / "gap.csv"
+    assert main(["risk-gap", "--n", "1,2", "--grid", "haar:0:10", "--out", str(out)]) == 2
+    assert ("error: measure_and_prepare_choi needs a dense 64 x 64 operator"
+            in capsys.readouterr().err)
+    assert not out.exists()

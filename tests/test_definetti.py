@@ -26,6 +26,7 @@ from nslocc.tensor_core import (
 
 from conftest import (
     oracle_purify_extension,
+    oracle_resolution_residual,
     random_density,
     random_kraus,
     random_pure,
@@ -50,10 +51,18 @@ def symmetric_test_state(rng, d_a, d, n):
 
 
 def test_design_grid_resolves_symmetric_projector():
-    for n in (1, 2, 3, 5):
+    for n in range(1, 7):
         g = build_grid(2, n, mode="design")
         assert g.resolution_residual is not None
-        assert g.resolution_residual < 1e-12
+        assert g.resolution_residual <= 1e-12
+        assert oracle_resolution_residual(g.vectors, g.weights, n, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(1, 16), (2, 16), (2, 4), (3, 4)])
+def test_dicke_residual_matches_the_dense_oracle(n, d):
+    g = build_grid(d, n, mode="haar", seed=n * d, count=300)
+    want = oracle_resolution_residual(g.vectors, g.weights, n, d)
+    assert g.resolution_residual == pytest.approx(want, rel=1e-12)
 
 
 def test_design_grid_n1_resolves_identity():

@@ -26,7 +26,7 @@ from nslocc.locc import (
     theorem1_bound,
     tp_repair,
 )
-from nslocc.tensor_core import Operator, TensorError, op, op_norm, trace_norm
+from nslocc.tensor_core import Operator, TensorError, op, op_norm, partial_trace, trace_norm
 
 from conftest import loop_marginal_choi, oracle_tp_repair, random_density, random_kraus
 
@@ -42,11 +42,15 @@ def measure_of(q, seed, count):
                                            seed=seed, count=count))
 
 
+def pair_marginal(phi, d_x, d_y):
+    """Reference input marginal tr_Y φ through a labelled partial trace."""
+    return partial_trace(op(phi, ("X1", d_x), ("Y1", d_y)), ["X1"]).matrix
+
+
 def per_point_marginals(approx, d_x, d_y):
-    """Reference (weights, input marginals), one Operator per grid point."""
+    """Reference (weights, input marginals), one per grid point."""
     weights = [np.trace(m).real for m in approx.ms]
-    taus = [marginal_input(site_to_pair(op(phi, ("B", d_x * d_y)), d_x, d_y)).matrix
-            for phi in approx.phis]
+    taus = [pair_marginal(phi, d_x, d_y) for phi in approx.phis]
     return weights, taus
 
 
@@ -59,45 +63,48 @@ def test_pairs_sites_roundtrip(rng):
 
 
 def test_tp_repair_fixes_input_marginal(rng):
-    phi = random_pair_state(rng, 2, 3)
-    fixed = tp_repair(phi)
-    tau = marginal_input(fixed)
-    assert np.allclose(tau.matrix, np.eye(2) / 2, atol=1e-10)
-    assert np.isclose(fixed.trace().real, 1.0, atol=1e-10)
+    fixed = tp_repair(random_density(rng, 6), 2, 3)
+    assert np.allclose(pair_marginal(fixed, 2, 3), np.eye(2) / 2, atol=1e-10)
+    assert np.isclose(np.trace(fixed).real, 1.0, atol=1e-10)
+
+
+def test_marginal_input_of_a_stack_matches_each_state(rng):
+    phis = np.stack([random_density(rng, 6) for _ in range(4)])
+    taus = marginal_input(phis, 2, 3)
+    assert taus.shape == (4, 2, 2)
+    for phi, tau in zip(phis, taus):
+        assert np.abs(tau - pair_marginal(phi, 2, 3)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("d_x, d_y", [(2, 2), (2, 3), (3, 2)])
 def test_tp_repair_matches_operator_oracle(rng, d_x, d_y):
     for _ in range(5):
         phi = random_pair_state(rng, d_x, d_y)
-        fixed = tp_repair(phi)
-        assert fixed.shape == phi.shape
-        assert np.abs(fixed.matrix - oracle_tp_repair(phi).matrix).max() <= 1e-14
+        fixed = tp_repair(phi.matrix, d_x, d_y)
+        assert fixed.shape == phi.matrix.shape
+        assert np.abs(fixed - oracle_tp_repair(phi).matrix).max() <= 1e-14
 
 
 def test_tp_repair_rejects_singular_marginal():
     # output of a preparation conditioned on input |0>: marginal is a projector
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
-    phi = op(m, ("X1", 2), ("Y1", 2))
     with pytest.raises(TensorError):
-        tp_repair(phi)
+        tp_repair(m, 2, 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2, 3]))
 def test_repair_distance_bound_holds(seed, d_x):
     rng = np.random.default_rng(seed)
-    phi = op(random_density(rng, d_x * 2), ("X1", d_x), ("Y1", 2))
-    lhs, rhs = repair_distance_bound(phi)
+    lhs, rhs = repair_distance_bound(random_density(rng, d_x * 2), d_x, 2)
     assert lhs <= rhs + 1e-9
 
 
 def test_repair_noop_when_already_tp(rng):
-    from nslocc.tensor_core import partial_trace
     q = choi_of_kraus(random_kraus(rng, 2, 2, count=2), 2, 2)
     pair = partial_trace(q.omega, ["X1", "Y1"])
-    lhs, rhs = repair_distance_bound(pair)
+    lhs, rhs = repair_distance_bound(pair.matrix, 2, 2)
     assert lhs < 1e-10 and rhs < 1e-7
 
 
@@ -148,10 +155,10 @@ def test_build_protocol_output_is_valid(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
     proto = build_locc_protocol(q, "haar:1:400")
     assert proto.provenance["grid_mode"] == "haar:1:400"
-    total = sum(m.matrix for m in proto.povm)
-    assert np.allclose(total, np.eye(2), atol=1e-7)
-    for ch in proto.channels:
-        rep = is_cptp(ch)
+    assert np.allclose(proto.povm.sum(axis=0), np.eye(2), atol=1e-7)
+    assert proto.chois.shape == (len(proto.povm), 4, 4)
+    for c in proto.chois:
+        rep = is_cptp(ChoiChannel(Operator(c, choi_factorization(1, 2, 2, 1)), 1, 2, 2, 1))
         assert rep.ok, rep
     rebuilt = proto.to_choi(2)
     assert is_cptp(rebuilt).ok
@@ -169,14 +176,6 @@ def test_build_protocol_reports_the_purification_dropped_mass():
     proto = build_locc_protocol(q, "haar:0:200")
     assert proto.provenance["dropped_mass"] == ext.dropped_mass
     assert 0.0 <= ext.dropped_mass <= 1e-13
-
-
-def test_build_protocol_json_roundtrip_fields(rng):
-    q = random_nonsignalling_choi(2, 2, 2, 2, seed=12)
-    proto = build_locc_protocol(q, grid_spec="haar:2:300")
-    blob = proto.to_json()
-    assert len(blob["povm"]) == len(blob["channels"])
-    assert "grid_residual" in blob["provenance"]
 
 
 def test_concentration_report_fields(rng):
@@ -206,18 +205,18 @@ def test_protocol_assembled_from_stacked_measure():
     rep = concentration_report(approx, prov["epsilon"], prov["delta"], 2, 2)
     _, taus = per_point_marginals(approx, 2, 2)
     repaired = 0
-    for m, phi, tau, elem, ch in zip(approx.ms, approx.phis, taus,
-                                     proto.povm, proto.channels):
-        assert np.abs(elem.matrix - prov["povm_rescale"] * 2 * m.T).max() <= 1e-12
+    for m, phi, tau, elem, choi in zip(approx.ms, approx.phis, taus,
+                                       proto.povm, proto.chois):
+        assert np.abs(elem - prov["povm_rescale"] * 2 * m.T).max() <= 1e-12
         if (np.linalg.eigvalsh(tau).min() > 1e-8
                 and op_norm(tau - rep.e1.matrix) < prov["epsilon"]):
-            pair = op(phi, ("X1", 2), ("Y1", 2))
-            assert np.abs(ch.omega.matrix - tp_repair(pair).matrix).max() <= 1e-12
+            assert np.abs(choi - tp_repair(phi, 2, 2)).max() <= 1e-12
             repaired += 1
         else:
-            assert np.array_equal(ch.omega.matrix, depolarizing_choi(2, 2).omega.matrix)
+            assert np.array_equal(choi, depolarizing_choi(2, 2).omega.matrix)
     assert repaired == prov["repaired_count"]
     assert len(proto.povm) == len(approx.ms) + 1
+    assert np.array_equal(proto.chois[-1], depolarizing_choi(2, 2).omega.matrix)
 
 
 def test_marginal_choi_matches_per_outcome_loop():
@@ -228,9 +227,19 @@ def test_marginal_choi_matches_per_outcome_loop():
     assert np.abs(got.matrix - loop_marginal_choi(proto)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("d_a, n", [(1, 2), (2, 1)])
-def test_protocol_rejects_channels_that_are_not_single_round(d_a, n):
-    fac = choi_factorization(d_a, 2, 2, n)
-    channel = ChoiChannel(Operator(np.eye(fac.dim) / fac.dim, fac), d_a, 2, 2, n)
-    with pytest.raises(TensorError, match="single-round"):
-        LoccProtocol(povm=(op(np.eye(2), ("A", 2)),), channels=(channel,))
+@pytest.mark.parametrize("povm, chois", [
+    (np.eye(2)[None], np.eye(6)[None] / 6),
+    (np.eye(2)[None], np.stack([np.eye(4) / 4] * 2)),
+    (np.eye(2), np.eye(4)[None] / 4),
+], ids=["choi-side-not-dx-dy", "one-choi-too-many", "povm-not-a-stack"])
+def test_protocol_rejects_a_wrong_stack_shape(povm, chois):
+    with pytest.raises(TensorError, match="stacks"):
+        LoccProtocol(povm=povm, chois=chois, d_x=2, d_y=2)
+
+
+def test_protocol_rejects_a_choi_state_without_unit_trace():
+    povm = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    chois = np.stack([np.eye(4) / 4, np.eye(4) / 2])
+    with pytest.raises(TensorError, match="trace"):
+        LoccProtocol(povm=povm, chois=chois, d_x=2, d_y=2)
+    LoccProtocol(povm=povm, chois=np.stack([np.eye(4) / 4] * 2), d_x=2, d_y=2)

@@ -1,9 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from nslocc import definetti, locc, risk
+from nslocc import definetti, locc, risk, tensor_core
 from nslocc.channels import (
     ChoiChannel,
     choi_factorization,
@@ -11,9 +9,11 @@ from nslocc.channels import (
     measure_and_prepare_choi,
     product_channel,
     random_nonsignalling_choi,
+    symmetrize_channel,
 )
 from nslocc.cli import _classification_family
-from nslocc.locc import LoccProtocol, build_locc_protocol, theorem1_bound
+from nslocc.definetti import purify_extension
+from nslocc.locc import LoccProtocol, build_locc_protocol, choi_pairs_to_sites, theorem1_bound
 from nslocc.risk import (
     LearningTask,
     classification_task,
@@ -27,6 +27,7 @@ from nslocc.risk import (
 )
 from nslocc.tensor_core import (
     Operator,
+    TensorError,
     op,
     op_norm,
     permutation_operator,
@@ -34,9 +35,9 @@ from nslocc.tensor_core import (
 )
 
 from conftest import (
-    dense_permutation,
     dense_symmetrize,
     loop_marginal_choi,
+    oracle_resolution_residual,
     random_density,
     random_kraus,
 )
@@ -184,7 +185,8 @@ def test_expected_risk_both_paths_gate(rng):
 @pytest.mark.parametrize("n", [2, 3])
 def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
     """risk-gap values against a run where every S_n average is a dense P ω P†
-    sum and the protocol marginal a per-outcome kron loop."""
+    sum, the grid residual is evaluated on the full d^n space against a dense
+    permutation projector, and the protocol marginal is a per-outcome kron loop."""
     rho0, rho1, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, n)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
@@ -194,20 +196,28 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
         avg = dense_symmetrize(ch.omega.matrix, ch.d_a, ch.d_x * ch.d_y, ch.n)
         return ChoiChannel(Operator(avg, ch.omega.shape), ch.d_a, ch.d_x, ch.d_y, ch.n)
 
-    def dense_projector(n, d, prefix="B"):
-        perms = list(itertools.permutations(range(n)))
-        total = sum(dense_permutation(perm, d) for perm in perms) / len(perms)
-        return op(total, *((f"{prefix}{i + 1}", d) for i in range(n)))
-
     def loop_marginal(protocol):
-        ch0 = protocol.channels[0]
-        fac = choi_factorization(protocol.d_a, ch0.d_x, ch0.d_y, 1)
+        fac = choi_factorization(protocol.d_a, protocol.d_x, protocol.d_y, 1)
         return Operator(loop_marginal_choi(protocol), fac)
 
     monkeypatch.setattr(locc, "symmetrize_channel", dense_symmetrize_channel)
     monkeypatch.setattr(risk, "symmetrize_channel", dense_symmetrize_channel)
-    monkeypatch.setattr(definetti, "symmetric_projector", dense_projector)
+    monkeypatch.setattr(definetti, "_dense_resolution_residual", oracle_resolution_residual)
     monkeypatch.setattr(LoccProtocol, "marginal_choi", loop_marginal)
     slow = risk_gap_experiment(task, q, grid_spec="haar:0:200")
     for key in ("risk_collective", "risk_locc", "gap", "grid_residual"):
         assert getattr(fast, key) == pytest.approx(getattr(slow, key), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("stage", ["symmetrize_channel", "purify_extension",
+                                   "direct risk evaluation"])
+def test_dense_stages_refuse_work_over_the_budget(monkeypatch, stage):
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    q = measure_and_prepare_choi(povm, preps, 2)               # side 64
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=2)  # direct side 256
+    calls = {"symmetrize_channel": lambda: symmetrize_channel(q),
+             "purify_extension": lambda: purify_extension(choi_pairs_to_sites(q)),
+             "direct risk evaluation": lambda: expected_risk(q, task, path="direct")}
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64 - 1)
+    with pytest.raises(TensorError, match=stage):
+        calls[stage]()

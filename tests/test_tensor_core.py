@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nslocc import tensor_core
 from nslocc.tensor_core import (
     Factorization,
     Operator,
     TensorError,
+    check_dense_budget,
+    dicke_coordinates,
     eigh_herm,
     embed,
     fidelity,
@@ -27,7 +30,7 @@ from nslocc.tensor_core import (
     trace_norm,
 )
 
-from conftest import random_density
+from conftest import random_density, random_pure
 
 
 def complex_matrix(rng, d):
@@ -216,6 +219,29 @@ def test_symmetric_projector_properties():
         for perm in [(1, 0) if n == 2 else (1, 0, 2)]:
             pm = permutation_operator(perm, d).matrix
             assert np.allclose(pm @ p, p)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (3, 2), (2, 4)])
+def test_dicke_coordinates_preserve_product_state_overlaps(rng, n, d):
+    vecs = np.stack([random_pure(rng, d) for _ in range(5)])
+    c = dicke_coordinates(vecs, n)
+    assert c.shape == (5, sym_dim(n, d))
+    # <phi^n|chi^n> = <phi|chi>^n, so the coordinates are an isometric image
+    assert np.abs(c.conj() @ c.T - (vecs.conj() @ vecs.T) ** n).max() <= 1e-14
+
+
+def test_dicke_coordinates_of_a_qubit_pair():
+    a, b = 0.6, 0.8j
+    # Dicke basis |00>, (|01> + |10>)/sqrt2, |11>
+    assert np.allclose(dicke_coordinates(np.array([[a, b]]), 2),
+                       [[a * a, np.sqrt(2) * a * b, b * b]], atol=1e-15)
+
+
+def test_dense_budget_refuses_only_above_the_budget(monkeypatch):
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
+    check_dense_budget(8, "eight")
+    with pytest.raises(TensorError, match="nine needs a dense 9 x 9 operator"):
+        check_dense_budget(9, "nine")
 
 
 def test_sym_dim_ratio_bound():
