@@ -223,7 +223,7 @@ class LoccProtocol:
         if (self.povm.ndim != 3 or self.povm.shape[1] != self.povm.shape[2]
                 or self.chois.shape != (len(self.povm), pair, pair)):
             raise TensorError(
-                f"need povm (K, d_a, d_a) and chois (K, {pair}, {pair}) stacks, "
+                f"need povm (K, d_a, d_a) and single-round chois (K, {pair}, {pair}) stacks, "
                 f"got {self.povm.shape} and {self.chois.shape}")
         dev = float(np.abs(self.povm.sum(axis=0) - np.eye(self.d_a)).max())
         if dev > 1e-7:

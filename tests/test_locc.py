@@ -227,6 +227,13 @@ def test_marginal_choi_matches_per_outcome_loop():
     assert np.abs(got.matrix - loop_marginal_choi(proto)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("d_a, n", [(1, 2), (2, 1)])
+def test_protocol_rejects_channels_that_are_not_single_round(d_a, n):
+    dim = choi_factorization(d_a, 2, 2, n).dim
+    with pytest.raises(TensorError, match="single-round"):
+        LoccProtocol(povm=np.eye(2)[None], chois=np.eye(dim)[None] / dim, d_x=2, d_y=2)
+
+
 @pytest.mark.parametrize("povm, chois", [
     (np.eye(2)[None], np.eye(6)[None] / 6),
     (np.eye(2)[None], np.stack([np.eye(4) / 4] * 2)),
