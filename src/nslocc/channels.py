@@ -17,7 +17,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -151,28 +152,99 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
 
 def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Operator],
                              n: int) -> ChoiChannel:
-    """Measure A with the POVM, then prepare the matching state on every round.
+    """Dense Choi state of the channel that measures A with the POVM, then
+    prepares the matching state on every round.
 
     Each preparation is a single-round Choi state on (X1, Y1); outcome j turns
     every round into that fixed channel.  The resulting Choi state is
     sum_j (M_j^T / d_A) ⊗ phi_j^{⊗ n}, which is non-signalling by construction.
     """
-    if len(povm) != len(preparations):
-        raise TensorError("need one preparation per POVM outcome")
-    preparations = [partial_trace(p, ["X1", "Y1"]) if "A" in p.labels else p
-                    for p in preparations]
-    d_a = povm[0].dim
-    d_x = preparations[0].shape.dim_of("X1")
-    d_y = preparations[0].shape.dim_of("Y1")
-    check_dense_budget(d_a * (d_x * d_y) ** n, "measure_and_prepare_choi")
-    total = None
-    for m_j, phi_j in zip(povm, preparations):
-        parts = [Operator(m_j.matrix.T / d_a, Factorization.of(("A", d_a)))]
-        for i in range(1, n + 1):
-            parts.append(phi_j.relabel({"X1": f"X{i}", "Y1": f"Y{i}"}))
-        term = tensor_all(parts)
-        total = term if total is None else total + term
-    return ChoiChannel(total, d_a, d_x, d_y, n)
+    return MeasurePrepareChannel.of(povm, preparations, n).dense()
+
+
+def measure_and_prepare_marginal(povm: np.ndarray, chois: np.ndarray,
+                                 d_x: int, d_y: int) -> ChoiChannel:
+    """Single-round Choi state sum_j M_j^T/d_A ⊗ phi_j on (A, X1, Y1) of a POVM
+    stack (K, d_A, d_A) and a single-round Choi stack (K, d_X·d_Y, d_X·d_Y)."""
+    d_a = povm.shape[1]
+    total = np.einsum("kba,kij->aibj", povm, chois) / d_a
+    fac = choi_factorization(d_a, d_x, d_y, 1)
+    return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
+
+
+def check_outcome_stacks(povm: np.ndarray, chois: np.ndarray, d_x: int, d_y: int) -> None:
+    """Raise TensorError unless povm is a (K, d_A, d_A) stack summing to the
+    identity and chois a (K, d_X·d_Y, d_X·d_Y) stack of unit-trace matrices."""
+    pair = d_x * d_y
+    if (povm.ndim != 3 or povm.shape[1] != povm.shape[2]
+            or chois.shape != (len(povm), pair, pair)):
+        raise TensorError(
+            f"need povm (K, d_a, d_a) and single-round chois (K, {pair}, {pair}) stacks, "
+            f"got {povm.shape} and {chois.shape}")
+    dev = float(np.abs(povm.sum(axis=0) - np.eye(povm.shape[1])).max())
+    if dev > 1e-7:
+        raise TensorError(f"POVM completeness violated by {dev:.3e}")
+    trace_dev = float(np.abs(np.einsum("kii->k", chois).real - 1.0).max())
+    if trace_dev > 1e-7:
+        raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
+
+
+@dataclass(frozen=True)
+class MeasurePrepareChannel:
+    """Structured backend of a measure-and-prepare channel (A, X^n) -> Y^n.
+
+    The channel measures A with the POVM {M_j} and runs channel j on every
+    round.  It is held as the stacks `povm` (K, d_A, d_A) and `chois`
+    (K, d_X·d_Y, d_X·d_Y) of the channels' single-round Choi states on
+    (X1, Y1), never as its Choi state omega = sum_j M_j^T/d_A ⊗ phi_j^{⊗n}, whose side
+    d_A·(d_X·d_Y)^n grows with n.  It is non-signalling and invariant under
+    round permutations by construction; `dense()` builds omega.
+    """
+
+    povm: np.ndarray = field(repr=False)
+    chois: np.ndarray = field(repr=False)
+    d_x: int
+    d_y: int
+    n: int
+
+    def __post_init__(self):
+        check_outcome_stacks(self.povm, self.chois, self.d_x, self.d_y)
+        for what, stack in (("POVM element", self.povm), ("preparation", self.chois)):
+            low = float(eigh_herm(stack, vectors=False, check=True).min())
+            if low < -PSD_TOL:
+                raise TensorError(f"{what} is not PSD (min eigenvalue {low:.3e})")
+        # trace preservation, which makes the channel non-signalling
+        t = self.chois.reshape(-1, self.d_x, self.d_y, self.d_x, self.d_y)
+        tp_dev = float(np.abs(np.einsum("kxyzy->kxz", t) - np.eye(self.d_x) / self.d_x).max())
+        if tp_dev > 1e-7:
+            raise TensorError(f"preparation input marginal off 1/d_X by {tp_dev:.3e}")
+
+    @classmethod
+    def of(cls, povm: Sequence[Operator], preparations: Sequence[Operator],
+           n: int) -> "MeasurePrepareChannel":
+        """From POVM elements on A and single-round Choi states on (X1, Y1); a
+        preparation that also carries an A factor has it traced out."""
+        if len(povm) != len(preparations):
+            raise TensorError("need one preparation per POVM outcome")
+        preparations = [partial_trace(p, ["X1", "Y1"]) if "A" in p.labels else p
+                        for p in preparations]
+        shape = preparations[0].shape
+        return cls(np.stack([m.matrix for m in povm]),
+                   np.stack([p.matrix for p in preparations]),
+                   shape.dim_of("X1"), shape.dim_of("Y1"), n)
+
+    @property
+    def d_a(self) -> int:
+        return self.povm.shape[1]
+
+    def dense(self) -> ChoiChannel:
+        """The dense Choi state, built one outcome at a time."""
+        d_a, n = self.d_a, self.n
+        check_dense_budget(d_a * (self.d_x * self.d_y) ** n, "measure_and_prepare_choi")
+        total = sum(reduce(np.kron, [m.T / d_a] + [c] * n)
+                    for m, c in zip(self.povm, self.chois))
+        fac = choi_factorization(d_a, self.d_x, self.d_y, n)
+        return ChoiChannel(Operator(total, fac), d_a, self.d_x, self.d_y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +261,6 @@ def apply_channel(channel: ChoiChannel, rho: Operator) -> Operator:
     big = embed(rho, channel.omega.shape)
     prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
     out = partial_trace(prod, channel.output_labels)
-    return channel.d_in * out
-
-
-def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
-    """Q*(obs) on the input factors, for obs on the output factors (Y1..Yn)."""
-    out_labels = channel.output_labels
-    if list(obs.labels) != out_labels:
-        raise TensorError(f"observable must live on {out_labels}")
-    twisted = partial_transpose(channel.omega, channel.input_labels)
-    big = embed(obs, channel.omega.shape)
-    prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
-    out = partial_trace(prod, channel.input_labels)
     return channel.d_in * out
 
 
@@ -241,13 +301,16 @@ class NonSignallingReport:
         return self.max_residual <= NS_TOL
 
 
-def is_nonsignalling(channel: ChoiChannel) -> NonSignallingReport:
+def is_nonsignalling(channel: ChoiChannel | MeasurePrepareChannel) -> NonSignallingReport:
     """Per-round signalling residuals ‖M_i − (tr_{X≠i} M_i) ⊗ 1/d_x^{n−1}‖₁.
 
     M_i is the Choi marginal on (A, X1..Xn, Y_i).  A zero residual for round i
     means no other round's input can influence Y_i.  Trace norm, so the
     residual measures the total distinguishability bought by signalling.
+    A measure-and-prepare channel cannot signal: its residuals are zero.
     """
+    if isinstance(channel, MeasurePrepareChannel):
+        return NonSignallingReport((0.0,) * channel.n)
     dims = (channel.d_a, channel.d_x, channel.d_y, channel.n)
     # rows and columns share one factor reordering, which keeps the trace norm
     return NonSignallingReport(tuple(
@@ -299,17 +362,24 @@ def reduction_residual(channel: ChoiChannel, k: int) -> float:
     return float(trace_norm(reduced - rebuilt))
 
 
-def marginal_channel(channel: ChoiChannel, k: int) -> ChoiChannel:
+def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel, k: int) -> ChoiChannel:
     """First-k-rounds channel of a non-signalling channel.
 
     For a non-signalling channel, discarding the later outputs leaves the
     earlier rounds acting as a bona fide channel on (A, X1..Xk); the unused
     input factors decouple as maximally mixed and can be traced away.  Errors
-    if the decoupling residual exceeds REDUCTION_TOL.
+    if the decoupling residual exceeds REDUCTION_TOL.  The first k rounds of a
+    measure-and-prepare channel are the same channel on k rounds, returned
+    dense; for k = 1 that is the closed form sum_j M_j^T/d_A ⊗ phi_j.
     """
     n = channel.n
     if not 1 <= k <= n:
         raise TensorError(f"k must be in 1..{n}, got {k}")
+    if isinstance(channel, MeasurePrepareChannel):
+        if k == 1:
+            return measure_and_prepare_marginal(channel.povm, channel.chois,
+                                                channel.d_x, channel.d_y)
+        return replace(channel, n=k).dense()
     if k == n:
         return channel
     res = reduction_residual(channel, k)
@@ -326,8 +396,15 @@ def marginal_channel(channel: ChoiChannel, k: int) -> ChoiChannel:
 # symmetrization
 # ---------------------------------------------------------------------------
 
-def symmetrize_channel(channel: ChoiChannel) -> ChoiChannel:
-    """Average omega over simultaneous permutations of the (X_i, Y_i) pairs."""
+def symmetrize_channel(channel: ChoiChannel | MeasurePrepareChannel
+                       ) -> ChoiChannel | MeasurePrepareChannel:
+    """Average omega over simultaneous permutations of the (X_i, Y_i) pairs.
+
+    A measure-and-prepare channel prepares phi_j^{⊗n}, which every such
+    permutation leaves alone, so it is returned unchanged.
+    """
+    if isinstance(channel, MeasurePrepareChannel):
+        return channel
     n = channel.n
     if n > SYMMETRIZE_MAX_N:
         raise TensorError(

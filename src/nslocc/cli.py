@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    MeasurePrepareChannel,
     choi_of_global_kraus,
     choi_of_kraus,
     is_cptp,
@@ -248,7 +249,7 @@ def cmd_risk_gap(cfg: dict) -> int:
     rho0, rho1, povm, preps = _classification_family(overlap)
     rows = []
     for n in sorted(ns):
-        q = measure_and_prepare_choi(povm, preps, n)
+        q = MeasurePrepareChannel.of(povm, preps, n)
         task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
         rep = risk_gap_experiment(task, q, grid_spec=grid)
         rows.append((n, rep.risk_collective, rep.risk_locc, rep.gap,

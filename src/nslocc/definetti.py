@@ -160,30 +160,85 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
 
     w, v = _psd_eigs(m)
     if w[-1] >= 1.0 - PURE_EIG_THRESHOLD:
-        psi = v[:, -1].reshape(d_a, d ** n)
-        psi = psi / np.linalg.norm(psi)
-        ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d, site_keep_dim=d,
-                                 purified=False, psi=psi,
-                                 dropped_mass=float(w[:-1].sum()))
-        _check_site_symmetry(ext.psi, n, d, 1e-7)
-        return ext
-
+        return _pure_extension(v[:, -1], d_a, d, n, float(w[:-1].sum()))
     keep = w > w[-1] * len(w) * np.finfo(float).eps
     v_r = v[:, keep]
     root = (v_r * np.sqrt(w[keep])) @ v_r.conj().T
+    return _paired_extension(root, d_a, d, n, float(w[~keep].sum()))
+
+
+def _pure_extension(vec: np.ndarray, d_a: int, d: int, n: int,
+                    dropped: float) -> SymmetricExtension:
+    """The unit state vector of a pure omega on (A, B1..Bn), its global phase
+    fixed so that its first entry above half the largest modulus is positive."""
+    psi = vec.reshape(d_a, d ** n) / np.linalg.norm(vec)
+    mod = np.abs(psi.ravel())
+    lead = psi.ravel()[np.argmax(mod > 0.5 * mod.max())]
+    ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d, site_keep_dim=d,
+                             purified=False, psi=psi * (abs(lead) / lead),
+                             dropped_mass=dropped)
+    _check_site_symmetry(ext.psi, n, d, 1e-7)
+    return ext
+
+
+def _paired_extension(root: np.ndarray, d_a: int, d: int, n: int,
+                      dropped: float) -> SymmetricExtension:
+    """vec √omega from √omega on (A, B1..Bn): each site paired with its mirror."""
     # indices: (a, b1..bn ; a', b1'..bn') -> (a a') (b1 b1') ... (bn bn')
     t = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n)
     order = [0, n + 1]
     for i in range(n):
         order += [1 + i, n + 2 + i]
-    t = t.transpose(order)
-    psi = t.reshape(d_a * d_a, (d * d) ** n)
-    psi = psi / np.linalg.norm(psi)
+    psi = t.transpose(order).reshape(d_a * d_a, (d * d) ** n)
     ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                             purified=True, psi=psi,
-                             dropped_mass=float(w[~keep].sum()))
+                             purified=True, psi=psi / np.linalg.norm(psi),
+                             dropped_mass=dropped)
     _check_site_symmetry(ext.psi, n, d * d, 1e-7)
     return ext
+
+
+def _psd_factor(m: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(F, kept, dropped): F F† is the PSD matrix m without its eigenvalues at
+    or below the rank floor w_max · dim · eps; kept and dropped are the
+    eigenvalue sums with and without F."""
+    w, v = _psd_eigs(m)
+    keep = w > w[-1] * len(w) * np.finfo(float).eps
+    return v[:, keep] * np.sqrt(w[keep]), float(w[keep].sum()), float(w[~keep].sum())
+
+
+def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
+                           n: int) -> SymmetricExtension:
+    """purify_extension of omega = sum_j K_j ⊗ phi_j^{⊗n}, without building omega.
+
+    blocks: (J, d_a, d_a) PSD stack of K_j; sites: (J, d, d) stack of
+    unit-trace PSD phi_j.  With K_j = a_j a_j† and phi_j = b_j b_j†, the
+    columns a_j ⊗ b_j^{⊗n} form a factor L, omega = L L†, of rank r far below
+    omega's side D = d_a·d^n.  The r x r Gram matrix L†L = W Λ W† shares
+    omega's nonzero spectrum, so √omega = Z Z† with Z = L W Λ^{-1/4}, from
+    the eigenpairs above purify_extension's rank floor λ_max · D · eps.  The
+    rank floors on a_j and b_j move omega's spectrum by less than that floor.
+    `dropped_mass` sums the trace all three floors leave out.
+    """
+    d_a, d = blocks.shape[1], sites.shape[1]
+    side = d_a * d ** n
+    check_dense_budget(side, "purify_product_mixture")
+    columns, dropped = [], 0.0
+    for k_j, phi_j in zip(blocks, sites):
+        a, a_kept, a_drop = _psd_factor(k_j)
+        b, b_kept, b_drop = _psd_factor(phi_j)
+        columns.append(np.kron(a, kron_power(b[None], n)[0]))
+        # tr K tr(phi)^n − a_kept b_kept^n, without cancellation
+        dropped += (a_drop * (b_kept + b_drop) ** n
+                    + a_kept * b_kept ** n * np.expm1(n * np.log1p(b_drop / b_kept)))
+    factor = np.concatenate(columns, axis=1)
+    lam, w = _psd_eigs(factor.conj().T @ factor)
+    if lam[-1] >= 1.0 - PURE_EIG_THRESHOLD:
+        return _pure_extension(factor @ w[:, -1], d_a, d, n,
+                               dropped + float(lam[:-1].sum()))
+    keep = lam > lam[-1] * side * np.finfo(float).eps
+    z = factor @ (w[:, keep] * lam[keep] ** -0.25)
+    return _paired_extension(z @ z.conj().T, d_a, d, n,
+                             dropped + float(lam[~keep].sum()))
 
 
 def branch_extension(parts: list[tuple[Operator | np.ndarray, Operator | np.ndarray]],

@@ -15,14 +15,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChoiChannel, choi_factorization, measure_and_prepare_choi, \
-    is_nonsignalling, symmetrize_channel
+from .channels import (
+    ChoiChannel,
+    MeasurePrepareChannel,
+    check_outcome_stacks,
+    choi_factorization,
+    is_nonsignalling,
+    measure_and_prepare_marginal,
+    symmetrize_channel,
+)
 from .definetti import (
     DEFAULT_GRID,
     DeFinettiApprox,
+    SymmetricExtension,
     extract_measure,
     grid_from_name,
     purify_extension,
+    purify_product_mixture,
 )
 from .tensor_core import (
     Factorization,
@@ -59,11 +68,14 @@ def choi_pairs_to_sites(channel: ChoiChannel) -> Operator:
     return Operator(channel.omega.matrix, Factorization.of(*factors))
 
 
-def site_to_pair(phi: Operator, d_x: int, d_y: int) -> Operator:
-    """Split a single fused site state back into (X1, Y1) factors."""
-    if phi.dim != d_x * d_y:
-        raise TensorError(f"site dim {phi.dim} != {d_x}*{d_y}")
-    return Operator(phi.matrix, Factorization.of(("X1", d_x), ("Y1", d_y)))
+def purify_channel(q: ChoiChannel | MeasurePrepareChannel) -> SymmetricExtension:
+    """vec √omega of a permutation-symmetric channel's Choi state omega, on the
+    sites B_i = (X_i, Y_i).  A measure-and-prepare channel is purified from
+    its low-rank factor, a dense one by an eigensolve of omega; both give the
+    same state."""
+    if isinstance(q, MeasurePrepareChannel):
+        return purify_product_mixture(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, q.n)
+    return purify_extension(choi_pairs_to_sites(q))
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +231,7 @@ class LoccProtocol:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pair = self.d_x * self.d_y
-        if (self.povm.ndim != 3 or self.povm.shape[1] != self.povm.shape[2]
-                or self.chois.shape != (len(self.povm), pair, pair)):
-            raise TensorError(
-                f"need povm (K, d_a, d_a) and single-round chois (K, {pair}, {pair}) stacks, "
-                f"got {self.povm.shape} and {self.chois.shape}")
-        dev = float(np.abs(self.povm.sum(axis=0) - np.eye(self.d_a)).max())
-        if dev > 1e-7:
-            raise TensorError(f"POVM completeness violated by {dev:.3e}")
-        trace_dev = float(np.abs(np.einsum("kii->k", self.chois).real - 1.0).max())
-        if trace_dev > 1e-7:
-            raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
+        check_outcome_stacks(self.povm, self.chois, self.d_x, self.d_y)
 
     @property
     def d_a(self) -> int:
@@ -238,17 +239,11 @@ class LoccProtocol:
 
     def to_choi(self, n: int) -> ChoiChannel:
         """Dense n-round Choi state of the protocol (small n only)."""
-        fac_a = Factorization.of(("A", self.d_a))
-        fac_pair = Factorization.of(("X1", self.d_x), ("Y1", self.d_y))
-        return measure_and_prepare_choi([Operator(m, fac_a) for m in self.povm],
-                                        [Operator(c, fac_pair) for c in self.chois], n)
+        return MeasurePrepareChannel(self.povm, self.chois, self.d_x, self.d_y, n).dense()
 
     def marginal_choi(self) -> Operator:
         """Single-round Choi state on (A, X1, Y1) of the symmetrized protocol."""
-        # sum_k M_k^T / d_A ⊗ φ_k
-        total = np.einsum("kba,kij->aibj", self.povm, self.chois) / self.d_a
-        fac = choi_factorization(self.d_a, self.d_x, self.d_y, 1)
-        return Operator(total.reshape(fac.dim, fac.dim), fac)
+        return measure_and_prepare_marginal(self.povm, self.chois, self.d_x, self.d_y).omega
 
 
 def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
@@ -258,7 +253,8 @@ def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
                        1, d_x, d_y, 1)
 
 
-def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
+def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
+                        grid_spec: str = DEFAULT_GRID,
                         include_points: np.ndarray | None = None) -> LoccProtocol:
     """Run the full reduction on a non-signalling channel.
 
@@ -280,7 +276,7 @@ def build_locc_protocol(q: ChoiChannel, grid_spec: str = DEFAULT_GRID,
             f"channel is signalling (residual {rep.max_residual:.3e}); "
             "the reduction only applies to non-signalling channels")
 
-    extension = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
+    extension = purify_channel(symmetrize_channel(q))
     grid = grid_from_name(grid_spec, extension.site_dim, n, include_points)
     approx = extract_measure(extension, grid)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiChannel, marginal_channel, symmetrize_channel
+from .channels import ChoiChannel, MeasurePrepareChannel, marginal_channel, symmetrize_channel
 from .definetti import DEFAULT_GRID
 from .locc import LoccProtocol, build_locc_protocol, theorem1_bound
 from .tensor_core import (
@@ -197,7 +197,8 @@ def r_operator(task: LearningTask) -> Operator:
 # expected risk
 # ---------------------------------------------------------------------------
 
-def _risk_marginal(q: ChoiChannel, task: LearningTask) -> float:
+def _risk_marginal(q: ChoiChannel | MeasurePrepareChannel,
+                   task: LearningTask) -> float:
     q_bar = symmetrize_channel(q) if q.n > 1 else q
     omega_1 = marginal_channel(q_bar, 1)
     r = r_operator(task)
@@ -205,7 +206,8 @@ def _risk_marginal(q: ChoiChannel, task: LearningTask) -> float:
     return float((task.d_a * task.d_x * val).real)
 
 
-def _risk_direct(q: ChoiChannel, task: LearningTask) -> float:
+def _risk_direct(q: ChoiChannel | MeasurePrepareChannel,
+                 task: LearningTask) -> float:
     n = q.n
     check_dense_budget(task.d_a * (task.d_x * task.d_y * task.d_r) ** n,
                        "direct risk evaluation")
@@ -218,8 +220,8 @@ def _risk_direct(q: ChoiChannel, task: LearningTask) -> float:
         parts.append(task.rho_xr.relabel({"X1": f"X{i}", "R1": f"R{i}"}))
     rho_in = embed(tensor_all(parts), full)
 
-    omega_big = embed(
-        Operator(q.omega.matrix, q.omega.shape), full)
+    omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
+    omega_big = embed(omega, full)
     in_labels = ["A"] + [f"X{i}" for i in range(1, n + 1)]
     twisted = partial_transpose(omega_big, in_labels)
     s_bar = embed(symmetrized_risk_observable(task.s, n), full)
@@ -228,7 +230,8 @@ def _risk_direct(q: ChoiChannel, task: LearningTask) -> float:
     return float(val.real)
 
 
-def expected_risk(q: ChoiChannel, task: LearningTask, path: str) -> float:
+def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
+                  path: str) -> float:
     """Expected risk of a channel on a task.
 
     path: "marginal" (symmetrize + single-round Choi against the R-operator,
@@ -276,7 +279,8 @@ class RiskReport:
     n: int
 
 
-def risk_gap_experiment(task: LearningTask, q: ChoiChannel,
+def risk_gap_experiment(task: LearningTask,
+                        q: ChoiChannel | MeasurePrepareChannel,
                         grid_spec: str = DEFAULT_GRID) -> RiskReport:
     """Collective-vs-LOCC gap with the (loose) rate bound, both reported."""
     risk_q = expected_risk(q, task, path="marginal")

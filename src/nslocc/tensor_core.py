@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, factorial, prod, sqrt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -305,24 +305,6 @@ def _psd_eigs(m: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarr
     return np.clip(w, 0, None), v
 
 
-def herm_fn(operator: Operator, f: Callable[[np.ndarray], np.ndarray],
-            cutoff: float | None = None) -> Operator:
-    """Apply f to the eigenvalues of a Hermitian operator.
-
-    With a cutoff, eigenvalues of magnitude <= cutoff are sent to 0 instead of
-    through f (pseudo-inverse convention).
-    """
-    w, v = eigh_herm(operator.matrix, check=True)
-    if cutoff is None:
-        fw = np.asarray(f(w), dtype=float)
-    else:
-        live = np.abs(w) > cutoff
-        fw = np.zeros_like(w)
-        if live.any():
-            fw[live] = f(w[live])
-    return Operator((v * fw) @ v.conj().T, operator.shape)
-
-
 def sqrtm_psd(operator: Operator) -> Operator:
     w, v = _psd_eigs(operator.matrix)
     return Operator((v * np.sqrt(w)) @ v.conj().T, operator.shape)
@@ -376,12 +358,6 @@ def permutation_matrix(perm: Sequence[int], site_dim: int) -> np.ndarray:
     n = len(perm)
     return permute_sites(_site_identity(n, site_dim), perm, [range(n)]).reshape(
         site_dim ** n, -1)
-
-
-def permutation_operator(perm: Sequence[int], site_dim: int,
-                         prefix: str = "B") -> Operator:
-    fac = Factorization.of(*((f"{prefix}{i + 1}", site_dim) for i in range(len(perm))))
-    return Operator(permutation_matrix(perm, site_dim), fac)
 
 
 def sym_dim(n: int, d: int) -> int:

@@ -13,7 +13,52 @@ from nslocc.channels import (
     is_cptp,
 )
 from nslocc.definetti import SymmetricExtension
-from nslocc.tensor_core import Factorization, Operator, embed, partial_trace, trace_norm
+from nslocc.tensor_core import (
+    Factorization,
+    Operator,
+    TensorError,
+    eigh_herm,
+    embed,
+    partial_trace,
+    partial_transpose,
+    permutation_matrix,
+    trace_norm,
+)
+
+
+def herm_fn(operator: Operator, f, cutoff: float | None = None) -> Operator:
+    """Apply f to the eigenvalues of a Hermitian operator.
+
+    With a cutoff, eigenvalues of magnitude <= cutoff are sent to 0 instead of
+    through f (pseudo-inverse convention).
+    """
+    w, v = eigh_herm(operator.matrix, check=True)
+    if cutoff is None:
+        fw = np.asarray(f(w), dtype=float)
+    else:
+        live = np.abs(w) > cutoff
+        fw = np.zeros_like(w)
+        if live.any():
+            fw[live] = f(w[live])
+    return Operator((v * fw) @ v.conj().T, operator.shape)
+
+
+def permutation_operator(perm, site_dim: int, prefix: str = "B") -> Operator:
+    """permutation_matrix(perm, site_dim) on the factors prefix1..prefixn."""
+    fac = Factorization.of(*((f"{prefix}{i + 1}", site_dim) for i in range(len(perm))))
+    return Operator(permutation_matrix(perm, site_dim), fac)
+
+
+def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
+    """Q*(obs) on the input factors, for obs on the output factors (Y1..Yn)."""
+    out_labels = channel.output_labels
+    if list(obs.labels) != out_labels:
+        raise TensorError(f"observable must live on {out_labels}")
+    twisted = partial_transpose(channel.omega, channel.input_labels)
+    big = embed(obs, channel.omega.shape)
+    prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
+    out = partial_trace(prod, channel.input_labels)
+    return channel.d_in * out
 
 
 def random_density(rng, d: int) -> np.ndarray:
@@ -35,6 +80,22 @@ def random_kraus(rng, d_in: int, d_out: int, count: int = 4) -> list[np.ndarray]
 def random_pure(rng, d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def random_measure_prepare(rng, d_a: int, d_x: int, d_y: int,
+                           rank: int) -> tuple[list[Operator], list[Operator]]:
+    """A complex two-outcome projective POVM on A, each projector of rank
+    d_a/2 for even d_a, and two random channels' Choi states on (X1, Y1),
+    each of rank at most `rank`."""
+    u, _ = np.linalg.qr(rng.standard_normal((d_a, d_a))
+                        + 1j * rng.standard_normal((d_a, d_a)))
+    half = u[:, :d_a // 2]
+    proj = half @ half.conj().T
+    povm = [Operator(p, Factorization.of(("A", d_a))) for p in (proj, np.eye(d_a) - proj)]
+    preps = [partial_trace(choi_of_kraus(random_kraus(rng, d_x, d_y, count=rank),
+                                         d_x, d_y).omega, ["X1", "Y1"])
+             for _ in range(2)]
+    return povm, preps
 
 
 def prepare_state_choi(vec: np.ndarray) -> Operator:

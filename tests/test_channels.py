@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from nslocc.channels import (
     ChoiChannel,
+    MeasurePrepareChannel,
     _project_nonsignalling,
     _project_psd_trace,
-    adjoint_apply,
     apply_channel,
     choi_factorization,
     choi_of_global_kraus,
@@ -24,12 +24,14 @@ from nslocc.channels import (
 from nslocc.tensor_core import Operator, TensorError, op, permute_factors
 
 from conftest import (
+    adjoint_apply,
     dense_symmetrize,
     oracle_project_ns_round,
     oracle_random_nonsignalling_choi,
     oracle_signalling_residuals,
     random_density,
     random_kraus,
+    random_measure_prepare,
 )
 
 
@@ -202,3 +204,77 @@ def test_nonsignalling_residuals_match_oracle(rng):
         want = oracle_signalling_residuals(ch)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         assert np.allclose(got, size, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_measure_prepare_dense_is_measure_and_prepare_choi(rng, n):
+    povm, preps = random_measure_prepare(rng, 2, 2, 2, rank=2)
+    dense = MeasurePrepareChannel.of(povm, preps, n).dense()
+    want = measure_and_prepare_choi(povm, preps, n)
+    assert (dense.d_a, dense.d_x, dense.d_y, dense.n) == (2, 2, 2, n)
+    assert dense.omega.shape == want.omega.shape
+    assert np.array_equal(dense.omega.matrix, want.omega.matrix)
+    # an independent grouping of the same sum: kron(M^T, phi^{⊗n}) / d_A
+    ref = 0
+    for m, phi in zip(povm, preps):
+        rounds = np.eye(1)
+        for _ in range(n):
+            rounds = np.kron(phi.matrix, rounds)
+        ref = ref + np.kron(m.matrix.T, rounds) / 2
+    assert np.abs(dense.omega.matrix - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_measure_prepare_marginal_is_the_closed_form(rng, n):
+    povm, preps = random_measure_prepare(rng, 2, 2, 3, rank=3)
+    q = MeasurePrepareChannel.of(povm, preps, n)
+    dense = q.dense()
+    got = marginal_channel(q, 1)
+    want = marginal_channel(symmetrize_channel(dense), 1)
+    assert got.omega.shape == want.omega.shape
+    assert np.abs(got.omega.matrix - want.omega.matrix).max() <= 1e-13
+    if n == 3:
+        two = marginal_channel(q, 2)
+        assert np.abs(two.omega.matrix - marginal_channel(dense, 2).omega.matrix).max() <= 1e-13
+
+
+def test_measure_prepare_needs_no_symmetrizing_and_cannot_signal(rng):
+    povm, preps = random_measure_prepare(rng, 2, 2, 2, rank=2)
+    q = MeasurePrepareChannel.of(povm, preps, 3)
+    assert symmetrize_channel(q) is q
+    assert is_nonsignalling(q).residuals == (0.0, 0.0, 0.0)
+    dense = q.dense()
+    assert np.abs(symmetrize_channel(dense).omega.matrix - dense.omega.matrix).max() <= 1e-15
+    assert is_nonsignalling(dense).max_residual <= 1e-12
+
+
+def _broken_stacks(case):
+    povm = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    chois = np.stack([np.eye(4) / 4, np.diag([0.5, 0.0, 0.5, 0.0])]).astype(complex)
+    if case == "povm-incomplete":
+        povm[1, 1, 1] = 0.5
+    elif case == "povm-not-psd":
+        povm = np.stack([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]).astype(complex)
+    elif case == "preparation-not-psd":
+        chois[1] = np.diag([0.75, -0.25, 0.25, 0.25])
+    elif case == "preparation-trace":
+        chois[1] *= 2
+    elif case == "preparation-not-tp":
+        chois[1] = np.diag([0.5, 0.5, 0.0, 0.0])   # input marginal diag(1, 0)
+    elif case == "stack-shapes":
+        chois = chois[:1]
+    return povm, chois
+
+
+@pytest.mark.parametrize("case, message", [
+    ("povm-incomplete", "completeness"),
+    ("povm-not-psd", "POVM element is not PSD"),
+    ("preparation-not-psd", "preparation is not PSD"),
+    ("preparation-trace", "Choi state trace off 1"),
+    ("preparation-not-tp", "input marginal"),
+    ("stack-shapes", "stacks"),
+])
+def test_measure_prepare_rejects_invalid_stacks(case, message):
+    MeasurePrepareChannel(*_broken_stacks(None), 2, 2, 2)
+    with pytest.raises(TensorError, match=message):
+        MeasurePrepareChannel(*_broken_stacks(case), 2, 2, 2)

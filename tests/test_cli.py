@@ -255,6 +255,6 @@ def test_oversized_dense_work_exits_2_before_it_is_built(monkeypatch, tmp_path, 
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64 - 1)
     out = tmp_path / "gap.csv"
     assert main(["risk-gap", "--n", "1,2", "--grid", "haar:0:10", "--out", str(out)]) == 2
-    assert ("error: measure_and_prepare_choi needs a dense 64 x 64 operator"
+    assert ("error: purify_product_mixture needs a dense 64 x 64 operator"
             in capsys.readouterr().err)
     assert not out.exists()

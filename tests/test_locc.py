@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nslocc.channels import (
     ChoiChannel,
+    MeasurePrepareChannel,
     choi_factorization,
     choi_of_kraus,
     is_cptp,
@@ -21,14 +22,21 @@ from nslocc.locc import (
     depolarizing_choi,
     marginal_input,
     operator_chebyshev,
+    purify_channel,
     repair_distance_bound,
-    site_to_pair,
     theorem1_bound,
     tp_repair,
 )
 from nslocc.tensor_core import Operator, TensorError, op, op_norm, partial_trace, trace_norm
 
-from conftest import loop_marginal_choi, oracle_tp_repair, random_density, random_kraus
+from conftest import (
+    loop_marginal_choi,
+    oracle_tp_repair,
+    random_density,
+    random_kraus,
+    random_measure_prepare,
+    random_pure,
+)
 
 
 def random_pair_state(rng, d_x, d_y):
@@ -52,14 +60,6 @@ def per_point_marginals(approx, d_x, d_y):
     weights = [np.trace(m).real for m in approx.ms]
     taus = [pair_marginal(phi, d_x, d_y) for phi in approx.phis]
     return weights, taus
-
-
-def test_pairs_sites_roundtrip(rng):
-    q = choi_of_kraus(random_kraus(rng, 2, 3, count=2), 2, 3)
-    sites = choi_pairs_to_sites(q)
-    assert sites.labels == ("A", "B1")
-    back = site_to_pair(sites.relabel({"B1": "B"}), 2, 3)
-    assert np.allclose(back.matrix, q.omega.matrix)
 
 
 def test_tp_repair_fixes_input_marginal(rng):
@@ -250,3 +250,42 @@ def test_protocol_rejects_a_choi_state_without_unit_trace():
     with pytest.raises(TensorError, match="trace"):
         LoccProtocol(povm=povm, chois=chois, d_x=2, d_y=2)
     LoccProtocol(povm=povm, chois=np.stack([np.eye(4) / 4] * 2), d_x=2, d_y=2)
+
+
+def structured_case(rng, case, n):
+    """A measure-and-prepare channel: rank-2 real K_j and phi_j as risk-gap
+    runs ("classifier"), rank-1 complex K_j with rank-2 complex phi_j
+    ("complex"), or d_A = 1, one outcome and a unitary's pure phi ("pure")."""
+    if case == "classifier":
+        from nslocc.cli import _classification_family
+        _, _, povm, preps = _classification_family(0.6)
+    elif case == "complex":
+        povm, preps = random_measure_prepare(rng, 2, 2, 2, rank=2)
+    else:
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        povm, preps = [op(np.eye(1), ("A", 1))], [choi_of_kraus([u], 2, 2).omega]
+    return MeasurePrepareChannel.of(povm, preps, n)
+
+
+@pytest.mark.parametrize("case", ["classifier", "complex", "pure"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structured_purification_is_the_dense_one(rng, case, n):
+    q = structured_case(rng, case, n)
+    got = purify_channel(q)
+    want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
+    assert (got.d_a, got.site_dim, got.purified) == (want.d_a, want.site_dim, want.purified)
+    assert got.purified == (case != "pure")
+    assert np.abs(got.psi - want.psi).max() <= 1e-12
+    assert 0.0 <= got.dropped_mass <= 1e-13
+    assert abs(got.dropped_mass - want.dropped_mass) <= 1e-13
+
+
+def test_structured_purification_counts_the_mass_its_floors_drop():
+    # phi's eigenvalue 1e-17 lies below its rank floor 0.5 · 4 · eps, so the
+    # factor b leaves it out: ω = phi^{⊗3} loses 3e-17 of its trace
+    phi = np.diag([0.5, 1e-17, 0.5, 0.0])
+    q = MeasurePrepareChannel(np.eye(1)[None], phi[None], 2, 2, 3)
+    got = purify_channel(q)
+    assert got.dropped_mass == pytest.approx(3e-17, rel=1e-9)
+    want = purify_extension(choi_pairs_to_sites(q.dense()))
+    assert np.abs(got.psi - want.psi).max() <= 1e-12

@@ -4,6 +4,7 @@ import pytest
 from nslocc import definetti, locc, risk, tensor_core
 from nslocc.channels import (
     ChoiChannel,
+    MeasurePrepareChannel,
     choi_factorization,
     choi_of_kraus,
     measure_and_prepare_choi,
@@ -13,9 +14,16 @@ from nslocc.channels import (
 )
 from nslocc.cli import _classification_family
 from nslocc.definetti import purify_extension
-from nslocc.locc import LoccProtocol, build_locc_protocol, choi_pairs_to_sites, theorem1_bound
+from nslocc.locc import (
+    LoccProtocol,
+    build_locc_protocol,
+    choi_pairs_to_sites,
+    purify_channel,
+    theorem1_bound,
+)
 from nslocc.risk import (
     LearningTask,
+    RiskReport,
     classification_task,
     expected_risk,
     protocol_risk,
@@ -30,13 +38,13 @@ from nslocc.tensor_core import (
     TensorError,
     op,
     op_norm,
-    permutation_operator,
     permute_factors,
 )
 
 from conftest import (
     dense_symmetrize,
     loop_marginal_choi,
+    permutation_operator,
     oracle_resolution_residual,
     random_density,
     random_kraus,
@@ -210,14 +218,30 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
 
 
 @pytest.mark.parametrize("stage", ["symmetrize_channel", "purify_extension",
-                                   "direct risk evaluation"])
+                                   "purify_product_mixture", "direct risk evaluation"])
 def test_dense_stages_refuse_work_over_the_budget(monkeypatch, stage):
     rho0, rho1, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, 2)               # side 64
     task = classification_task([0.5, 0.5], [rho0, rho1], n=2)  # direct side 256
+    structured = MeasurePrepareChannel.of(povm, preps, 2)
     calls = {"symmetrize_channel": lambda: symmetrize_channel(q),
              "purify_extension": lambda: purify_extension(choi_pairs_to_sites(q)),
+             "purify_product_mixture": lambda: purify_channel(structured),
              "direct risk evaluation": lambda: expected_risk(q, task, path="direct")}
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64 - 1)
     with pytest.raises(TensorError, match=stage):
         calls[stage]()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structured_risk_gap_matches_the_dense_channel(n):
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+    structured = MeasurePrepareChannel.of(povm, preps, n)
+    dense = measure_and_prepare_choi(povm, preps, n)
+    got = risk_gap_experiment(task, structured, grid_spec="haar:0:200")
+    want = risk_gap_experiment(task, dense, grid_spec="haar:0:200")
+    for key in RiskReport.__dataclass_fields__:
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), key
+    assert expected_risk(structured, task, path="both") == pytest.approx(
+        expected_risk(dense, task, path="both"), rel=1e-12, abs=0)

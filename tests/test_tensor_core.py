@@ -13,7 +13,6 @@ from nslocc.tensor_core import (
     eigh_herm,
     embed,
     fidelity,
-    herm_fn,
     identity,
     op,
     op_norm,
@@ -21,7 +20,6 @@ from nslocc.tensor_core import (
     operator_to_json,
     partial_trace,
     partial_transpose,
-    permutation_operator,
     permute_factors,
     sqrtm_psd,
     sym_dim,
@@ -30,7 +28,7 @@ from nslocc.tensor_core import (
     trace_norm,
 )
 
-from conftest import random_density, random_pure
+from conftest import herm_fn, permutation_operator, random_density, random_pure
 
 
 def complex_matrix(rng, d):
