@@ -77,14 +77,6 @@ class ClassifierMixture:
             raise ClassicalError("negative mixture weight")
         object.__setattr__(self, "weights", w)
 
-    def to_stochastic(self) -> np.ndarray:
-        """q(y|x) as an (ny, nx) column-stochastic matrix."""
-        q = np.zeros((self.ny, self.nx))
-        for f, w in zip(self.functions, self.weights):
-            for x, y in enumerate(f):
-                q[y, x] += w
-        return q
-
 
 # ---------------------------------------------------------------------------
 # predicates and marginals
@@ -242,18 +234,6 @@ def lemma1_pipeline(p: ClassicalProtocol) -> tuple[ClassicalProtocol,
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
-
-def product_protocol(maps: list[np.ndarray], n: int) -> ClassicalProtocol:
-    """P(y|a,x) = prod_i q_a(y_i|x_i) from per-a stochastic maps (ny, nx)."""
-    na = len(maps)
-    ny, nx = maps[0].shape
-    table = np.zeros((na,) + (nx,) * n + (ny,) * n)
-    for a, q in enumerate(maps):
-        for xs in itertools.product(range(nx), repeat=n):
-            for ys in itertools.product(range(ny), repeat=n):
-                table[(a,) + xs + ys] = np.prod([q[y, x] for x, y in zip(xs, ys)])
-    return ClassicalProtocol(table, na, nx, ny, n)
-
 
 def _project_normalized(t: np.ndarray, na: int, nxn: int, nyn: int) -> np.ndarray:
     flat = t.reshape(na, nxn, nyn)

@@ -6,6 +6,9 @@ sites.  Contracting the purification against a grid of product vectors
 phi_g^{⊗n} (a finite stand-in for the coherent-state resolution of the
 symmetric subspace) yields an operator-valued measure {M_g} on A together
 with product states phi_g, whose mixture approximates the k-site marginals.
+A purification is stored in one of three forms: dense, as branches, or as a
+product factor (the purification of a mixture of products, held through its
+site factors so that nothing of side d^n is built).
 The measure is stored as the stacked pair (ms, phis) of arrays with one slice
 per grid point, and every stage after the grid runs on whole stacks.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .tensor_core import (
     TensorError,
     _psd_eigs,
     check_dense_budget,
+    dense_budget_rows,
     dicke_coordinates,
     eigh_herm,
     int_power,
@@ -52,18 +57,44 @@ _HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 # symmetric extensions
 # ---------------------------------------------------------------------------
 
+class ProductFactor(NamedTuple):
+    """vec √omega / ‖√omega‖_F for omega = L L† with product columns in L.
+
+    Every column of L is a ⊗ b_1 ⊗ .. ⊗ b_n with a on A and each b_i a
+    column of `sites` (d x R).  The distinct site products are indexed by e:
+    site i of product e is column index[i, e] of `sites`, shape (n, E).
+    With N = W Λ^{-1/2} W† / sqrt(Σλ) from the Gram matrix L†L = W Λ W†,
+    `core` (E·E, d_a·d_a) holds T[(e,e'),(a,a')], the sum of
+    a_c[a] N[c,c'] conj(a_c'[a']) over the columns c, c' of L whose site
+    products are e and e'; the state is then
+    psi[(a,a'),(b_1 b_1')..(b_n b_n')] =
+    sum_{e,e'} T[(e,e'),(a,a')] prod_i sites[b_i, index[i,e]] conj(sites[b_i', index[i,e']]).
+    `marginal` is the state's reduced state on A.  A named tuple rather
+    than a dataclass, whose generated methods cost about 1 ms at import.
+    """
+
+    sites: np.ndarray
+    index: np.ndarray
+    core: np.ndarray
+    marginal: np.ndarray
+
+
 @dataclass(frozen=True)
 class SymmetricExtension:
     """Pure state on block ⊗ site^{⊗n}, symmetric under site permutations.
 
-    Exactly one of two storages is used:
+    Exactly one of three storages is used:
 
     * dense: `psi` of shape (block_dim, site_dim**n), the state as a matrix
       with the block index first;
     * branches: a list of (K_j, chi_j) with K_j PSD on A (d_a x d_a) and
       chi_j a unit site vector; the state is sum_j |j>|vec sqrt(K_j)> chi_j^{⊗n}
       with an orthogonal flag register absorbed into the block.  This form
-      never materializes the site space and scales to large n.
+      never materializes the site space and scales to large n;
+    * product: a `ProductFactor`, the paired purification vec √omega of a
+      mixture of products omega = sum_j K_j ⊗ phi_j^{⊗n}, the same state as
+      the dense form holds, kept as a core over the products of the site
+      factors of phi_j so that nothing of side site_dim**n is built.
 
     `site_dim` is the (possibly doubled) site dimension the grid must match;
     `site_keep_dim` is the physical site dimension after discarding the
@@ -80,11 +111,12 @@ class SymmetricExtension:
     psi: np.ndarray | None = field(default=None, repr=False)
     branches: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
         default=None, repr=False)
+    product: ProductFactor | None = field(default=None, repr=False)
     dropped_mass: float = 0.0
 
     def __post_init__(self):
-        if (self.psi is None) == (self.branches is None):
-            raise TensorError("exactly one of psi / branches must be given")
+        if sum(s is not None for s in (self.psi, self.branches, self.product)) != 1:
+            raise TensorError("exactly one of psi / branches / product must be given")
         if self.psi is not None:
             nrm = np.linalg.norm(self.psi)
             if abs(nrm - 1.0) > 1e-8:
@@ -94,6 +126,8 @@ class SymmetricExtension:
         """Reduced state on A only (d_a x d_a)."""
         if self.branches is not None:
             return sum(k for k, _ in self.branches)
+        if self.product is not None:
+            return self.product.marginal
         # block index = (a, a') for purified, plain a otherwise
         m = self.psi @ self.psi.conj().T
         if not self.purified and m.shape[0] == self.d_a:
@@ -213,32 +247,68 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
     blocks: (J, d_a, d_a) PSD stack of K_j; sites: (J, d, d) stack of
     unit-trace PSD phi_j.  With K_j = a_j a_j† and phi_j = b_j b_j†, the
     columns a_j ⊗ b_j^{⊗n} form a factor L, omega = L L†, of rank r far below
-    omega's side D = d_a·d^n.  The r x r Gram matrix L†L = W Λ W† shares
-    omega's nonzero spectrum, so √omega = Z Z† with Z = L W Λ^{-1/4}, from
-    the eigenpairs above purify_extension's rank floor λ_max · D · eps.  The
-    rank floors on a_j and b_j move omega's spectrum by less than that floor.
-    `dropped_mass` sums the trace all three floors leave out.
+    omega's side D = d_a·d^n.  The r x r Gram matrix L†L = W Λ W† is built
+    from the products (a_j†a_j') ⊗ (b_j†b_j')^{⊗n} and shares omega's nonzero
+    spectrum, so √omega = L W Λ^{-1/2} W† L†, from the eigenpairs above
+    purify_extension's rank floor λ_max · D · eps.  The rank floors on a_j
+    and b_j move omega's spectrum by less than that floor.  `dropped_mass`
+    sums the trace all three floors leave out.
+
+    A mixed omega gives the product storage (`ProductFactor`): the state
+    purify_extension returns, held as a core of side E·d_a over the E site
+    products of the b_j, so neither √omega nor the state is built.  A pure
+    omega gives its d_a·d^n state vector, as purify_extension does.
     """
     d_a, d = blocks.shape[1], sites.shape[1]
-    side = d_a * d ** n
-    check_dense_budget(side, "purify_product_mixture")
-    columns, dropped = [], 0.0
+    a_cols, col_products, b_cols, index = [], [], [], []
+    dropped, e0, r0 = 0.0, 0, 0
     for k_j, phi_j in zip(blocks, sites):
         a, a_kept, a_drop = _psd_factor(k_j)
         b, b_kept, b_drop = _psd_factor(phi_j)
-        columns.append(np.kron(a, kron_power(b[None], n)[0]))
         # tr K tr(phi)^n − a_kept b_kept^n, without cancellation
         dropped += (a_drop * (b_kept + b_drop) ** n
                     + a_kept * b_kept ** n * np.expm1(n * np.log1p(b_drop / b_kept)))
-    factor = np.concatenate(columns, axis=1)
-    lam, w = _psd_eigs(factor.conj().T @ factor)
+        # L's columns a[:, α] ⊗ b[:, β_1] ⊗ .. ⊗ b[:, β_n], α slowest; the
+        # site product (β_1..β_n) is column e0 + β of the product index
+        count = b.shape[1] ** n
+        a_cols.append(np.repeat(a, count, axis=1))
+        col_products.append(e0 + np.tile(np.arange(count), a.shape[1]))
+        index.append(r0 + np.indices((b.shape[1],) * n).reshape(n, count))
+        b_cols.append(b)
+        e0, r0 = e0 + count, r0 + b.shape[1]
+    a_mat, products = np.concatenate(a_cols, axis=1), np.concatenate(col_products)
+    b_mat, index = np.concatenate(b_cols, axis=1), np.concatenate(index, axis=1)
+    r, e = len(products), index.shape[1]
+    check_dense_budget(r, "purify_product_mixture")
+    check_dense_budget(e * d_a, "purify_product_mixture")
+    site_gram = b_mat.conj().T @ b_mat
+    prod_gram = site_gram[index[0][:, None], index[0]]
+    for ix in index[1:]:
+        prod_gram = prod_gram * site_gram[ix[:, None], ix]
+    prod_gram = prod_gram[products[:, None], products]      # (b^{⊗n})†(b'^{⊗n})
+    lam, w = _psd_eigs((a_mat.conj().T @ a_mat) * prod_gram)
+    onehot = np.eye(e)[products]                            # column c -> product
     if lam[-1] >= 1.0 - PURE_EIG_THRESHOLD:
-        return _pure_extension(factor @ w[:, -1], d_a, d, n,
+        check_dense_budget(d_a * d ** n, "purify_product_mixture")
+        vecs = b_mat[:, index[0]]
+        for ix in index[1:]:
+            vecs = (vecs[:, None, :] * b_mat[:, ix]).reshape(-1, e)
+        return _pure_extension(((a_mat * w[:, -1]) @ onehot) @ vecs.T, d_a, d, n,
                                dropped + float(lam[:-1].sum()))
-    keep = lam > lam[-1] * side * np.finfo(float).eps
-    z = factor @ (w[:, keep] * lam[keep] ** -0.25)
-    return _paired_extension(z @ z.conj().T, d_a, d, n,
-                             dropped + float(lam[~keep].sum()))
+    keep = lam > lam[-1] * d_a * d ** n * np.finfo(float).eps
+    w_k, lam_k = w[:, keep], lam[keep]
+    mass = float(lam_k.sum())
+    root = (w_k * lam_k ** -0.5) @ w_k.conj().T / sqrt(mass)   # N
+    # core over (product, a) pairs, regrouped to rows (e, e'), columns (a, a')
+    y = (onehot[:, :, None] * a_mat.T[:, None, :]).reshape(r, e * d_a)
+    core = np.empty((e, e, d_a, d_a), dtype=complex)
+    core[:] = (y.T @ root @ y.conj()).reshape(e, d_a, e, d_a).transpose(0, 2, 1, 3)
+    factor = ProductFactor(
+        sites=b_mat, index=index, core=core.reshape(e * e, d_a * d_a),
+        marginal=a_mat @ ((w_k @ w_k.conj().T) * prod_gram.T) @ a_mat.conj().T / mass)
+    return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
+                              purified=True, product=factor,
+                              dropped_mass=dropped + float(lam[~keep].sum()))
 
 
 def branch_extension(parts: list[tuple[Operator | np.ndarray, Operator | np.ndarray]],
@@ -312,23 +382,6 @@ class MeasureGrid:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode, "d_eff": self.d_eff, "n": self.n,
-            "count": self.count,
-            "vectors_re": self.vectors.real.tolist(),
-            "vectors_im": self.vectors.imag.tolist(),
-            "weights": self.weights.tolist(),
-            "residual": self.resolution_residual,
-        }
-
-
-def grid_from_json(data: dict) -> MeasureGrid:
-    vecs = np.asarray(data["vectors_re"], float) + 1j * np.asarray(data["vectors_im"], float)
-    return MeasureGrid(vecs, np.asarray(data["weights"], float),
-                       int(data["d_eff"]), int(data["n"]), data["mode"],
-                       data["residual"])
 
 
 def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
@@ -461,6 +514,8 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
         traces = np.array([np.trace(k).real for k, _ in ext.branches])
         c = grid.vectors.conj() @ chis.T                        # <phi_g|chi_j>
         return int_power(c, ext.n) * np.sqrt(traces)[None, :]
+    if ext.product is not None:
+        return _product_overlaps(ext.product, grid.vectors)
     # Dense: contract the last site first, d grid points at a time, so the
     # first and largest intermediate is no larger than psi itself.
     block = ext.psi.shape[0]
@@ -474,6 +529,34 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
         for _ in range(ext.n - 1):
             cur = cur.reshape(len(v), -1, d) @ v[:, :, None]
         out[lo:lo + d] = cur.reshape(len(v), block)
+    return out
+
+
+def _product_overlaps(factor: ProductFactor, vectors: np.ndarray) -> np.ndarray:
+    """_block_overlaps of a product storage: u_g = Q_g T with
+    Q_g[e,e'] = prod_i S_g[index[i,e], index[i,e']] and S_g = conj(B† V_g B),
+    V_g the grid vector as a d x d matrix and B = factor.sites.  The grid
+    axis is kept last, so every gather moves whole rows of grid points, and
+    the grid is taken in chunks whose Q_g and the one site factor being
+    multiplied into it stay within the dense budget; both buffers are reused
+    across sites and chunks."""
+    b, index, core = factor.sites, factor.index, factor.core
+    d, r, e = b.shape[0], b.shape[1], index.shape[1]
+    pairs = np.einsum("xr,ys->rsxy", b, b.conj()).reshape(r * r, d * d)
+    s = pairs @ vectors.conj().T                                # S, (R·R, G)
+    out = np.empty((len(vectors), core.shape[1]), dtype=complex)
+    step = min(len(vectors), dense_budget_rows(2 * e * e))
+    q_buf, term_buf = np.empty((2, e * e, step), dtype=complex)
+    for lo in range(0, len(vectors), step):
+        hi = min(lo + step, len(vectors))
+        q, term = q_buf[:, :hi - lo], term_buf[:, :hi - lo]
+        # every index is in range; mode="clip" only lets take write in place
+        for i, ix in enumerate(index):
+            np.take(s[:, lo:hi], (ix[:, None] * r + ix).ravel(), axis=0,
+                    out=term if i else q, mode="clip")
+            if i:
+                q *= term
+        out[lo:hi] = q.T @ core
     return out
 
 

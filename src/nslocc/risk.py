@@ -152,13 +152,9 @@ def tomography_task(priors: list[float], states: list, n: int,
 # risk observables
 # ---------------------------------------------------------------------------
 
-def symmetrized_risk_observable(s: Operator, n: int,
-                                normalization: str = "average") -> Operator:
-    """S̄ on (Y1, R1, ..., Yn, Rn): the per-round score, averaged or summed.
-
-    The average convention makes risks comparable across n (score per test
-    round); `normalization="sum"` keeps the raw sum for cross-checks.
-    """
+def symmetrized_risk_observable(s: Operator, n: int) -> Operator:
+    """S̄ on (Y1, R1, ..., Yn, Rn): the per-round score averaged over rounds,
+    which makes risks comparable across n (score per test round)."""
     d_y = s.shape.dim_of("Y1")
     d_r = s.shape.dim_of("R1")
     factors = []
@@ -169,11 +165,7 @@ def symmetrized_risk_observable(s: Operator, n: int,
     for i in range(1, n + 1):
         term = embed(s.relabel({"Y1": f"Y{i}", "R1": f"R{i}"}), full)
         total = term if total is None else total + term
-    if normalization == "average":
-        return (1.0 / n) * total
-    if normalization == "sum":
-        return total
-    raise TensorError(f"unknown normalization {normalization!r}")
+    return (1.0 / n) * total
 
 
 def r_operator(task: LearningTask) -> Operator:

@@ -37,6 +37,12 @@ def check_dense_budget(side: int, what: str) -> None:
             f"over the {DENSE_BYTES_BUDGET / 2 ** 20:.0f} MiB budget")
 
 
+def dense_budget_rows(row_items: int) -> int:
+    """How many rows of row_items complex entries fit in DENSE_BYTES_BUDGET
+    (at least one): the chunk size for work done a block of rows at a time."""
+    return max(1, DENSE_BYTES_BUDGET // (16 * row_items))
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Ordered list of (label, dim) factors of a tensor-product space."""
@@ -142,9 +148,6 @@ class Operator:
             raise TensorError(
                 f"factorization mismatch: {self.shape.factors} vs {other.shape.factors}"
             )
-
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     def hermitize(self, tol: float = HERM_TOL) -> "Operator":
         """Symmetrize (M+M†)/2; error if the anti-Hermitian part exceeds tol."""

@@ -12,6 +12,7 @@ from nslocc.channels import (
     choi_of_kraus,
     is_cptp,
 )
+from nslocc.classical import ClassicalProtocol, ClassifierMixture
 from nslocc.definetti import SymmetricExtension
 from nslocc.tensor_core import (
     Factorization,
@@ -59,6 +60,27 @@ def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
     prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
     out = partial_trace(prod, channel.input_labels)
     return channel.d_in * out
+
+
+def product_protocol(maps: list[np.ndarray], n: int) -> ClassicalProtocol:
+    """P(y|a,x) = prod_i q_a(y_i|x_i) from per-a stochastic maps (ny, nx)."""
+    na = len(maps)
+    ny, nx = maps[0].shape
+    table = np.zeros((na,) + (nx,) * n + (ny,) * n)
+    for a, q in enumerate(maps):
+        for xs in itertools.product(range(nx), repeat=n):
+            for ys in itertools.product(range(ny), repeat=n):
+                table[(a,) + xs + ys] = np.prod([q[y, x] for x, y in zip(xs, ys)])
+    return ClassicalProtocol(table, na, nx, ny, n)
+
+
+def mixture_to_stochastic(mix: ClassifierMixture) -> np.ndarray:
+    """q(y|x) of a classifier mixture as an (ny, nx) column-stochastic matrix."""
+    q = np.zeros((mix.ny, mix.nx))
+    for f, w in zip(mix.functions, mix.weights):
+        for x, y in enumerate(f):
+            q[y, x] += w
+    return q
 
 
 def random_density(rng, d: int) -> np.ndarray:
@@ -237,11 +259,35 @@ def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricEx
     w = np.clip(w, 0, None)
     keep = w > w[-1] * len(w) * np.finfo(float).eps if floor else w >= 0
     root = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T
-    order = [0, n + 1] + [ax for i in range(n) for ax in (1 + i, n + 2 + i)]
-    psi = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n).transpose(order)
-    psi = psi.reshape(d_a * d_a, (d * d) ** n)
+    psi = _paired(root, d_a, d, n)
     return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
                               purified=True, psi=psi / np.linalg.norm(psi))
+
+
+def _paired(root: np.ndarray, d_a: int, d: int, n: int) -> np.ndarray:
+    """vec of a matrix on (A, B1..Bn) with each factor paired with its mirror:
+    rows (a, a'), columns (b1 b1')..(bn bn')."""
+    order = [0, n + 1] + [ax for i in range(n) for ax in (1 + i, n + 2 + i)]
+    psi = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n).transpose(order)
+    return psi.reshape(d_a * d_a, (d * d) ** n)
+
+
+def extension_psi(ext: SymmetricExtension) -> np.ndarray:
+    """The dense state matrix of an extension: its `psi`, or for the product
+    storage vec(L N L†), paired, materialized from the core:
+    L N L† = sum_{e,e'} T[(e,e')] ⊗ b_e^{⊗n} (b_e'^{⊗n})† with b_e^{⊗n} the
+    site product e."""
+    if ext.psi is not None:
+        return ext.psi
+    f, n, d_a, d = ext.product, ext.n, ext.d_a, ext.site_keep_dim
+    e = f.index.shape[1]
+    prods = np.ones((1, e))
+    for ix in f.index:
+        prods = (prods[:, None, :] * f.sites[:, ix]).reshape(-1, e)   # (d^i, E)
+    t = (prods @ f.core.reshape(e, -1)).reshape(-1, e, d_a, d_a)      # x e' a a'
+    root = t.transpose(0, 2, 3, 1) @ prods.conj().T                    # x a a' y
+    root = root.transpose(1, 0, 2, 3).reshape(d_a * d ** n, d_a * d ** n)
+    return _paired(root, d_a, d, n)
 
 
 def unprimed_state(ext: SymmetricExtension) -> np.ndarray:

@@ -12,13 +12,14 @@ from nslocc.classical import (
     decompose_classifier_mixture,
     is_nonsignalling_classical,
     lemma1_pipeline,
-    product_protocol,
     random_nonsignalling_protocol,
     reconstruct_protocol,
     round_marginal,
     single_round_map,
     symmetrize_classical,
 )
+
+from conftest import mixture_to_stochastic, product_protocol
 
 
 def deterministic_protocol(na, nx, ny, n, f):
@@ -97,7 +98,7 @@ def test_decompose_exact_product_measure():
     got = dict(zip(mix.functions, mix.weights))
     for f, w in expect.items():
         assert np.isclose(got[f], w)
-    back = mix.to_stochastic()
+    back = mixture_to_stochastic(mix)
     assert np.allclose(back, q)
 
 
@@ -108,7 +109,7 @@ def test_decompose_reconstruct_roundtrip(seed, nx, ny):
     q = rng.dirichlet(np.ones(ny), size=nx).T  # columns sum to 1
     mix = decompose_classifier_mixture(q)
     assert np.isclose(sum(mix.weights), 1.0)
-    assert np.allclose(mix.to_stochastic(), q, atol=1e-12)
+    assert np.allclose(mixture_to_stochastic(mix), q, atol=1e-12)
 
 
 def test_reconstruct_is_iid_and_ns():

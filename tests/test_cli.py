@@ -251,10 +251,33 @@ def test_repeated_value_exits_2_naming_flag_and_value(tmp_path, capsys, argv, me
 
 
 def test_oversized_dense_work_exits_2_before_it_is_built(monkeypatch, tmp_path, capsys):
-    # a budget just below the n = 2 Choi state (side 64): n = 1 runs, n = 2 is refused
-    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64 - 1)
+    # a budget just below the n = 2 purification core (side E·d_A = 8·4 = 32):
+    # n = 1 runs, n = 2 is refused
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 32 * 32 - 1)
     out = tmp_path / "gap.csv"
     assert main(["risk-gap", "--n", "1,2", "--grid", "haar:0:10", "--out", str(out)]) == 2
-    assert ("error: purify_product_mixture needs a dense 64 x 64 operator"
+    assert ("error: purify_product_mixture needs a dense 32 x 32 operator"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_risk_gap_builds_nothing_of_the_choi_side(monkeypatch, tmp_path):
+    # a budget below side 256: the n = 4 Choi state (side 1024), √ω and ψ
+    # could not be built, but the purification core (side 128) and the Gram
+    # matrix (side 64) fit
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 256 * 256 - 1)
+    out = tmp_path / "gap.csv"
+    assert main(["risk-gap", "--n", "4", "--grid", "haar:0:50", "--out", str(out)]) == 0
+    assert out.read_text().startswith("n,risk_collective")
+
+
+def test_risk_gap_runs_past_the_old_dense_cap(tmp_path):
+    out = tmp_path / "gap.csv"
+    assert main(["risk-gap", "--n", "6", "--grid", "haar:0:50", "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    assert header == "n,risk_collective,risk_locc,gap,bound,grid_residual,seed"
+    assert [line.split(",")[0] for line in lines] == ["6"]
+    for line in lines:
+        rc, rl, gap = (float(x) for x in line.split(",")[1:4])
+        assert 0.0 <= rc <= 1.0 and 0.0 <= rl <= 1.0
+        assert gap == pytest.approx(abs(rc - rl), abs=1e-9)

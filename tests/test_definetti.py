@@ -9,7 +9,6 @@ from nslocc.definetti import (
     definetti_bound,
     extension_from_measure_and_prepare,
     extract_measure,
-    grid_from_json,
     grid_from_name,
     purify_extension,
     subspace_residual,
@@ -111,14 +110,6 @@ def test_haar_grid_without_points_is_refused():
 def test_design_grid_refuses_extra_points():
     with pytest.raises(TensorError, match="haar"):
         grid_from_name("design", 2, 2, include=np.eye(2, dtype=complex))
-
-
-def test_grid_json_roundtrip():
-    g = build_grid(2, 2, mode="haar", seed=5, count=50)
-    back = grid_from_json(g.to_json())
-    assert np.allclose(back.vectors, g.vectors)
-    assert np.allclose(back.weights, g.weights)
-    assert back.d_eff == g.d_eff and back.n == g.n
 
 
 def test_purify_extension_reduces_back(rng):

@@ -13,7 +13,13 @@ from nslocc.channels import (
     random_nonsignalling_choi,
     symmetrize_channel,
 )
-from nslocc.definetti import build_grid, extract_measure, purify_extension
+from nslocc.definetti import (
+    _block_overlaps,
+    build_grid,
+    extract_measure,
+    grid_from_name,
+    purify_extension,
+)
 from nslocc.locc import (
     LoccProtocol,
     build_locc_protocol,
@@ -30,6 +36,7 @@ from nslocc.locc import (
 from nslocc.tensor_core import Operator, TensorError, op, op_norm, partial_trace, trace_norm
 
 from conftest import (
+    extension_psi,
     loop_marginal_choi,
     oracle_tp_repair,
     random_density,
@@ -255,19 +262,30 @@ def test_protocol_rejects_a_choi_state_without_unit_trace():
 def structured_case(rng, case, n):
     """A measure-and-prepare channel: rank-2 real K_j and phi_j as risk-gap
     runs ("classifier"), rank-1 complex K_j with rank-2 complex phi_j
-    ("complex"), or d_A = 1, one outcome and a unitary's pure phi ("pure")."""
+    ("complex"), three full-rank complex K_j on A = C² with rank-2 complex
+    phi_j, whose factor has more columns than omega's side at n = 1, so its
+    Gram matrix is singular ("overcomplete"), or d_A = 1, one outcome and a
+    unitary's pure phi ("pure")."""
     if case == "classifier":
         from nslocc.cli import _classification_family
         _, _, povm, preps = _classification_family(0.6)
     elif case == "complex":
         povm, preps = random_measure_prepare(rng, 2, 2, 2, rank=2)
+    elif case == "overcomplete":
+        g = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        g = g @ g.conj().transpose(0, 2, 1)
+        w, v = np.linalg.eigh(g.sum(axis=0))
+        root = (v / np.sqrt(w)) @ v.conj().T                # (sum_j g_j)^{-1/2}
+        povm = [op(root @ x @ root, ("A", 2)) for x in g]
+        preps = [partial_trace(choi_of_kraus(random_kraus(rng, 2, 2, count=2), 2, 2).omega,
+                               ["X1", "Y1"]) for _ in range(3)]
     else:
         u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         povm, preps = [op(np.eye(1), ("A", 1))], [choi_of_kraus([u], 2, 2).omega]
     return MeasurePrepareChannel.of(povm, preps, n)
 
 
-@pytest.mark.parametrize("case", ["classifier", "complex", "pure"])
+@pytest.mark.parametrize("case", ["classifier", "complex", "overcomplete", "pure"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structured_purification_is_the_dense_one(rng, case, n):
     q = structured_case(rng, case, n)
@@ -275,9 +293,22 @@ def test_structured_purification_is_the_dense_one(rng, case, n):
     want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
     assert (got.d_a, got.site_dim, got.purified) == (want.d_a, want.site_dim, want.purified)
     assert got.purified == (case != "pure")
-    assert np.abs(got.psi - want.psi).max() <= 1e-12
+    assert np.abs(extension_psi(got) - want.psi).max() <= 1e-12
     assert 0.0 <= got.dropped_mass <= 1e-13
     assert abs(got.dropped_mass - want.dropped_mass) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["classifier", "complex", "overcomplete", "pure"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structured_overlaps_are_the_dense_ones(rng, case, n):
+    # a mixed channel keeps its product factor: neither √ω nor ψ is built
+    q = structured_case(rng, case, n)
+    got = purify_channel(q)
+    want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
+    assert (got.product is None) == (case == "pure") == (got.psi is not None)
+    grid = grid_from_name("haar:3:60", want.site_dim, n)
+    assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
+    assert np.abs(got.block_marginal() - want.block_marginal()).max() <= 1e-13
 
 
 def test_structured_purification_counts_the_mass_its_floors_drop():
@@ -288,4 +319,4 @@ def test_structured_purification_counts_the_mass_its_floors_drop():
     got = purify_channel(q)
     assert got.dropped_mass == pytest.approx(3e-17, rel=1e-9)
     want = purify_extension(choi_pairs_to_sites(q.dense()))
-    assert np.abs(got.psi - want.psi).max() <= 1e-12
+    assert np.abs(extension_psi(got) - want.psi).max() <= 1e-12

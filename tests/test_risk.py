@@ -34,6 +34,7 @@ from nslocc.risk import (
     tomography_task,
 )
 from nslocc.tensor_core import (
+    HERM_TOL,
     Operator,
     TensorError,
     op,
@@ -134,15 +135,17 @@ def test_symmetrized_observable_permutation_invariant():
 
 def test_symmetrized_observable_sum_vs_average():
     t = two_state_task(np.pi / 3, n=1)
-    avg = symmetrized_risk_observable(t.s, 2, normalization="average")
-    tot = symmetrized_risk_observable(t.s, 2, normalization="sum")
-    assert np.allclose(tot.matrix, 2 * avg.matrix)
+    avg = symmetrized_risk_observable(t.s, 2)
+    # the raw sum S ⊗ 1 + 1 ⊗ S on (Y1, R1, Y2, R2)
+    eye = np.eye(t.s.dim)
+    tot = np.kron(t.s.matrix, eye) + np.kron(eye, t.s.matrix)
+    assert np.allclose(tot, 2 * avg.matrix)
 
 
 def test_r_operator_hermitian_and_bounded():
     t = two_state_task(np.pi / 4, n=2)
     r = r_operator(t)
-    assert r.is_hermitian()
+    assert np.abs(r.matrix - r.matrix.conj().T).max() <= HERM_TOL
     assert op_norm(r) <= op_norm(t.s) + 1e-12
 
 
@@ -223,7 +226,7 @@ def test_dense_stages_refuse_work_over_the_budget(monkeypatch, stage):
     rho0, rho1, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, 2)               # side 64
     task = classification_task([0.5, 0.5], [rho0, rho1], n=2)  # direct side 256
-    structured = MeasurePrepareChannel.of(povm, preps, 2)
+    structured = MeasurePrepareChannel.of(povm, preps, 3)   # core side 64
     calls = {"symmetrize_channel": lambda: symmetrize_channel(q),
              "purify_extension": lambda: purify_extension(choi_pairs_to_sites(q)),
              "purify_product_mixture": lambda: purify_channel(structured),
