@@ -162,33 +162,6 @@ def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Op
     return MeasurePrepareChannel.of(povm, preparations, n).dense()
 
 
-def measure_and_prepare_marginal(povm: np.ndarray, chois: np.ndarray,
-                                 d_x: int, d_y: int) -> ChoiChannel:
-    """Single-round Choi state sum_j M_j^T/d_A ⊗ phi_j on (A, X1, Y1) of a POVM
-    stack (K, d_A, d_A) and a single-round Choi stack (K, d_X·d_Y, d_X·d_Y)."""
-    d_a = povm.shape[1]
-    total = np.einsum("kba,kij->aibj", povm, chois) / d_a
-    fac = choi_factorization(d_a, d_x, d_y, 1)
-    return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
-
-
-def check_outcome_stacks(povm: np.ndarray, chois: np.ndarray, d_x: int, d_y: int) -> None:
-    """Raise TensorError unless povm is a (K, d_A, d_A) stack summing to the
-    identity and chois a (K, d_X·d_Y, d_X·d_Y) stack of unit-trace matrices."""
-    pair = d_x * d_y
-    if (povm.ndim != 3 or povm.shape[1] != povm.shape[2]
-            or chois.shape != (len(povm), pair, pair)):
-        raise TensorError(
-            f"need povm (K, d_a, d_a) and single-round chois (K, {pair}, {pair}) stacks, "
-            f"got {povm.shape} and {chois.shape}")
-    dev = float(np.abs(povm.sum(axis=0) - np.eye(povm.shape[1])).max())
-    if dev > 1e-7:
-        raise TensorError(f"POVM completeness violated by {dev:.3e}")
-    trace_dev = float(np.abs(np.einsum("kii->k", chois).real - 1.0).max())
-    if trace_dev > 1e-7:
-        raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
-
-
 @dataclass(frozen=True)
 class MeasurePrepareChannel:
     """Structured backend of a measure-and-prepare channel (A, X^n) -> Y^n.
@@ -198,7 +171,11 @@ class MeasurePrepareChannel:
     (K, d_X·d_Y, d_X·d_Y) of the channels' single-round Choi states on
     (X1, Y1), never as its Choi state omega = sum_j M_j^T/d_A ⊗ phi_j^{⊗n}, whose side
     d_A·(d_X·d_Y)^n grows with n.  It is non-signalling and invariant under
-    round permutations by construction; `dense()` builds omega.
+    round permutations by construction; `dense()` builds omega.  The
+    constructor checks that it is CPTP: a complete POVM of PSD elements and
+    PSD, unit-trace, trace-preserving preparations.  `provenance` records how
+    a channel was built (the reduction's diagnostics); it does not take part
+    in comparisons.
     """
 
     povm: np.ndarray = field(repr=False)
@@ -206,15 +183,28 @@ class MeasurePrepareChannel:
     d_x: int
     d_y: int
     n: int
+    provenance: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        check_outcome_stacks(self.povm, self.chois, self.d_x, self.d_y)
-        for what, stack in (("POVM element", self.povm), ("preparation", self.chois)):
+        pair = self.d_x * self.d_y
+        povm, chois = self.povm, self.chois
+        if (povm.ndim != 3 or povm.shape[1] != povm.shape[2]
+                or chois.shape != (len(povm), pair, pair)):
+            raise TensorError(
+                f"need povm (K, d_a, d_a) and single-round chois (K, {pair}, {pair}) "
+                f"stacks, got {povm.shape} and {chois.shape}")
+        dev = float(np.abs(povm.sum(axis=0) - np.eye(povm.shape[1])).max())
+        if dev > 1e-7:
+            raise TensorError(f"POVM completeness violated by {dev:.3e}")
+        trace_dev = float(np.abs(np.einsum("kii->k", chois).real - 1.0).max())
+        if trace_dev > 1e-7:
+            raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
+        for what, stack in (("POVM element", povm), ("preparation", chois)):
             low = float(eigh_herm(stack, vectors=False, check=True).min())
             if low < -PSD_TOL:
                 raise TensorError(f"{what} is not PSD (min eigenvalue {low:.3e})")
         # trace preservation, which makes the channel non-signalling
-        t = self.chois.reshape(-1, self.d_x, self.d_y, self.d_x, self.d_y)
+        t = chois.reshape(-1, self.d_x, self.d_y, self.d_x, self.d_y)
         tp_dev = float(np.abs(np.einsum("kxyzy->kxz", t) - np.eye(self.d_x) / self.d_x).max())
         if tp_dev > 1e-7:
             raise TensorError(f"preparation input marginal off 1/d_X by {tp_dev:.3e}")
@@ -376,10 +366,12 @@ def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel, k: int) -> Ch
     if not 1 <= k <= n:
         raise TensorError(f"k must be in 1..{n}, got {k}")
     if isinstance(channel, MeasurePrepareChannel):
-        if k == 1:
-            return measure_and_prepare_marginal(channel.povm, channel.chois,
-                                                channel.d_x, channel.d_y)
-        return replace(channel, n=k).dense()
+        if k > 1:
+            return replace(channel, n=k).dense()
+        d_a, d_x, d_y = channel.d_a, channel.d_x, channel.d_y
+        total = np.einsum("kba,kij->aibj", channel.povm, channel.chois) / d_a
+        fac = choi_factorization(d_a, d_x, d_y, 1)
+        return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
     if k == n:
         return channel
     res = reduction_residual(channel, k)

@@ -129,8 +129,7 @@ def single_round_map(p: ClassicalProtocol, a: int) -> np.ndarray:
     is averaged over contexts to spread residual numerical noise.
     """
     m = round_marginal(p, 0)  # (a, x_1..x_n, y_1)
-    m = np.moveaxis(m[a], 0, 0)
-    flat = m.reshape(p.nx, -1, p.ny)
+    flat = m[a].reshape(p.nx, -1, p.ny)
     return flat.mean(axis=1).T  # (ny, nx)
 
 

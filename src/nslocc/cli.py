@@ -192,8 +192,8 @@ def _verify_checks(seed: int) -> list[dict]:
     # de Finetti k=0 identity on a small branch extension
     sigma = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
-    ext = branch_extension([(sigma, site)], n=4)
-    grid = build_grid(4, 4, mode="haar", seed=seed, count=1200)
+    ext = branch_extension(sigma[None], site[None], n=4)
+    grid = build_grid(4, 4, f"haar:{seed}:1200")
     ap = extract_measure(ext, grid)
     checks.append(_check("definetti_k0_identity", ap.povm_deficit,
                          ap.grid_residual + 1e-8))
@@ -278,8 +278,8 @@ def cmd_definetti(cfg: dict) -> int:
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
     rows = []
     for n in sorted(ns):
-        ext = branch_extension([(sigma, site)], n=n)
-        grid = build_grid(4, n, mode="haar", seed=seed, count=count)
+        ext = branch_extension(sigma[None], site[None], n=n)
+        grid = build_grid(4, n, f"haar:{seed}:{count}")
         ap = extract_measure(ext, grid)
         for k in sorted(ks):
             if k == 0:

@@ -311,27 +311,23 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
                               dropped_mass=dropped + float(lam[~keep].sum()))
 
 
-def branch_extension(parts: list[tuple[Operator | np.ndarray, Operator | np.ndarray]],
-                     n: int) -> SymmetricExtension:
+def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> SymmetricExtension:
     """Structured symmetric extension of sum_j K_j ⊗ phi_j^{⊗n}.
 
-    Each part (K_j PSD on A, phi_j site state) becomes one branch with
-    purified site vector chi_j = vec(sqrt(phi_j)); an orthogonal flag
-    register keeps the branches incoherent.  Requires sum_j tr K_j = 1 so
-    the extension is a unit vector.  Nothing of size site_dim**n is ever
-    materialized, so this scales to n in the hundreds.
+    `blocks` (J, d_a, d_a) holds the K_j, PSD on A, and `sites` (J, d, d)
+    the site states phi_j, the stacks `purify_product_mixture` takes.  Each
+    pair becomes one branch with purified site vector chi_j =
+    vec(sqrt(phi_j)); an orthogonal flag register keeps the branches
+    incoherent.  Requires sum_j tr K_j = 1 so the extension is a unit
+    vector.  Nothing of size site_dim**n is ever materialized, so this
+    scales to n in the hundreds.
     """
-    blocks = [k.matrix if isinstance(k, Operator) else np.asarray(k, complex)
-              for k, _ in parts]
-    preps = [p.matrix if isinstance(p, Operator) else np.asarray(p, complex)
-             for _, p in parts]
-    d_a = blocks[0].shape[0]
-    d_site = preps[0].shape[0]
-    mass = sum(np.trace(k).real for k in blocks)
+    d_a, d_site = blocks.shape[1], sites.shape[1]
+    mass = np.einsum("jii->", blocks).real
     if abs(mass - 1.0) > 1e-8:
         raise TensorError(f"branch blocks have total trace {mass}, need 1")
     branches = []
-    for k_j, p_j in zip(blocks, preps):
+    for k_j, p_j in zip(blocks, sites):
         w, v = eigh_herm(p_j)
         root = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
         chi = root.reshape(-1)  # (b, b') pairing, row index unprimed
@@ -342,22 +338,6 @@ def branch_extension(parts: list[tuple[Operator | np.ndarray, Operator | np.ndar
     return SymmetricExtension(n=n, d_a=d_a, site_dim=d_site * d_site,
                               site_keep_dim=d_site, purified=True,
                               branches=tuple(branches))
-
-
-def extension_from_measure_and_prepare(povm: list[Operator] | list[np.ndarray],
-                                       preparations: list[Operator] | list[np.ndarray],
-                                       n: int) -> SymmetricExtension:
-    """Branch extension of sum_j (M_j^T/d_A) ⊗ phi_j^{⊗n} for a POVM {M_j}."""
-    mats = [m.matrix if isinstance(m, Operator) else np.asarray(m, complex)
-            for m in povm]
-    if len(mats) != len(preparations):
-        raise TensorError("need one preparation per POVM outcome")
-    d_a = mats[0].shape[0]
-    total = sum(mats)
-    if np.abs(total - np.eye(d_a)).max() > 1e-8:
-        raise TensorError("POVM does not sum to the identity")
-    parts = [(m.T / d_a, p) for m, p in zip(mats, preparations)]
-    return branch_extension(parts, n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +378,17 @@ def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
     return float(trace_norm(t - np.eye(d_big)))
 
 
-def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
-               count: int | None = None,
+def build_grid(d_eff: int, n: int, name: str,
                include: np.ndarray | None = None) -> MeasureGrid:
-    """Build a weighted grid of pure states on C^{d_eff}.
+    """The weighted grid of pure states on C^{d_eff} that `name` picks, one
+    of GRID_GRAMMAR; the grid's mode is its name.
 
-    haar mode: `count` unit vectors from the unitarily invariant measure
-    (normalized complex Gaussians), equal weights.  design mode (d_eff = 2
-    only): a product quadrature grid, Gauss-Legendre in the polar coordinate
-    times a uniform azimuth, which integrates every matrix element of
-    phi^{⊗n}(phi^{⊗n})† exactly, so the grid reproduces the symmetric
-    projector to machine precision at any n.
+    `haar:SEED:COUNT`: COUNT unit vectors from the unitarily invariant
+    measure (normalized complex Gaussians drawn with seed SEED), equal
+    weights.  `design` (d_eff = 2 only): a product quadrature grid,
+    Gauss-Legendre in the polar coordinate times a uniform azimuth, which
+    integrates every matrix element of phi^{⊗n}(phi^{⊗n})† exactly, so the
+    grid reproduces the symmetric projector to machine precision at any n.
 
     `include` appends extra unit vectors to a haar grid (weights stay
     uniform across all points; a design grid refuses them); use it to place
@@ -421,7 +401,7 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
     consumers substitute a subspace surrogate certified on the contracted
     state.
     """
-    if mode == "design":
+    if name == "design":
         if d_eff != 2:
             raise TensorError(f"design grids are only constructed for d_eff=2, "
                               f"got {d_eff}")
@@ -440,12 +420,15 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
         vectors = np.asarray(vecs, complex)
         weights = np.asarray(ws, float)
         weights = weights / weights.sum()
-        mode_tag = "design"
-    elif mode == "haar":
-        if count is None or count < 1:
+    else:
+        match = _HAAR_NAME.fullmatch(name) if isinstance(name, str) else None
+        if match is None:
+            raise TensorError(f"bad grid name {name!r}; grid names are {GRID_GRAMMAR}")
+        count = int(match[2])
+        if count < 1:
             raise TensorError(f"a haar grid needs at least 1 point, got {count}; "
                               f"grid names are {GRID_GRAMMAR}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(int(match[1]))
         g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
         vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
         if include is not None and len(include):
@@ -453,27 +436,11 @@ def build_grid(d_eff: int, n: int, mode: str = "haar", seed: int | None = None,
             extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
             vectors = np.vstack([vectors, extra])
         weights = np.full(vectors.shape[0], 1.0 / vectors.shape[0])
-        mode_tag = f"haar:{seed}:{count}"
-    else:
-        raise TensorError(f"unknown grid mode {mode!r}")
 
     residual = None
     if d_eff ** n <= DENSE_RESIDUAL_BUDGET:
         residual = _dense_resolution_residual(vectors, weights, n, d_eff)
-    return MeasureGrid(vectors, weights, d_eff, n, mode_tag, residual)
-
-
-def grid_from_name(name: str, d_eff: int, n: int,
-                   include: np.ndarray | None = None) -> MeasureGrid:
-    """The grid a name picks: `design`, or `haar:SEED:COUNT` with `include`
-    appended; the grid's mode is the name."""
-    if name == "design":
-        return build_grid(d_eff, n, mode="design", include=include)
-    match = _HAAR_NAME.fullmatch(name) if isinstance(name, str) else None
-    if match is None:
-        raise TensorError(f"bad grid name {name!r}; grid names are {GRID_GRAMMAR}")
-    return build_grid(d_eff, n, mode="haar", seed=int(match[1]),
-                      count=int(match[2]), include=include)
+    return MeasureGrid(vectors, weights, d_eff, n, name, residual)
 
 
 # ---------------------------------------------------------------------------

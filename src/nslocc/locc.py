@@ -3,33 +3,34 @@
 The pipeline: symmetrize a non-signalling channel, purify its Choi state,
 resolve it over a grid of product states, repair each extracted factor state
 into a trace-preserving channel, and assemble a POVM on the side register
-whose outcomes select which repaired channel to apply to every round.
-Each stage carries explicit diagnostics (repair distances, concentration of
-the input marginals, grid residuals) and the loose desk-scale rate bound is
-always reported alongside the measured gap, never asserted alone.
+whose outcomes select which repaired channel to apply to every round.  The
+protocol is a `MeasurePrepareChannel` whose provenance records the
+reduction's diagnostics (grid residual, repaired and fallback counts, POVM
+rescale and slack, purification's dropped mass).  The concentration of the
+input marginals is a separate diagnostic, `concentration_report`, which the
+reduction does not run.  The loose desk-scale rate bound is always reported
+alongside the measured gap, never asserted alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
     ChoiChannel,
     MeasurePrepareChannel,
-    check_outcome_stacks,
     choi_factorization,
     is_nonsignalling,
-    measure_and_prepare_marginal,
     symmetrize_channel,
 )
 from .definetti import (
     DEFAULT_GRID,
     DeFinettiApprox,
     SymmetricExtension,
+    build_grid,
     extract_measure,
-    grid_from_name,
     purify_extension,
     purify_product_mixture,
 )
@@ -214,38 +215,6 @@ def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
 # protocol assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoccProtocol:
-    """Measure-then-apply protocol: POVM on A, one channel per outcome.
-
-    Stored as stacks with one slice per outcome k: `povm` of shape
-    (K, d_A, d_A) holds the POVM elements and `chois` of shape
-    (K, d_X·d_Y, d_X·d_Y) the single-round Choi states (factors X1, Y1) of
-    the channels they select.
-    """
-
-    povm: np.ndarray = field(repr=False)
-    chois: np.ndarray = field(repr=False)
-    d_x: int
-    d_y: int
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_outcome_stacks(self.povm, self.chois, self.d_x, self.d_y)
-
-    @property
-    def d_a(self) -> int:
-        return self.povm.shape[1]
-
-    def to_choi(self, n: int) -> ChoiChannel:
-        """Dense n-round Choi state of the protocol (small n only)."""
-        return MeasurePrepareChannel(self.povm, self.chois, self.d_x, self.d_y, n).dense()
-
-    def marginal_choi(self) -> Operator:
-        """Single-round Choi state on (A, X1, Y1) of the symmetrized protocol."""
-        return measure_and_prepare_marginal(self.povm, self.chois, self.d_x, self.d_y).omega
-
-
 def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
     """Choi state of the channel that outputs 1/d_Y whatever it is fed."""
     fac = choi_factorization(1, d_x, d_y, 1)
@@ -255,7 +224,7 @@ def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
 
 def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
                         grid_spec: str = DEFAULT_GRID,
-                        include_points: np.ndarray | None = None) -> LoccProtocol:
+                        include_points: np.ndarray | None = None) -> MeasurePrepareChannel:
     """Run the full reduction on a non-signalling channel.
 
     Stages: symmetrize, purify, grid, extract, per-point trace-preserving
@@ -264,9 +233,11 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     explicit slack element.  When the discretized POVM overshoots the
     identity beyond tolerance the whole family is rescaled by the smallest
     factor restoring feasibility; the factor is recorded in provenance
-    rather than silently absorbed.
+    rather than silently absorbed.  The result is the protocol as a
+    measure-and-prepare channel on q's n rounds, which its constructor
+    checks to be CPTP.
 
-    grid_spec names the grid (see `definetti.grid_from_name`);
+    grid_spec names the grid (see `definetti.build_grid`);
     `include_points` are appended to a haar grid.
     """
     d_a, d_x, d_y, n = q.d_a, q.d_x, q.d_y, q.n
@@ -277,14 +248,12 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
             "the reduction only applies to non-signalling channels")
 
     extension = purify_channel(symmetrize_channel(q))
-    grid = grid_from_name(grid_spec, extension.site_dim, n, include_points)
+    grid = build_grid(extension.site_dim, n, grid_spec, include_points)
     approx = extract_measure(extension, grid)
 
     delta = 4.0 * (d_x * d_y) ** 2 / n
-    report = concentration_report(approx, EPSILON, delta, d_x, d_y)
-    e1 = report.e1.matrix
-
-    _, taus = _input_marginals(approx, d_x, d_y)
+    weights, taus = _input_marginals(approx, d_x, d_y)
+    e1 = np.tensordot(weights, taus, axes=(0, 0))
     lowest = eigh_herm(taus, vectors=False, check=True)[:, 0]
     repair = (lowest > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
     repaired = int(repair.sum())
@@ -297,22 +266,16 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
         chois[g] = tp_repair(approx.phis[g], d_x, d_y)
 
     povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
-    total = povm_raw.sum(axis=0)
     rescale = 1.0
-    top = float(eigh_herm(total, vectors=False).max())
-    slack = np.eye(d_a) - total
+    slack = np.eye(d_a) - povm_raw.sum(axis=0)
     if float(eigh_herm(slack, vectors=False).min()) < -SLACK_TOL:
         # grid overshoot: shrink the whole family to restore feasibility
-        rescale = 1.0 / top
+        rescale = 1.0 / float(eigh_herm(povm_raw.sum(axis=0), vectors=False).max())
         povm_raw = rescale * povm_raw
         slack = np.eye(d_a) - povm_raw.sum(axis=0)
-    w, v = eigh_herm(slack)
-    slack = (v * np.clip(w, 0, None)) @ v.conj().T
-    slack_mass = float(np.trace(slack).real) / d_a
-    # final completeness polish: distribute any residual mismatch over the
-    # slack element (clipping can leave ~1e-9 crumbs)
-    slack = slack + (np.eye(d_a) - (povm_raw.sum(axis=0) + slack))
-
+    # the slack element completes the POVM exactly; eigenvalues down to
+    # -SLACK_TOL are rounding and count for no mass
+    slack_mass = float(np.clip(eigh_herm(slack, vectors=False), 0, None).sum()) / d_a
     povm = np.concatenate([povm_raw, slack[None]])
 
     provenance = {
@@ -328,8 +291,7 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
         "povm_deficit": approx.povm_deficit,
         "dropped_mass": extension.dropped_mass,
     }
-    return LoccProtocol(povm=povm, chois=chois, d_x=d_x, d_y=d_y,
-                        provenance=provenance)
+    return MeasurePrepareChannel(povm, chois, d_x, d_y, n, provenance)
 
 
 def theorem1_bound(d_a: int, d_x: int, d_y: int, n: int,

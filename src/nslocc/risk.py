@@ -11,12 +11,13 @@ symmetrized Choi state contracted with a precomputed R-operator (any n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channels import ChoiChannel, MeasurePrepareChannel, marginal_channel, symmetrize_channel
 from .definetti import DEFAULT_GRID
-from .locc import LoccProtocol, build_locc_protocol, theorem1_bound
+from .locc import build_locc_protocol, theorem1_bound
 from .tensor_core import (
     Factorization,
     Operator,
@@ -72,6 +73,11 @@ class LearningTask:
     @property
     def d_r(self) -> int:
         return self.rho_xr.shape.dim_of("R1")
+
+    @cached_property
+    def r_kernel(self) -> Operator:
+        """The task's single-round risk kernel `r_operator`, built once."""
+        return r_operator(self)
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -191,11 +197,7 @@ def r_operator(task: LearningTask) -> Operator:
 
 def _risk_marginal(q: ChoiChannel | MeasurePrepareChannel,
                    task: LearningTask) -> float:
-    q_bar = symmetrize_channel(q) if q.n > 1 else q
-    omega_1 = marginal_channel(q_bar, 1)
-    r = r_operator(task)
-    val = np.trace(omega_1.omega.matrix @ r.matrix)
-    return float((task.d_a * task.d_x * val).real)
+    return protocol_risk(symmetrize_channel(q) if q.n > 1 else q, task)
 
 
 def _risk_direct(q: ChoiChannel | MeasurePrepareChannel,
@@ -248,11 +250,13 @@ def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
     raise TensorError(f"unknown path {path!r}")
 
 
-def protocol_risk(protocol: LoccProtocol, task: LearningTask) -> float:
-    """Expected risk of a measure-then-apply protocol via its round marginal."""
-    omega_1 = protocol.marginal_choi()
-    r = r_operator(task)
-    val = np.trace(omega_1.matrix @ r.matrix)
+def protocol_risk(channel: ChoiChannel | MeasurePrepareChannel,
+                  task: LearningTask) -> float:
+    """Expected risk of a permutation-invariant channel, such as a
+    measure-then-apply protocol: its single-round marginal contracted
+    against the task's R-operator."""
+    omega_1 = marginal_channel(channel, 1)
+    val = np.trace(omega_1.omega.matrix @ task.r_kernel.matrix)
     return float((task.d_a * task.d_x * val).real)
 
 
@@ -278,7 +282,7 @@ def risk_gap_experiment(task: LearningTask,
     risk_q = expected_risk(q, task, path="marginal")
     protocol = build_locc_protocol(q, grid_spec=grid_spec)
     risk_p = protocol_risk(protocol, task)
-    r_inf = op_norm(r_operator(task))
+    r_inf = op_norm(task.r_kernel)
     bound = theorem1_bound(task.d_a, task.d_x, task.d_y, task.n, r_inf)
     return RiskReport(
         risk_collective=risk_q, risk_locc=risk_p,

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from nslocc.channels import (
+    MeasurePrepareChannel,
     choi_of_global_kraus,
     choi_of_kraus,
     is_cptp,
@@ -26,7 +27,7 @@ from nslocc.classical import (
     random_nonsignalling_protocol,
 )
 from nslocc.cli import main as cli_main
-from nslocc.definetti import extension_from_measure_and_prepare, extract_measure
+from nslocc.definetti import branch_extension, build_grid, extract_measure
 from nslocc.locc import (
     build_locc_protocol,
     concentration_report,
@@ -202,12 +203,12 @@ def test_criterion_6_definetti_residual():
     povm = [np.outer(v, v.conj()), np.eye(2) - np.outer(v, v.conj())]
     preps = [choi_of_kraus(random_kraus(rng, 2, 2, count=2), 2, 2).omega
              for _ in range(2)]
+    q = MeasurePrepareChannel.of([op(m, ("A", 2)) for m in povm], preps, 1)
     details = []
     ok = True
     for n in (8, 16, 32):
-        ext = extension_from_measure_and_prepare(povm, preps, n=n)
-        from nslocc.definetti import build_grid
-        grid = build_grid(ext.site_dim, n, mode="haar", seed=6, count=5000)
+        ext = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
+        grid = build_grid(ext.site_dim, n, "haar:6:5000")
         approx = extract_measure(ext, grid)
         delta = 4.0 * (2 * 2) ** 2 / n
         rep = concentration_report(approx, epsilon=0.2, delta=delta,
@@ -267,7 +268,7 @@ def test_criterion_7_locc_reconstruction():
                                 include_points=include)
     risk_p = protocol_risk(proto, task)
     gap = abs(risk_q - risk_p)
-    rebuilt = proto.to_choi(n)
+    rebuilt = proto.dense()
     cptp = is_cptp(rebuilt)
     cptp_dev = max(cptp.psd_violation, cptp.tp_violation)
     ns_dev = is_nonsignalling(rebuilt).max_residual

@@ -263,6 +263,20 @@ def _broken_stacks(case):
         chois[1] = np.diag([0.5, 0.5, 0.0, 0.0])   # input marginal diag(1, 0)
     elif case == "stack-shapes":
         chois = chois[:1]
+    elif case == "not-single-round-1-2":   # the Choi state of a 2-round channel
+        dim = choi_factorization(1, 2, 2, 2).dim
+        povm, chois = np.eye(2)[None], np.eye(dim)[None] / dim
+    elif case == "not-single-round-2-1":   # one with a side register
+        dim = choi_factorization(2, 2, 2, 1).dim
+        povm, chois = np.eye(2)[None], np.eye(dim)[None] / dim
+    elif case == "choi-side-not-dx-dy":
+        povm, chois = np.eye(2)[None], np.eye(6)[None] / 6
+    elif case == "one-choi-too-many":
+        povm, chois = np.eye(2)[None], np.stack([np.eye(4) / 4] * 2)
+    elif case == "povm-not-a-stack":
+        povm, chois = np.eye(2), np.eye(4)[None] / 4
+    elif case == "choi-not-unit-trace":
+        chois = np.stack([np.eye(4) / 4, np.eye(4) / 2])
     return povm, chois
 
 
@@ -273,6 +287,12 @@ def _broken_stacks(case):
     ("preparation-trace", "Choi state trace off 1"),
     ("preparation-not-tp", "input marginal"),
     ("stack-shapes", "stacks"),
+    ("not-single-round-1-2", "single-round"),
+    ("not-single-round-2-1", "single-round"),
+    ("choi-side-not-dx-dy", "stacks"),
+    ("one-choi-too-many", "stacks"),
+    ("povm-not-a-stack", "stacks"),
+    ("choi-not-unit-trace", "trace"),
 ])
 def test_measure_prepare_rejects_invalid_stacks(case, message):
     MeasurePrepareChannel(*_broken_stacks(None), 2, 2, 2)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from nslocc.channels import choi_of_kraus, measure_and_prepare_choi
+from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_prepare_choi
 from nslocc.definetti import (
     approx_error,
     branch_extension,
     build_grid,
     definetti_bound,
-    extension_from_measure_and_prepare,
     extract_measure,
-    grid_from_name,
     purify_extension,
     subspace_residual,
 )
@@ -51,7 +49,7 @@ def symmetric_test_state(rng, d_a, d, n):
 
 def test_design_grid_resolves_symmetric_projector():
     for n in range(1, 7):
-        g = build_grid(2, n, mode="design")
+        g = build_grid(2, n, "design")
         assert g.resolution_residual is not None
         assert g.resolution_residual <= 1e-12
         assert oracle_resolution_residual(g.vectors, g.weights, n, 2) <= 1e-12
@@ -59,13 +57,13 @@ def test_design_grid_resolves_symmetric_projector():
 
 @pytest.mark.parametrize("n, d", [(1, 16), (2, 16), (2, 4), (3, 4)])
 def test_dicke_residual_matches_the_dense_oracle(n, d):
-    g = build_grid(d, n, mode="haar", seed=n * d, count=300)
+    g = build_grid(d, n, f"haar:{n * d}:300")
     want = oracle_resolution_residual(g.vectors, g.weights, n, d)
     assert g.resolution_residual == pytest.approx(want, rel=1e-12)
 
 
 def test_design_grid_n1_resolves_identity():
-    g = build_grid(2, 1, mode="design")
+    g = build_grid(2, 1, "design")
     acc = np.zeros((2, 2), dtype=complex)
     for v, w in zip(g.vectors, g.weights):
         acc += 2 * w * np.outer(v, v.conj())
@@ -73,23 +71,25 @@ def test_design_grid_n1_resolves_identity():
 
 
 def test_haar_grid_residual_decreases_with_count():
-    g1 = build_grid(2, 2, mode="haar", seed=0, count=200)
-    g2 = build_grid(2, 2, mode="haar", seed=0, count=4000)
+    g1 = build_grid(2, 2, "haar:0:200")
+    g2 = build_grid(2, 2, "haar:0:4000")
     assert g2.resolution_residual < g1.resolution_residual
 
 
 @pytest.mark.parametrize("name, d_eff", [("design", 2), ("haar:7:30", 4),
                                          ("haar:0:1", 4)])
 def test_grid_mode_is_the_name_it_was_built_from(name, d_eff):
-    assert grid_from_name(name, d_eff, 2).mode == name
+    assert build_grid(d_eff, 2, name).mode == name
 
 
 def test_named_haar_grid_matches_build_grid_with_extra_points():
     extra = np.eye(4, dtype=complex)[:2]
-    got = grid_from_name("haar:7:30", 4, 2, include=extra)
-    want = build_grid(4, 2, mode="haar", seed=7, count=30, include=extra)
+    got = build_grid(4, 2, "haar:7:30", include=extra)
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
     assert got.count == 32
-    assert np.array_equal(got.vectors, want.vectors)
+    assert np.array_equal(got.vectors[:30], g / np.linalg.norm(g, axis=1, keepdims=True))
+    assert np.array_equal(got.vectors[30:], extra)
 
 
 @pytest.mark.parametrize("name", ["auto", "haar", "haar:3", "haar:03:30", "haar:-1:30",
@@ -97,19 +97,17 @@ def test_named_haar_grid_matches_build_grid_with_extra_points():
                                   {"mode": "haar", "seed": 0, "count": 30}])
 def test_grid_names_outside_the_grammar_are_refused(name):
     with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
-        grid_from_name(name, 4, 2)
+        build_grid(4, 2, name)
 
 
 def test_haar_grid_without_points_is_refused():
     with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
-        build_grid(4, 2, mode="haar", seed=0, count=0)
-    with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
-        grid_from_name("haar:0:0", 4, 2)
+        build_grid(4, 2, "haar:0:0")
 
 
 def test_design_grid_refuses_extra_points():
     with pytest.raises(TensorError, match="haar"):
-        grid_from_name("design", 2, 2, include=np.eye(2, dtype=complex))
+        build_grid(2, 2, "design", include=np.eye(2, dtype=complex))
 
 
 def test_purify_extension_reduces_back(rng):
@@ -188,7 +186,7 @@ def test_purify_extension_names_the_broken_transposition(rng):
 
 def test_branch_extension_requires_unit_mass():
     with pytest.raises(TensorError):
-        branch_extension([(np.eye(2), np.eye(2) / 2)], n=2)
+        branch_extension(np.eye(2)[None], np.eye(2)[None] / 2, n=2)
 
 
 def test_branch_extraction_matches_dense(rng):
@@ -200,14 +198,14 @@ def test_branch_extraction_matches_dense(rng):
     povm = [np.outer(v, v.conj()), np.eye(2) - np.outer(v, v.conj())]
     preps = [choi_of_kraus(random_kraus(rng, 2, 2, count=1), 2, 2).omega
              for _ in range(2)]
-    ext_b = extension_from_measure_and_prepare(povm, preps, n=n)
+    q = MeasurePrepareChannel.of([op(m, ("A", 2)) for m in povm], preps, n)
+    ext_b = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
 
-    q = measure_and_prepare_choi([op(m, ("A", 2)) for m in povm], preps, n=n)
     from nslocc.locc import choi_pairs_to_sites
-    sites = choi_pairs_to_sites(q)
+    sites = choi_pairs_to_sites(q.dense())
     ext_d = purify_extension(sites)
 
-    grid = build_grid(ext_b.site_dim, n, mode="haar", seed=2, count=300)
+    grid = build_grid(ext_b.site_dim, n, "haar:2:300")
     ma = extract_measure(ext_b, grid)
     md = extract_measure(ext_d, grid)
     assert np.allclose(ma.ms, md.ms, atol=1e-8)
@@ -243,12 +241,13 @@ def test_stacked_extraction_matches_per_point_loop(rng):
         vec = np.kron(vec, site)
     pure = op(np.outer(vec, vec.conj()), ("A", d_a), *((f"B{i}", 2) for i in range(1, n + 1)))
     parts = [(random_density(rng, d_a) * w, random_density(rng, 2)) for w in (0.3, 0.7)]
-    exts = [branch_extension(parts, n=5),
+    exts = [branch_extension(np.stack([k for k, _ in parts]),
+                             np.stack([p for _, p in parts]), n=5),
             purify_extension(mixed),   # doubled sites
             purify_extension(pure)]    # plain sites
     assert [e.purified for e in exts] == [True, True, False]
     for ext in exts:
-        grid = build_grid(ext.site_dim, ext.n, mode="haar", seed=7, count=150)
+        grid = build_grid(ext.site_dim, ext.n, "haar:7:150")
         approx = extract_measure(ext, grid)
         ms, phis = per_point_measure(ext, grid)
         assert approx.ms.shape == (grid.count, d_a, d_a)
@@ -271,8 +270,7 @@ def test_approx_error_k2_matches_kron_loop(rng):
     n, d_a = 3, 2
     omega, _ = symmetric_test_state(rng, d_a, 2, n)
     ext = purify_extension(omega)
-    approx = extract_measure(ext, build_grid(ext.site_dim, n, mode="haar",
-                                             seed=8, count=200))
+    approx = extract_measure(ext, build_grid(ext.site_dim, n, "haar:8:200"))
     omega_2 = partial_trace(omega, ["A", "B1", "B2"])
     acc = sum(np.kron(np.kron(m, p), p) for m, p in zip(approx.ms, approx.phis))
     assert abs(approx_error(omega_2, approx, 2)
@@ -283,7 +281,7 @@ def test_extract_measure_k1_error_within_grid_budget(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
     ext = purify_extension(omega)
-    grid = build_grid(ext.site_dim, n, mode="haar", seed=1, count=2500)
+    grid = build_grid(ext.site_dim, n, "haar:1:2500")
     approx = extract_measure(ext, grid)
     omega_1 = partial_trace(omega, ["A", "B1"])
     err = approx_error(omega_1, approx, 1)
@@ -294,7 +292,7 @@ def test_approx_error_monotone_in_k(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
     ext = purify_extension(omega)
-    grid = build_grid(ext.site_dim, n, mode="haar", seed=3, count=2000)
+    grid = build_grid(ext.site_dim, n, "haar:3:2000")
     approx = extract_measure(ext, grid)
     errs = [approx_error(partial_trace(
         omega, ["A"] + [f"B{i}" for i in range(1, k + 1)]), approx, k)
@@ -309,8 +307,9 @@ def test_povm_deficit_bounded_by_residual(rng):
     povm = [np.outer(v, v.conj()), np.eye(2) - np.outer(v, v.conj())]
     preps = [choi_of_kraus(random_kraus(rng, 2, 2, count=1), 2, 2).omega
              for _ in range(2)]
-    ext = extension_from_measure_and_prepare(povm, preps, n=n)
-    grid = build_grid(ext.site_dim, n, mode="haar", seed=4, count=1500)
+    q = MeasurePrepareChannel.of([op(m, ("A", 2)) for m in povm], preps, n)
+    ext = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
+    grid = build_grid(ext.site_dim, n, "haar:4:1500")
     approx = extract_measure(ext, grid)
     assert approx.povm_deficit <= approx.grid_residual + 1e-8
 
@@ -319,7 +318,7 @@ def test_subspace_residual_nonnegative(rng):
     n = 3
     omega, _ = symmetric_test_state(rng, 2, 2, n)
     ext = purify_extension(omega)
-    grid = build_grid(ext.site_dim, n, mode="haar", seed=6, count=500)
+    grid = build_grid(ext.site_dim, n, "haar:6:500")
     r = subspace_residual(ext, grid)
     assert r >= 0.0
 

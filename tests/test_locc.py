@@ -10,6 +10,7 @@ from nslocc.channels import (
     choi_of_kraus,
     is_cptp,
     is_nonsignalling,
+    marginal_channel,
     random_nonsignalling_choi,
     symmetrize_channel,
 )
@@ -17,11 +18,9 @@ from nslocc.definetti import (
     _block_overlaps,
     build_grid,
     extract_measure,
-    grid_from_name,
     purify_extension,
 )
 from nslocc.locc import (
-    LoccProtocol,
     build_locc_protocol,
     choi_pairs_to_sites,
     concentration_report,
@@ -53,8 +52,7 @@ def random_pair_state(rng, d_x, d_y):
 def measure_of(q, seed, count):
     """The de Finetti measure build_locc_protocol extracts on a haar grid."""
     ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
-    return extract_measure(ext, build_grid(ext.site_dim, q.n, mode="haar",
-                                           seed=seed, count=count))
+    return extract_measure(ext, build_grid(ext.site_dim, q.n, f"haar:{seed}:{count}"))
 
 
 def pair_marginal(phi, d_x, d_y):
@@ -161,13 +159,15 @@ def test_build_protocol_rejects_signalling_input(rng):
 def test_build_protocol_output_is_valid(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
     proto = build_locc_protocol(q, "haar:1:400")
+    assert isinstance(proto, MeasurePrepareChannel)
+    assert (proto.d_a, proto.d_x, proto.d_y, proto.n) == (2, 2, 2, 2)
     assert proto.provenance["grid_mode"] == "haar:1:400"
     assert np.allclose(proto.povm.sum(axis=0), np.eye(2), atol=1e-7)
     assert proto.chois.shape == (len(proto.povm), 4, 4)
     for c in proto.chois:
         rep = is_cptp(ChoiChannel(Operator(c, choi_factorization(1, 2, 2, 1)), 1, 2, 2, 1))
         assert rep.ok, rep
-    rebuilt = proto.to_choi(2)
+    rebuilt = proto.dense()
     assert is_cptp(rebuilt).ok
     assert is_nonsignalling(rebuilt).ok
     for key in ("epsilon", "delta", "grid_residual", "povm_rescale"):
@@ -229,34 +229,21 @@ def test_protocol_assembled_from_stacked_measure():
 def test_marginal_choi_matches_per_outcome_loop():
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
     proto = build_locc_protocol(q, grid_spec="haar:1:400")
-    got = proto.marginal_choi()
+    got = marginal_channel(proto, 1).omega
     assert got.labels == ("A", "X1", "Y1")
     assert np.abs(got.matrix - loop_marginal_choi(proto)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("d_a, n", [(1, 2), (2, 1)])
-def test_protocol_rejects_channels_that_are_not_single_round(d_a, n):
-    dim = choi_factorization(d_a, 2, 2, n).dim
-    with pytest.raises(TensorError, match="single-round"):
-        LoccProtocol(povm=np.eye(2)[None], chois=np.eye(dim)[None] / dim, d_x=2, d_y=2)
-
-
-@pytest.mark.parametrize("povm, chois", [
-    (np.eye(2)[None], np.eye(6)[None] / 6),
-    (np.eye(2)[None], np.stack([np.eye(4) / 4] * 2)),
-    (np.eye(2), np.eye(4)[None] / 4),
-], ids=["choi-side-not-dx-dy", "one-choi-too-many", "povm-not-a-stack"])
-def test_protocol_rejects_a_wrong_stack_shape(povm, chois):
-    with pytest.raises(TensorError, match="stacks"):
-        LoccProtocol(povm=povm, chois=chois, d_x=2, d_y=2)
-
-
-def test_protocol_rejects_a_choi_state_without_unit_trace():
-    povm = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    chois = np.stack([np.eye(4) / 4, np.eye(4) / 2])
-    with pytest.raises(TensorError, match="trace"):
-        LoccProtocol(povm=povm, chois=chois, d_x=2, d_y=2)
-    LoccProtocol(povm=povm, chois=np.stack([np.eye(4) / 4] * 2), d_x=2, d_y=2)
+@pytest.mark.parametrize("n, grid, rescaled", [(1, "haar:0:10", True),
+                                               (2, "haar:1:400", False)])
+def test_slack_element_completes_the_povm(n, grid, rescaled):
+    q = random_nonsignalling_choi(2, 2, 2, n, seed=11)
+    proto = build_locc_protocol(q, grid)
+    assert (proto.provenance["povm_rescale"] < 1.0) == rescaled
+    *elements, slack = proto.povm
+    assert np.abs(slack - (np.eye(2) - sum(elements))).max() <= 1e-15
+    lam = np.linalg.eigvalsh(slack)
+    assert abs(proto.provenance["slack_mass"] - np.clip(lam, 0, None).sum() / 2) <= 1e-15
 
 
 def structured_case(rng, case, n):
@@ -306,7 +293,7 @@ def test_structured_overlaps_are_the_dense_ones(rng, case, n):
     got = purify_channel(q)
     want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
     assert (got.product is None) == (case == "pure") == (got.psi is not None)
-    grid = grid_from_name("haar:3:60", want.site_dim, n)
+    grid = build_grid(want.site_dim, n, "haar:3:60")
     assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
     assert np.abs(got.block_marginal() - want.block_marginal()).max() <= 1e-13
 

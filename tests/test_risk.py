@@ -7,6 +7,7 @@ from nslocc.channels import (
     MeasurePrepareChannel,
     choi_factorization,
     choi_of_kraus,
+    marginal_channel,
     measure_and_prepare_choi,
     product_channel,
     random_nonsignalling_choi,
@@ -15,7 +16,6 @@ from nslocc.channels import (
 from nslocc.cli import _classification_family
 from nslocc.definetti import purify_extension
 from nslocc.locc import (
-    LoccProtocol,
     build_locc_protocol,
     choi_pairs_to_sites,
     purify_channel,
@@ -207,14 +207,17 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
         avg = dense_symmetrize(ch.omega.matrix, ch.d_a, ch.d_x * ch.d_y, ch.n)
         return ChoiChannel(Operator(avg, ch.omega.shape), ch.d_a, ch.d_x, ch.d_y, ch.n)
 
-    def loop_marginal(protocol):
-        fac = choi_factorization(protocol.d_a, protocol.d_x, protocol.d_y, 1)
-        return Operator(loop_marginal_choi(protocol), fac)
+    def loop_marginal(channel, k):
+        if not isinstance(channel, MeasurePrepareChannel):
+            return marginal_channel(channel, k)
+        fac = choi_factorization(channel.d_a, channel.d_x, channel.d_y, 1)
+        return ChoiChannel(Operator(loop_marginal_choi(channel), fac),
+                           channel.d_a, channel.d_x, channel.d_y, 1)
 
     monkeypatch.setattr(locc, "symmetrize_channel", dense_symmetrize_channel)
     monkeypatch.setattr(risk, "symmetrize_channel", dense_symmetrize_channel)
     monkeypatch.setattr(definetti, "_dense_resolution_residual", oracle_resolution_residual)
-    monkeypatch.setattr(LoccProtocol, "marginal_choi", loop_marginal)
+    monkeypatch.setattr(risk, "marginal_channel", loop_marginal)
     slow = risk_gap_experiment(task, q, grid_spec="haar:0:200")
     for key in ("risk_collective", "risk_locc", "gap", "grid_residual"):
         assert getattr(fast, key) == pytest.approx(getattr(slow, key), rel=1e-9, abs=1e-12)
@@ -248,3 +251,28 @@ def test_structured_risk_gap_matches_the_dense_channel(n):
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), key
     assert expected_risk(structured, task, path="both") == pytest.approx(
         expected_risk(dense, task, path="both"), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_protocol_is_a_channel_whose_risk_paths_agree(n):
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+    proto = build_locc_protocol(MeasurePrepareChannel.of(povm, preps, n), "haar:0:200")
+    assert isinstance(proto, MeasurePrepareChannel) and proto.n == n
+    want = protocol_risk(proto, task)
+    assert expected_risk(proto, task, "both") == pytest.approx(want, rel=0, abs=1e-12)
+    assert expected_risk(proto, task, "direct") == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_risk_gap_experiment_builds_the_r_operator_once(monkeypatch):
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=2)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return r_operator(t)
+
+    monkeypatch.setattr(risk, "r_operator", counted)
+    risk_gap_experiment(task, MeasurePrepareChannel.of(povm, preps, 2), "haar:0:200")
+    assert len(calls) == 1 and calls[0] is task
