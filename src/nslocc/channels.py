@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor_core import (
+    PSD_TOL,
     SYMMETRIZE_MAX_N,
     Factorization,
     Operator,
@@ -31,20 +32,19 @@ from .tensor_core import (
     check_dense_budget,
     eigh_herm,
     embed,
-    identity,
     op_norm,
     partial_trace,
     partial_transpose,
     permute_factors,
     symmetrize_sites,
-    tensor_all,
     trace_norm,
 )
 
 NS_TOL = 1e-8
 REDUCTION_TOL = 1e-6  # largest reduction_residual marginal_channel accepts
 TP_TOL = 1e-8
-PSD_TOL = 1e-8
+SAMPLER_MAX_ITER = 5000  # sweeps random_nonsignalling_choi may take
+SAMPLER_TOL = 1e-9       # the largest entry move of a converged sweep
 
 
 def _round_labels(n: int) -> list[str]:
@@ -86,10 +86,6 @@ class ChoiChannel:
         return self.d_a * self.d_x ** self.n
 
     @property
-    def d_out(self) -> int:
-        return self.d_y ** self.n
-
-    @property
     def input_labels(self) -> list[str]:
         return ["A"] + [f"X{i}" for i in range(1, self.n + 1)]
 
@@ -108,15 +104,14 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], d_x: int, d_y: int) -> ChoiChanne
 
 
 def choi_of_global_kraus(kraus: Sequence[np.ndarray], d_x: int, d_y: int,
-                         n: int = 1, d_a: int = 1) -> ChoiChannel:
-    """Choi state of an arbitrary joint channel (A, X^n) -> Y^n.
+                         n: int) -> ChoiChannel:
+    """Choi state of an arbitrary joint channel X^n -> Y^n, with a trivial
+    side register (d_a = 1).
 
-    Kraus operators map C^{d_a * d_x^n} (ordered A, X1..Xn) to C^{d_y^n}
-    (ordered Y1..Yn).  The identity register 1_A on the output side is kept
-    implicitly: the channel is only required to be CPTP on its stated spaces
-    and the Choi factors for A pair input with input.
+    Kraus operators map C^{d_x^n} (ordered X1..Xn) to C^{d_y^n} (ordered
+    Y1..Yn).
     """
-    d_in = d_a * d_x ** n
+    d_in = d_x ** n
     d_out = d_y ** n
     m = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
     for k in kraus:
@@ -126,28 +121,12 @@ def choi_of_global_kraus(kraus: Sequence[np.ndarray], d_x: int, d_y: int,
         vec = k.T.reshape(-1)  # |i>_in |K i>_out stacked as (in, out)
         m += np.outer(vec, vec.conj())
     m /= d_in
-    fac_flat = Factorization.of(("IN", d_in), ("OUT", d_out))
-    omega_flat = Operator(m, fac_flat)
-    # expand IN -> (A, X1..Xn), OUT -> (Y1..Yn), then interleave rounds
-    fac_full = Factorization.of(
-        ("A", d_a), *((f"X{i}", d_x) for i in range(1, n + 1)),
+    # split IN into (A, X1..Xn) and OUT into (Y1..Yn), then interleave rounds
+    fac_block = Factorization.of(
+        ("A", 1), *((f"X{i}", d_x) for i in range(1, n + 1)),
         *((f"Y{i}", d_y) for i in range(1, n + 1)))
-    omega_block = Operator(omega_flat.matrix, fac_full)
-    order = ["A"] + _round_labels(n)
-    omega = permute_factors(omega_block, order)
-    return ChoiChannel(omega, d_a, d_x, d_y, n)
-
-
-def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
-    """n-fold tensor power of a single-round channel (trivial A)."""
-    if single.n != 1 or single.d_a != 1:
-        raise TensorError("product_channel expects a single-round channel with d_a=1")
-    parts = [identity(Factorization.of(("A", 1)))]
-    for i in range(1, n + 1):
-        parts.append(single.omega.relabel({"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
-    omega = tensor_all(parts)
-    omega = partial_trace(omega, set(["A"] + _round_labels(n)))
-    return ChoiChannel(omega, 1, single.d_x, single.d_y, n)
+    omega = permute_factors(Operator(m, fac_block), ["A"] + _round_labels(n))
+    return ChoiChannel(omega, 1, d_x, d_y, n)
 
 
 def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Operator],
@@ -212,12 +191,9 @@ class MeasurePrepareChannel:
     @classmethod
     def of(cls, povm: Sequence[Operator], preparations: Sequence[Operator],
            n: int) -> "MeasurePrepareChannel":
-        """From POVM elements on A and single-round Choi states on (X1, Y1); a
-        preparation that also carries an A factor has it traced out."""
+        """From POVM elements on A and single-round Choi states on (X1, Y1)."""
         if len(povm) != len(preparations):
             raise TensorError("need one preparation per POVM outcome")
-        preparations = [partial_trace(p, ["X1", "Y1"]) if "A" in p.labels else p
-                        for p in preparations]
         shape = preparations[0].shape
         return cls(np.stack([m.matrix for m in povm]),
                    np.stack([p.matrix for p in preparations]),
@@ -452,32 +428,32 @@ def _project_psd_trace(m: np.ndarray) -> np.ndarray:
 
 
 def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
-                              seed: int | None = None,
-                              max_iter: int = 5000,
-                              tol: float = 1e-9) -> ChoiChannel:
+                              seed: int | None = None) -> ChoiChannel:
     """Random non-signalling channel by Dykstra-style alternating projections.
 
     From a Wishart-random density matrix, each sweep projects orthogonally onto
     the affine set of _project_tp and the n non-signalling subspaces (these need
     no Dykstra correction: it would lie in the orthogonal complement of the
     set's direction), then applies _project_psd_trace with one, until no entry
-    moves by tol and is_cptp and is_nonsignalling pass.  The PSD step is not a
-    Euclidean projection, so the result is in general not the intersection's
-    point nearest the start.
+    moves by SAMPLER_TOL and is_cptp and is_nonsignalling pass, for at most
+    SAMPLER_MAX_ITER sweeps.  The PSD step is not a Euclidean projection, so
+    the result is in general not the intersection's point nearest the start.
+    A Choi state over the dense budget is refused before it is drawn.
     """
-    rng = np.random.default_rng(seed)
     dims = (d_a, d_x, d_y, n)
     fac = choi_factorization(*dims)
+    check_dense_budget(fac.dim, "random_nonsignalling_choi")
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((fac.dim,) * 2) + 1j * rng.standard_normal((fac.dim,) * 2)
     m = g @ g.conj().T
     m /= np.trace(m).real
     correction = np.zeros_like(m)
-    for _ in range(max_iter):
+    for _ in range(SAMPLER_MAX_ITER):
         prev = m
         y = _project_nonsignalling(_project_tp(m, d_a * d_x ** n, d_y ** n), dims) + correction
         m = _project_psd_trace(y)
         correction = y - m
-        if np.abs(m - prev).max() < tol:
+        if np.abs(m - prev).max() < SAMPLER_TOL:
             ch = ChoiChannel(Operator(m, fac), *dims)
             if is_cptp(ch).ok and is_nonsignalling(ch).ok:
                 return ch

@@ -21,6 +21,8 @@ from .tensor_core import SYMMETRIZE_MAX_N, symmetrize_sites
 
 NS_TOL = 1e-10
 MAX_FUNCTIONS = 10 ** 6
+SAMPLER_MAX_ITER = 3000  # sweeps random_nonsignalling_protocol may take
+SAMPLER_TOL = 1e-12      # the largest entry move of a converged sweep
 
 
 class ClassicalError(ValueError):
@@ -157,15 +159,13 @@ def decompose_classifier_mixture(q: np.ndarray) -> ClassifierMixture:
     return ClassifierMixture(tuple(functions), np.asarray(weights), nx, ny)
 
 
-def reconstruct_protocol(mix_per_a: list[ClassifierMixture] | dict,
+def reconstruct_protocol(mix_per_a: list[ClassifierMixture],
                          n: int) -> ClassicalProtocol:
     """i.i.d. protocol from per-a classifier mixtures.
 
     P(y_{1:n}|a, x_{1:n}) = sum_f mu_a(f) prod_i delta_{y_i, f(x_i)};
     non-signalling by construction.
     """
-    if isinstance(mix_per_a, dict):
-        mix_per_a = [mix_per_a[a] for a in sorted(mix_per_a)]
     na = len(mix_per_a)
     nx, ny = mix_per_a[0].nx, mix_per_a[0].ny
     table = np.zeros((na,) + (nx,) * n + (ny,) * n)
@@ -183,19 +183,15 @@ def reconstruct_protocol(mix_per_a: list[ClassifierMixture] | dict,
 # risk
 # ---------------------------------------------------------------------------
 
-def classical_expected_risk(p: ClassicalProtocol, dist: np.ndarray, a: int,
-                            score: np.ndarray | None = None) -> float:
-    """Average per-round score of protocol outputs against reference labels.
+def classical_expected_risk(p: ClassicalProtocol, dist: np.ndarray, a: int) -> float:
+    """Average per-round 0-1 loss of protocol outputs against reference labels.
 
-    dist is the joint test pmf over (x, y_ref) of shape (nx, ny); score
-    defaults to the 0-1 loss s[y, y_ref] = 1 - delta.  Evaluated by exact
-    enumeration over all round tuples.
+    dist is the joint test pmf over (x, y_ref) of shape (nx, ny).  Evaluated
+    by exact enumeration over all round tuples.
     """
     dist = np.asarray(dist, float)
     if abs(dist.sum() - 1.0) > 1e-9:
         raise ClassicalError("test distribution must sum to 1")
-    if score is None:
-        score = 1.0 - np.eye(p.ny)
     total = 0.0
     for xs in itertools.product(range(p.nx), repeat=p.n):
         for yrefs in itertools.product(range(p.ny), repeat=p.n):
@@ -207,7 +203,7 @@ def classical_expected_risk(p: ClassicalProtocol, dist: np.ndarray, a: int,
                 w = block[ys]
                 if w == 0.0:
                     continue
-                s = sum(score[y, yr] for y, yr in zip(ys, yrefs)) / p.n
+                s = sum(y != yr for y, yr in zip(ys, yrefs)) / p.n
                 total += p_in * w * s
     return float(total)
 
@@ -249,14 +245,13 @@ def _project_ns_round(t: np.ndarray, i: int, ny: int, n: int) -> np.ndarray:
 
 
 def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
-                                  seed: int | None = None,
-                                  max_iter: int = 3000,
-                                  tol: float = 1e-12) -> ClassicalProtocol:
+                                  seed: int | None = None) -> ClassicalProtocol:
     """Generic non-signalling table via Dykstra alternating projections.
 
     Starts from a random positive table and projects onto: normalization,
     the n per-round non-signalling subspaces (all affine), and the
-    non-negative orthant (with a Dykstra correction).  Generic starting
+    non-negative orthant (with a Dykstra correction), until no entry moves
+    by SAMPLER_TOL or SAMPLER_MAX_ITER sweeps have run.  Generic starting
     points land on protocols that are entangled across rounds, not mere
     mixtures of products.
     """
@@ -265,7 +260,7 @@ def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
     t = rng.random(shape)
     t = _project_normalized(t, na, nx ** n, ny ** n)
     corr = np.zeros(shape)
-    for _ in range(max_iter):
+    for _ in range(SAMPLER_MAX_ITER):
         prev = t
         t = _project_normalized(t, na, nx ** n, ny ** n)
         for i in range(n):
@@ -274,7 +269,7 @@ def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
         clipped = np.clip(y, 0.0, None)
         corr = y - clipped
         t = clipped
-        if np.abs(t - prev).max() < tol:
+        if np.abs(t - prev).max() < SAMPLER_TOL:
             break
     t = np.clip(t, 0.0, None)
     t = _project_normalized(t, na, nx ** n, ny ** n)

@@ -71,6 +71,17 @@ def _load_config(args) -> dict:
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))} "
                              f"for {args.command}")
+        for key, val in cfg.items():
+            # true/false only for the store_true flag, lists of ints only for
+            # --n/--k, fractions only for --overlap: int() would truncate them
+            if key == "inject_signalling":
+                ok = isinstance(val, bool)
+            elif isinstance(val, list):
+                ok = key in ("n", "k") and all(type(v) is int for v in val)
+            else:
+                ok = type(val) in (int, str) or (key == "overlap" and type(val) is float)
+            if not ok:
+                raise ValueError(f"{key!r} cannot be {json.dumps(val)}")
     # every explicitly given flag overrides the file's value
     cfg.update((key, val) for key, val in flags.items() if val is not None)
     return cfg
@@ -84,8 +95,10 @@ def _parse_n_range(flag: str, spec) -> list[int]:
     elif isinstance(spec, list):
         values = [int(v) for v in spec]
     elif ".." in str(spec):
-        lo, hi = str(spec).split("..")
-        values = list(range(int(lo), int(hi) + 1))
+        bounds = str(spec).split("..")
+        if len(bounds) != 2:
+            raise ValueError(f"{flag} range must read LO..HI, got {spec!r}")
+        values = list(range(int(bounds[0]), int(bounds[1]) + 1))
     else:
         values = [int(v) for v in str(spec).split(",")]
     if len(set(values)) != len(values):

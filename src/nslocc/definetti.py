@@ -107,7 +107,6 @@ class SymmetricExtension:
     d_a: int
     site_dim: int
     site_keep_dim: int
-    purified: bool
     psi: np.ndarray | None = field(default=None, repr=False)
     branches: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
         default=None, repr=False)
@@ -128,9 +127,10 @@ class SymmetricExtension:
             return sum(k for k, _ in self.branches)
         if self.product is not None:
             return self.product.marginal
-        # block index = (a, a') for purified, plain a otherwise
+        # the block index is plain a for a pure source state's vector, and
+        # (a, a') for a purification
         m = self.psi @ self.psi.conj().T
-        if not self.purified and m.shape[0] == self.d_a:
+        if m.shape[0] == self.d_a:
             return m
         d = self.d_a
         return np.einsum("abcb->ac", m.reshape(d, -1, d, m.shape[0] // d))
@@ -209,7 +209,7 @@ def _pure_extension(vec: np.ndarray, d_a: int, d: int, n: int,
     mod = np.abs(psi.ravel())
     lead = psi.ravel()[np.argmax(mod > 0.5 * mod.max())]
     ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d, site_keep_dim=d,
-                             purified=False, psi=psi * (abs(lead) / lead),
+                             psi=psi * (abs(lead) / lead),
                              dropped_mass=dropped)
     _check_site_symmetry(ext.psi, n, d, 1e-7)
     return ext
@@ -225,7 +225,7 @@ def _paired_extension(root: np.ndarray, d_a: int, d: int, n: int,
         order += [1 + i, n + 2 + i]
     psi = t.transpose(order).reshape(d_a * d_a, (d * d) ** n)
     ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                             purified=True, psi=psi / np.linalg.norm(psi),
+                             psi=psi / np.linalg.norm(psi),
                              dropped_mass=dropped)
     _check_site_symmetry(ext.psi, n, d * d, 1e-7)
     return ext
@@ -307,7 +307,7 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
         sites=b_mat, index=index, core=core.reshape(e * e, d_a * d_a),
         marginal=a_mat @ ((w_k @ w_k.conj().T) * prod_gram.T) @ a_mat.conj().T / mass)
     return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                              purified=True, product=factor,
+                              product=factor,
                               dropped_mass=dropped + float(lam[~keep].sum()))
 
 
@@ -336,8 +336,7 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
             raise TensorError("preparation state has zero trace")
         branches.append((k_j, chi / nrm))
     return SymmetricExtension(n=n, d_a=d_a, site_dim=d_site * d_site,
-                              site_keep_dim=d_site, purified=True,
-                              branches=tuple(branches))
+                              site_keep_dim=d_site, branches=tuple(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +542,10 @@ def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
     b = (w * d_big)[:, None] * u
     s2 = 0.0
     vecs = grid.vectors
-    for lo in range(0, grid.count, RESIDUAL_CHUNK):
-        hi = min(lo + RESIDUAL_CHUNK, grid.count)
+    # Gram blocks of at most RESIDUAL_CHUNK rows that fit the dense budget
+    rows = min(RESIDUAL_CHUNK, dense_budget_rows(grid.count))
+    for lo in range(0, grid.count, rows):
+        hi = min(lo + rows, grid.count)
         gram = int_power(vecs[lo:hi].conj() @ vecs.T, grid.n)  # <phi_g|phi_h>^n
         inner = b[lo:hi].conj() @ b.T                          # <b_g, b_h>
         s2 += float(np.real(np.sum(gram * inner)))

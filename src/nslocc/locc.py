@@ -128,7 +128,7 @@ def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, f
 # operator Chebyshev inequality
 # ---------------------------------------------------------------------------
 
-def operator_chebyshev(samples: list[tuple[Operator | np.ndarray, float]],
+def operator_chebyshev(samples: list[tuple[np.ndarray, float]],
                        epsilon: float) -> tuple[float, float]:
     """Concentration of a finite operator-valued ensemble in operator norm.
 
@@ -136,8 +136,7 @@ def operator_chebyshev(samples: list[tuple[Operator | np.ndarray, float]],
     mass of samples with ‖X − μ‖∞ ≥ ε and bound is the operator Chebyshev
     value (d²/ε²)·‖E[X⊗X] − μ⊗μ‖∞.
     """
-    mats = [x.matrix if isinstance(x, Operator) else np.asarray(x, complex)
-            for x, _ in samples]
+    mats = [np.asarray(x, complex) for x, _ in samples]
     probs = np.asarray([p for _, p in samples], float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise TensorError(f"probabilities sum to {probs.sum()}, not 1")

@@ -80,20 +80,16 @@ class LearningTask:
         return r_operator(self)
 
 
-def _as_matrix(state) -> np.ndarray:
-    return state.matrix if isinstance(state, Operator) else np.asarray(state, complex)
-
-
-def classification_task(priors: list[float], states: list, n: int,
-                        copies: int = 1) -> LearningTask:
+def classification_task(priors: list[float], states: list[np.ndarray],
+                        n: int) -> LearningTask:
     """State classification with 0-1 loss.
 
     The test pair is sum_y p_y rho^{(y)} ⊗ |y><y|; the channel must output a
     label on a classical register of dimension len(states).  Training data is
-    the product of `copies` copies of every class state in a fixed (label =
-    position) order, the programmable-discriminator convention.
+    one copy of every class state in a fixed (label = position) order, the
+    programmable-discriminator convention.
     """
-    mats = [_as_matrix(s) for s in states]
+    mats = [np.asarray(s, complex) for s in states]
     if abs(sum(priors) - 1.0) > 1e-9:
         raise TensorError(f"priors sum to {sum(priors)}, not 1")
     d_x = mats[0].shape[0]
@@ -107,8 +103,7 @@ def classification_task(priors: list[float], states: list, n: int,
         rho_xr += p * np.kron(m, e)
     rho_a = np.array([[1.0]], dtype=complex)
     for m in mats:
-        for _ in range(copies):
-            rho_a = np.kron(rho_a, m)
+        rho_a = np.kron(rho_a, m)
     s = np.eye(labels * labels, dtype=complex)
     for y in range(labels):
         e = np.zeros((labels, labels))
@@ -125,14 +120,15 @@ def swap_matrix(d: int) -> np.ndarray:
     return permutation_matrix((1, 0), d).real
 
 
-def tomography_task(priors: list[float], states: list, n: int,
-                    copies: int = 1) -> LearningTask:
+def tomography_task(priors: list[float], states: list[np.ndarray],
+                    n: int) -> LearningTask:
     """State preparation scored by overlap: risk = 1 − tr[output · target].
 
     X is a classical register naming which target to prepare; the observable
-    1 − SWAP on Y ⊗ R evaluates the overlap with the reference copy.
+    1 − SWAP on Y ⊗ R evaluates the overlap with the reference copy.  Training
+    data is one copy of every target state.
     """
-    mats = [_as_matrix(s) for s in states]
+    mats = [np.asarray(s, complex) for s in states]
     if abs(sum(priors) - 1.0) > 1e-9:
         raise TensorError(f"priors sum to {sum(priors)}, not 1")
     d = mats[0].shape[0]
@@ -144,8 +140,7 @@ def tomography_task(priors: list[float], states: list, n: int,
         rho_xr += p * np.kron(e, m)
     rho_a = np.array([[1.0]], dtype=complex)
     for m in mats:
-        for _ in range(copies):
-            rho_a = np.kron(rho_a, m)
+        rho_a = np.kron(rho_a, m)
     s = np.eye(d * d) - swap_matrix(d)
     return LearningTask(
         rho_a=Operator(rho_a, Factorization.of(("A", rho_a.shape[0]))),

@@ -139,21 +139,18 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_shape(other)
-        return Operator(self.matrix @ other.matrix, self.shape)
-
     def _check_same_shape(self, other: "Operator"):
         if self.shape.labels != other.shape.labels or self.shape.dims != other.shape.dims:
             raise TensorError(
                 f"factorization mismatch: {self.shape.factors} vs {other.shape.factors}"
             )
 
-    def hermitize(self, tol: float = HERM_TOL) -> "Operator":
-        """Symmetrize (M+M†)/2; error if the anti-Hermitian part exceeds tol."""
+    def hermitize(self) -> "Operator":
+        """Symmetrize (M+M†)/2; error if the anti-Hermitian part exceeds HERM_TOL."""
         anti = np.abs(self.matrix - self.matrix.conj().T).max()
-        if anti > tol:
-            raise TensorError(f"operator is not Hermitian (anti part {anti:.3e} > {tol:g})")
+        if anti > HERM_TOL:
+            raise TensorError(
+                f"operator is not Hermitian (anti part {anti:.3e} > {HERM_TOL:g})")
         return Operator((self.matrix + self.matrix.conj().T) / 2, self.shape)
 
 
@@ -242,8 +239,12 @@ def permute_factors(operator: Operator, new_labels: Sequence[str]) -> Operator:
 
 
 def kron_power(stack: np.ndarray, k: int) -> np.ndarray:
-    """Batched Kronecker power: out[g] = stack[g]^{⊗k} for a (G, a, b) stack."""
-    count = stack.shape[0]
+    """Batched Kronecker power: out[g] = stack[g]^{⊗k} for a (G, a, b) stack.
+    A result over DENSE_BYTES_BUDGET is refused before it is built."""
+    count, a, b = stack.shape
+    if 16 * count * (a * b) ** k > DENSE_BYTES_BUDGET:
+        raise TensorError(f"kron_power needs {count} dense {a ** k} x {b ** k} matrices, "
+                          f"over the {DENSE_BYTES_BUDGET / 2 ** 20:.0f} MiB budget")
     out = np.ones((count, 1, 1), dtype=stack.dtype)
     for _ in range(k):
         out = np.einsum("gij,gkl->gikjl", out, stack).reshape(
@@ -301,26 +302,11 @@ def op_norm(operator: Operator | np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
-def _psd_eigs(m: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _psd_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = eigh_herm(m)
-    if w.min() < -tol:
+    if w.min() < -PSD_TOL:
         raise TensorError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     return np.clip(w, 0, None), v
-
-
-def sqrtm_psd(operator: Operator) -> Operator:
-    w, v = _psd_eigs(operator.matrix)
-    return Operator((v * np.sqrt(w)) @ v.conj().T, operator.shape)
-
-
-def fidelity(rho: Operator, sigma: Operator) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))²."""
-    for state in (rho, sigma):
-        if state.trace().real > 1 + 1e-10:
-            raise TensorError(f"state trace {state.trace().real} exceeds 1")
-    sr = sqrtm_psd(rho)
-    w = eigh_herm(sr.matrix @ sigma.matrix @ sr.matrix, vectors=False)
-    return float(np.sqrt(np.clip(w, 0, None)).sum() ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +391,13 @@ def int_power(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def symmetric_projector(n: int, d: int, prefix: str = "B",
-                        max_dim: int = 1 << 14) -> Operator:
-    """Projector onto the symmetric subspace, as the S_n average of permutations."""
-    if d ** n > max_dim:
-        raise TensorError(f"symmetric projector dim {d}^{n} exceeds budget {max_dim}")
+def symmetric_projector(n: int, d: int) -> Operator:
+    """Projector onto the symmetric subspace of the sites B1..Bn, as the S_n
+    average of permutations."""
+    if d ** n > 1 << 14:
+        raise TensorError(f"symmetric projector dim {d}^{n} exceeds budget {1 << 14}")
     total = symmetrize_sites(_site_identity(n, d), [range(n)])
-    fac = Factorization.of(*((f"{prefix}{i + 1}", d) for i in range(n)))
+    fac = Factorization.of(*((f"B{i + 1}", d) for i in range(n)))
     return Operator(total.reshape(d ** n, d ** n), fac)
 
 

@@ -8,6 +8,7 @@ from nslocc.channels import (
     ChoiChannel,
     NS_TOL,
     _project_tp,
+    _round_labels,
     choi_factorization,
     choi_of_kraus,
     is_cptp,
@@ -20,9 +21,11 @@ from nslocc.tensor_core import (
     TensorError,
     eigh_herm,
     embed,
+    identity,
     partial_trace,
     partial_transpose,
     permutation_matrix,
+    tensor_all,
     trace_norm,
 )
 
@@ -48,6 +51,18 @@ def permutation_operator(perm, site_dim: int, prefix: str = "B") -> Operator:
     """permutation_matrix(perm, site_dim) on the factors prefix1..prefixn."""
     fac = Factorization.of(*((f"{prefix}{i + 1}", site_dim) for i in range(len(perm))))
     return Operator(permutation_matrix(perm, site_dim), fac)
+
+
+def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
+    """n-fold tensor power of a single-round channel (trivial A)."""
+    if single.n != 1 or single.d_a != 1:
+        raise TensorError("product_channel expects a single-round channel with d_a=1")
+    parts = [identity(Factorization.of(("A", 1)))]
+    for i in range(1, n + 1):
+        parts.append(single.omega.relabel({"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
+    omega = tensor_all(parts)
+    omega = partial_trace(omega, set(["A"] + _round_labels(n)))
+    return ChoiChannel(omega, 1, single.d_x, single.d_y, n)
 
 
 def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
@@ -261,7 +276,7 @@ def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricEx
     root = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T
     psi = _paired(root, d_a, d, n)
     return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                              purified=True, psi=psi / np.linalg.norm(psi))
+                              psi=psi / np.linalg.norm(psi))
 
 
 def _paired(root: np.ndarray, d_a: int, d: int, n: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from nslocc.channels import (
     is_cptp,
     is_nonsignalling,
     measure_and_prepare_choi,
-    product_channel,
     random_nonsignalling_choi,
 )
 from nslocc.classical import (
@@ -42,9 +41,9 @@ from nslocc.risk import (
     expected_risk,
     protocol_risk,
 )
-from nslocc.tensor_core import op, partial_trace, sqrtm_psd, trace_norm
+from nslocc.tensor_core import op, partial_trace, trace_norm
 
-from conftest import random_density, random_kraus
+from conftest import herm_fn, product_channel, random_density, random_kraus
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -251,8 +250,8 @@ def _weak_classifier_instance(overlap=0.6, lam=0.08):
         pure = classifier(basis).matrix
         mixed = lam * pure + (1 - lam) * np.eye(4) / 4
         preps.append(op(mixed, ("X1", 2), ("Y1", 2)))
-    include = np.stack([sqrtm_psd(p).matrix.reshape(-1)
-                        / np.linalg.norm(sqrtm_psd(p).matrix.reshape(-1))
+    include = np.stack([herm_fn(p, np.sqrt).matrix.reshape(-1)
+                        / np.linalg.norm(herm_fn(p, np.sqrt).matrix.reshape(-1))
                         for p in preps])
     return rho0, rho1, povm, preps, include
 

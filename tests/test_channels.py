@@ -16,7 +16,6 @@ from nslocc.channels import (
     is_nonsignalling,
     marginal_channel,
     measure_and_prepare_choi,
-    product_channel,
     random_nonsignalling_choi,
     reduction_residual,
     symmetrize_channel,
@@ -29,6 +28,7 @@ from conftest import (
     oracle_project_ns_round,
     oracle_random_nonsignalling_choi,
     oracle_signalling_residuals,
+    product_channel,
     random_density,
     random_kraus,
     random_measure_prepare,

@@ -281,3 +281,61 @@ def test_risk_gap_runs_past_the_old_dense_cap(tmp_path):
         rc, rl, gap = (float(x) for x in line.split(",")[1:4])
         assert 0.0 <= rc <= 1.0 and 0.0 <= rl <= 1.0
         assert gap == pytest.approx(abs(rc - rl), abs=1e-9)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["definetti"], {"count": None}, "bad config: 'count' cannot be null"),
+    (["definetti"], {"seed": [1]}, "bad config: 'seed' cannot be [1]"),
+    (["risk-gap"], {"overlap": None}, "bad config: 'overlap' cannot be null"),
+    (["definetti"], {"n": True}, "bad config: 'n' cannot be true"),
+    (["definetti"], {"n": [4, None]}, "bad config: 'n' cannot be [4, null]"),
+    (["definetti"], {"count": 2.5}, "bad config: 'count' cannot be 2.5"),
+    (["verify"], {"inject_signalling": 1}, "bad config: 'inject_signalling' cannot be 1"),
+    (["risk-gap", "--n", "1..2..3"], None, "error: --n range must read LO..HI"),
+], ids=["count-null", "seed-list", "overlap-null", "n-bool", "n-list-null",
+        "count-fraction", "inject-signalling-number", "n-range-of-three"])
+def test_bad_config_value_exits_2(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-channel", "--n", "2", "--d-a", "2"],
+     "error: random_nonsignalling_choi needs a dense 32 x 32 operator"),
+    (["definetti", "--n", "16", "--count", "50", "--k", "5"],
+     "error: kron_power needs 1 dense 32 x 32 matrices, over the"),
+], ids=["gen-channel", "definetti-k"])
+def test_oversized_sampler_and_kron_power_exit_2(monkeypatch, tmp_path, capsys,
+                                                 argv, message):
+    # a budget of side 8: the n = 2, d_A = 2 Choi state (side 32) and the
+    # k = 5 product of qubit states (side 32) are refused before they are built
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subspace_residual_gram_blocks_fit_the_budget(monkeypatch, tmp_path):
+    # a budget of side 8 holds 64 complex entries: a 50-point grid takes its
+    # Gram matrix one row at a time, not as a 50 x 50 block
+    from nslocc import definetti
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
+    sizes = []
+    int_power = definetti.int_power
+
+    def recording(x, n):
+        sizes.append(x.size)
+        return int_power(x, n)
+
+    monkeypatch.setattr(definetti, "int_power", recording)
+    out = tmp_path / "out.csv"
+    assert main(["definetti", "--n", "16", "--count", "50", "--k", "0",
+                 "--out", str(out)]) == 0
+    assert sizes and max(sizes) <= 64

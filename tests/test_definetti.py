@@ -110,12 +110,24 @@ def test_design_grid_refuses_extra_points():
         build_grid(2, 2, "design", include=np.eye(2, dtype=complex))
 
 
-def test_purify_extension_reduces_back(rng):
-    n, d_a, d = 2, 2, 2
-    omega, _ = symmetric_test_state(rng, d_a, d, n)
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+@pytest.mark.parametrize("d_a", [1, 2, 3])
+def test_purify_extension_reduces_back(rng, d_a, kind):
+    # the block marginal tells the storage from the block side: d_a for a
+    # pure state's vector, d_a² for a purification (also 1 at d_a = 1)
+    n, d = 2, 2
+    if kind == "mixed":
+        omega, _ = symmetric_test_state(rng, d_a, d, n)
+    else:
+        # two A-correlated product states in superposition: pure and symmetric
+        vec = sum(np.kron(random_pure(rng, d_a), np.kron(s, s))
+                  for s in (random_pure(rng, d), random_pure(rng, d)))
+        vec /= np.linalg.norm(vec)
+        omega = op(np.outer(vec, vec.conj()), ("A", d_a), ("B1", d), ("B2", d))
     ext = purify_extension(omega)
-    assert np.allclose(ext.block_marginal(),
-                       partial_trace(omega, ["A"]).matrix, atol=1e-10)
+    assert ext.site_dim == (d if kind == "pure" else d * d)
+    want = partial_trace(omega, ["A"]).matrix
+    assert np.abs(ext.block_marginal() - want).max() <= 1e-10
 
 
 def risk_gap_state(n):
@@ -154,7 +166,7 @@ def test_purification_keeps_a_small_eigenvalue_above_the_floor(rng):
     rot = np.kron(o, o)
     omega = op(rot @ np.diag([1 - eps, 0.0, 0.0, eps]) @ rot.T, ("B1", 2), ("B2", 2))
     ext = purify_extension(omega)
-    assert ext.purified and ext.dropped_mass <= 1e-15
+    assert ext.site_dim != ext.site_keep_dim and ext.dropped_mass <= 1e-15
     back = rot.T @ unprimed_state(ext) @ rot
     assert abs(back[3, 3] - eps) <= 1e-15
     assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-15
@@ -245,7 +257,7 @@ def test_stacked_extraction_matches_per_point_loop(rng):
                              np.stack([p for _, p in parts]), n=5),
             purify_extension(mixed),   # doubled sites
             purify_extension(pure)]    # plain sites
-    assert [e.purified for e in exts] == [True, True, False]
+    assert [e.site_dim != e.site_keep_dim for e in exts] == [True, True, False]
     for ext in exts:
         grid = build_grid(ext.site_dim, ext.n, "haar:7:150")
         approx = extract_measure(ext, grid)

@@ -278,8 +278,9 @@ def test_structured_purification_is_the_dense_one(rng, case, n):
     q = structured_case(rng, case, n)
     got = purify_channel(q)
     want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
-    assert (got.d_a, got.site_dim, got.purified) == (want.d_a, want.site_dim, want.purified)
-    assert got.purified == (case != "pure")
+    assert (got.d_a, got.site_dim, got.site_keep_dim) == (want.d_a, want.site_dim,
+                                                         want.site_keep_dim)
+    assert (got.site_dim != got.site_keep_dim) == (case != "pure")
     assert np.abs(extension_psi(got) - want.psi).max() <= 1e-12
     assert 0.0 <= got.dropped_mass <= 1e-13
     assert abs(got.dropped_mass - want.dropped_mass) <= 1e-13

@@ -9,7 +9,6 @@ from nslocc.channels import (
     choi_of_kraus,
     marginal_channel,
     measure_and_prepare_choi,
-    product_channel,
     random_nonsignalling_choi,
     symmetrize_channel,
 )
@@ -39,6 +38,7 @@ from nslocc.tensor_core import (
     TensorError,
     op,
     op_norm,
+    partial_trace,
     permute_factors,
 )
 
@@ -47,6 +47,7 @@ from conftest import (
     loop_marginal_choi,
     permutation_operator,
     oracle_resolution_residual,
+    product_channel,
     random_density,
     random_kraus,
 )
@@ -167,7 +168,7 @@ def test_tomography_task_identity_channel_zero_risk():
     kraus = [np.array([[1.0, 0.0], [0.0, 0.0]]),
              np.array([[0.0, 0.0], [0.0, 1.0]])]
     q = choi_of_kraus(kraus, 2, 2)
-    q_full = measure_and_prepare_choi(povm, [q.omega], n=1)
+    q_full = measure_and_prepare_choi(povm, [partial_trace(q.omega, ["X1", "Y1"])], n=1)
     risk = expected_risk(q_full, t, path="direct")
     assert np.isclose(risk, 0.0, atol=1e-12)
 

@@ -12,7 +12,6 @@ from nslocc.tensor_core import (
     dicke_coordinates,
     eigh_herm,
     embed,
-    fidelity,
     identity,
     op,
     op_norm,
@@ -21,14 +20,13 @@ from nslocc.tensor_core import (
     partial_trace,
     partial_transpose,
     permute_factors,
-    sqrtm_psd,
     sym_dim,
     symmetric_projector,
     tensor,
     trace_norm,
 )
 
-from conftest import herm_fn, permutation_operator, random_density, random_pure
+from conftest import herm_fn, permutation_operator, random_pure
 
 
 def complex_matrix(rng, d):
@@ -120,21 +118,6 @@ def test_op_norm_submultiplicative(seed):
         <= op_norm(op(a, ("X", 3))) * op_norm(op(b, ("X", 3))) + 1e-9
 
 
-def test_fidelity_pure_states_overlap(rng):
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    w /= np.linalg.norm(w)
-    f = fidelity(op(np.outer(v, v.conj()), ("X", 3)),
-                 op(np.outer(w, w.conj()), ("X", 3)))
-    assert np.isclose(f, abs(v.conj() @ w) ** 2)
-
-
-def test_fidelity_identical_states(rng):
-    rho = op(random_density(rng, 4), ("X", 4))
-    assert np.isclose(fidelity(rho, rho), 1.0)
-
-
 def test_herm_fn_square_matches_matmul(rng):
     h = complex_matrix(rng, 4)
     h = op(h + h.conj().T, ("X", 4))
@@ -180,12 +163,6 @@ def test_eigh_herm_check_rejects_non_hermitian(rng):
     with pytest.raises(TensorError, match="not Hermitian"):
         eigh_herm(m, check=True)
     eigh_herm(m + m.conj().T, check=True)
-
-
-def test_sqrtm_squares_back(rng):
-    rho = op(random_density(rng, 5), ("X", 5))
-    r = sqrtm_psd(rho)
-    assert np.allclose(r.matrix @ r.matrix, rho.matrix)
 
 
 def test_permutation_operator_composition():
