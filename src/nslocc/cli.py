@@ -73,11 +73,15 @@ def _load_config(args) -> dict:
                              f"for {args.command}")
         for key, val in cfg.items():
             # true/false only for the store_true flag, lists of ints only for
-            # --n/--k, fractions only for --overlap: int() would truncate them
+            # --n/--k, strings only for the paths and grid names (open(2)
+            # would write to a file descriptor), fractions only for
+            # --overlap: int() would truncate them
             if key == "inject_signalling":
                 ok = isinstance(val, bool)
             elif isinstance(val, list):
                 ok = key in ("n", "k") and all(type(v) is int for v in val)
+            elif key in ("out", "grid"):
+                ok = type(val) is str
             else:
                 ok = type(val) in (int, str) or (key == "overlap" and type(val) is float)
             if not ok:
@@ -121,11 +125,14 @@ def _seed(cfg: dict) -> int:
 
 
 def _write(out_path: str | None, text: str):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ sites.  Contracting the purification against a grid of product vectors
 phi_g^{⊗n} (a finite stand-in for the coherent-state resolution of the
 symmetric subspace) yields an operator-valued measure {M_g} on A together
 with product states phi_g, whose mixture approximates the k-site marginals.
-A purification is stored in one of three forms: dense, as branches, or as a
-product factor (the purification of a mixture of products, held through its
-site factors so that nothing of side d^n is built).
+Every extension is stored one way, as a sum of site products: a dense state
+sums its basis products, a branch extension holds one product per branch,
+and the purification of a mixture of products one per pair of its site
+products, so that nothing of side d^n is built.  One kernel contracts that
+sum against the grid.
 The measure is stored as the stacked pair (ms, phis) of arrays with one slice
 per grid point, and every stage after the grid runs on whole stacks.
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import pi, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .tensor_core import (
     check_dense_budget,
     dense_budget_rows,
     dicke_coordinates,
-    eigh_herm,
     int_power,
     kron_power,
     permute_sites,
@@ -47,6 +47,7 @@ SYMMETRY_TOL = 1e-8
 PURE_EIG_THRESHOLD = 1e-10
 DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
 RESIDUAL_CHUNK = 512         # grid points per Gram block in subspace_residual
+OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's two (T, chunk) buffers
 GRID_GRAMMAR = "design | haar:SEED:COUNT"
 DEFAULT_GRID = "haar:0:2000"
 # decimal SEED and COUNT without leading zeros, so a grid's mode is its name
@@ -57,46 +58,23 @@ _HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 # symmetric extensions
 # ---------------------------------------------------------------------------
 
-class ProductFactor(NamedTuple):
-    """vec √omega / ‖√omega‖_F for omega = L L† with product columns in L.
-
-    Every column of L is a ⊗ b_1 ⊗ .. ⊗ b_n with a on A and each b_i a
-    column of `sites` (d x R).  The distinct site products are indexed by e:
-    site i of product e is column index[i, e] of `sites`, shape (n, E).
-    With N = W Λ^{-1/2} W† / sqrt(Σλ) from the Gram matrix L†L = W Λ W†,
-    `core` (E·E, d_a·d_a) holds T[(e,e'),(a,a')], the sum of
-    a_c[a] N[c,c'] conj(a_c'[a']) over the columns c, c' of L whose site
-    products are e and e'; the state is then
-    psi[(a,a'),(b_1 b_1')..(b_n b_n')] =
-    sum_{e,e'} T[(e,e'),(a,a')] prod_i sites[b_i, index[i,e]] conj(sites[b_i', index[i,e']]).
-    `marginal` is the state's reduced state on A.  A named tuple rather
-    than a dataclass, whose generated methods cost about 1 ms at import.
-    """
-
-    sites: np.ndarray
-    index: np.ndarray
-    core: np.ndarray
-    marginal: np.ndarray
-
-
 @dataclass(frozen=True)
 class SymmetricExtension:
-    """Pure state on block ⊗ site^{⊗n}, symmetric under site permutations.
+    """Pure state on block ⊗ site^{⊗n}, symmetric under site permutations,
+    held as a sum of site products:
 
-    Exactly one of three storages is used:
+        psi = sum_t coeffs[t] ⊗ sites[index[0, t]] ⊗ .. ⊗ sites[index[n-1, t]]
 
-    * dense: `psi` of shape (block_dim, site_dim**n), the state as a matrix
-      with the block index first;
-    * branches: a list of (K_j, chi_j) with K_j PSD on A (d_a x d_a) and
-      chi_j a unit site vector; the state is sum_j |j>|vec sqrt(K_j)> chi_j^{⊗n}
-      with an orthogonal flag register absorbed into the block.  This form
-      never materializes the site space and scales to large n;
-    * product: a `ProductFactor`, the paired purification vec √omega of a
-      mixture of products omega = sum_j K_j ⊗ phi_j^{⊗n}, the same state as
-      the dense form holds, kept as a core over the products of the site
-      factors of phi_j so that nothing of side site_dim**n is built.
+    `sites` (R, site_dim) holds the site vectors, `index` (n, T) names the
+    site vector of each site in each term, and `coeffs` (T, block) holds the
+    terms' block vectors, the block index (a, rest) with a on A first.
+    A dense state takes the identity sites and one term per basis product; a
+    branch extension one term per branch; the purification of a mixture of
+    products one term per pair of its site products, so that nothing of side
+    site_dim**n is built unless the state is dense.
 
-    `site_dim` is the (possibly doubled) site dimension the grid must match;
+    `marginal` is the state's reduced state on A (d_a x d_a).  `site_dim` is
+    the (possibly doubled) site dimension the grid must match;
     `site_keep_dim` is the physical site dimension after discarding the
     purifying halves.  `dropped_mass` is the purification's measured
     residual: the summed eigenvalues of the source state that the stored
@@ -107,33 +85,16 @@ class SymmetricExtension:
     d_a: int
     site_dim: int
     site_keep_dim: int
-    psi: np.ndarray | None = field(default=None, repr=False)
-    branches: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(
-        default=None, repr=False)
-    product: ProductFactor | None = field(default=None, repr=False)
+    sites: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
+    marginal: np.ndarray = field(repr=False)
     dropped_mass: float = 0.0
 
     def __post_init__(self):
-        if sum(s is not None for s in (self.psi, self.branches, self.product)) != 1:
-            raise TensorError("exactly one of psi / branches / product must be given")
-        if self.psi is not None:
-            nrm = np.linalg.norm(self.psi)
-            if abs(nrm - 1.0) > 1e-8:
-                raise TensorError(f"extension state norm {nrm} != 1")
-
-    def block_marginal(self) -> np.ndarray:
-        """Reduced state on A only (d_a x d_a)."""
-        if self.branches is not None:
-            return sum(k for k, _ in self.branches)
-        if self.product is not None:
-            return self.product.marginal
-        # the block index is plain a for a pure source state's vector, and
-        # (a, a') for a purification
-        m = self.psi @ self.psi.conj().T
-        if m.shape[0] == self.d_a:
-            return m
-        d = self.d_a
-        return np.einsum("abcb->ac", m.reshape(d, -1, d, m.shape[0] // d))
+        mass = float(np.trace(self.marginal).real)
+        if abs(mass - 1.0) > 1e-8:
+            raise TensorError(f"extension state has trace {mass} on A, need 1")
 
 
 def _transposition_deviations(t: np.ndarray, groups: list[range]):
@@ -198,7 +159,12 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
     keep = w > w[-1] * len(w) * np.finfo(float).eps
     v_r = v[:, keep]
     root = (v_r * np.sqrt(w[keep])) @ v_r.conj().T
-    return _paired_extension(root, d_a, d, n, float(w[~keep].sum()))
+    # vec √omega, each site paired with its mirror:
+    # (a, b1..bn ; a', b1'..bn') -> (a a') (b1 b1') ... (bn bn')
+    order = [0, n + 1] + [ax for i in range(n) for ax in (1 + i, n + 2 + i)]
+    psi = root.reshape(t.shape).transpose(order).reshape(d_a * d_a, (d * d) ** n)
+    return _dense_extension(psi / np.linalg.norm(psi), d_a, d * d, d, n,
+                            float(w[~keep].sum()))
 
 
 def _pure_extension(vec: np.ndarray, d_a: int, d: int, n: int,
@@ -208,27 +174,19 @@ def _pure_extension(vec: np.ndarray, d_a: int, d: int, n: int,
     psi = vec.reshape(d_a, d ** n) / np.linalg.norm(vec)
     mod = np.abs(psi.ravel())
     lead = psi.ravel()[np.argmax(mod > 0.5 * mod.max())]
-    ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d, site_keep_dim=d,
-                             psi=psi * (abs(lead) / lead),
-                             dropped_mass=dropped)
-    _check_site_symmetry(ext.psi, n, d, 1e-7)
-    return ext
+    return _dense_extension(psi * (abs(lead) / lead), d_a, d, d, n, dropped)
 
 
-def _paired_extension(root: np.ndarray, d_a: int, d: int, n: int,
-                      dropped: float) -> SymmetricExtension:
-    """vec √omega from √omega on (A, B1..Bn): each site paired with its mirror."""
-    # indices: (a, b1..bn ; a', b1'..bn') -> (a a') (b1 b1') ... (bn bn')
-    t = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n)
-    order = [0, n + 1]
-    for i in range(n):
-        order += [1 + i, n + 2 + i]
-    psi = t.transpose(order).reshape(d_a * d_a, (d * d) ** n)
-    ext = SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                             psi=psi / np.linalg.norm(psi),
-                             dropped_mass=dropped)
-    _check_site_symmetry(ext.psi, n, d * d, 1e-7)
-    return ext
+def _dense_extension(psi: np.ndarray, d_a: int, site_dim: int, site_keep_dim: int,
+                     n: int, dropped: float) -> SymmetricExtension:
+    """The extension of the unit state matrix psi (block, site_dim**n), after
+    checking its site symmetry: identity sites, one term per basis product."""
+    _check_site_symmetry(psi, n, site_dim, 1e-7)
+    rows = psi.reshape(d_a, -1)       # a, then the rest of the block and the sites
+    return SymmetricExtension(
+        n=n, d_a=d_a, site_dim=site_dim, site_keep_dim=site_keep_dim,
+        sites=np.eye(site_dim), index=np.indices((site_dim,) * n).reshape(n, -1),
+        coeffs=psi.T, marginal=rows @ rows.conj().T, dropped_mass=dropped)
 
 
 def _psd_factor(m: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -254,9 +212,10 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
     and b_j move omega's spectrum by less than that floor.  `dropped_mass`
     sums the trace all three floors leave out.
 
-    A mixed omega gives the product storage (`ProductFactor`): the state
-    purify_extension returns, held as a core of side E·d_a over the E site
-    products of the b_j, so neither √omega nor the state is built.  A pure
+    A mixed omega gives the state purify_extension returns, with one term
+    per pair (e, e') of the E site products of the b_j: its sites are the
+    pairs b_r ⊗ conj(b_s) of factor columns, and its coefficients a core of
+    E² x d_a² entries, so neither √omega nor the state is built.  A pure
     omega gives its d_a·d^n state vector, as purify_extension does.
     """
     d_a, d = blocks.shape[1], sites.shape[1]
@@ -303,12 +262,14 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
     y = (onehot[:, :, None] * a_mat.T[:, None, :]).reshape(r, e * d_a)
     core = np.empty((e, e, d_a, d_a), dtype=complex)
     core[:] = (y.T @ root @ y.conj()).reshape(e, d_a, e, d_a).transpose(0, 2, 1, 3)
-    factor = ProductFactor(
-        sites=b_mat, index=index, core=core.reshape(e * e, d_a * d_a),
-        marginal=a_mat @ ((w_k @ w_k.conj().T) * prod_gram.T) @ a_mat.conj().T / mass)
-    return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                              product=factor,
-                              dropped_mass=dropped + float(lam[~keep].sum()))
+    rb = b_mat.shape[1]
+    return SymmetricExtension(
+        n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
+        sites=np.einsum("xr,ys->rsxy", b_mat, b_mat.conj()).reshape(rb * rb, d * d),
+        index=(index[:, :, None] * rb + index[:, None, :]).reshape(n, e * e),
+        coeffs=core.reshape(e * e, d_a * d_a),
+        marginal=a_mat @ ((w_k @ w_k.conj().T) * prod_gram.T) @ a_mat.conj().T / mass,
+        dropped_mass=dropped + float(lam[~keep].sum()))
 
 
 def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> SymmetricExtension:
@@ -316,27 +277,29 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
 
     `blocks` (J, d_a, d_a) holds the K_j, PSD on A, and `sites` (J, d, d)
     the site states phi_j, the stacks `purify_product_mixture` takes.  Each
-    pair becomes one branch with purified site vector chi_j =
-    vec(sqrt(phi_j)); an orthogonal flag register keeps the branches
-    incoherent.  Requires sum_j tr K_j = 1 so the extension is a unit
-    vector.  Nothing of size site_dim**n is ever materialized, so this
-    scales to n in the hundreds.
+    pair becomes one term |j> ⊗ vec F_j ⊗ chi_j^{⊗n} in the block
+    (a, j, a'), with F_j F_j† = K_j and purified site vector
+    chi_j = vec(sqrt(phi_j)); the orthogonal flag j keeps the branches
+    incoherent.  Requires
+    sum_j tr K_j = 1 so the extension is a unit vector.  Nothing of size
+    site_dim**n is ever materialized, so this scales to n in the hundreds.
     """
-    d_a, d_site = blocks.shape[1], sites.shape[1]
-    mass = np.einsum("jii->", blocks).real
-    if abs(mass - 1.0) > 1e-8:
-        raise TensorError(f"branch blocks have total trace {mass}, need 1")
-    branches = []
-    for k_j, p_j in zip(blocks, sites):
-        w, v = eigh_herm(p_j)
-        root = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-        chi = root.reshape(-1)  # (b, b') pairing, row index unprimed
+    count, d_a, d_site = len(blocks), blocks.shape[1], sites.shape[1]
+    coeffs = np.zeros((count, d_a, count, d_a), dtype=complex)
+    chis = np.empty((count, d_site * d_site), dtype=complex)
+    for j, (k_j, p_j) in enumerate(zip(blocks, sites)):
+        w, v = _psd_eigs(k_j)
+        coeffs[j, :, j] = v * np.sqrt(w)
+        w, v = _psd_eigs(p_j)
+        chi = ((v * np.sqrt(w)) @ v.conj().T).reshape(-1)  # (b, b') pairing
         nrm = np.linalg.norm(chi)
         if nrm < 1e-12:
             raise TensorError("preparation state has zero trace")
-        branches.append((k_j, chi / nrm))
-    return SymmetricExtension(n=n, d_a=d_a, site_dim=d_site * d_site,
-                              site_keep_dim=d_site, branches=tuple(branches))
+        chis[j] = chi / nrm
+    return SymmetricExtension(
+        n=n, d_a=d_a, site_dim=d_site * d_site, site_keep_dim=d_site, sites=chis,
+        index=np.broadcast_to(np.arange(count), (n, count)),
+        coeffs=coeffs.reshape(count, -1), marginal=blocks.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +347,8 @@ def build_grid(d_eff: int, n: int, name: str,
 
     `haar:SEED:COUNT`: COUNT unit vectors from the unitarily invariant
     measure (normalized complex Gaussians drawn with seed SEED), equal
-    weights.  `design` (d_eff = 2 only): a product quadrature grid,
+    weights; a (COUNT, d_eff) stack over the dense budget is refused before
+    it is drawn.  `design` (d_eff = 2 only): a product quadrature grid,
     Gauss-Legendre in the polar coordinate times a uniform azimuth, which
     integrates every matrix element of phi^{⊗n}(phi^{⊗n})† exactly, so the
     grid reproduces the symmetric projector to machine precision at any n.
@@ -427,6 +391,9 @@ def build_grid(d_eff: int, n: int, name: str,
         if count < 1:
             raise TensorError(f"a haar grid needs at least 1 point, got {count}; "
                               f"grid names are {GRID_GRAMMAR}")
+        if count > dense_budget_rows(d_eff):
+            raise TensorError(f"a haar grid of {count} points on C^{d_eff} is over the "
+                              f"dense budget of {dense_budget_rows(d_eff)} points")
         rng = np.random.default_rng(int(match[1]))
         g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
         vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -471,58 +438,38 @@ class DeFinettiApprox:
 def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
     """Matrix U with rows u_g = (1_block ⊗ <phi_g^{⊗n}|) |psi>, shape (G, block).
 
-    For branch extensions the block coordinates are per-branch: column j holds
-    <phi_g|chi_j>^n * sqrt(tr K_j), which reproduces every inner product
-    <u_g, u_h> needed downstream because distinct branches are orthogonal.
+    u_g = Q_g coeffs with Q_g[t] = prod_i S[index[i, t], g] and S the site
+    overlaps <phi_g|sites[r]>.  The grid axis is kept last, so every gather
+    moves whole rows of grid points.  A run of equal consecutive index rows
+    is gathered once and raised to its length, so the n equal rows of a
+    branch extension cost O(log n) products.  The grid is taken in chunks
+    whose Q and the one factor being multiplied into it stay within the
+    dense budget and, where one chunk point fits, within
+    OVERLAP_CACHE_BYTES, so that the n passes over them stay in cache; both
+    buffers are reused across runs and chunks.
     """
-    if ext.branches is not None:
-        chis = np.stack([chi for _, chi in ext.branches])      # (J, d)
-        traces = np.array([np.trace(k).real for k, _ in ext.branches])
-        c = grid.vectors.conj() @ chis.T                        # <phi_g|chi_j>
-        return int_power(c, ext.n) * np.sqrt(traces)[None, :]
-    if ext.product is not None:
-        return _product_overlaps(ext.product, grid.vectors)
-    # Dense: contract the last site first, d grid points at a time, so the
-    # first and largest intermediate is no larger than psi itself.
-    block = ext.psi.shape[0]
-    d = ext.site_dim
-    # complex once here, rather than once per chunk product, when psi is real
-    sites = ext.psi.reshape(-1, d).T.astype(complex, copy=False)  # (d, block d^(n-1))
-    out = np.empty((grid.count, block), dtype=complex)
-    for lo in range(0, grid.count, d):
-        v = grid.vectors[lo:lo + d].conj()                      # (C, d)
-        cur = v @ sites
-        for _ in range(ext.n - 1):
-            cur = cur.reshape(len(v), -1, d) @ v[:, :, None]
-        out[lo:lo + d] = cur.reshape(len(v), block)
-    return out
-
-
-def _product_overlaps(factor: ProductFactor, vectors: np.ndarray) -> np.ndarray:
-    """_block_overlaps of a product storage: u_g = Q_g T with
-    Q_g[e,e'] = prod_i S_g[index[i,e], index[i,e']] and S_g = conj(B† V_g B),
-    V_g the grid vector as a d x d matrix and B = factor.sites.  The grid
-    axis is kept last, so every gather moves whole rows of grid points, and
-    the grid is taken in chunks whose Q_g and the one site factor being
-    multiplied into it stay within the dense budget; both buffers are reused
-    across sites and chunks."""
-    b, index, core = factor.sites, factor.index, factor.core
-    d, r, e = b.shape[0], b.shape[1], index.shape[1]
-    pairs = np.einsum("xr,ys->rsxy", b, b.conj()).reshape(r * r, d * d)
-    s = pairs @ vectors.conj().T                                # S, (R·R, G)
-    out = np.empty((len(vectors), core.shape[1]), dtype=complex)
-    step = min(len(vectors), dense_budget_rows(2 * e * e))
-    q_buf, term_buf = np.empty((2, e * e, step), dtype=complex)
+    vectors, index = grid.vectors, ext.index
+    s = ext.sites @ vectors.conj().T                            # S, (R, G)
+    starts = np.flatnonzero(np.r_[True, (index[1:] != index[:-1]).any(axis=1)])
+    runs = list(zip(starts, np.diff(np.r_[starts, len(index)])))
+    t = index.shape[1]
+    coeffs = ext.coeffs.astype(complex, copy=False)  # once, not once per chunk
+    out = np.empty((len(vectors), coeffs.shape[1]), dtype=complex)
+    step = min(len(vectors), dense_budget_rows(2 * t),
+               max(1, OVERLAP_CACHE_BYTES // (32 * t)))
+    q_buf, term_buf = np.empty((2, t, step), dtype=complex)
     for lo in range(0, len(vectors), step):
         hi = min(lo + step, len(vectors))
         q, term = q_buf[:, :hi - lo], term_buf[:, :hi - lo]
-        # every index is in range; mode="clip" only lets take write in place
-        for i, ix in enumerate(index):
-            np.take(s[:, lo:hi], (ix[:, None] * r + ix).ravel(), axis=0,
-                    out=term if i else q, mode="clip")
-            if i:
+        for k, (i, length) in enumerate(runs):
+            cur = term if k else q
+            # every index is in range; mode="clip" only lets take write in place
+            np.take(s[:, lo:hi], index[i], axis=0, out=cur, mode="clip")
+            if length > 1:
+                cur[...] = int_power(cur, length)
+            if k:
                 q *= term
-        out[lo:hi] = q.T @ core
+        out[lo:hi] = q.T @ coeffs
     return out
 
 
@@ -573,19 +520,12 @@ def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiAppr
     scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
     d_a = ext.d_a
     u = _block_overlaps(ext, grid)
-    if ext.branches is not None:
-        ks = np.stack([k for k, _ in ext.branches])
-        traces = np.einsum("jii->j", ks).real
-        # columns of u are a_gj * sqrt(tr K_j); M_g needs |a_gj|^2 * K_j
-        amp2 = np.abs(u) ** 2 / np.where(traces > 0, traces, 1.0)[None, :]
-        ms = ((scale[:, None] * amp2) @ ks.reshape(len(ks), -1)).reshape(-1, d_a, d_a)
-    else:
-        # the block index is (a, a') with a first; trace out a'
-        r = u.reshape(grid.count, d_a, -1)
-        ms = scale[:, None, None] * np.einsum("gar,gbr->gab", r, r.conj())
+    # the block index is (a, rest) with a first; trace out the rest
+    r = u.reshape(grid.count, d_a, -1)
+    ms = scale[:, None, None] * np.einsum("gar,gbr->gab", r, r.conj())
 
     total = ms.sum(axis=0)
-    deficit = float(trace_norm(total - ext.block_marginal()))
+    deficit = float(trace_norm(total - ext.marginal))
     if grid.resolution_residual is not None:
         residual = grid.resolution_residual
     else:

@@ -14,7 +14,7 @@ from nslocc.channels import (
     is_cptp,
 )
 from nslocc.classical import ClassicalProtocol, ClassifierMixture
-from nslocc.definetti import SymmetricExtension
+from nslocc.definetti import SymmetricExtension, _dense_extension
 from nslocc.tensor_core import (
     Factorization,
     Operator,
@@ -274,42 +274,43 @@ def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricEx
     w = np.clip(w, 0, None)
     keep = w > w[-1] * len(w) * np.finfo(float).eps if floor else w >= 0
     root = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T
-    psi = _paired(root, d_a, d, n)
-    return SymmetricExtension(n=n, d_a=d_a, site_dim=d * d, site_keep_dim=d,
-                              psi=psi / np.linalg.norm(psi))
-
-
-def _paired(root: np.ndarray, d_a: int, d: int, n: int) -> np.ndarray:
-    """vec of a matrix on (A, B1..Bn) with each factor paired with its mirror:
-    rows (a, a'), columns (b1 b1')..(bn bn')."""
     order = [0, n + 1] + [ax for i in range(n) for ax in (1 + i, n + 2 + i)]
     psi = root.reshape((d_a,) + (d,) * n + (d_a,) + (d,) * n).transpose(order)
-    return psi.reshape(d_a * d_a, (d * d) ** n)
+    psi = psi.reshape(d_a * d_a, (d * d) ** n)
+    return _dense_extension(psi / np.linalg.norm(psi), d_a, d * d, d, n, 0.0)
 
 
 def extension_psi(ext: SymmetricExtension) -> np.ndarray:
-    """The dense state matrix of an extension: its `psi`, or for the product
-    storage vec(L N L†), paired, materialized from the core:
-    L N L† = sum_{e,e'} T[(e,e')] ⊗ b_e^{⊗n} (b_e'^{⊗n})† with b_e^{⊗n} the
-    site product e."""
-    if ext.psi is not None:
-        return ext.psi
-    f, n, d_a, d = ext.product, ext.n, ext.d_a, ext.site_keep_dim
-    e = f.index.shape[1]
-    prods = np.ones((1, e))
-    for ix in f.index:
-        prods = (prods[:, None, :] * f.sites[:, ix]).reshape(-1, e)   # (d^i, E)
-    t = (prods @ f.core.reshape(e, -1)).reshape(-1, e, d_a, d_a)      # x e' a a'
-    root = t.transpose(0, 2, 3, 1) @ prods.conj().T                    # x a a' y
-    root = root.transpose(1, 0, 2, 3).reshape(d_a * d ** n, d_a * d ** n)
-    return _paired(root, d_a, d, n)
+    """The dense state matrix (block, site_dim**n) of an extension, the sum
+    over its terms t of coeffs[t] ⊗ sites[index[0, t]] ⊗ .. ⊗ sites[index[n−1, t]].
+
+    Identity sites put each term on one basis product, so the terms are
+    scattered there.  Other sites are multiplied in left to right, and the
+    terms that agree on every site still to come are summed before the next
+    one, so no array holds all T x site_dim**n products."""
+    d, n = ext.site_dim, ext.n
+    if ext.sites.shape == (d, d) and np.array_equal(ext.sites, np.eye(d)):
+        psi = np.zeros((ext.coeffs.shape[1], d ** n), dtype=ext.coeffs.dtype)
+        np.add.at(psi.T, np.ravel_multi_index(tuple(ext.index), (d,) * n), ext.coeffs)
+        return psi
+    z, rest = ext.coeffs[:, :, None], ext.index      # z: (terms, block, d^i)
+    for _ in range(n):
+        z = (z[..., None] * ext.sites[rest[0]][:, None, None, :]).reshape(
+            len(z), z.shape[1], -1)
+        rest = rest[1:]
+        if not len(rest):
+            return z.sum(axis=0)
+        rest, group = np.unique(rest, axis=1, return_inverse=True)
+        order = np.argsort(group.ravel(), kind="stable")
+        starts = np.flatnonzero(np.r_[True, np.diff(group.ravel()[order])])
+        z = np.add.reduceat(z[order], starts, axis=0)
 
 
 def unprimed_state(ext: SymmetricExtension) -> np.ndarray:
-    """The state a dense purified extension leaves on the unprimed (A, B1..Bn)
+    """The state a purified extension leaves on the unprimed (A, B1..Bn)
     when the mirror copies are traced out."""
     n, d_a, d = ext.n, ext.d_a, ext.site_keep_dim
-    t = ext.psi.reshape((d_a, d_a) + (d, d) * n)
+    t = extension_psi(ext).reshape((d_a, d_a) + (d, d) * n)
     r = t.transpose([0] + [2 + 2 * i for i in range(n)]
                     + [1] + [3 + 2 * i for i in range(n)])
     r = r.reshape(d_a * d ** n, -1)

@@ -292,8 +292,9 @@ def test_risk_gap_runs_past_the_old_dense_cap(tmp_path):
     (["definetti"], {"count": 2.5}, "bad config: 'count' cannot be 2.5"),
     (["verify"], {"inject_signalling": 1}, "bad config: 'inject_signalling' cannot be 1"),
     (["risk-gap", "--n", "1..2..3"], None, "error: --n range must read LO..HI"),
+    (["verify"], {"out": 2}, "bad config: 'out' cannot be 2"),
 ], ids=["count-null", "seed-list", "overlap-null", "n-bool", "n-list-null",
-        "count-fraction", "inject-signalling-number", "n-range-of-three"])
+        "count-fraction", "inject-signalling-number", "n-range-of-three", "out-int"])
 def test_bad_config_value_exits_2(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     if config is not None:
@@ -308,7 +309,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, argv, config, message):
 @pytest.mark.parametrize("argv, message", [
     (["gen-channel", "--n", "2", "--d-a", "2"],
      "error: random_nonsignalling_choi needs a dense 32 x 32 operator"),
-    (["definetti", "--n", "16", "--count", "50", "--k", "5"],
+    (["definetti", "--n", "16", "--count", "16", "--k", "5"],
      "error: kron_power needs 1 dense 32 x 32 matrices, over the"),
 ], ids=["gen-channel", "definetti-k"])
 def test_oversized_sampler_and_kron_power_exit_2(monkeypatch, tmp_path, capsys,
@@ -323,8 +324,8 @@ def test_oversized_sampler_and_kron_power_exit_2(monkeypatch, tmp_path, capsys,
 
 
 def test_subspace_residual_gram_blocks_fit_the_budget(monkeypatch, tmp_path):
-    # a budget of side 8 holds 64 complex entries: a 50-point grid takes its
-    # Gram matrix one row at a time, not as a 50 x 50 block
+    # a budget of side 8 holds 64 complex entries: a 16-point grid takes its
+    # Gram matrix four rows at a time, not as a 16 x 16 block
     from nslocc import definetti
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
     sizes = []
@@ -336,6 +337,26 @@ def test_subspace_residual_gram_blocks_fit_the_budget(monkeypatch, tmp_path):
 
     monkeypatch.setattr(definetti, "int_power", recording)
     out = tmp_path / "out.csv"
-    assert main(["definetti", "--n", "16", "--count", "50", "--k", "0",
+    assert main(["definetti", "--n", "16", "--count", "16", "--k", "0",
                  "--out", str(out)]) == 0
     assert sizes and max(sizes) <= 64
+
+
+def test_haar_grid_over_the_budget_exits_2_before_it_is_drawn(monkeypatch, tmp_path,
+                                                             capsys):
+    # a budget of side 8 holds 16 grid vectors on C^4
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
+    out = tmp_path / "out.csv"
+    argv = ["definetti", "--n", "16", "--k", "0", "--out", str(out)]
+    assert main(argv + ["--count", "17"]) == 2
+    assert ("error: a haar grid of 17 points on C^4 is over the dense budget of 16 points"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert main(argv + ["--count", "16"]) == 0
+    assert out.exists()
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["classical-demo", "--seed", "4", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err

@@ -9,10 +9,12 @@ from nslocc.definetti import (
     definetti_bound,
     extract_measure,
     purify_extension,
+    purify_product_mixture,
     subspace_residual,
 )
 from nslocc.tensor_core import (
     TensorError,
+    dense_budget_rows,
     int_power,
     op,
     partial_trace,
@@ -22,6 +24,7 @@ from nslocc.tensor_core import (
 )
 
 from conftest import (
+    extension_psi,
     oracle_purify_extension,
     oracle_resolution_residual,
     random_density,
@@ -127,7 +130,7 @@ def test_purify_extension_reduces_back(rng, d_a, kind):
     ext = purify_extension(omega)
     assert ext.site_dim == (d if kind == "pure" else d * d)
     want = partial_trace(omega, ["A"]).matrix
-    assert np.abs(ext.block_marginal() - want).max() <= 1e-10
+    assert np.abs(ext.marginal - want).max() <= 1e-10
 
 
 def risk_gap_state(n):
@@ -144,10 +147,10 @@ def test_real_purification_matches_complex_solve_above_the_floor(n):
     omega = risk_gap_state(n)
     assert not omega.matrix.imag.any()
     ext = purify_extension(omega)
-    assert ext.psi.dtype == np.float64   # the real solve ran
+    assert ext.coeffs.dtype == np.float64   # the real solve ran
     want = oracle_purify_extension(omega, floor=True)
-    assert np.abs(ext.psi - want.psi).max() <= 1e-12
-    assert np.abs(ext.block_marginal() - partial_trace(omega, ["A"]).matrix).max() <= 1e-12
+    assert np.abs(extension_psi(ext) - extension_psi(want)).max() <= 1e-12
+    assert np.abs(ext.marginal - partial_trace(omega, ["A"]).matrix).max() <= 1e-12
     assert 0.0 <= ext.dropped_mass <= 1e-13
 
 
@@ -155,7 +158,7 @@ def test_complex_symmetric_state_takes_the_complex_solve(rng):
     omega, _ = symmetric_test_state(rng, 2, 2, 2)
     assert np.abs(omega.matrix.imag).max() > 1e-3
     ext = purify_extension(omega)
-    assert np.iscomplexobj(ext.psi)
+    assert np.iscomplexobj(ext.coeffs)
     assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-12
 
 
@@ -196,6 +199,14 @@ def test_purify_extension_names_the_broken_transposition(rng):
         purify_extension(omega)
 
 
+def test_pure_antisymmetric_state_is_refused():
+    # the singlet: omega is invariant under the swap, its vector changes sign
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    omega = op(np.outer(singlet, singlet), ("B1", 2), ("B2", 2))
+    with pytest.raises(TensorError, match=r"not symmetric under sites \(1,2\)"):
+        purify_extension(omega)
+
+
 def test_branch_extension_requires_unit_mass():
     with pytest.raises(TensorError):
         branch_extension(np.eye(2)[None], np.eye(2)[None] / 2, n=2)
@@ -225,18 +236,17 @@ def test_branch_extraction_matches_dense(rng):
 
 
 def per_point_measure(ext, grid):
-    """Reference extraction, one grid point at a time: (ms, phis) stacks."""
+    """Reference extraction, one grid point at a time, from the dense state:
+    (ms, phis) stacks."""
     d_big = sym_dim(ext.n, ext.site_dim)
+    psi = extension_psi(ext)
     ms, phis = [], []
     for v, w in zip(grid.vectors, grid.weights):
-        if ext.branches is not None:
-            m = sum(abs(np.vdot(v, chi)) ** (2 * ext.n) * k for k, chi in ext.branches)
-        else:
-            u = ext.psi
-            for _ in range(ext.n):
-                u = u.reshape(-1, ext.site_dim) @ v.conj()
-            r = len(u) // ext.d_a
-            m = np.einsum("abcb->ac", np.outer(u, u.conj()).reshape(ext.d_a, r, ext.d_a, r))
+        u = psi
+        for _ in range(ext.n):
+            u = u.reshape(-1, ext.site_dim) @ v.conj()
+        r = len(u) // ext.d_a
+        m = np.einsum("abcb->ac", np.outer(u, u.conj()).reshape(ext.d_a, r, ext.d_a, r))
         ms.append(w * d_big * m)
         g = v.reshape(ext.site_keep_dim, -1)
         rho = g @ g.conj().T
@@ -263,6 +273,47 @@ def test_stacked_extraction_matches_per_point_loop(rng):
         approx = extract_measure(ext, grid)
         ms, phis = per_point_measure(ext, grid)
         assert approx.ms.shape == (grid.count, d_a, d_a)
+        assert np.abs(approx.ms - ms).max() <= 1e-12
+        assert np.abs(approx.phis - phis).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_branch_extraction_matches_the_closed_form_at_large_n(rng, n):
+    # M_g = w_g D sum_j |<v_g|chi_j>|^{2n} K_j with chi_j = vec √phi_j / ‖vec √phi_j‖
+    ks = np.stack([random_density(rng, 2) * w for w in (0.4, 0.6)])
+    phis = np.stack([random_density(rng, 2) for _ in range(2)])
+    chis = []
+    for p in phis:
+        w, v = np.linalg.eigh(p)
+        chi = ((v * np.sqrt(w)) @ v.conj().T).ravel()
+        chis.append(chi / np.linalg.norm(chi))
+    chis = np.array(chis)
+    # the chi_j themselves are on the grid, where M_g is largest
+    grid = build_grid(4, n, "haar:5:200", include=chis)
+    ms = extract_measure(branch_extension(ks, phis, n), grid).ms
+    amp = np.abs(grid.vectors.conj() @ chis.T) ** (2 * n)
+    want = np.einsum("g,gj,jab->gab", grid.weights * sym_dim(n, 4), amp, ks)
+    assert np.abs(ms - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_extraction_in_several_grid_chunks_matches_per_point_loop(rng, monkeypatch):
+    from nslocc import tensor_core
+    n, d_a = 3, 2
+    mixed, _ = symmetric_test_state(rng, d_a, 2, n)
+    blocks = np.stack([random_density(rng, d_a) * w for w in (0.3, 0.7)])
+    sites = np.stack([random_density(rng, 2) for _ in range(2)])
+    exts = [purify_extension(mixed),                     # dense
+            branch_extension(blocks, sites, n),          # branches
+            purify_product_mixture(blocks, sites, n)]    # product mixture
+    for ext in exts:
+        grid = build_grid(ext.site_dim, n, "haar:9:50")
+        # a budget that holds 7 grid points of the two (T, chunk) buffers
+        terms = ext.index.shape[1]
+        monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 2 * terms * 7)
+        assert dense_budget_rows(2 * terms) == 7
+        approx = extract_measure(ext, grid)
+        monkeypatch.undo()
+        ms, phis = per_point_measure(ext, grid)
         assert np.abs(approx.ms - ms).max() <= 1e-12
         assert np.abs(approx.phis - phis).max() <= 1e-12
 

@@ -281,7 +281,7 @@ def test_structured_purification_is_the_dense_one(rng, case, n):
     assert (got.d_a, got.site_dim, got.site_keep_dim) == (want.d_a, want.site_dim,
                                                          want.site_keep_dim)
     assert (got.site_dim != got.site_keep_dim) == (case != "pure")
-    assert np.abs(extension_psi(got) - want.psi).max() <= 1e-12
+    assert np.abs(extension_psi(got) - extension_psi(want)).max() <= 1e-12
     assert 0.0 <= got.dropped_mass <= 1e-13
     assert abs(got.dropped_mass - want.dropped_mass) <= 1e-13
 
@@ -289,14 +289,15 @@ def test_structured_purification_is_the_dense_one(rng, case, n):
 @pytest.mark.parametrize("case", ["classifier", "complex", "overcomplete", "pure"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structured_overlaps_are_the_dense_ones(rng, case, n):
-    # a mixed channel keeps its product factor: neither √ω nor ψ is built
+    # a mixed channel keeps its site factors: neither √ω nor ψ is built, and
+    # only a pure one takes the dense storage, with identity sites
     q = structured_case(rng, case, n)
     got = purify_channel(q)
     want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
-    assert (got.product is None) == (case == "pure") == (got.psi is not None)
+    assert np.array_equal(got.sites, np.eye(got.site_dim)) == (case == "pure")
     grid = build_grid(want.site_dim, n, "haar:3:60")
     assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
-    assert np.abs(got.block_marginal() - want.block_marginal()).max() <= 1e-13
+    assert np.abs(got.marginal - want.marginal).max() <= 1e-13
 
 
 def test_structured_purification_counts_the_mass_its_floors_drop():
@@ -307,4 +308,4 @@ def test_structured_purification_counts_the_mass_its_floors_drop():
     got = purify_channel(q)
     assert got.dropped_mass == pytest.approx(3e-17, rel=1e-9)
     want = purify_extension(choi_pairs_to_sites(q.dense()))
-    assert np.abs(extension_psi(got) - want.psi).max() <= 1e-12
+    assert np.abs(extension_psi(got) - extension_psi(want)).max() <= 1e-12
