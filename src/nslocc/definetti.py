@@ -435,14 +435,22 @@ class DeFinettiApprox:
     site_keep_dim: int
 
 
+def _check_grid_matches(ext: SymmetricExtension, grid: MeasureGrid):
+    """Refuse a grid whose (d_eff, n) is not the extension's (site_dim, n)."""
+    if grid.d_eff != ext.site_dim or grid.n != ext.n:
+        raise TensorError(
+            f"grid ({grid.d_eff}, n={grid.n}) does not match extension "
+            f"({ext.site_dim}, n={ext.n})")
+
+
 def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
     """Matrix U with rows u_g = (1_block ⊗ <phi_g^{⊗n}|) |psi>, shape (G, block).
 
     u_g = Q_g coeffs with Q_g[t] = prod_i S[index[i, t], g] and S the site
     overlaps <phi_g|sites[r]>.  The grid axis is kept last, so every gather
     moves whole rows of grid points.  A run of equal consecutive index rows
-    is gathered once and raised to its length, so the n equal rows of a
-    branch extension cost O(log n) products.  The grid is taken in chunks
+    is gathered once and raised to its length in place, so the n equal rows
+    of a branch extension cost O(log n) products.  The grid is taken in chunks
     whose Q and the one factor being multiplied into it stay within the
     dense budget and, where one chunk point fits, within
     OVERLAP_CACHE_BYTES, so that the n passes over them stay in cache; both
@@ -466,7 +474,7 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
             # every index is in range; mode="clip" only lets take write in place
             np.take(s[:, lo:hi], index[i], axis=0, out=cur, mode="clip")
             if length > 1:
-                cur[...] = int_power(cur, length)
+                int_power(cur, length)
             if k:
                 q *= term
         out[lo:hi] = q.T @ coeffs
@@ -480,22 +488,31 @@ def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
     Since |psi> and every phi_g^{⊗n} lie inside the symmetric subspace, this
     scalar upper-bounds the trace norm of any state-side defect of the grid,
     in particular ‖sum_g M_g − omega_A‖₁, at the cost of only pairwise grid
-    overlaps (never the projector itself).
+    overlaps (never the projector itself).  `overlaps`, when given, must be
+    the (grid.count, block) matrix `_block_overlaps` returns for this pair.
+
+    <psi|T²|psi> = sum_gh <phi_g|phi_h>^n <b_g, b_h> is summed over Gram
+    blocks of at most RESIDUAL_CHUNK rows that fit the dense budget; every
+    block is written into, and raised in, one buffer allocated per call.
     """
+    _check_grid_matches(ext, grid)
     u = _block_overlaps(ext, grid) if overlaps is None else overlaps
+    if u.shape != (grid.count, ext.coeffs.shape[1]):
+        raise TensorError(f"overlaps have shape {u.shape}, need (grid.count, block) = "
+                          f"{(grid.count, ext.coeffs.shape[1])}")
     d_big = float(sym_dim(grid.n, grid.d_eff))
     w = grid.weights
     s1 = float(np.sum(w * d_big * np.linalg.norm(u, axis=1) ** 2))
     b = (w * d_big)[:, None] * u
     s2 = 0.0
     vecs = grid.vectors
-    # Gram blocks of at most RESIDUAL_CHUNK rows that fit the dense budget
-    rows = min(RESIDUAL_CHUNK, dense_budget_rows(grid.count))
+    rows = min(RESIDUAL_CHUNK, dense_budget_rows(grid.count), grid.count)
+    buf = np.empty((rows, grid.count), dtype=complex)
     for lo in range(0, grid.count, rows):
         hi = min(lo + rows, grid.count)
-        gram = int_power(vecs[lo:hi].conj() @ vecs.T, grid.n)  # <phi_g|phi_h>^n
-        inner = b[lo:hi].conj() @ b.T                          # <b_g, b_h>
-        s2 += float(np.real(np.sum(gram * inner)))
+        gram = np.matmul(vecs[lo:hi].conj(), vecs.T, out=buf[:hi - lo])
+        int_power(gram, grid.n)                                # <phi_g|phi_h>^n
+        s2 += float(np.vdot(b[lo:hi], gram @ b).real)
     return sqrt(max(0.0, 1.0 - 2.0 * s1 + s2))
 
 
@@ -513,10 +530,7 @@ def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiAppr
     M_g = w_g * dim Sym^n * tr_{block minus A}[ u_g u_g† ] with
     u_g = (1 ⊗ <phi_g^{⊗n}|)|psi>, evaluated as pure vector contractions.
     """
-    if grid.d_eff != ext.site_dim or grid.n != ext.n:
-        raise TensorError(
-            f"grid ({grid.d_eff}, n={grid.n}) does not match extension "
-            f"({ext.site_dim}, n={ext.n})")
+    _check_grid_matches(ext, grid)
     scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
     d_a = ext.d_a
     u = _block_overlaps(ext, grid)

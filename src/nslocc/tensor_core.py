@@ -372,23 +372,33 @@ def dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
 
 
 def int_power(x: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise x**n for an integer n >= 0, by binary exponentiation.
+    """Raise x elementwise to an integer n >= 0 in place, by binary
+    exponentiation, and return x.
 
     Overlaps <phi|chi>^n of product states need large n, where numpy's
     complex power leaves its repeated-multiplication fast path for a much
     slower general one; squaring costs O(log n) array products instead.
+    x is squared in place up to n's lowest set bit; only an n that is not a
+    power of two takes one scratch copy, the base of the remaining bits.
+    The products are those of binary exponentiation into a ones
+    accumulator, in the same order, so the result is bitwise the same.
     """
     if n < 0:
         raise TensorError(f"exponent must be non-negative, got {n}")
-    base = np.array(x)  # a copy: squared in place below
-    out = np.ones_like(base)
-    while n:
-        if n & 1:
-            out *= base
+    if n == 0:
+        x[...] = 1
+        return x
+    while not n & 1:
+        x *= x
         n >>= 1
-        if n:
-            base *= base
-    return out
+    n >>= 1
+    base = x.copy() if n else None
+    while n:
+        base *= base
+        if n & 1:
+            x *= base
+        n >>= 1
+    return x
 
 
 def symmetric_projector(n: int, d: int) -> Operator:

@@ -3,6 +3,7 @@ import pytest
 
 from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_prepare_choi
 from nslocc.definetti import (
+    _block_overlaps,
     approx_error,
     branch_extension,
     build_grid,
@@ -325,8 +326,36 @@ def test_int_power_matches_numpy_power(rng):
     z[0, :3] = [0.06, 0.01j, 0.06 * np.exp(0.3j)]
     for n in (1, 2, 3, 16, 64, 255, 256):
         want = np.power(z, n)
-        assert np.allclose(int_power(z, n), want, rtol=1e-12, atol=1e-300), n
-    assert np.all(np.abs(int_power(z, 256)[0, :3]) < np.finfo(float).tiny)
+        assert np.allclose(int_power(z.copy(), n), want, rtol=1e-12, atol=1e-300), n
+    assert np.all(np.abs(int_power(z.copy(), 256)[0, :3]) < np.finfo(float).tiny)
+
+
+def ones_accumulator_power(x, n):
+    """Reference binary exponentiation into a ones accumulator, x untouched."""
+    base, out = x.copy(), np.ones_like(x)
+    while n:
+        if n & 1:
+            out *= base
+        n >>= 1
+        if n:
+            base *= base
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 12, 16, 255, 256])
+def test_int_power_raises_its_argument_in_place(rng, n):
+    z = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    z[0, 0] = 0.0
+    want = ones_accumulator_power(z, n)
+    x = z.copy()
+    assert int_power(x, n) is x
+    # the same products in the same order: bitwise the reference
+    assert np.array_equal(x, want)      # n = 0 gives ones, 0**0 included
+    # a strided view is raised inside the array it views
+    y = z.copy()
+    int_power(y[:, 1::2], n)
+    assert np.array_equal(y[:, 1::2], want[:, 1::2])
+    assert np.array_equal(y[:, ::2], z[:, ::2])
 
 
 def test_approx_error_k2_matches_kron_loop(rng):
@@ -384,6 +413,85 @@ def test_subspace_residual_nonnegative(rng):
     grid = build_grid(ext.site_dim, n, "haar:6:500")
     r = subspace_residual(ext, grid)
     assert r >= 0.0
+
+
+def dense_subspace_residual(ext, grid):
+    """Reference sqrt(<psi|(T−P)²|psi>) on the full site_dim**n space: psi
+    from extension_psi, T = sum_g w_g D |phi_g^n><phi_g^n| from the n-fold
+    products of the grid vectors, P the symmetric projector."""
+    n, d = ext.n, ext.site_dim
+    stack = grid.vectors
+    for _ in range(n - 1):
+        stack = np.einsum("gi,gj->gij", stack, grid.vectors).reshape(grid.count, -1)
+    t = (grid.weights[:, None] * stack).T @ stack.conj() * sym_dim(n, d)
+    defect = t - symmetric_projector(n, d).matrix
+    # psi's rows are block entries, its columns the sites: (1 ⊗ A) psi = psi A^T
+    return float(np.linalg.norm(extension_psi(ext) @ defect.T))
+
+
+def residual_extensions(rng, n):
+    mixed, _ = symmetric_test_state(rng, 2, 2, n)
+    blocks = np.stack([random_density(rng, 2) * w for w in (0.3, 0.7)])
+    sites = np.stack([random_density(rng, 2) for _ in range(2)])
+    return {"dense": purify_extension(mixed),
+            "branches": branch_extension(blocks, sites, n),
+            "product mixture": purify_product_mixture(blocks, sites, n)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_subspace_residual_matches_the_dense_oracle(rng, n):
+    for kind, ext in residual_extensions(rng, n).items():
+        grid = build_grid(ext.site_dim, n, "haar:11:120")
+        got = subspace_residual(ext, grid)
+        assert abs(got - dense_subspace_residual(ext, grid)) <= 1e-10, kind
+        assert got > 1e-3, kind    # a 120-point grid leaves a visible defect
+
+
+def test_subspace_residual_is_the_same_in_partial_gram_blocks(rng, monkeypatch):
+    from nslocc import definetti
+    for kind, ext in residual_extensions(rng, 3).items():
+        grid = build_grid(ext.site_dim, 3, "haar:12:50")
+        whole = subspace_residual(ext, grid)
+        # blocks of 7, 7, .., 7, 1 rows: the reused buffer's last block is partial
+        monkeypatch.setattr(definetti, "RESIDUAL_CHUNK", 7)
+        blocked = subspace_residual(ext, grid)
+        monkeypatch.undo()
+        assert abs(blocked - whole) <= 1e-12, kind
+
+
+def test_subspace_residual_refuses_a_grid_of_another_n():
+    ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=16)
+    grid = build_grid(4, 64, "haar:0:50")
+    with pytest.raises(TensorError, match=r"grid \(4, n=64\) does not match extension"):
+        subspace_residual(ext, grid)
+    with pytest.raises(TensorError, match="does not match extension"):
+        extract_measure(ext, grid)
+
+
+def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
+    ext = residual_extensions(rng, 2)["branches"]
+    grid = build_grid(ext.site_dim, 2, "haar:1:40")
+    full = np.zeros((40, ext.coeffs.shape[1]), dtype=complex)
+    for bad in (full[:-1], full[:, :-1], full.ravel()):
+        with pytest.raises(TensorError, match=r"overlaps have shape"):
+            subspace_residual(ext, grid, overlaps=bad)
+
+
+@pytest.mark.parametrize("n, blocks", [(256, 1.1), (3, 2.1)])
+def test_subspace_residual_peak_is_one_gram_block(n, blocks):
+    # one 400 x 400 complex Gram buffer, plus int_power's scratch base
+    # when n is not a power of two
+    import tracemalloc
+    ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
+    grid = build_grid(4, n, "haar:3:400")
+    u = _block_overlaps(ext, grid)
+    tracemalloc.start()
+    try:
+        subspace_residual(ext, grid, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= blocks * 400 * 400 * 16
 
 
 def test_definetti_bound_formula():
