@@ -455,7 +455,7 @@ def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
         correction = y - m
         if np.abs(m - prev).max() < SAMPLER_TOL:
             ch = ChoiChannel(Operator(m, fac), *dims)
-            if is_cptp(ch).ok and is_nonsignalling(ch).ok:
+            if is_nonsignalling(ch).ok and is_cptp(ch).ok:
                 return ch
     ch = ChoiChannel(Operator(m, fac), *dims)
     rep_c, rep_ns = is_cptp(ch), is_nonsignalling(ch)

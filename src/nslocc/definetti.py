@@ -435,12 +435,20 @@ class DeFinettiApprox:
     site_keep_dim: int
 
 
-def _check_grid_matches(ext: SymmetricExtension, grid: MeasureGrid):
-    """Refuse a grid whose (d_eff, n) is not the extension's (site_dim, n)."""
-    if grid.d_eff != ext.site_dim or grid.n != ext.n:
-        raise TensorError(
-            f"grid ({grid.d_eff}, n={grid.n}) does not match extension "
-            f"({ext.site_dim}, n={ext.n})")
+def _sweep_grid(exts: list[SymmetricExtension], grids: list[MeasureGrid]) -> MeasureGrid:
+    """The first grid, after refusing a grid of another (d_eff, n) than its
+    extension's (site_dim, n) or a sweep whose points, weights or sites differ."""
+    for ext, grid in zip(exts, grids, strict=True):
+        if grid.d_eff != ext.site_dim or grid.n != ext.n:
+            raise TensorError(
+                f"grid ({grid.d_eff}, n={grid.n}) does not match extension "
+                f"({ext.site_dim}, n={ext.n})")
+        if not (np.array_equal(grid.vectors, grids[0].vectors)
+                and np.array_equal(grid.weights, grids[0].weights)
+                and ext.site_keep_dim == exts[0].site_keep_dim):
+            raise TensorError("the grids of a sweep must share their points and "
+                              "weights, and its extensions their sites")
+    return grids[0]
 
 
 def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
@@ -481,76 +489,109 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
     return out
 
 
-def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
-                      overlaps: np.ndarray | None = None) -> float:
-    """sqrt(<psi|(T−P)²|psi>) with T the grid operator, P the symmetric projector.
+def _gram_rows(vectors: np.ndarray, lo: int, stack: np.ndarray) -> np.ndarray:
+    """stack[0] filled with the Gram rows <phi_g|phi_h>, g = lo, lo + 1, .."""
+    return np.matmul(vectors[lo:lo + stack.shape[1]].conj(), vectors.T, out=stack[0])
+
+
+def subspace_residuals(exts: list[SymmetricExtension], grids: list[MeasureGrid],
+                       overlaps: list[np.ndarray | None] | None = None) -> list[float]:
+    """sqrt(<psi|(T−P)²|psi>) of each pair (exts[i], grids[i]), with T the grid
+    operator and P the symmetric projector; the grids share their points.
 
     Since |psi> and every phi_g^{⊗n} lie inside the symmetric subspace, this
     scalar upper-bounds the trace norm of any state-side defect of the grid,
     in particular ‖sum_g M_g − omega_A‖₁, at the cost of only pairwise grid
-    overlaps (never the projector itself).  `overlaps`, when given, must be
-    the (grid.count, block) matrix `_block_overlaps` returns for this pair.
+    overlaps (never the projector itself).  `overlaps[i]`, when given, must be
+    the (grid.count, block) matrix `_block_overlaps` returns for pair i.
 
     <psi|T²|psi> = sum_gh <phi_g|phi_h>^n <b_g, b_h> is summed over Gram
-    blocks of at most RESIDUAL_CHUNK rows that fit the dense budget; every
-    block is written into, and raised in, one buffer allocated per call.
+    blocks of at most RESIDUAL_CHUNK rows, each squared in place up to the top
+    bit of the largest n.  Each n multiplies in the squares its bits name, in
+    `int_power`'s order and so bitwise as it does, into an accumulator (a
+    power-of-two n reads the square); all share one buffer within the budget.
     """
-    _check_grid_matches(ext, grid)
-    u = _block_overlaps(ext, grid) if overlaps is None else overlaps
-    if u.shape != (grid.count, ext.coeffs.shape[1]):
-        raise TensorError(f"overlaps have shape {u.shape}, need (grid.count, block) = "
-                          f"{(grid.count, ext.coeffs.shape[1])}")
-    d_big = float(sym_dim(grid.n, grid.d_eff))
-    w = grid.weights
-    s1 = float(np.sum(w * d_big * np.linalg.norm(u, axis=1) ** 2))
-    b = (w * d_big)[:, None] * u
-    s2 = 0.0
-    vecs = grid.vectors
-    rows = min(RESIDUAL_CHUNK, dense_budget_rows(grid.count), grid.count)
-    buf = np.empty((rows, grid.count), dtype=complex)
-    for lo in range(0, grid.count, rows):
-        hi = min(lo + rows, grid.count)
-        gram = np.matmul(vecs[lo:hi].conj(), vecs.T, out=buf[:hi - lo])
-        int_power(gram, grid.n)                                # <phi_g|phi_h>^n
-        s2 += float(np.vdot(b[lo:hi], gram @ b).real)
-    return sqrt(max(0.0, 1.0 - 2.0 * s1 + s2))
+    grid = _sweep_grid(exts, grids)
+    w, count, ns, bs, s1 = grid.weights, grid.count, [g.n for g in grids], [], []
+    for ext, u in zip(exts, overlaps or [None] * len(exts), strict=True):
+        u = _block_overlaps(ext, grid) if u is None else u
+        if u.shape != (count, ext.coeffs.shape[1]):
+            raise TensorError(f"overlaps have shape {u.shape}, need (grid.count, block) = "
+                              f"{(count, ext.coeffs.shape[1])}")
+        scale = w * float(sym_dim(ext.n, grid.d_eff))
+        s1.append(float(np.sum(scale * np.linalg.norm(u, axis=1) ** 2)))
+        bs.append(scale[:, None] * u)
+    mixed = [i for i, n in enumerate(ns) if n & (n - 1)]   # not powers of two
+    rows = min(RESIDUAL_CHUNK, dense_budget_rows(count * (1 + len(mixed))), count)
+    buf = np.empty((1 + len(mixed), rows, count), dtype=complex)  # square, accumulators
+    s2 = [0.0] * len(ns)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        stack = buf[:, :hi - lo]
+        square = _gram_rows(grid.vectors, lo, stack)
+        for t in range(max(ns).bit_length()):
+            if t:
+                square *= square                                # <phi_g|phi_h>^(2^t)
+            for i, n in enumerate(ns):
+                power = stack[1 + mixed.index(i) if i in mixed else 0]
+                if i in mixed and n >> t & 1:
+                    if n & ((1 << t) - 1):
+                        power *= square
+                    else:
+                        power[...] = square                     # n's lowest bit
+                if n >> t == 1:                                 # n's top bit
+                    s2[i] += float(np.vdot(bs[i][lo:hi], power @ bs[i]).real)
+    return [sqrt(max(0.0, 1.0 - 2.0 * a + b)) for a, b in zip(s1, s2)]
 
 
-def _site_states(ext: SymmetricExtension, vectors: np.ndarray) -> np.ndarray:
-    """Physical-site states of grid vectors, (G, d, d): the purifying half of a
-    doubled site vector (its column index) is traced out."""
-    g = vectors.reshape(len(vectors), ext.site_keep_dim, -1)
-    rho = g @ g.conj().transpose(0, 2, 1)
-    return rho / np.einsum("gii->g", rho).real[:, None, None]
+def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
+                      overlaps: np.ndarray | None = None) -> float:
+    """`subspace_residuals` of the one pair (ext, grid)."""
+    return subspace_residuals([ext], [grid], [overlaps])[0]
 
 
-def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiApprox:
-    """Contract the extension against the grid to get the de Finetti measure.
+def extract_measures(exts: list[SymmetricExtension],
+                     grids: list[MeasureGrid]) -> list[DeFinettiApprox]:
+    """Contract each extension against its grid to get the de Finetti measure.
 
     M_g = w_g * dim Sym^n * tr_{block minus A}[ u_g u_g† ] with
     u_g = (1 ⊗ <phi_g^{⊗n}|)|psi>, evaluated as pure vector contractions.
+    The grids share their points, so the site states are computed once, and
+    one `subspace_residuals` pass serves every grid without a dense residual.
     """
-    _check_grid_matches(ext, grid)
-    scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
-    d_a = ext.d_a
-    u = _block_overlaps(ext, grid)
-    # the block index is (a, rest) with a first; trace out the rest
-    r = u.reshape(grid.count, d_a, -1)
-    ms = scale[:, None, None] * np.einsum("gar,gbr->gab", r, r.conj())
+    grid = _sweep_grid(exts, grids)
+    us = [_block_overlaps(ext, grid) for ext in exts]
+    todo = [i for i, g in enumerate(grids) if g.resolution_residual is None]
+    certified = dict(zip(todo, subspace_residuals(
+        *([seq[i] for i in todo] for seq in (exts, grids, us))) if todo else []))
+    # physical-site states: the purifying half of a doubled site vector (its
+    # column index) is traced out
+    g = grid.vectors.reshape(grid.count, exts[0].site_keep_dim, -1)
+    rho = g @ g.conj().transpose(0, 2, 1)
+    phis = rho / np.einsum("gii->g", rho).real[:, None, None]
+    approxes = []
+    for i, (ext, u) in enumerate(zip(exts, us)):
+        scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
+        # the block index is (a, rest) with a first; trace out the rest
+        r = u.reshape(grid.count, ext.d_a, -1)
+        ms = scale[:, None, None] * np.einsum("gar,gbr->gab", r, r.conj())
+        total = ms.sum(axis=0)
+        residual = grids[i].resolution_residual
+        if residual is None:
+            # both terms upper-bound every state-side defect of the grid; the
+            # triangle-inequality fallback mass+1 kicks in when the quadratic
+            # surrogate degenerates on heavy-tailed under-resolved grids
+            residual = min(certified[i], float(np.trace(total).real) + 1.0)
+        approxes.append(DeFinettiApprox(
+            ms=ms, phis=phis, grid_residual=residual,
+            povm_deficit=float(trace_norm(total - ext.marginal)), source_n=ext.n,
+            d_a=ext.d_a, site_keep_dim=ext.site_keep_dim))
+    return approxes
 
-    total = ms.sum(axis=0)
-    deficit = float(trace_norm(total - ext.marginal))
-    if grid.resolution_residual is not None:
-        residual = grid.resolution_residual
-    else:
-        # both terms upper-bound every state-side defect of the grid; the
-        # triangle-inequality fallback mass+1 kicks in when the quadratic
-        # surrogate degenerates on heavy-tailed under-resolved grids
-        mass = float(np.trace(total).real)
-        residual = min(subspace_residual(ext, grid, overlaps=u), mass + 1.0)
-    return DeFinettiApprox(ms=ms, phis=_site_states(ext, grid.vectors),
-                           grid_residual=residual, povm_deficit=deficit,
-                           source_n=ext.n, d_a=d_a, site_keep_dim=ext.site_keep_dim)
+
+def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiApprox:
+    """`extract_measures` of the one pair (ext, grid)."""
+    return extract_measures([ext], [grid])[0]
 
 
 def approx_error(omega_k: Operator, approx: DeFinettiApprox, k: int) -> float:

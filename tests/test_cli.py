@@ -323,23 +323,58 @@ def test_oversized_sampler_and_kron_power_exit_2(monkeypatch, tmp_path, capsys,
     assert not out.exists()
 
 
+def record_gram_blocks(monkeypatch):
+    """The sizes of the (square + accumulators, rows, G) buffer stacks the
+    Gram pass fills, one entry per filled block."""
+    from nslocc import definetti
+    sizes = []
+    gram_rows = definetti._gram_rows
+
+    def recording(vectors, lo, stack):
+        sizes.append(stack.size)
+        return gram_rows(vectors, lo, stack)
+
+    monkeypatch.setattr(definetti, "_gram_rows", recording)
+    return sizes
+
+
 def test_subspace_residual_gram_blocks_fit_the_budget(monkeypatch, tmp_path):
     # a budget of side 8 holds 64 complex entries: a 16-point grid takes its
-    # Gram matrix four rows at a time, not as a 16 x 16 block
-    from nslocc import definetti
+    # Gram matrix four rows at a time, not as a 16 x 16 block.  In the sweep,
+    # the square and the accumulators of n = 5 and 6 (n = 3 has a dense
+    # residual) fit 64 entries together, so its blocks hold one row each
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
-    sizes = []
-    int_power = definetti.int_power
-
-    def recording(x, n):
-        sizes.append(x.size)
-        return int_power(x, n)
-
-    monkeypatch.setattr(definetti, "int_power", recording)
     out = tmp_path / "out.csv"
-    assert main(["definetti", "--n", "16", "--count", "16", "--k", "0",
+    sizes = record_gram_blocks(monkeypatch)
+    for n, blocks in (("16", 4), ("3,5,6,16", 16)):
+        sizes.clear()
+        assert main(["definetti", "--n", n, "--count", "16", "--k", "0",
+                     "--out", str(out)]) == 0
+        assert sizes and max(sizes) <= 64
+        assert len(sizes) == blocks
+
+
+def test_definetti_sweep_fills_each_gram_block_once(monkeypatch, tmp_path):
+    # three n share one pass over the four 4-row blocks: 4 fills, not 12
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
+    sizes = record_gram_blocks(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert main(["definetti", "--n", "16,64,256", "--count", "16", "--k", "0",
                  "--out", str(out)]) == 0
-    assert sizes and max(sizes) <= 64
+    assert sizes == [64] * 4
+
+
+def test_definetti_sweep_rows_are_the_single_n_rows(tmp_path):
+    argv = ["definetti", "--count", "200", "--seed", "3"]
+    sweep = tmp_path / "sweep.csv"
+    assert main(argv + ["--n", "5,8,13", "--out", str(sweep)]) == 0
+    rows = []
+    for n in ("5", "8", "13"):
+        single = tmp_path / f"n{n}.csv"
+        assert main(argv + ["--n", n, "--out", str(single)]) == 0
+        header, *body = single.read_text().splitlines()
+        rows += body
+    assert sweep.read_text().splitlines() == [header] + rows
 
 
 def test_haar_grid_over_the_budget_exits_2_before_it_is_drawn(monkeypatch, tmp_path,

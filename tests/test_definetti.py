@@ -9,9 +9,11 @@ from nslocc.definetti import (
     build_grid,
     definetti_bound,
     extract_measure,
+    extract_measures,
     purify_extension,
     purify_product_mixture,
     subspace_residual,
+    subspace_residuals,
 )
 from nslocc.tensor_core import (
     TensorError,
@@ -479,8 +481,8 @@ def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
 
 @pytest.mark.parametrize("n, blocks", [(256, 1.1), (3, 2.1)])
 def test_subspace_residual_peak_is_one_gram_block(n, blocks):
-    # one 400 x 400 complex Gram buffer, plus int_power's scratch base
-    # when n is not a power of two
+    # one 400 x 400 complex Gram buffer, plus one accumulator when n is
+    # not a power of two
     import tracemalloc
     ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
     grid = build_grid(4, n, "haar:3:400")
@@ -492,6 +494,73 @@ def test_subspace_residual_peak_is_one_gram_block(n, blocks):
     finally:
         tracemalloc.stop()
     assert peak <= blocks * 400 * 400 * 16
+
+
+def sweep_extensions(rng, ns):
+    blocks = np.stack([random_density(rng, 2) * w for w in (0.4, 0.6)])
+    sites = np.stack([random_density(rng, 2) for _ in range(2)])
+    return [branch_extension(blocks, sites, n) for n in ns]
+
+
+def int_power_residual(ext, grid):
+    """subspace_residual's sum in one Gram block raised by int_power."""
+    u = _block_overlaps(ext, grid)
+    scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
+    s1 = float(np.sum(scale * np.linalg.norm(u, axis=1) ** 2))
+    b = scale[:, None] * u
+    gram = int_power(grid.vectors.conj() @ grid.vectors.T, ext.n)
+    return np.sqrt(max(0.0, 1.0 - 2.0 * s1 + float(np.vdot(b, gram @ b).real)))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_sweep_extraction_is_bitwise_the_per_n_extraction(rng, monkeypatch, chunk):
+    # n = 3, 4 carry a dense residual; 5, 12 take accumulators; 8, 16, 256
+    # read the running square
+    from nslocc import definetti
+    if chunk is not None:
+        monkeypatch.setattr(definetti, "RESIDUAL_CHUNK", chunk)
+    ns = [3, 4, 5, 8, 12, 16, 256]
+    exts = sweep_extensions(rng, ns)
+    grids = [build_grid(ext.site_dim, ext.n, "haar:9:50") for ext in exts]
+    sweep = extract_measures(exts, grids)
+    for ext, grid, got in zip(exts, grids, sweep):
+        want = extract_measure(ext, grid)
+        assert np.array_equal(got.ms, want.ms) and np.array_equal(got.phis, want.phis)
+        assert got.povm_deficit == want.povm_deficit
+        assert got.grid_residual == want.grid_residual
+        if grid.resolution_residual is None and chunk is None:
+            mass = float(np.trace(got.ms.sum(axis=0)).real)
+            assert got.grid_residual == min(int_power_residual(ext, grid), mass + 1.0)
+    certified = [i for i, grid in enumerate(grids) if grid.resolution_residual is None]
+    assert subspace_residuals([exts[i] for i in certified],
+                              [grids[i] for i in certified]) == [
+        subspace_residual(exts[i], grids[i]) for i in certified]
+
+
+def test_sweep_refuses_grids_with_other_points(rng):
+    exts = sweep_extensions(rng, [5, 6])
+    grids = [build_grid(4, 5, "haar:0:50"), build_grid(4, 6, "haar:1:50")]
+    with pytest.raises(TensorError, match="must share their points"):
+        extract_measures(exts, grids)
+    with pytest.raises(TensorError, match="must share their points"):
+        subspace_residuals(exts, grids)
+
+
+def test_subspace_residuals_sweep_peak_is_one_gram_block():
+    # powers of two share the running square: no accumulator is allocated
+    import tracemalloc
+    ns = [16, 64, 256]
+    exts = [branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
+            for n in ns]
+    grids = [build_grid(4, n, "haar:3:400") for n in ns]
+    us = [_block_overlaps(ext, grid) for ext, grid in zip(exts, grids)]
+    tracemalloc.start()
+    try:
+        subspace_residuals(exts, grids, us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 400 * 400 * 16
 
 
 def test_definetti_bound_formula():
