@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .channels import (
     MeasurePrepareChannel,
+    apply_channel,
     choi_of_global_kraus,
     choi_of_kraus,
     is_cptp,
@@ -49,7 +50,7 @@ from .definetti import (
 from .locc import operator_chebyshev, repair_distance_bound
 from .risk import classification_task, risk_gap_experiment
 from .tensor_core import (Factorization, Operator, kron_power, op, operator_to_json,
-                          partial_trace, permutation_matrix)
+                          partial_trace, permutation_matrix, tensor)
 
 
 def _fail(msg: str) -> int:
@@ -165,8 +166,6 @@ def _verify_checks(seed: int) -> list[dict]:
     rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = rho @ rho.conj().T
     rho /= np.trace(rho).real
-    from .channels import apply_channel
-    from .tensor_core import tensor
     rho_full = tensor(op(np.eye(1), ("A", 1)), op(rho, ("X1", 2)))
     out = apply_channel(ch, rho_full)
     expect = sum(k @ rho @ k.conj().T for k in kraus)
@@ -298,9 +297,9 @@ def cmd_definetti(cfg: dict) -> int:
     sigma = np.array([[1.0]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
     ns = sorted(ns)
-    # every n's grid has the same points, so one Gram pass certifies them all
+    # one grid serves every n, so one Gram pass certifies them all
     approxes = extract_measures([branch_extension(sigma[None], site[None], n=n) for n in ns],
-                                [build_grid(4, n, f"haar:{seed}:{count}") for n in ns])
+                                build_grid(4, max(ns), f"haar:{seed}:{count}"))
     buf = io.StringIO()
     buf.write("n,k,delta_k,bound,grid_residual\n")
     for n, ap in zip(ns, approxes):
@@ -378,8 +377,14 @@ def main(argv: list[str] | None = None) -> int:
         description="non-signalling to measure-then-apply reduction toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    for name in ("verify", "risk-gap", "definetti", "classical-demo",
-                 "gen-channel"):
+    handlers = {
+        "verify": cmd_verify,
+        "risk-gap": cmd_risk_gap,
+        "definetti": cmd_definetti,
+        "classical-demo": cmd_classical_demo,
+        "gen-channel": cmd_gen_channel,
+    }
+    for name in handlers:
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--config")
@@ -408,13 +413,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
     except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
         return _fail(f"bad config: {exc}")
-    handlers = {
-        "verify": cmd_verify,
-        "risk-gap": cmd_risk_gap,
-        "definetti": cmd_definetti,
-        "classical-demo": cmd_classical_demo,
-        "gen-channel": cmd_gen_channel,
-    }
     try:
         return handlers[args.command](cfg)
     except ValueError as exc:

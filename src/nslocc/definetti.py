@@ -14,11 +14,14 @@ sum against the grid.
 The measure is stored as the stacked pair (ms, phis) of arrays with one slice
 per grid point, and every stage after the grid runs on whole stacks.
 
-Grids are finite, so every downstream statement carries a grid residual:
-either the trace-norm gap between sum_g w_g D |phi_g^n><phi_g^n| and the
-symmetric projector (small cases, evaluated in the Dicke basis of Sym^n), or
-a certified subspace surrogate evaluated on the purification itself (large
-cases).
+A grid is only its weighted points.  The coherent-state resolution it
+stands in for holds at every n at once, so one grid serves every n of a
+sweep, and each n is read from its extension.  Grids are finite, so every
+extracted measure carries a grid residual, which `extract_measures` picks per
+extension: the trace-norm gap between sum_g w_g D |phi_g^n><phi_g^n| and the
+symmetric projector when site_dim**n is at most DENSE_RESIDUAL_BUDGET
+(evaluated in the Dicke basis of Sym^n), and otherwise a certified subspace
+surrogate evaluated on the purification itself.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
 RESIDUAL_CHUNK = 512         # grid points per Gram block in subspace_residual
 OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's two (T, chunk) buffers
 GRID_GRAMMAR = "design | haar:SEED:COUNT"
-DEFAULT_GRID = "haar:0:2000"
 # decimal SEED and COUNT without leading zeros, so a grid's mode is its name
 _HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 
@@ -308,14 +310,13 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
 
 @dataclass(frozen=True)
 class MeasureGrid:
-    """Weighted pure-state grid on C^{d_eff} used to resolve Sym^n."""
+    """Weighted pure-state grid on C^{d_eff} that resolves Sym^n; the same
+    points serve every n, and `mode` is the name the grid was built from."""
 
     vectors: np.ndarray = field(repr=False)  # (count, d_eff), unit rows
     weights: np.ndarray = field(repr=False)  # (count,), sums to 1
     d_eff: int
-    n: int
     mode: str
-    resolution_residual: float | None
 
     def __post_init__(self):
         if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -351,18 +352,13 @@ def build_grid(d_eff: int, n: int, name: str,
     it is drawn.  `design` (d_eff = 2 only): a product quadrature grid,
     Gauss-Legendre in the polar coordinate times a uniform azimuth, which
     integrates every matrix element of phi^{⊗n}(phi^{⊗n})† exactly, so the
-    grid reproduces the symmetric projector to machine precision at any n.
+    grid reproduces the symmetric projector to machine precision at n and at
+    every smaller n.  A haar grid does not depend on n.
 
     `include` appends extra unit vectors to a haar grid (weights stay
     uniform across all points; a design grid refuses them); use it to place
-    known preparation states on the grid.
-
-    The resolution residual (trace-norm gap to the symmetric projector) is
-    evaluated when d_eff**n <= DENSE_RESIDUAL_BUDGET, as a dense
-    sym_dim x sym_dim matrix in the Dicke basis of Sym^n (neither the d_eff**n
-    space nor the projector is built), and left None otherwise, in which case
-    consumers substitute a subspace surrogate certified on the contracted
-    state.
+    known preparation states on the grid.  The grid carries no residual:
+    `extract_measures` evaluates it per extension.
     """
     if name == "design":
         if d_eff != 2:
@@ -402,11 +398,7 @@ def build_grid(d_eff: int, n: int, name: str,
             extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
             vectors = np.vstack([vectors, extra])
         weights = np.full(vectors.shape[0], 1.0 / vectors.shape[0])
-
-    residual = None
-    if d_eff ** n <= DENSE_RESIDUAL_BUDGET:
-        residual = _dense_resolution_residual(vectors, weights, n, d_eff)
-    return MeasureGrid(vectors, weights, d_eff, n, name, residual)
+    return MeasureGrid(vectors, weights, d_eff, name)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +427,15 @@ class DeFinettiApprox:
     site_keep_dim: int
 
 
-def _sweep_grid(exts: list[SymmetricExtension], grids: list[MeasureGrid]) -> MeasureGrid:
-    """The first grid, after refusing a grid of another (d_eff, n) than its
-    extension's (site_dim, n) or a sweep whose points, weights or sites differ."""
-    for ext, grid in zip(exts, grids, strict=True):
-        if grid.d_eff != ext.site_dim or grid.n != ext.n:
+def _check_sweep(exts: list[SymmetricExtension], grid: MeasureGrid) -> None:
+    """Refuse an extension whose sites are not the grid's C^{d_eff}, or whose
+    physical sites are not those of the sweep's first extension."""
+    for ext in exts:
+        if (ext.site_dim, ext.site_keep_dim) != (grid.d_eff, exts[0].site_keep_dim):
             raise TensorError(
-                f"grid ({grid.d_eff}, n={grid.n}) does not match extension "
-                f"({ext.site_dim}, n={ext.n})")
-        if not (np.array_equal(grid.vectors, grids[0].vectors)
-                and np.array_equal(grid.weights, grids[0].weights)
-                and ext.site_keep_dim == exts[0].site_keep_dim):
-            raise TensorError("the grids of a sweep must share their points and "
-                              "weights, and its extensions their sites")
-    return grids[0]
+                f"grid on C^{grid.d_eff} (sweep kept on C^{exts[0].site_keep_dim}) "
+                f"does not match extension on C^{ext.site_dim} "
+                f"(kept on C^{ext.site_keep_dim})")
 
 
 def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
@@ -494,16 +481,16 @@ def _gram_rows(vectors: np.ndarray, lo: int, stack: np.ndarray) -> np.ndarray:
     return np.matmul(vectors[lo:lo + stack.shape[1]].conj(), vectors.T, out=stack[0])
 
 
-def subspace_residuals(exts: list[SymmetricExtension], grids: list[MeasureGrid],
-                       overlaps: list[np.ndarray | None] | None = None) -> list[float]:
-    """sqrt(<psi|(T−P)²|psi>) of each pair (exts[i], grids[i]), with T the grid
-    operator and P the symmetric projector; the grids share their points.
+def subspace_residuals(exts: list[SymmetricExtension], grid: MeasureGrid,
+                       overlaps: list[np.ndarray]) -> list[float]:
+    """sqrt(<psi|(T−P)²|psi>) of each extension on the one grid, with T the
+    grid operator at the extension's n and P the symmetric projector.
 
     Since |psi> and every phi_g^{⊗n} lie inside the symmetric subspace, this
     scalar upper-bounds the trace norm of any state-side defect of the grid,
     in particular ‖sum_g M_g − omega_A‖₁, at the cost of only pairwise grid
-    overlaps (never the projector itself).  `overlaps[i]`, when given, must be
-    the (grid.count, block) matrix `_block_overlaps` returns for pair i.
+    overlaps (never the projector itself).  `overlaps[i]` is the
+    (grid.count, block) matrix `_block_overlaps` returns for exts[i].
 
     <psi|T²|psi> = sum_gh <phi_g|phi_h>^n <b_g, b_h> is summed over Gram
     blocks of at most RESIDUAL_CHUNK rows, each squared in place up to the top
@@ -511,10 +498,9 @@ def subspace_residuals(exts: list[SymmetricExtension], grids: list[MeasureGrid],
     `int_power`'s order and so bitwise as it does, into an accumulator (a
     power-of-two n reads the square); all share one buffer within the budget.
     """
-    grid = _sweep_grid(exts, grids)
-    w, count, ns, bs, s1 = grid.weights, grid.count, [g.n for g in grids], [], []
-    for ext, u in zip(exts, overlaps or [None] * len(exts), strict=True):
-        u = _block_overlaps(ext, grid) if u is None else u
+    _check_sweep(exts, grid)
+    w, count, ns, bs, s1 = grid.weights, grid.count, [ext.n for ext in exts], [], []
+    for ext, u in zip(exts, overlaps, strict=True):
         if u.shape != (count, ext.coeffs.shape[1]):
             raise TensorError(f"overlaps have shape {u.shape}, need (grid.count, block) = "
                               f"{(count, ext.coeffs.shape[1])}")
@@ -544,26 +530,29 @@ def subspace_residuals(exts: list[SymmetricExtension], grids: list[MeasureGrid],
     return [sqrt(max(0.0, 1.0 - 2.0 * a + b)) for a, b in zip(s1, s2)]
 
 
-def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid,
-                      overlaps: np.ndarray | None = None) -> float:
-    """`subspace_residuals` of the one pair (ext, grid)."""
-    return subspace_residuals([ext], [grid], [overlaps])[0]
+def subspace_residual(ext: SymmetricExtension, grid: MeasureGrid) -> float:
+    """`subspace_residuals` of the one extension ext."""
+    _check_sweep([ext], grid)
+    return subspace_residuals([ext], grid, [_block_overlaps(ext, grid)])[0]
 
 
 def extract_measures(exts: list[SymmetricExtension],
-                     grids: list[MeasureGrid]) -> list[DeFinettiApprox]:
-    """Contract each extension against its grid to get the de Finetti measure.
+                     grid: MeasureGrid) -> list[DeFinettiApprox]:
+    """Contract each extension against the one grid to get its de Finetti
+    measure, at the extension's n.
 
     M_g = w_g * dim Sym^n * tr_{block minus A}[ u_g u_g† ] with
     u_g = (1 ⊗ <phi_g^{⊗n}|)|psi>, evaluated as pure vector contractions.
-    The grids share their points, so the site states are computed once, and
-    one `subspace_residuals` pass serves every grid without a dense residual.
+    The site states are computed once.  Each grid residual is the dense
+    `_dense_resolution_residual` when site_dim**n is at most
+    DENSE_RESIDUAL_BUDGET, and otherwise certified on the state, one
+    `subspace_residuals` pass serving every such n.
     """
-    grid = _sweep_grid(exts, grids)
+    _check_sweep(exts, grid)
     us = [_block_overlaps(ext, grid) for ext in exts]
-    todo = [i for i, g in enumerate(grids) if g.resolution_residual is None]
+    todo = [i for i, ext in enumerate(exts) if grid.d_eff ** ext.n > DENSE_RESIDUAL_BUDGET]
     certified = dict(zip(todo, subspace_residuals(
-        *([seq[i] for i in todo] for seq in (exts, grids, us))) if todo else []))
+        [exts[i] for i in todo], grid, [us[i] for i in todo]) if todo else []))
     # physical-site states: the purifying half of a doubled site vector (its
     # column index) is traced out
     g = grid.vectors.reshape(grid.count, exts[0].site_keep_dim, -1)
@@ -576,12 +565,14 @@ def extract_measures(exts: list[SymmetricExtension],
         r = u.reshape(grid.count, ext.d_a, -1)
         ms = scale[:, None, None] * np.einsum("gar,gbr->gab", r, r.conj())
         total = ms.sum(axis=0)
-        residual = grids[i].resolution_residual
-        if residual is None:
+        if i in certified:
             # both terms upper-bound every state-side defect of the grid; the
             # triangle-inequality fallback mass+1 kicks in when the quadratic
             # surrogate degenerates on heavy-tailed under-resolved grids
             residual = min(certified[i], float(np.trace(total).real) + 1.0)
+        else:
+            residual = _dense_resolution_residual(grid.vectors, grid.weights, ext.n,
+                                                  grid.d_eff)
         approxes.append(DeFinettiApprox(
             ms=ms, phis=phis, grid_residual=residual,
             povm_deficit=float(trace_norm(total - ext.marginal)), source_n=ext.n,
@@ -590,8 +581,8 @@ def extract_measures(exts: list[SymmetricExtension],
 
 
 def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiApprox:
-    """`extract_measures` of the one pair (ext, grid)."""
-    return extract_measures([ext], [grid])[0]
+    """`extract_measures` of the one extension ext."""
+    return extract_measures([ext], grid)[0]
 
 
 def approx_error(omega_k: Operator, approx: DeFinettiApprox, k: int) -> float:

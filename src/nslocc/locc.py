@@ -26,7 +26,6 @@ from .channels import (
     symmetrize_channel,
 )
 from .definetti import (
-    DEFAULT_GRID,
     DeFinettiApprox,
     SymmetricExtension,
     build_grid,
@@ -222,7 +221,7 @@ def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
 
 
 def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
-                        grid_spec: str = DEFAULT_GRID,
+                        grid_spec: str,
                         include_points: np.ndarray | None = None) -> MeasurePrepareChannel:
     """Run the full reduction on a non-signalling channel.
 

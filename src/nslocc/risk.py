@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiChannel, MeasurePrepareChannel, marginal_channel, symmetrize_channel
-from .definetti import DEFAULT_GRID
 from .locc import build_locc_protocol, theorem1_bound
 from .tensor_core import (
     Factorization,
@@ -272,7 +271,7 @@ class RiskReport:
 
 def risk_gap_experiment(task: LearningTask,
                         q: ChoiChannel | MeasurePrepareChannel,
-                        grid_spec: str = DEFAULT_GRID) -> RiskReport:
+                        grid_spec: str) -> RiskReport:
     """Collective-vs-LOCC gap with the (loose) rate bound, both reported."""
     risk_q = expected_risk(q, task, path="marginal")
     protocol = build_locc_protocol(q, grid_spec=grid_spec)

@@ -1,9 +1,13 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_prepare_choi
 from nslocc.definetti import (
+    DENSE_RESIDUAL_BUDGET,
     _block_overlaps,
+    _dense_resolution_residual,
     approx_error,
     branch_extension,
     build_grid,
@@ -56,8 +60,7 @@ def symmetric_test_state(rng, d_a, d, n):
 def test_design_grid_resolves_symmetric_projector():
     for n in range(1, 7):
         g = build_grid(2, n, "design")
-        assert g.resolution_residual is not None
-        assert g.resolution_residual <= 1e-12
+        assert _dense_resolution_residual(g.vectors, g.weights, n, 2) <= 1e-12
         assert oracle_resolution_residual(g.vectors, g.weights, n, 2) <= 1e-12
 
 
@@ -65,7 +68,8 @@ def test_design_grid_resolves_symmetric_projector():
 def test_dicke_residual_matches_the_dense_oracle(n, d):
     g = build_grid(d, n, f"haar:{n * d}:300")
     want = oracle_resolution_residual(g.vectors, g.weights, n, d)
-    assert g.resolution_residual == pytest.approx(want, rel=1e-12)
+    assert _dense_resolution_residual(g.vectors, g.weights, n, d) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_design_grid_n1_resolves_identity():
@@ -79,7 +83,8 @@ def test_design_grid_n1_resolves_identity():
 def test_haar_grid_residual_decreases_with_count():
     g1 = build_grid(2, 2, "haar:0:200")
     g2 = build_grid(2, 2, "haar:0:4000")
-    assert g2.resolution_residual < g1.resolution_residual
+    assert (_dense_resolution_residual(g2.vectors, g2.weights, 2, 2)
+            < _dense_resolution_residual(g1.vectors, g1.weights, 2, 2))
 
 
 @pytest.mark.parametrize("name, d_eff", [("design", 2), ("haar:7:30", 4),
@@ -461,13 +466,33 @@ def test_subspace_residual_is_the_same_in_partial_gram_blocks(rng, monkeypatch):
         assert abs(blocked - whole) <= 1e-12, kind
 
 
-def test_subspace_residual_refuses_a_grid_of_another_n():
+def test_grid_serves_every_n_and_refuses_other_sites():
+    # a haar grid does not depend on n: the extension's n = 16 is used on a
+    # grid built for n = 64
     ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=16)
-    grid = build_grid(4, 64, "haar:0:50")
-    with pytest.raises(TensorError, match=r"grid \(4, n=64\) does not match extension"):
-        subspace_residual(ext, grid)
+    wide, own = build_grid(4, 64, "haar:0:50"), build_grid(4, 16, "haar:0:50")
+    assert subspace_residual(ext, wide) == subspace_residual(ext, own)
+    got, want = extract_measure(ext, wide), extract_measure(ext, own)
+    assert np.array_equal(got.ms, want.ms) and np.array_equal(got.phis, want.phis)
+    assert got.grid_residual == want.grid_residual
+    qubits = build_grid(2, 16, "haar:0:50")
+    with pytest.raises(TensorError, match=r"grid on C\^2 .*does not match extension"):
+        subspace_residual(ext, qubits)
     with pytest.raises(TensorError, match="does not match extension"):
-        extract_measure(ext, grid)
+        extract_measure(ext, qubits)
+
+
+def test_sweep_refuses_extensions_with_other_physical_sites():
+    # both extensions have sites on C^4, but only the pure one keeps all four
+    doubled = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=2)
+    pure = purify_extension(op(np.diag(np.eye(16)[0]), ("B1", 4), ("B2", 4)))
+    assert (pure.site_dim, pure.site_keep_dim) == (4, 4)
+    grid = build_grid(4, 2, "haar:0:20")
+    us = [_block_overlaps(ext, grid) for ext in (doubled, pure)]
+    with pytest.raises(TensorError, match="does not match extension"):
+        extract_measures([doubled, pure], grid)
+    with pytest.raises(TensorError, match="does not match extension"):
+        subspace_residuals([doubled, pure], grid, us)
 
 
 def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
@@ -476,7 +501,7 @@ def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
     full = np.zeros((40, ext.coeffs.shape[1]), dtype=complex)
     for bad in (full[:-1], full[:, :-1], full.ravel()):
         with pytest.raises(TensorError, match=r"overlaps have shape"):
-            subspace_residual(ext, grid, overlaps=bad)
+            subspace_residuals([ext], grid, [bad])
 
 
 @pytest.mark.parametrize("n, blocks", [(256, 1.1), (3, 2.1)])
@@ -489,7 +514,7 @@ def test_subspace_residual_peak_is_one_gram_block(n, blocks):
     u = _block_overlaps(ext, grid)
     tracemalloc.start()
     try:
-        subspace_residual(ext, grid, u)
+        subspace_residuals([ext], grid, [u])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,29 +546,37 @@ def test_sweep_extraction_is_bitwise_the_per_n_extraction(rng, monkeypatch, chun
         monkeypatch.setattr(definetti, "RESIDUAL_CHUNK", chunk)
     ns = [3, 4, 5, 8, 12, 16, 256]
     exts = sweep_extensions(rng, ns)
-    grids = [build_grid(ext.site_dim, ext.n, "haar:9:50") for ext in exts]
-    sweep = extract_measures(exts, grids)
-    for ext, grid, got in zip(exts, grids, sweep):
+    grid = build_grid(4, max(ns), "haar:9:50")
+    sweep = extract_measures(exts, grid)
+    certified = [ext for ext in exts if 4 ** ext.n > DENSE_RESIDUAL_BUDGET]
+    for ext, got in zip(exts, sweep):
         want = extract_measure(ext, grid)
         assert np.array_equal(got.ms, want.ms) and np.array_equal(got.phis, want.phis)
         assert got.povm_deficit == want.povm_deficit
         assert got.grid_residual == want.grid_residual
-        if grid.resolution_residual is None and chunk is None:
+        if 4 ** ext.n > DENSE_RESIDUAL_BUDGET and chunk is None:
             mass = float(np.trace(got.ms.sum(axis=0)).real)
             assert got.grid_residual == min(int_power_residual(ext, grid), mass + 1.0)
-    certified = [i for i, grid in enumerate(grids) if grid.resolution_residual is None]
-    assert subspace_residuals([exts[i] for i in certified],
-                              [grids[i] for i in certified]) == [
-        subspace_residual(exts[i], grids[i]) for i in certified]
+    assert subspace_residuals(certified, grid,
+                              [_block_overlaps(ext, grid) for ext in certified]) == [
+        subspace_residual(ext, grid) for ext in certified]
 
 
-def test_sweep_refuses_grids_with_other_points(rng):
-    exts = sweep_extensions(rng, [5, 6])
-    grids = [build_grid(4, 5, "haar:0:50"), build_grid(4, 6, "haar:1:50")]
-    with pytest.raises(TensorError, match="must share their points"):
-        extract_measures(exts, grids)
-    with pytest.raises(TensorError, match="must share their points"):
-        subspace_residuals(exts, grids)
+def test_design_grid_extracts_every_smaller_n_exactly(rng):
+    # the design built for N = 6 integrates phi^{⊗n} exactly for every n <= 6
+    grid = build_grid(2, 6, "design")
+    psi, chi = random_pure(rng, 2), random_pure(rng, 2)
+    exts = []
+    for n in range(1, 7):
+        vec = (np.kron([1.0, 0.0], reduce(np.kron, [psi] * n))
+               + np.kron([0.0, 1.0], reduce(np.kron, [chi] * n)))
+        vec /= np.linalg.norm(vec)
+        exts.append(purify_extension(op(np.outer(vec, vec.conj()), ("A", 2),
+                                        *((f"B{i}", 2) for i in range(1, n + 1)))))
+    for ext, ap in zip(exts, extract_measures(exts, grid)):
+        assert ext.site_dim == 2
+        assert ap.grid_residual <= 1e-12, ext.n
+        assert ap.povm_deficit <= 1e-12, ext.n
 
 
 def test_subspace_residuals_sweep_peak_is_one_gram_block():
@@ -552,11 +585,11 @@ def test_subspace_residuals_sweep_peak_is_one_gram_block():
     ns = [16, 64, 256]
     exts = [branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
             for n in ns]
-    grids = [build_grid(4, n, "haar:3:400") for n in ns]
-    us = [_block_overlaps(ext, grid) for ext, grid in zip(exts, grids)]
+    grid = build_grid(4, max(ns), "haar:3:400")
+    us = [_block_overlaps(ext, grid) for ext in exts]
     tracemalloc.start()
     try:
-        subspace_residuals(exts, grids, us)
+        subspace_residuals(exts, grid, us)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -153,7 +153,7 @@ def test_build_protocol_rejects_signalling_input(rng):
     from nslocc.channels import choi_of_global_kraus
     q = choi_of_global_kraus([swap], 2, 2, n=2)
     with pytest.raises(TensorError):
-        build_locc_protocol(q)
+        build_locc_protocol(q, "haar:0:20")
 
 
 def test_build_protocol_output_is_valid(rng):

@@ -11,6 +11,11 @@ test: it is read in the package outside its own definition, in the
 benchmark (`bench/`, including the layers `bench/run.py` traces by name) or
 in `scripts/`.  Tests alone do not keep a public name alive; a helper only
 they use belongs in `tests/conftest.py`.
+
+Likewise every defaulted parameter of a public function must be set, by
+position or by keyword, by some call outside `tests/`: in the package, in
+`bench/` or in `scripts/`.  A default only tests override is a knob no user
+turns.
 """
 
 import ast
@@ -25,6 +30,13 @@ UNCALLED_PUBLIC = {
     # ROADMAP item 2 gives it its first caller: the cloner's gap is scored on
     # a mixture of one-concept tomography tasks
     "tomography_task",
+}
+# defaulted parameters kept although only tests set them, with the reason
+UNSET_DEFAULTS = {
+    # ROADMAP item 1's `branches` grid, built from the extension, replaces the
+    # extra points placed on a haar grid
+    "build_grid.include",
+    "build_locc_protocol.include_points",
 }
 
 
@@ -81,6 +93,53 @@ def orphans(trees: dict[str, ast.Module], private: bool = True,
     return found
 
 
+def defaulted(node: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of the function's defaulted parameters; a
+    keyword-only parameter has no position."""
+    args = node.args
+    params = args.posonlyargs + args.args
+    first = len(params) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(params) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def set_arguments(tree: ast.AST) -> set[tuple[str, int | str]]:
+    """(callee, position) and (callee, keyword) of every argument a call in
+    the tree passes, the callee named by its last name; a `*args` passes
+    position "*" and a `**kwargs` keyword "**"."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        for i, arg in enumerate(node.args):
+            out.add((callee, "*" if isinstance(arg, ast.Starred) else i))
+        out.update((callee, kw.arg or "**") for kw in node.keywords)
+    return out
+
+
+def unset_defaults(trees: dict[str, ast.Module], callers: dict[str, ast.Module],
+                   allowed: set[str] = frozenset()) -> list[str]:
+    """The defaulted parameters of the public functions of `trees` that no
+    call in `trees` or `callers` sets, calls under `tests/` not counting,
+    and that `allowed` does not name as function.parameter."""
+    given = set().union(*(set_arguments(tree) for path, tree in {**trees, **callers}.items()
+                          if not path.startswith("tests/")))
+    found = []
+    for module, tree in trees.items():
+        for name, node in definitions(tree, private=False).items():
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for pos, param in defaulted(node):
+                ways = {(name, param), (name, "**")}
+                if pos is not None:
+                    ways |= {(name, pos), (name, "*")}
+                if not ways & given and f"{name}.{param}" not in allowed:
+                    found.append(f"{module}:{node.lineno} {name}.{param}")
+    return found
+
+
 def parse(paths, base: Path) -> dict[str, ast.Module]:
     """{path relative to base: syntax tree} of the files."""
     return {str(path.relative_to(base)): ast.parse(path.read_text(), filename=str(path))
@@ -106,6 +165,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert UNCALLED_PUBLIC <= defined, "an allowlisted name no longer exists"
 
 
+def test_every_default_is_set_outside_the_tests():
+    trees = parse(SRC.glob("*.py"), SRC)
+    callers = parse([*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                     *(ROOT / "tests").glob("*.py")], ROOT)
+    unset = unset_defaults(trees, callers, UNSET_DEFAULTS)
+    assert not unset, "defaulted parameters only tests set: " + ", ".join(unset)
+    params = {f"{name}.{param}" for tree in trees.values()
+              for name, node in definitions(tree, private=False).items()
+              if isinstance(node, ast.FunctionDef) for _, param in defaulted(node)}
+    assert UNSET_DEFAULTS <= params, "an allowlisted default no longer exists"
+
+
 @pytest.mark.parametrize("source, want", [
     ("def _dead():\n    return _dead()\n", ["a.py:1 _dead"]),
     ("def _used():\n    pass\nX = _used\n", []),
@@ -129,6 +200,19 @@ def test_checker_flags_an_uncalled_public_name(source, outside, want):
     trees = {"a.py": ast.parse(source),
              "b.py": ast.parse("from .a import Kept\n")}
     assert orphans(trees, private=False, outside=outside) == want
+
+
+@pytest.mark.parametrize("path, call, allowed, want", [
+    ("bench/x.py", "m.f(1, b=2)\n", set(), []),
+    ("scripts/x.py", "f(1, 2)\n", set(), []),
+    ("bench/x.py", "f(*args)\n", set(), []),
+    ("bench/x.py", "f(1)\n", set(), ["a.py:1 f.b"]),
+    ("tests/test_x.py", "f(1, b=2)\n", set(), ["a.py:1 f.b"]),
+    ("tests/test_x.py", "f(1, b=2)\n", {"f.b"}, []),
+], ids=["keyword", "position", "starred", "unset", "test-only", "allowlisted"])
+def test_checker_flags_a_default_only_tests_set(path, call, allowed, want):
+    trees = {"a.py": ast.parse("def f(a, b=0):\n    return a + b\n")}
+    assert unset_defaults(trees, {path: ast.parse(call)}, allowed) == want
 
 
 def test_traced_layers_reads_the_literal():
