@@ -141,6 +141,13 @@ def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Op
     return MeasurePrepareChannel.of(povm, preparations, n).dense()
 
 
+def marginal_input(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
+    """Input marginal τ = tr_Y φ of a state φ on (X, Y), or of each state of a
+    (..., d_X·d_Y, d_X·d_Y) stack."""
+    t = phi.reshape(phi.shape[:-2] + (d_x, d_y, d_x, d_y))
+    return np.einsum("...xyzy->...xz", t)
+
+
 @dataclass(frozen=True)
 class MeasurePrepareChannel:
     """Structured backend of a measure-and-prepare channel (A, X^n) -> Y^n.
@@ -183,8 +190,8 @@ class MeasurePrepareChannel:
             if low < -PSD_TOL:
                 raise TensorError(f"{what} is not PSD (min eigenvalue {low:.3e})")
         # trace preservation, which makes the channel non-signalling
-        t = chois.reshape(-1, self.d_x, self.d_y, self.d_x, self.d_y)
-        tp_dev = float(np.abs(np.einsum("kxyzy->kxz", t) - np.eye(self.d_x) / self.d_x).max())
+        tp_dev = float(np.abs(marginal_input(chois, self.d_x, self.d_y)
+                              - np.eye(self.d_x) / self.d_x).max())
         if tp_dev > 1e-7:
             raise TensorError(f"preparation input marginal off 1/d_X by {tp_dev:.3e}")
 

@@ -39,7 +39,7 @@ from .tensor_core import (
     check_dense_budget,
     dense_budget_rows,
     dicke_coordinates,
-    int_power,
+    int_powers,
     kron_power,
     permute_sites,
     sym_dim,
@@ -50,7 +50,7 @@ SYMMETRY_TOL = 1e-8
 PURE_EIG_THRESHOLD = 1e-10
 DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
 RESIDUAL_CHUNK = 512         # grid points per Gram block in subspace_residual
-OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's two (T, chunk) buffers
+OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's (T, chunk) buffers
 GRID_GRAMMAR = "design | haar:SEED:COUNT"
 # decimal SEED and COUNT without leading zeros, so a grid's mode is its name
 _HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
@@ -108,24 +108,16 @@ def _transposition_deviations(t: np.ndarray, groups: list[range]):
         yield i, float(np.abs(permute_sites(t, perm, groups) - t).max())
 
 
-def _check_site_symmetry(psi: np.ndarray, n: int, d: int, tol: float):
-    """Spot-check invariance under adjacent site transpositions."""
-    t = psi.reshape((psi.shape[0],) + (d,) * n)
-    for i, dev in _transposition_deviations(t, [range(1, n + 1)]):
-        if dev > tol:
-            raise TensorError(
-                f"state is not symmetric under sites ({i + 1},{i + 2}): {dev:.3e}")
-
-
 def purify_extension(omega: Operator) -> SymmetricExtension:
     """Symmetric purification of a state on A ⊗ B1..Bn.
 
     The factor layout of omega must be ("A", d_a), ("B1", d), ..., ("Bn", d);
-    a missing A factor means d_a = 1.  If omega is (numerically) pure the
-    state vector itself is returned with the original site dimension.
-    Otherwise the purification is vec √omega, which pairs each site with its
-    mirror copy, giving doubled sites of dimension d² and a block (A, A') of
-    dimension d_a².
+    a missing A factor means d_a = 1.  If omega is (numerically) pure and its
+    state vector is symmetric, that vector is returned with the original
+    site dimension.  Otherwise the purification is vec √omega, which pairs
+    each site with its mirror copy, giving doubled sites of dimension d² and
+    a block (A, A') of dimension d_a²; it is symmetric even where omega's
+    vector is antisymmetric, as for the singlet on two sites.
 
     The eigensolve runs in real arithmetic when omega is real (`eigh_herm`).
     √omega is built only from the eigenpairs above the rank floor
@@ -156,7 +148,10 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
                 f"deviation {dev:.3e})")
 
     w, v = _psd_eigs(m)
-    if w[-1] >= 1.0 - PURE_EIG_THRESHOLD:
+    # the vector of a pure symmetric omega may be antisymmetric; vec √omega never is
+    top = v[:, -1].reshape(t.shape[:n + 1])
+    if w[-1] >= 1.0 - PURE_EIG_THRESHOLD and all(
+            dev <= 1e-7 for _, dev in _transposition_deviations(top, [range(1, n + 1)])):
         return _pure_extension(v[:, -1], d_a, d, n, float(w[:-1].sum()))
     keep = w > w[-1] * len(w) * np.finfo(float).eps
     v_r = v[:, keep]
@@ -181,9 +176,8 @@ def _pure_extension(vec: np.ndarray, d_a: int, d: int, n: int,
 
 def _dense_extension(psi: np.ndarray, d_a: int, site_dim: int, site_keep_dim: int,
                      n: int, dropped: float) -> SymmetricExtension:
-    """The extension of the unit state matrix psi (block, site_dim**n), after
-    checking its site symmetry: identity sites, one term per basis product."""
-    _check_site_symmetry(psi, n, site_dim, 1e-7)
+    """The extension of the unit, site-symmetric state matrix psi
+    (block, site_dim**n): identity sites, one term per basis product."""
     rows = psi.reshape(d_a, -1)       # a, then the rest of the block and the sites
     return SymmetricExtension(
         n=n, d_a=d_a, site_dim=site_dim, site_keep_dim=site_keep_dim,
@@ -444,34 +438,37 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
     u_g = Q_g coeffs with Q_g[t] = prod_i S[index[i, t], g] and S the site
     overlaps <phi_g|sites[r]>.  The grid axis is kept last, so every gather
     moves whole rows of grid points.  A run of equal consecutive index rows
-    is gathered once and raised to its length in place, so the n equal rows
-    of a branch extension cost O(log n) products.  The grid is taken in chunks
-    whose Q and the one factor being multiplied into it stay within the
-    dense budget and, where one chunk point fits, within
-    OVERLAP_CACHE_BYTES, so that the n passes over them stay in cache; both
-    buffers are reused across runs and chunks.
+    is gathered once and raised to its length by `int_powers`, so the n
+    equal rows of a branch extension cost O(log n) products.  The grid is
+    taken in chunks whose Q, the one factor being multiplied into it and,
+    when some run length is not a power of two, the kernel's scratch slot
+    stay within the dense budget and, where one chunk point fits, within
+    OVERLAP_CACHE_BYTES, so that the n passes over them stay in cache; the
+    buffers are allocated once and reused across runs and chunks.
     """
     vectors, index = grid.vectors, ext.index
     s = ext.sites @ vectors.conj().T                            # S, (R, G)
     starts = np.flatnonzero(np.r_[True, (index[1:] != index[:-1]).any(axis=1)])
-    runs = list(zip(starts, np.diff(np.r_[starts, len(index)])))
+    runs = list(zip(starts.tolist(), np.diff(np.r_[starts, len(index)]).tolist()))
     t = index.shape[1]
     coeffs = ext.coeffs.astype(complex, copy=False)  # once, not once per chunk
     out = np.empty((len(vectors), coeffs.shape[1]), dtype=complex)
-    step = min(len(vectors), dense_budget_rows(2 * t),
-               max(1, OVERLAP_CACHE_BYTES // (32 * t)))
-    q_buf, term_buf = np.empty((2, t, step), dtype=complex)
+    nbuf = 2 + any(length & (length - 1) for _, length in runs)   # Q, factor, scratch
+    step = min(len(vectors), dense_budget_rows(nbuf * t),
+               max(1, OVERLAP_CACHE_BYTES // (16 * nbuf * t)))
+    buf = np.empty((nbuf, t, step), dtype=complex)
     for lo in range(0, len(vectors), step):
         hi = min(lo + step, len(vectors))
-        q, term = q_buf[:, :hi - lo], term_buf[:, :hi - lo]
+        q, term, *scratch = buf[:, :, :hi - lo]
         for k, (i, length) in enumerate(runs):
             cur = term if k else q
             # every index is in range; mode="clip" only lets take write in place
             np.take(s[:, lo:hi], index[i], axis=0, out=cur, mode="clip")
-            if length > 1:
-                int_power(cur, length)
+            [(_, power)] = int_powers(cur, [length], scratch)
             if k:
-                q *= term
+                q *= power
+            elif power is not q:
+                q[...] = power
         out[lo:hi] = q.T @ coeffs
     return out
 
@@ -493,10 +490,10 @@ def subspace_residuals(exts: list[SymmetricExtension], grid: MeasureGrid,
     (grid.count, block) matrix `_block_overlaps` returns for exts[i].
 
     <psi|T²|psi> = sum_gh <phi_g|phi_h>^n <b_g, b_h> is summed over Gram
-    blocks of at most RESIDUAL_CHUNK rows, each squared in place up to the top
-    bit of the largest n.  Each n multiplies in the squares its bits name, in
-    `int_power`'s order and so bitwise as it does, into an accumulator (a
-    power-of-two n reads the square); all share one buffer within the budget.
+    blocks of at most RESIDUAL_CHUNK rows, each raised to every n by one
+    `int_powers` call: a power-of-two n reads the running square, any other
+    n its own accumulator.  The square and the accumulators share one buffer
+    within the budget.
     """
     _check_sweep(exts, grid)
     w, count, ns, bs, s1 = grid.weights, grid.count, [ext.n for ext in exts], [], []
@@ -507,26 +504,15 @@ def subspace_residuals(exts: list[SymmetricExtension], grid: MeasureGrid,
         scale = w * float(sym_dim(ext.n, grid.d_eff))
         s1.append(float(np.sum(scale * np.linalg.norm(u, axis=1) ** 2)))
         bs.append(scale[:, None] * u)
-    mixed = [i for i, n in enumerate(ns) if n & (n - 1)]   # not powers of two
-    rows = min(RESIDUAL_CHUNK, dense_budget_rows(count * (1 + len(mixed))), count)
-    buf = np.empty((1 + len(mixed), rows, count), dtype=complex)  # square, accumulators
+    slots = 1 + sum(1 for n in ns if n & (n - 1))          # square, accumulators
+    rows = min(RESIDUAL_CHUNK, dense_budget_rows(count * slots), count)
+    buf = np.empty((slots, rows, count), dtype=complex)
     s2 = [0.0] * len(ns)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         stack = buf[:, :hi - lo]
-        square = _gram_rows(grid.vectors, lo, stack)
-        for t in range(max(ns).bit_length()):
-            if t:
-                square *= square                                # <phi_g|phi_h>^(2^t)
-            for i, n in enumerate(ns):
-                power = stack[1 + mixed.index(i) if i in mixed else 0]
-                if i in mixed and n >> t & 1:
-                    if n & ((1 << t) - 1):
-                        power *= square
-                    else:
-                        power[...] = square                     # n's lowest bit
-                if n >> t == 1:                                 # n's top bit
-                    s2[i] += float(np.vdot(bs[i][lo:hi], power @ bs[i]).real)
+        for i, power in int_powers(_gram_rows(grid.vectors, lo, stack), ns, stack[1:]):
+            s2[i] += float(np.vdot(bs[i][lo:hi], power @ bs[i]).real)
     return [sqrt(max(0.0, 1.0 - 2.0 * a + b)) for a, b in zip(s1, s2)]
 
 

@@ -23,6 +23,7 @@ from .channels import (
     MeasurePrepareChannel,
     choi_factorization,
     is_nonsignalling,
+    marginal_input,
     symmetrize_channel,
 )
 from .definetti import (
@@ -81,13 +82,6 @@ def purify_channel(q: ChoiChannel | MeasurePrepareChannel) -> SymmetricExtension
 # ---------------------------------------------------------------------------
 # trace-preserving repair
 # ---------------------------------------------------------------------------
-
-def marginal_input(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
-    """Input marginal τ = tr_Y φ of a state φ on (X, Y), or of each state of a
-    (..., d_X·d_Y, d_X·d_Y) stack."""
-    t = phi.reshape(phi.shape[:-2] + (d_x, d_y, d_x, d_y))
-    return np.einsum("...xyzy->...xz", t)
-
 
 def tp_repair(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
     """Rescale a state φ on (X, Y) so its input marginal is maximally mixed.

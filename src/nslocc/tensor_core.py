@@ -371,34 +371,38 @@ def dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
     return scale * vectors[:, idx].prod(axis=2)
 
 
-def int_power(x: np.ndarray, n: int) -> np.ndarray:
-    """Raise x elementwise to an integer n >= 0 in place, by binary
-    exponentiation, and return x.
+def int_powers(x: np.ndarray, ns: Sequence[int], scratch: np.ndarray):
+    """Raise x elementwise to every integer n >= 1 of ns by one series of
+    in-place squarings of x, yielding (i, x**ns[i]) as each power completes.
 
     Overlaps <phi|chi>^n of product states need large n, where numpy's
     complex power leaves its repeated-multiplication fast path for a much
     slower general one; squaring costs O(log n) array products instead.
-    x is squared in place up to n's lowest set bit; only an n that is not a
-    power of two takes one scratch copy, the base of the remaining bits.
-    The products are those of binary exponentiation into a ones
-    accumulator, in the same order, so the result is bitwise the same.
+    A power-of-two n is yielded as x itself, which the next squaring
+    overwrites, so a power must be used before the generator resumes.  Every
+    other n takes its own slot of scratch, one per such n in the order of ns:
+    the square at its lowest set bit, times the squares of its higher bits,
+    lowest first.  These are the products of binary exponentiation into a
+    ones accumulator, in the same order, so each power is bitwise the same.
     """
-    if n < 0:
-        raise TensorError(f"exponent must be non-negative, got {n}")
-    if n == 0:
-        x[...] = 1
-        return x
-    while not n & 1:
-        x *= x
-        n >>= 1
-    n >>= 1
-    base = x.copy() if n else None
-    while n:
-        base *= base
-        if n & 1:
-            x *= base
-        n >>= 1
-    return x
+    if min(ns) < 1:
+        raise TensorError(f"exponents must be at least 1, got {list(ns)}")
+    mixed = [i for i, n in enumerate(ns) if n & (n - 1)]      # not powers of two
+    if len(scratch) < len(mixed):
+        raise TensorError(f"{len(mixed)} exponents of {list(ns)} are not powers of two, "
+                          f"but scratch has {len(scratch)} slots")
+    acc = dict(zip(mixed, scratch))
+    for t in range(max(ns).bit_length()):
+        if t:
+            x *= x                                              # x**(2**t)
+        for i, n in enumerate(ns):
+            if i in acc and n >> t & 1:
+                if n & ((1 << t) - 1):
+                    acc[i] *= x
+                else:
+                    acc[i][...] = x                             # n's lowest bit
+            if n >> t == 1:                                     # n's top bit
+                yield i, acc.get(i, x)
 
 
 def symmetric_projector(n: int, d: int) -> Operator:

@@ -307,13 +307,17 @@ def extension_psi(ext: SymmetricExtension) -> np.ndarray:
 
 
 def unprimed_state(ext: SymmetricExtension) -> np.ndarray:
-    """The state a purified extension leaves on the unprimed (A, B1..Bn)
-    when the mirror copies are traced out."""
+    """The state an extension leaves on the unprimed (A, B1..Bn): its own
+    when it keeps the physical sites, and otherwise what is left when the
+    mirror copies are traced out."""
     n, d_a, d = ext.n, ext.d_a, ext.site_keep_dim
-    t = extension_psi(ext).reshape((d_a, d_a) + (d, d) * n)
-    r = t.transpose([0] + [2 + 2 * i for i in range(n)]
-                    + [1] + [3 + 2 * i for i in range(n)])
-    r = r.reshape(d_a * d ** n, -1)
+    if ext.site_dim == d:
+        r = extension_psi(ext).reshape(-1, 1)
+    else:
+        t = extension_psi(ext).reshape((d_a, d_a) + (d, d) * n)
+        r = t.transpose([0] + [2 + 2 * i for i in range(n)]
+                        + [1] + [3 + 2 * i for i in range(n)])
+        r = r.reshape(d_a * d ** n, -1)
     return r @ r.conj().T
 
 

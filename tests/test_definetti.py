@@ -2,6 +2,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_prepare_choi
 from nslocc.definetti import (
@@ -22,9 +24,10 @@ from nslocc.definetti import (
 from nslocc.tensor_core import (
     TensorError,
     dense_budget_rows,
-    int_power,
+    int_powers,
     op,
     partial_trace,
+    permutation_matrix,
     sym_dim,
     symmetric_projector,
     trace_norm,
@@ -141,6 +144,38 @@ def test_purify_extension_reduces_back(rng, d_a, kind):
     assert np.abs(ext.marginal - want).max() <= 1e-10
 
 
+def test_purify_extension_purifies_an_antisymmetric_pure_state():
+    # the singlet's omega is symmetric but its vector is antisymmetric, so
+    # it takes vec √omega on doubled sites, as its mixture with noise does
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    omega = op(np.outer(singlet, singlet), ("B1", 2), ("B2", 2))
+    ext = purify_extension(omega)
+    assert ext.site_dim == 4
+    assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-12
+    # a symmetric pure omega keeps its vector on the physical sites
+    triplet = np.abs(singlet)
+    ext = purify_extension(op(np.outer(triplet, triplet), ("B1", 2), ("B2", 2)))
+    assert ext.site_dim == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31 - 1), st.lists(st.booleans(), min_size=1, max_size=3))
+def test_purify_extension_reduces_back_with_antisymmetric_parts(seed, antisymmetric):
+    # omega = sum_k p_k |psi_k><psi_k| with each psi_k symmetric or
+    # antisymmetric under the swap of two qubits, so omega is symmetric
+    rng = np.random.default_rng(seed)
+    swap = permutation_matrix([1, 0], 2)
+    vecs = [random_pure(rng, 4) for _ in antisymmetric]
+    vecs = [v - swap @ v if anti else v + swap @ v for v, anti in zip(vecs, antisymmetric)]
+    p = rng.dirichlet(np.ones(len(vecs)))
+    omega = sum(pk * np.outer(v, v.conj()) / np.vdot(v, v).real for pk, v in zip(p, vecs))
+    ext = purify_extension(op(omega, ("B1", 2), ("B2", 2)))
+    assert np.abs(unprimed_state(ext) - omega).max() <= 1e-10
+    # and the extension itself is symmetric under the swap of its sites
+    psi = extension_psi(ext).reshape(-1, ext.site_dim, ext.site_dim)
+    assert np.abs(psi - psi.transpose(0, 2, 1)).max() <= 1e-10
+
+
 def risk_gap_state(n):
     """The symmetrized Choi state, on (A, B1..Bn), that risk-gap purifies."""
     from nslocc.channels import symmetrize_channel
@@ -204,14 +239,6 @@ def test_purify_extension_names_the_broken_transposition(rng):
     m = np.kron(np.kron(random_density(rng, 2), np.kron(sigma, sigma)), tau)
     omega = op(m, ("A", 2), ("B1", 2), ("B2", 2), ("B3", 2))
     with pytest.raises(TensorError, match=r"transposition 2,3"):
-        purify_extension(omega)
-
-
-def test_pure_antisymmetric_state_is_refused():
-    # the singlet: omega is invariant under the swap, its vector changes sign
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-    omega = op(np.outer(singlet, singlet), ("B1", 2), ("B2", 2))
-    with pytest.raises(TensorError, match=r"not symmetric under sites \(1,2\)"):
         purify_extension(omega)
 
 
@@ -326,17 +353,6 @@ def test_extraction_in_several_grid_chunks_matches_per_point_loop(rng, monkeypat
         assert np.abs(approx.phis - phis).max() <= 1e-12
 
 
-def test_int_power_matches_numpy_power(rng):
-    z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    z /= np.abs(z).max()
-    # moduli 0.06 and 0.01 reach subnormal and zero at n=256
-    z[0, :3] = [0.06, 0.01j, 0.06 * np.exp(0.3j)]
-    for n in (1, 2, 3, 16, 64, 255, 256):
-        want = np.power(z, n)
-        assert np.allclose(int_power(z.copy(), n), want, rtol=1e-12, atol=1e-300), n
-    assert np.all(np.abs(int_power(z.copy(), 256)[0, :3]) < np.finfo(float).tiny)
-
-
 def ones_accumulator_power(x, n):
     """Reference binary exponentiation into a ones accumulator, x untouched."""
     base, out = x.copy(), np.ones_like(x)
@@ -349,20 +365,60 @@ def ones_accumulator_power(x, n):
     return out
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 12, 16, 255, 256])
+def kernel_power(x, n):
+    """x**n by int_powers, with one scratch slot."""
+    [(_, power)] = int_powers(x, [n], np.empty((1,) + x.shape, dtype=x.dtype))
+    return power
+
+
+def test_int_power_matches_numpy_power(rng):
+    z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    z /= np.abs(z).max()
+    # moduli 0.06 and 0.01 reach subnormal and zero at n=256
+    z[0, :3] = [0.06, 0.01j, 0.06 * np.exp(0.3j)]
+    for n in (1, 2, 3, 16, 64, 255, 256):
+        want = np.power(z, n)
+        assert np.allclose(kernel_power(z.copy(), n), want, rtol=1e-12, atol=1e-300), n
+    assert np.all(np.abs(kernel_power(z.copy(), 256)[0, :3]) < np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 12, 16, 255, 256])
 def test_int_power_raises_its_argument_in_place(rng, n):
     z = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
     z[0, 0] = 0.0
     want = ones_accumulator_power(z, n)
-    x = z.copy()
-    assert int_power(x, n) is x
+    x, scratch = z.copy(), np.empty((1, 6, 9), dtype=complex)
+    [(i, power)] = int_powers(x, [n], scratch)
+    # a power of two is x squared in place; any other n is its scratch slot
+    assert i == 0 and (power is x) == (n & (n - 1) == 0)
+    assert power is x or np.shares_memory(power, scratch)
     # the same products in the same order: bitwise the reference
-    assert np.array_equal(x, want)      # n = 0 gives ones, 0**0 included
-    # a strided view is raised inside the array it views
+    assert np.array_equal(power, want)
+    # a strided view is squared inside the array it views
     y = z.copy()
-    int_power(y[:, 1::2], n)
-    assert np.array_equal(y[:, 1::2], want[:, 1::2])
+    power = kernel_power(y[:, 1::2], n)
+    assert np.array_equal(power, want[:, 1::2])
     assert np.array_equal(y[:, ::2], z[:, ::2])
+
+
+def test_int_powers_serves_every_n_from_one_series_of_squarings(rng):
+    z = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    z /= np.abs(z).max()
+    ns = [3, 5, 8, 12, 256]
+    scratch = np.empty((3, 6, 9), dtype=complex)    # one slot per n in 3, 5, 12
+    got = []
+    for i, power in int_powers(z.copy(), ns, scratch):
+        # a power of two is overwritten by the next squaring: copy it now
+        got.append((i, power.copy()))
+    # each power is handed back at its top bit, in the order of ns within a bit
+    assert [i for i, _ in got] == [0, 1, 2, 3, 4]
+    for i, power in got:
+        assert np.array_equal(power, ones_accumulator_power(z, ns[i])), ns[i]
+    with pytest.raises(TensorError, match=r"scratch has 2 slots"):
+        list(int_powers(z.copy(), ns, scratch[:2]))
+    for bad in ([0], [3, -1]):
+        with pytest.raises(TensorError, match=r"at least 1"):
+            list(int_powers(z.copy(), bad, scratch))
 
 
 def test_approx_error_k2_matches_kron_loop(rng):
@@ -521,6 +577,29 @@ def test_subspace_residual_peak_is_one_gram_block(n, blocks):
     assert peak <= blocks * 400 * 400 * 16
 
 
+def test_block_overlaps_peak_is_two_term_buffers():
+    # the risk-gap n = 3 extension has runs of length 1 only, so the kernel's
+    # scratch buffer is not allocated: Q and one factor, (T, G) each, plus
+    # S, the output and the product copied into it
+    import tracemalloc
+    from nslocc.channels import symmetrize_channel
+    from nslocc.cli import _classification_family
+    from nslocc.locc import purify_channel
+    _, _, povm, preps = _classification_family(0.6)
+    ext = purify_channel(symmetrize_channel(MeasurePrepareChannel.of(povm, preps, 3)))
+    grid = build_grid(ext.site_dim, 3, "haar:0:200")
+    t, g = ext.index.shape[1], grid.count
+    r, block = ext.sites.shape[0], ext.coeffs.shape[1]
+    assert ext.coeffs.dtype == complex     # no complex copy of coeffs is taken
+    tracemalloc.start()
+    try:
+        _block_overlaps(ext, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * t * g + r * g + 2 * g * block) + 16 * 1024
+
+
 def sweep_extensions(rng, ns):
     blocks = np.stack([random_density(rng, 2) * w for w in (0.4, 0.6)])
     sites = np.stack([random_density(rng, 2) for _ in range(2)])
@@ -528,12 +607,13 @@ def sweep_extensions(rng, ns):
 
 
 def int_power_residual(ext, grid):
-    """subspace_residual's sum in one Gram block raised by int_power."""
+    """subspace_residual's sum in one Gram block, raised by the reference
+    ones_accumulator_power."""
     u = _block_overlaps(ext, grid)
     scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))
     s1 = float(np.sum(scale * np.linalg.norm(u, axis=1) ** 2))
     b = scale[:, None] * u
-    gram = int_power(grid.vectors.conj() @ grid.vectors.T, ext.n)
+    gram = ones_accumulator_power(grid.vectors.conj() @ grid.vectors.T, ext.n)
     return np.sqrt(max(0.0, 1.0 - 2.0 * s1 + float(np.vdot(b, gram @ b).real)))
 
 

@@ -12,6 +12,10 @@ benchmark (`bench/`, including the layers `bench/run.py` traces by name) or
 in `scripts/`.  Tests alone do not keep a public name alive; a helper only
 they use belongs in `tests/conftest.py`.
 
+Every UPPER_CASE module-level constant of the package is read in the
+package outside its own assignment: a constant nothing reads is a knob
+that turns nothing.
+
 Likewise every defaulted parameter of a public function must be set, by
 position or by keyword, by some call outside `tests/`: in the package, in
 `bench/` or in `scripts/`.  A default only tests override is a knob no user
@@ -19,6 +23,7 @@ turns.
 """
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -48,6 +53,19 @@ def definitions(tree: ast.Module, private: bool = True) -> dict[str, ast.AST]:
             and not node.name.startswith("__") and node.name.startswith("_") == private}
 
 
+public = partial(definitions, private=False)
+
+
+def constants(tree: ast.Module) -> dict[str, ast.AST]:
+    """{name: assignment} of the module-level UPPER_CASE constants."""
+    out = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out.update((t.id, node) for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+    return out
+
+
 def references(tree: ast.AST) -> set[str]:
     """Names the tree reads or imports."""
     out, stack = set(), [tree]
@@ -74,18 +92,19 @@ def traced_layers(tree: ast.Module) -> set[str]:
     return set()
 
 
-def orphans(trees: dict[str, ast.Module], private: bool = True,
+def orphans(trees: dict[str, ast.Module], named=definitions,
             outside: set[str] = frozenset()) -> list[str]:
-    """The definitions nothing refers to: neither another module of `trees`,
-    nor a statement of their own module other than the definition itself,
-    nor the names in `outside`."""
+    """The names `named` finds in a module's tree ({name: definition}) that
+    nothing refers to: neither another module of `trees`, nor a statement of
+    their own module other than the definition itself, nor the names in
+    `outside`."""
     per_statement = {module: {node: references(node) for node in tree.body}
                      for module, tree in trees.items()}
     whole = {module: set().union(*refs.values()) for module, refs in per_statement.items()}
     found = []
     for module, tree in trees.items():
         elsewhere = set(outside).union(*(whole[o] for o in trees if o != module))
-        for name, node in definitions(tree, private).items():
+        for name, node in named(tree).items():
             used = elsewhere.union(*(refs for other, refs in per_statement[module].items()
                                      if other is not node))
             if name not in used:
@@ -128,7 +147,7 @@ def unset_defaults(trees: dict[str, ast.Module], callers: dict[str, ast.Module],
                           if not path.startswith("tests/")))
     found = []
     for module, tree in trees.items():
-        for name, node in definitions(tree, private=False).items():
+        for name, node in public(tree).items():
             if not isinstance(node, ast.FunctionDef):
                 continue
             for pos, param in defaulted(node):
@@ -159,10 +178,17 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     layers = traced_layers(callers["bench/run.py"])
     assert layers, "bench/run.py traces no layers"
     outside = set().union(layers, UNCALLED_PUBLIC, *map(references, callers.values()))
-    unused = orphans(trees, private=False, outside=outside)
+    unused = orphans(trees, public, outside)
     assert not unused, "public names with no caller but tests: " + ", ".join(unused)
-    defined = set().union(*(definitions(t, private=False) for t in trees.values()))
+    defined = set().union(*map(public, trees.values()))
     assert UNCALLED_PUBLIC <= defined, "an allowlisted name no longer exists"
+
+
+def test_every_constant_is_read_in_the_package():
+    trees = parse(SRC.glob("*.py"), SRC)
+    assert sum(len(constants(t)) for t in trees.values()) > 0
+    unread = orphans(trees, constants)
+    assert not unread, "constants nothing reads: " + ", ".join(unread)
 
 
 def test_every_default_is_set_outside_the_tests():
@@ -172,7 +198,7 @@ def test_every_default_is_set_outside_the_tests():
     unset = unset_defaults(trees, callers, UNSET_DEFAULTS)
     assert not unset, "defaulted parameters only tests set: " + ", ".join(unset)
     params = {f"{name}.{param}" for tree in trees.values()
-              for name, node in definitions(tree, private=False).items()
+              for name, node in public(tree).items()
               if isinstance(node, ast.FunctionDef) for _, param in defaulted(node)}
     assert UNSET_DEFAULTS <= params, "an allowlisted default no longer exists"
 
@@ -199,7 +225,13 @@ def test_checker_flags_an_orphaned_helper(source, want):
 def test_checker_flags_an_uncalled_public_name(source, outside, want):
     trees = {"a.py": ast.parse(source),
              "b.py": ast.parse("from .a import Kept\n")}
-    assert orphans(trees, private=False, outside=outside) == want
+    assert orphans(trees, public, outside) == want
+
+
+def test_checker_flags_an_unread_constant():
+    trees = {"a.py": ast.parse("READ = 1\nDEAD: int = READ\nKEPT = 2\nlower = 3\n"),
+             "b.py": ast.parse("from .a import KEPT\n")}
+    assert orphans(trees, constants) == ["a.py:2 DEAD"]
 
 
 @pytest.mark.parametrize("path, call, allowed, want", [
