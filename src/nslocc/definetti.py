@@ -49,7 +49,7 @@ from .tensor_core import (
 SYMMETRY_TOL = 1e-8
 PURE_EIG_THRESHOLD = 1e-10
 DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
-RESIDUAL_CHUNK = 512         # grid points per Gram block in subspace_residual
+RESIDUAL_CHUNK = 128         # grid points per Gram block in subspace_residual
 OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's (T, chunk) buffers
 GRID_GRAMMAR = "design | haar:SEED:COUNT"
 # decimal SEED and COUNT without leading zeros, so a grid's mode is its name
@@ -469,13 +469,14 @@ def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:
                 q *= power
             elif power is not q:
                 q[...] = power
-        out[lo:hi] = q.T @ coeffs
+        np.matmul(q.T, coeffs, out=out[lo:hi])
     return out
 
 
 def _gram_rows(vectors: np.ndarray, lo: int, stack: np.ndarray) -> np.ndarray:
-    """stack[0] filled with the Gram rows <phi_g|phi_h>, g = lo, lo + 1, .."""
-    return np.matmul(vectors[lo:lo + stack.shape[1]].conj(), vectors.T, out=stack[0])
+    """stack[0] filled with the Gram rows <phi_g|phi_h>, g = lo, lo + 1, ..,
+    on the columns h >= lo only."""
+    return np.matmul(vectors[lo:lo + stack.shape[1]].conj(), vectors[lo:].T, out=stack[0])
 
 
 def subspace_residuals(exts: list[SymmetricExtension], grid: MeasureGrid,
@@ -490,10 +491,14 @@ def subspace_residuals(exts: list[SymmetricExtension], grid: MeasureGrid,
     (grid.count, block) matrix `_block_overlaps` returns for exts[i].
 
     <psi|T²|psi> = sum_gh <phi_g|phi_h>^n <b_g, b_h> is summed over Gram
-    blocks of at most RESIDUAL_CHUNK rows, each raised to every n by one
-    `int_powers` call: a power-of-two n reads the running square, any other
-    n its own accumulator.  The square and the accumulators share one buffer
-    within the budget.
+    blocks of at most RESIDUAL_CHUNK rows.  The Gram matrix is Hermitian, so
+    the block of rows [lo, hi) covers only the columns h >= lo: its diagonal
+    block [lo, hi) x [lo, hi) is counted once, and its strictly upper part
+    h >= hi counts twice, by 2·Re, for itself and its mirror image.  Each
+    block is raised to every n by one `int_powers` call: a power-of-two n
+    reads the running square, any other n its own accumulator.  The square
+    and the accumulators share one flat buffer within the budget, viewed
+    contiguously at each block's width.
     """
     _check_sweep(exts, grid)
     w, count, ns, bs, s1 = grid.weights, grid.count, [ext.n for ext in exts], [], []
@@ -506,13 +511,16 @@ def subspace_residuals(exts: list[SymmetricExtension], grid: MeasureGrid,
         bs.append(scale[:, None] * u)
     slots = 1 + sum(1 for n in ns if n & (n - 1))          # square, accumulators
     rows = min(RESIDUAL_CHUNK, dense_budget_rows(count * slots), count)
-    buf = np.empty((slots, rows, count), dtype=complex)
+    buf = np.empty(slots * rows * count, dtype=complex)
     s2 = [0.0] * len(ns)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        stack = buf[:, :hi - lo]
+        width = hi - lo
+        stack = buf[:slots * width * (count - lo)].reshape(slots, width, count - lo)
         for i, power in int_powers(_gram_rows(grid.vectors, lo, stack), ns, stack[1:]):
-            s2[i] += float(np.vdot(bs[i][lo:hi], power @ bs[i]).real)
+            b = bs[i]
+            s2[i] += (float(np.vdot(b[lo:hi], power[:, :width] @ b[lo:hi]).real)
+                      + 2.0 * float(np.vdot(b[lo:hi], power[:, width:] @ b[hi:]).real))
     return [sqrt(max(0.0, 1.0 - 2.0 * a + b)) for a, b in zip(s1, s2)]
 
 

@@ -324,8 +324,8 @@ def test_oversized_sampler_and_kron_power_exit_2(monkeypatch, tmp_path, capsys,
 
 
 def record_gram_blocks(monkeypatch):
-    """The sizes of the (square + accumulators, rows, G) buffer stacks the
-    Gram pass fills, one entry per filled block."""
+    """The sizes of the (square + accumulators, rows, G − lo) buffer stacks
+    the Gram pass fills, one entry per filled block."""
     from nslocc import definetti
     sizes = []
     gram_rows = definetti._gram_rows
@@ -355,13 +355,15 @@ def test_subspace_residual_gram_blocks_fit_the_budget(monkeypatch, tmp_path):
 
 
 def test_definetti_sweep_fills_each_gram_block_once(monkeypatch, tmp_path):
-    # three n share one pass over the four 4-row blocks: 4 fills, not 12
+    # three n share one pass over the four 4-row blocks: 4 fills, not 12.
+    # Each block covers only the columns at and right of its first row, the
+    # upper triangle of the Hermitian Gram matrix: 4 x 16, 4 x 12, 4 x 8, 4 x 4
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
     sizes = record_gram_blocks(monkeypatch)
     out = tmp_path / "out.csv"
     assert main(["definetti", "--n", "16,64,256", "--count", "16", "--k", "0",
                  "--out", str(out)]) == 0
-    assert sizes == [64] * 4
+    assert sizes == [64, 48, 32, 16]
 
 
 def test_definetti_sweep_rows_are_the_single_n_rows(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_prepare_choi
 from nslocc.definetti import (
     DENSE_RESIDUAL_BUDGET,
+    MeasureGrid,
     _block_overlaps,
     _dense_resolution_residual,
     approx_error,
@@ -562,8 +563,8 @@ def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
 
 @pytest.mark.parametrize("n, blocks", [(256, 1.1), (3, 2.1)])
 def test_subspace_residual_peak_is_one_gram_block(n, blocks):
-    # one 400 x 400 complex Gram buffer, plus one accumulator when n is
-    # not a power of two
+    # one RESIDUAL_CHUNK x 400 complex Gram block (the first, widest
+    # triangle block), plus one accumulator when n is not a power of two
     import tracemalloc
     ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
     grid = build_grid(4, n, "haar:3:400")
@@ -574,13 +575,13 @@ def test_subspace_residual_peak_is_one_gram_block(n, blocks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= blocks * 400 * 400 * 16
+    assert peak <= blocks * 128 * 400 * 16
 
 
 def test_block_overlaps_peak_is_two_term_buffers():
     # the risk-gap n = 3 extension has runs of length 1 only, so the kernel's
     # scratch buffer is not allocated: Q and one factor, (T, G) each, plus
-    # S, the output and the product copied into it
+    # S and the output, which each chunk's product is written straight into
     import tracemalloc
     from nslocc.channels import symmetrize_channel
     from nslocc.cli import _classification_family
@@ -597,7 +598,7 @@ def test_block_overlaps_peak_is_two_term_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (2 * t * g + r * g + 2 * g * block) + 16 * 1024
+    assert peak <= 16 * (2 * t * g + r * g + g * block) + 16 * 1024
 
 
 def sweep_extensions(rng, ns):
@@ -642,6 +643,49 @@ def test_sweep_extraction_is_bitwise_the_per_n_extraction(rng, monkeypatch, chun
         subspace_residual(ext, grid) for ext in certified]
 
 
+@pytest.mark.parametrize("chunk", [7, 128])
+@pytest.mark.parametrize("n", [3, 5, 16])
+def test_triangle_gram_blocks_match_the_full_gram_matrix(rng, monkeypatch, chunk, n):
+    # 300 points split into several triangle blocks at either chunk, the last
+    # one partial; the reference squares the whole 300 x 300 Gram matrix.
+    # Only the branch storage reaches n = 16: the other two hold 4^n products
+    from nslocc import definetti
+    monkeypatch.setattr(definetti, "RESIDUAL_CHUNK", chunk)
+    exts = residual_extensions(rng, n) if n <= 5 else {
+        "branches": sweep_extensions(rng, [n])[0]}
+    for kind, ext in exts.items():
+        grid = build_grid(ext.site_dim, ext.n, "haar:13:300")
+        assert ext.coeffs.shape[1] > 1, kind
+        got = subspace_residual(ext, grid)
+        assert abs(got - int_power_residual(ext, grid)) <= 1e-12, (kind, ext.n)
+        assert got > 1e-3, (kind, ext.n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(8, 60), st.sampled_from([2, 3, 5, 16]),
+       st.sampled_from([7, 13, 128]))
+def test_permuting_the_grid_permutes_the_measure(seed, count, n, chunk):
+    # only the summation order changes: the measure's rows follow the points,
+    # and the residuals and the POVM deficit stay put.  n = 2, 3 take the
+    # dense residual, n = 5, 16 the certified one, in triangle blocks of
+    # `chunk` rows, so the points move between diagonal and upper blocks
+    from nslocc import definetti
+    rng = np.random.default_rng(seed)
+    [ext] = sweep_extensions(rng, [n])
+    grid = build_grid(ext.site_dim, n, f"haar:{seed}:{count}")
+    perm = rng.permutation(count)
+    moved = MeasureGrid(grid.vectors[perm], grid.weights[perm], grid.d_eff, grid.mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(definetti, "RESIDUAL_CHUNK", chunk)
+        want, got = extract_measure(ext, grid), extract_measure(ext, moved)
+        residuals = [subspace_residual(ext, g) for g in (grid, moved)]
+    assert np.abs(got.ms - want.ms[perm]).max() <= 1e-12
+    assert np.abs(got.phis - want.phis[perm]).max() <= 1e-12
+    assert abs(got.grid_residual - want.grid_residual) <= 1e-12
+    assert abs(got.povm_deficit - want.povm_deficit) <= 1e-12
+    assert abs(residuals[1] - residuals[0]) <= 1e-12
+
+
 def test_design_grid_extracts_every_smaller_n_exactly(rng):
     # the design built for N = 6 integrates phi^{⊗n} exactly for every n <= 6
     grid = build_grid(2, 6, "design")
@@ -660,7 +704,8 @@ def test_design_grid_extracts_every_smaller_n_exactly(rng):
 
 
 def test_subspace_residuals_sweep_peak_is_one_gram_block():
-    # powers of two share the running square: no accumulator is allocated
+    # powers of two share the running square: no accumulator is allocated,
+    # and the buffer is one RESIDUAL_CHUNK x 400 triangle block
     import tracemalloc
     ns = [16, 64, 256]
     exts = [branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
@@ -673,7 +718,7 @@ def test_subspace_residuals_sweep_peak_is_one_gram_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 400 * 400 * 16
+    assert peak <= 1.1 * 128 * 400 * 16
 
 
 def test_definetti_bound_formula():
