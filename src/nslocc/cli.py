@@ -30,7 +30,6 @@ from .channels import (
     choi_of_kraus,
     is_cptp,
     is_nonsignalling,
-    measure_and_prepare_choi,
     random_nonsignalling_choi,
 )
 from .classical import (
@@ -47,7 +46,7 @@ from .definetti import (
     extract_measure,
     extract_measures,
 )
-from .locc import operator_chebyshev, repair_distance_bound
+from .locc import build_locc_protocol, repair_distance_bound
 from .risk import classification_task, risk_gap_experiment
 from .tensor_core import (Factorization, Operator, kron_power, op, operator_to_json,
                           partial_trace, permutation_matrix, tensor)
@@ -63,7 +62,7 @@ def _load_config(args) -> dict:
     flags = {key: val for key, val in vars(args).items()
              if key not in ("command", "config")}
     cfg = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
@@ -90,6 +89,8 @@ def _load_config(args) -> dict:
                 raise ValueError(f"{key!r} cannot be {json.dumps(val)}")
     # every explicitly given flag overrides the file's value
     cfg.update((key, val) for key, val in flags.items() if val is not None)
+    if cfg.get("out") == "":
+        raise ValueError("--out names no file")
     return cfg
 
 
@@ -172,12 +173,11 @@ def _verify_checks(seed: int) -> list[dict]:
     checks.append(_check("choi_matches_kraus",
                          float(np.abs(out.matrix - expect).max()), 1e-10))
 
-    # non-signalling detection, positive and negative control
-    povm = [op(np.diag([1.0, 0.0]), ("A", 2)), op(np.diag([0.0, 1.0]), ("A", 2))]
-    preps = [op(np.eye(4) / 4, ("X1", 2), ("Y1", 2))] * 2
-    mp = measure_and_prepare_choi(povm, preps, 2)
+    # non-signalling detection: the reduction's input below, and a negative control
+    _, _, povm, preps = _classification_family(0.6)
+    q = MeasurePrepareChannel.of(povm, preps, 2)
     checks.append(_check("measure_prepare_nonsignalling",
-                         is_nonsignalling(mp).max_residual, 1e-10))
+                         is_nonsignalling(q.dense()).max_residual, 1e-10))
     res = is_nonsignalling(_crossing_channel()).max_residual
     checks.append(_check("output_crossing_detected", res, 0.5, ok=res >= 0.5))
 
@@ -192,10 +192,13 @@ def _verify_checks(seed: int) -> list[dict]:
     lhs, rhs = max(samples, key=lambda s: s[0] - s[1])
     checks.append(_check("repair_distance_bound", lhs, rhs + 1e-9))
 
-    # operator Chebyshev on the two-projector ensemble
-    emp, bnd = operator_chebyshev(
-        [(np.diag([1.0, 0.0]), 0.5), (np.diag([0.0, 1.0]), 0.5)], 0.4)
-    checks.append(_check("operator_chebyshev", emp, bnd + 1e-9))
+    # the protocol reduced from that input is CPTP and non-signalling
+    proto = build_locc_protocol(q, f"haar:{seed}:300").dense()
+    cptp = is_cptp(proto)
+    checks.append(_check("protocol_cptp",
+                         max(cptp.psd_violation, cptp.tp_violation), 1e-8))
+    checks.append(_check("protocol_nonsignalling",
+                         is_nonsignalling(proto).max_residual, 1e-8))
 
     # classifier-mixture pipeline preserves the risk exactly
     dist = np.array([[0.3, 0.2], [0.1, 0.4]])
@@ -265,7 +268,7 @@ def cmd_risk_gap(cfg: dict) -> int:
     seed = _seed(cfg)
     ns = _parse_n_range("--n", cfg.get("n", "1..4"))
     _require_at_least("--n", ns, 1)
-    grid = cfg.get("grid") or f"haar:{seed}:2000"
+    grid = cfg.get("grid", f"haar:{seed}:2000")
     rho0, rho1, povm, preps = _classification_family(overlap)
     rows = []
     for n in sorted(ns):

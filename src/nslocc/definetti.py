@@ -215,14 +215,21 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
     omega gives its d_a·d^n state vector, as purify_extension does.
     """
     d_a, d = blocks.shape[1], sites.shape[1]
-    a_cols, col_products, b_cols, index = [], [], [], []
-    dropped, e0, r0 = 0.0, 0, 0
+    factors, dropped = [], 0.0
     for k_j, phi_j in zip(blocks, sites):
         a, a_kept, a_drop = _psd_factor(k_j)
         b, b_kept, b_drop = _psd_factor(phi_j)
         # tr K tr(phi)^n − a_kept b_kept^n, without cancellation
         dropped += (a_drop * (b_kept + b_drop) ** n
                     + a_kept * b_kept ** n * np.expm1(n * np.log1p(b_drop / b_kept)))
+        factors.append((a, b))
+    # the r columns of L and the core's side E·d_a, refused before any is built
+    for side in (sum(a.shape[1] * b.shape[1] ** n for a, b in factors),
+                 sum(b.shape[1] ** n for _, b in factors) * d_a):
+        check_dense_budget(side, "purify_product_mixture")
+    a_cols, col_products, b_cols, index = [], [], [], []
+    e0, r0 = 0, 0
+    for a, b in factors:
         # L's columns a[:, α] ⊗ b[:, β_1] ⊗ .. ⊗ b[:, β_n], α slowest; the
         # site product (β_1..β_n) is column e0 + β of the product index
         count = b.shape[1] ** n
@@ -234,8 +241,6 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
     a_mat, products = np.concatenate(a_cols, axis=1), np.concatenate(col_products)
     b_mat, index = np.concatenate(b_cols, axis=1), np.concatenate(index, axis=1)
     r, e = len(products), index.shape[1]
-    check_dense_budget(r, "purify_product_mixture")
-    check_dense_budget(e * d_a, "purify_product_mixture")
     site_gram = b_mat.conj().T @ b_mat
     prod_gram = site_gram[index[0][:, None], index[0]]
     for ix in index[1:]:

@@ -21,7 +21,6 @@ import numpy as np
 from .channels import (
     ChoiChannel,
     MeasurePrepareChannel,
-    choi_factorization,
     is_nonsignalling,
     marginal_input,
     symmetrize_channel,
@@ -41,7 +40,6 @@ from .tensor_core import (
     _psd_eigs,
     eigh_herm,
     kron_power,
-    op_norm,
     trace_norm,
 )
 
@@ -118,31 +116,6 @@ def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# operator Chebyshev inequality
-# ---------------------------------------------------------------------------
-
-def operator_chebyshev(samples: list[tuple[np.ndarray, float]],
-                       epsilon: float) -> tuple[float, float]:
-    """Concentration of a finite operator-valued ensemble in operator norm.
-
-    Returns (empirical_prob, bound) where empirical_prob is the probability
-    mass of samples with ‖X − μ‖∞ ≥ ε and bound is the operator Chebyshev
-    value (d²/ε²)·‖E[X⊗X] − μ⊗μ‖∞.
-    """
-    mats = [np.asarray(x, complex) for x, _ in samples]
-    probs = np.asarray([p for _, p in samples], float)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise TensorError(f"probabilities sum to {probs.sum()}, not 1")
-    d = mats[0].shape[0]
-    mu = sum(p * x for x, p in zip(mats, probs))
-    second = sum(p * np.kron(x, x) for x, p in zip(mats, probs))
-    bound = float((d ** 2 / epsilon ** 2) * op_norm(second - np.kron(mu, mu)))
-    empirical = float(sum(p for x, p in zip(mats, probs)
-                          if op_norm(x - mu) >= epsilon))
-    return empirical, bound
-
-
-# ---------------------------------------------------------------------------
 # concentration diagnostics of a de Finetti measure
 # ---------------------------------------------------------------------------
 
@@ -207,13 +180,6 @@ def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
 # protocol assembly
 # ---------------------------------------------------------------------------
 
-def depolarizing_choi(d_x: int, d_y: int) -> ChoiChannel:
-    """Choi state of the channel that outputs 1/d_Y whatever it is fed."""
-    fac = choi_factorization(1, d_x, d_y, 1)
-    return ChoiChannel(Operator(np.eye(d_x * d_y) / (d_x * d_y), fac),
-                       1, d_x, d_y, 1)
-
-
 def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
                         grid_spec: str,
                         include_points: np.ndarray | None = None) -> MeasurePrepareChannel:
@@ -251,9 +217,10 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     repaired = int(repair.sum())
     fallback = len(repair) - repaired
     # one Choi state per grid point plus the slack outcome's; every outcome
-    # not repaired keeps the depolarizing fallback
+    # not repaired keeps the depolarizing fallback, the Choi state of the
+    # channel that outputs 1/d_Y whatever it is fed
     chois = np.empty((len(repair) + 1, d_x * d_y, d_x * d_y), dtype=complex)
-    chois[:] = depolarizing_choi(d_x, d_y).omega.matrix
+    chois[:] = np.eye(d_x * d_y) / (d_x * d_y)
     for g in np.flatnonzero(repair):
         chois[g] = tp_repair(approx.phis[g], d_x, d_y)
 

@@ -30,7 +30,6 @@ from nslocc.definetti import branch_extension, build_grid, extract_measure
 from nslocc.locc import (
     build_locc_protocol,
     concentration_report,
-    operator_chebyshev,
     repair_distance_bound,
     tp_repair,
     marginal_input,
@@ -166,28 +165,6 @@ def test_criterion_4_repair_distance():
             f"max lhs-rhs {worst_excess:.3e} <= 1e-9, "
             f"repaired marginal off by {worst_tp:.3e} <= 1e-9, "
             f"{elapsed:.1f}s < 60s")
-
-
-# ---------------------------------------------------------------------------
-# 5. operator Chebyshev bound dominates the empirical tail mass
-# ---------------------------------------------------------------------------
-
-def test_criterion_5_operator_chebyshev():
-    t0 = time.time()
-    rng = np.random.default_rng(5)
-    worst = -np.inf
-    for _ in range(100):
-        d = int(rng.integers(2, 4))
-        k = int(rng.integers(2, 11))
-        mats = [random_density(rng, d) for _ in range(k)]
-        probs = rng.dirichlet(np.ones(k))
-        for eps in (0.1, 0.3, 0.5):
-            emp, bound = operator_chebyshev(list(zip(mats, probs)), eps)
-            worst = max(worst, emp - bound)
-    elapsed = time.time() - t0
-    ok = worst <= 1e-9 and elapsed < 30
-    _report(5, "operator chebyshev", ok,
-            f"max empirical-bound {worst:.3e} <= 1e-9, {elapsed:.1f}s < 30s")
 
 
 # ---------------------------------------------------------------------------

@@ -397,3 +397,90 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert main(["classical-demo", "--seed", "4", "--out", str(out)]) == 2
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_verify_measures_the_protocol_it_builds(tmp_path, seed):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert list(checks) == [
+        "choi_matches_kraus", "measure_prepare_nonsignalling", "output_crossing_detected",
+        "repair_distance_bound", "protocol_cptp", "protocol_nonsignalling",
+        "classical_mixture_risk_equality", "definetti_k0_identity"]
+    for name in ("protocol_cptp", "protocol_nonsignalling"):
+        assert checks[name]["ok"], name
+        assert 0.0 <= checks[name]["lhs"] <= 1e-12, name
+        assert checks[name]["rhs"] == 1e-8
+
+
+def test_verify_fails_a_protocol_that_is_not_trace_preserving(monkeypatch, tmp_path):
+    # mixing every preparation with ε of |0><0| ⊗ 1/2 moves its input
+    # marginal by ε/2 = 8e-8, which the constructor's 1e-7 lets through, and
+    # the protocol's trace-preservation defect by about ε/8 = 2e-8, which
+    # verify's 1e-8 does not
+    from dataclasses import replace
+
+    import numpy as np
+
+    from nslocc import cli
+    build, eps = cli.build_locc_protocol, 1.6e-7
+    skew = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+
+    def skewed(q, grid_spec):
+        proto = build(q, grid_spec)
+        return replace(proto, chois=(1 - eps) * proto.chois + eps * skew)
+
+    monkeypatch.setattr(cli, "build_locc_protocol", skewed)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    check, = [c for c in report["checks"] if c["name"] == "protocol_cptp"]
+    assert not report["passed"] and not check["ok"]
+    assert 1e-8 < check["lhs"] < 1e-7
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["risk-gap", "--grid", ""], None, "error: bad grid name ''"),
+    (["risk-gap"], {"grid": ""}, "error: bad grid name ''"),
+    (["risk-gap", "--out", ""], None, "error: bad config: --out names no file"),
+    (["verify"], {"out": ""}, "error: bad config: --out names no file"),
+    (["verify", "--config", ""], None, "error: bad config: [Errno 2] No such file"),
+], ids=["grid-flag", "grid-config", "out-flag", "out-config", "config-flag"])
+def test_empty_flag_exits_2(tmp_path, capsys, argv, config, message):
+    # an empty value is not the flag's default: no default grid, no stdout,
+    # no run without the config
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--n", "1"] * (argv[0] == "risk-gap")) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_risk_gap_far_over_the_budget_exits_2_before_purifying(tmp_path):
+    # at n = 24 the purification factor has 2^26 columns; the refusal comes
+    # from the column counts, before any of its arrays is built.  The child's
+    # address space is capped, so a purification that allocates first fails
+    # with a MemoryError instead of taking the machine's memory
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "gap.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "nslocc.cli", "risk-gap", "--n", "24",
+         "--grid", "haar:0:10", "--out", str(out)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "error: purify_product_mixture needs a dense" in run.stderr
+    assert not out.exists()

@@ -601,6 +601,24 @@ def test_block_overlaps_peak_is_two_term_buffers():
     assert peak <= 16 * (2 * t * g + r * g + g * block) + 16 * 1024
 
 
+def test_purify_product_mixture_refuses_before_it_builds():
+    # the risk-gap channel at n = 18 has r = 2·2·2^18 factor columns: the
+    # refusal is computed from the factors' column counts, before the index
+    # arrays, the repeated factor columns or the product tiles are built
+    import tracemalloc
+    from nslocc.cli import _classification_family
+    _, _, povm, preps = _classification_family(0.6)
+    q = MeasurePrepareChannel.of(povm, preps, 18)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorError, match="purify_product_mixture"):
+            purify_product_mixture(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, q.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def sweep_extensions(rng, ns):
     blocks = np.stack([random_density(rng, 2) * w for w in (0.4, 0.6)])
     sites = np.stack([random_density(rng, 2) for _ in range(2)])

@@ -24,9 +24,7 @@ from nslocc.locc import (
     build_locc_protocol,
     choi_pairs_to_sites,
     concentration_report,
-    depolarizing_choi,
     marginal_input,
-    operator_chebyshev,
     purify_channel,
     repair_distance_bound,
     theorem1_bound,
@@ -113,37 +111,12 @@ def test_repair_noop_when_already_tp(rng):
     assert lhs < 1e-10 and rhs < 1e-7
 
 
-def test_operator_chebyshev_hand_value():
-    # two orthogonal projectors with equal weight: mu = I/2,
-    # E[X (x) X] - mu (x) mu has operator norm 1/4; d=2, eps=0.4
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    emp, bound = operator_chebyshev([(p0, 0.5), (p1, 0.5)], epsilon=0.4)
-    assert np.isclose(bound, 4 / 0.16 * 0.25)
-    assert emp == 1.0  # both samples are 1/2 away from the mean
-
-
-def test_operator_chebyshev_is_valid_bound(rng):
-    for _ in range(20):
-        k = rng.integers(2, 6)
-        mats = [random_density(rng, 3) for _ in range(k)]
-        probs = rng.dirichlet(np.ones(k))
-        for eps in (0.1, 0.3, 0.5):
-            emp, bound = operator_chebyshev(list(zip(mats, probs)), eps)
-            assert emp <= bound + 1e-12
-
-
 def test_theorem1_bound_scales_with_n():
     b8 = theorem1_bound(2, 2, 2, 8, 1.0)
     b64 = theorem1_bound(2, 2, 2, 64, 1.0)
     assert np.isclose(b8 / b64, (64 / 8) ** (1 / 6))
     with pytest.raises(TensorError):
         theorem1_bound(2, 2, 2, 0, 1.0)
-
-
-def test_depolarizing_choi_is_cptp():
-    q = depolarizing_choi(2, 3)
-    assert is_cptp(q).ok
 
 
 def test_build_protocol_rejects_signalling_input(rng):
@@ -220,10 +193,10 @@ def test_protocol_assembled_from_stacked_measure():
             assert np.abs(choi - tp_repair(phi, 2, 2)).max() <= 1e-12
             repaired += 1
         else:
-            assert np.array_equal(choi, depolarizing_choi(2, 2).omega.matrix)
+            assert np.array_equal(choi, np.eye(4) / 4)
     assert repaired == prov["repaired_count"]
     assert len(proto.povm) == len(approx.ms) + 1
-    assert np.array_equal(proto.chois[-1], depolarizing_choi(2, 2).omega.matrix)
+    assert np.array_equal(proto.chois[-1], np.eye(4) / 4)
 
 
 def test_marginal_choi_matches_per_outcome_loop():

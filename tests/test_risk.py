@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslocc import definetti, locc, risk, tensor_core
 from nslocc.channels import (
@@ -252,6 +254,22 @@ def test_structured_risk_gap_matches_the_dense_channel(n):
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), key
     assert expected_risk(structured, task, path="both") == pytest.approx(
         expected_risk(dense, task, path="both"), rel=1e-12, abs=0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.3, 0.6, 0.9]))
+def test_relabelling_the_outcomes_leaves_the_risk_report_unchanged(n, seed, overlap):
+    # the reversed outcome order gives the same channel, so the whole
+    # reduction sees the same state and only its summation order changes
+    rho0, rho1, povm, preps = _classification_family(overlap)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+    grid = f"haar:{seed}:300"
+    want = risk_gap_experiment(task, MeasurePrepareChannel.of(povm, preps, n), grid)
+    got = risk_gap_experiment(task, MeasurePrepareChannel.of(povm[::-1], preps[::-1], n),
+                              grid)
+    for key in RiskReport.__dataclass_fields__:
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=0, abs=1e-12), key
 
 
 @pytest.mark.parametrize("n", [2, 3])
