@@ -17,7 +17,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from .tensor_core import (
 )
 
 NS_TOL = 1e-8
-REDUCTION_TOL = 1e-6  # largest reduction_residual marginal_channel accepts
+NS_GATE = 1e-6  # largest signalling residual accepted
 TP_TOL = 1e-8
 SAMPLER_MAX_ITER = 5000  # sweeps random_nonsignalling_choi may take
 SAMPLER_TOL = 1e-9       # the largest entry move of a converged sweep
@@ -318,53 +318,29 @@ def _signalling_part(m: np.ndarray, dims: tuple[int, int, int, int],
 # marginals of non-signalling channels
 # ---------------------------------------------------------------------------
 
-def reduction_residual(channel: ChoiChannel, k: int) -> float:
-    """How far tr_{Y_{k+1..n}} omega is from (first-k marginal) ⊗ 1/d_x^{n−k}."""
-    n = channel.n
-    if not 1 <= k <= n:
-        raise TensorError(f"k must be in 1..{n}, got {k}")
-    if k == n:
-        return 0.0
-    keep = ["A"] + _round_labels(n)
-    for i in range(k + 1, n + 1):
-        keep.remove(f"Y{i}")
-    reduced = partial_trace(channel.omega, keep)
-    head = ["A"] + _round_labels(k)
-    head_marg = partial_trace(reduced, head)
-    rebuilt = embed(head_marg * (channel.d_x ** -(n - k)), reduced.shape)
-    return float(trace_norm(reduced - rebuilt))
+def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel) -> ChoiChannel:
+    """Single-round channel on (A, X1, Y1) of a non-signalling channel.
 
-
-def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel, k: int) -> ChoiChannel:
-    """First-k-rounds channel of a non-signalling channel.
-
-    For a non-signalling channel, discarding the later outputs leaves the
-    earlier rounds acting as a bona fide channel on (A, X1..Xk); the unused
-    input factors decouple as maximally mixed and can be traced away.  Errors
-    if the decoupling residual exceeds REDUCTION_TOL.  The first k rounds of a
-    measure-and-prepare channel are the same channel on k rounds, returned
-    dense; for k = 1 that is the closed form sum_j M_j^T/d_A ⊗ phi_j.
+    For a non-signalling channel, discarding the outputs Y2..Yn leaves round 1
+    acting as a bona fide channel on (A, X1); the unused inputs decouple as
+    maximally mixed and are traced away.  A dense channel whose round-1
+    signalling residual (`is_nonsignalling`'s) exceeds NS_GATE is refused.
+    A measure-and-prepare channel's marginal is the closed form
+    sum_j M_j^T/d_A ⊗ phi_j.
     """
-    n = channel.n
-    if not 1 <= k <= n:
-        raise TensorError(f"k must be in 1..{n}, got {k}")
+    d_a, d_x, d_y = channel.d_a, channel.d_x, channel.d_y
     if isinstance(channel, MeasurePrepareChannel):
-        if k > 1:
-            return replace(channel, n=k).dense()
-        d_a, d_x, d_y = channel.d_a, channel.d_x, channel.d_y
         total = np.einsum("kba,kij->aibj", channel.povm, channel.chois) / d_a
         fac = choi_factorization(d_a, d_x, d_y, 1)
         return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
-    if k == n:
-        return channel
-    res = reduction_residual(channel, k)
-    if res > REDUCTION_TOL:
+    dims = (d_a, d_x, d_y, channel.n)
+    res = float(trace_norm(_signalling_part(channel.omega.matrix, dims, 1)[0]))
+    if res > NS_GATE:
         raise TensorError(
-            f"channel does not reduce at k={k}: residual {res:.3e} > {REDUCTION_TOL:g}; "
-            "is it non-signalling?")
-    head = ["A"] + _round_labels(k)
-    omega_k = partial_trace(channel.omega, head)
-    return ChoiChannel(omega_k, channel.d_a, channel.d_x, channel.d_y, k)
+            f"channel does not reduce to its first round: signalling residual "
+            f"{res:.3e} > {NS_GATE:g}")
+    omega_1 = partial_trace(channel.omega, ["A", "X1", "Y1"])
+    return ChoiChannel(omega_1, d_a, d_x, d_y, 1)
 
 
 # ---------------------------------------------------------------------------

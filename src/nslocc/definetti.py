@@ -327,7 +327,7 @@ class MeasureGrid:
 
 
 def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
-                               n: int, d: int) -> float:
+                               n: int) -> float:
     """‖sum_g w_g D |phi_g^n><phi_g^n| − P_sym‖₁ in the Dicke basis of Sym^n.
 
     Every phi_g^{⊗n} lies in Sym^n, the range of P_sym, so the difference
@@ -340,8 +340,7 @@ def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
     return float(trace_norm(t - np.eye(d_big)))
 
 
-def build_grid(d_eff: int, n: int, name: str,
-               include: np.ndarray | None = None) -> MeasureGrid:
+def build_grid(d_eff: int, n: int, name: str) -> MeasureGrid:
     """The weighted grid of pure states on C^{d_eff} that `name` picks, one
     of GRID_GRAMMAR; the grid's mode is its name.
 
@@ -352,19 +351,13 @@ def build_grid(d_eff: int, n: int, name: str,
     Gauss-Legendre in the polar coordinate times a uniform azimuth, which
     integrates every matrix element of phi^{⊗n}(phi^{⊗n})† exactly, so the
     grid reproduces the symmetric projector to machine precision at n and at
-    every smaller n.  A haar grid does not depend on n.
-
-    `include` appends extra unit vectors to a haar grid (weights stay
-    uniform across all points; a design grid refuses them); use it to place
-    known preparation states on the grid.  The grid carries no residual:
-    `extract_measures` evaluates it per extension.
+    every smaller n.  A haar grid does not depend on n.  The grid carries
+    no residual: `extract_measures` evaluates it per extension.
     """
     if name == "design":
         if d_eff != 2:
             raise TensorError(f"design grids are only constructed for d_eff=2, "
                               f"got {d_eff}")
-        if include is not None and len(include):
-            raise TensorError("extra points only extend haar grids")
         nodes_u, w_u = np.polynomial.legendre.leggauss(n + 1)
         k_az = 2 * n + 1
         vecs, ws = [], []
@@ -392,11 +385,7 @@ def build_grid(d_eff: int, n: int, name: str,
         rng = np.random.default_rng(int(match[1]))
         g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
         vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
-        if include is not None and len(include):
-            extra = np.asarray(include, complex)
-            extra = extra / np.linalg.norm(extra, axis=1, keepdims=True)
-            vectors = np.vstack([vectors, extra])
-        weights = np.full(vectors.shape[0], 1.0 / vectors.shape[0])
+        weights = np.full(count, 1.0 / count)
     return MeasureGrid(vectors, weights, d_eff, name)
 
 
@@ -570,8 +559,7 @@ def extract_measures(exts: list[SymmetricExtension],
             # surrogate degenerates on heavy-tailed under-resolved grids
             residual = min(certified[i], float(np.trace(total).real) + 1.0)
         else:
-            residual = _dense_resolution_residual(grid.vectors, grid.weights, ext.n,
-                                                  grid.d_eff)
+            residual = _dense_resolution_residual(grid.vectors, grid.weights, ext.n)
         approxes.append(DeFinettiApprox(
             ms=ms, phis=phis, grid_residual=residual,
             povm_deficit=float(trace_norm(total - ext.marginal)), source_n=ext.n,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    NS_GATE,
     ChoiChannel,
     MeasurePrepareChannel,
     is_nonsignalling,
@@ -45,7 +46,6 @@ from .tensor_core import (
 
 REPAIR_CUTOFF = 1e-8
 SLACK_TOL = 1e-8
-NS_GATE = 1e-6  # largest signalling residual build_locc_protocol accepts
 # ε of the repair gate.  The asymptotic choice δ^{1/3} exceeds 1 for every
 # feasible n here, which would make the gate vacuous; a fixed desk-scale ε
 # keeps it informative.
@@ -181,8 +181,7 @@ def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
 # ---------------------------------------------------------------------------
 
 def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
-                        grid_spec: str,
-                        include_points: np.ndarray | None = None) -> MeasurePrepareChannel:
+                        grid_spec: str) -> MeasurePrepareChannel:
     """Run the full reduction on a non-signalling channel.
 
     Stages: symmetrize, purify, grid, extract, per-point trace-preserving
@@ -195,8 +194,7 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     measure-and-prepare channel on q's n rounds, which its constructor
     checks to be CPTP.
 
-    grid_spec names the grid (see `definetti.build_grid`);
-    `include_points` are appended to a haar grid.
+    grid_spec names the grid (see `definetti.build_grid`).
     """
     d_a, d_x, d_y, n = q.d_a, q.d_x, q.d_y, q.n
     rep = is_nonsignalling(q)
@@ -206,7 +204,7 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
             "the reduction only applies to non-signalling channels")
 
     extension = purify_channel(symmetrize_channel(q))
-    grid = build_grid(extension.site_dim, n, grid_spec, include_points)
+    grid = build_grid(extension.site_dim, n, grid_spec)
     approx = extract_measure(extension, grid)
 
     delta = 4.0 * (d_x * d_y) ** 2 / n

@@ -249,7 +249,7 @@ def protocol_risk(channel: ChoiChannel | MeasurePrepareChannel,
     """Expected risk of a permutation-invariant channel, such as a
     measure-then-apply protocol: its single-round marginal contracted
     against the task's R-operator."""
-    omega_1 = marginal_channel(channel, 1)
+    omega_1 = marginal_channel(channel)
     val = np.trace(omega_1.omega.matrix @ task.r_kernel.matrix)
     return float((task.d_a * task.d_x * val).real)
 

@@ -119,6 +119,13 @@ def random_pure(rng, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_unitary(rng, d: int) -> np.ndarray:
+    """A Haar-random d x d unitary: QR of a complex Gaussian, phases fixed."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_measure_prepare(rng, d_a: int, d_x: int, d_y: int,
                            rank: int) -> tuple[list[Operator], list[Operator]]:
     """A complex two-outcome projective POVM on A, each projector of rank
@@ -171,10 +178,11 @@ def dense_symmetrize(omega: np.ndarray, d_a: int, d_site: int, n: int) -> np.nda
 
 
 def oracle_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
-                               n: int, d: int) -> float:
+                               n: int) -> float:
     """Reference grid residual ‖sum_g w_g D |phi_g^n><phi_g^n| − P_sym‖₁ on the
-    full d^n space: phi_g^{⊗n} by repeated outer products, P_sym as the
-    average of dense permutation matrices."""
+    full d^n space, d the vectors' dimension: phi_g^{⊗n} by repeated outer
+    products, P_sym as the average of dense permutation matrices."""
+    d = vectors.shape[1]
     stack = vectors
     for _ in range(n - 1):
         stack = np.einsum("gi,gj->gij", stack, vectors).reshape(len(vectors), -1)

@@ -42,7 +42,7 @@ from nslocc.risk import (
 )
 from nslocc.tensor_core import op, partial_trace, trace_norm
 
-from conftest import herm_fn, product_channel, random_density, random_kraus
+from conftest import product_channel, random_density, random_kraus
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -203,7 +203,7 @@ def test_criterion_6_definetti_residual():
 
 
 # ---------------------------------------------------------------------------
-# 7. full reduction on a measure-and-prepare channel with on-grid preparations
+# 7. full reduction on a measure-and-prepare channel
 # ---------------------------------------------------------------------------
 
 def _weak_classifier_instance(overlap=0.6, lam=0.08):
@@ -227,21 +227,17 @@ def _weak_classifier_instance(overlap=0.6, lam=0.08):
         pure = classifier(basis).matrix
         mixed = lam * pure + (1 - lam) * np.eye(4) / 4
         preps.append(op(mixed, ("X1", 2), ("Y1", 2)))
-    include = np.stack([herm_fn(p, np.sqrt).matrix.reshape(-1)
-                        / np.linalg.norm(herm_fn(p, np.sqrt).matrix.reshape(-1))
-                        for p in preps])
-    return rho0, rho1, povm, preps, include
+    return rho0, rho1, povm, preps
 
 
 def test_criterion_7_locc_reconstruction():
     t0 = time.time()
-    rho0, rho1, povm, preps, include = _weak_classifier_instance()
+    rho0, rho1, povm, preps = _weak_classifier_instance()
     n = 2
     q = measure_and_prepare_choi(povm, preps, n)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
     risk_q = expected_risk(q, task, path="marginal")
-    proto = build_locc_protocol(q, grid_spec="haar:3:1500",
-                                include_points=include)
+    proto = build_locc_protocol(q, grid_spec="haar:3:1500")
     risk_p = protocol_risk(proto, task)
     gap = abs(risk_q - risk_p)
     rebuilt = proto.dense()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from nslocc.channels import (
     marginal_channel,
     measure_and_prepare_choi,
     random_nonsignalling_choi,
-    reduction_residual,
     symmetrize_channel,
 )
 from nslocc.tensor_core import Operator, TensorError, op, permute_factors
@@ -32,6 +33,7 @@ from conftest import (
     random_density,
     random_kraus,
     random_measure_prepare,
+    random_unitary,
 )
 
 
@@ -107,15 +109,30 @@ def test_output_crossing_detected():
 def test_marginal_channel_matches_single_round(rng):
     single = choi_of_kraus(random_kraus(rng, 2, 2, count=3), 2, 2)
     q = product_channel(single, 3)
-    m = marginal_channel(q, 1)
+    m = marginal_channel(q)
     assert np.allclose(m.omega.matrix, single.omega.matrix, atol=1e-10)
 
 
+def global_unitary_channel(n: int, seed: int) -> ChoiChannel:
+    """A Haar-random unitary on all n qubit rounds at once: it signals."""
+    return choi_of_global_kraus([random_unitary(np.random.default_rng(seed), 2 ** n)], 2, 2, n)
+
+
+def assert_marginal_refused(q: ChoiChannel):
+    residual = is_nonsignalling(q).residuals[0]
+    assert residual > 0.5
+    with pytest.raises(TensorError, match=re.escape(f"residual {residual:.3e} >")):
+        marginal_channel(q)
+
+
 def test_marginal_channel_rejects_signalling():
-    q = signalling_swap_channel()
-    assert reduction_residual(q, 1) > 0.1
-    with pytest.raises(TensorError):
-        marginal_channel(q, 1)
+    assert_marginal_refused(signalling_swap_channel())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_marginal_channel_rejects_a_global_unitary(n, seed):
+    assert_marginal_refused(global_unitary_channel(n, seed))
 
 
 def test_symmetrize_idempotent_and_permutation_invariant(rng):
@@ -229,13 +246,10 @@ def test_measure_prepare_marginal_is_the_closed_form(rng, n):
     povm, preps = random_measure_prepare(rng, 2, 2, 3, rank=3)
     q = MeasurePrepareChannel.of(povm, preps, n)
     dense = q.dense()
-    got = marginal_channel(q, 1)
-    want = marginal_channel(symmetrize_channel(dense), 1)
-    assert got.omega.shape == want.omega.shape
-    assert np.abs(got.omega.matrix - want.omega.matrix).max() <= 1e-13
-    if n == 3:
-        two = marginal_channel(q, 2)
-        assert np.abs(two.omega.matrix - marginal_channel(dense, 2).omega.matrix).max() <= 1e-13
+    got = marginal_channel(q)
+    for want in (marginal_channel(dense), marginal_channel(symmetrize_channel(dense))):
+        assert got.omega.shape == want.omega.shape
+        assert np.abs(got.omega.matrix - want.omega.matrix).max() <= 1e-13
 
 
 def test_measure_prepare_needs_no_symmetrizing_and_cannot_signal(rng):

@@ -64,15 +64,15 @@ def symmetric_test_state(rng, d_a, d, n):
 def test_design_grid_resolves_symmetric_projector():
     for n in range(1, 7):
         g = build_grid(2, n, "design")
-        assert _dense_resolution_residual(g.vectors, g.weights, n, 2) <= 1e-12
-        assert oracle_resolution_residual(g.vectors, g.weights, n, 2) <= 1e-12
+        assert _dense_resolution_residual(g.vectors, g.weights, n) <= 1e-12
+        assert oracle_resolution_residual(g.vectors, g.weights, n) <= 1e-12
 
 
 @pytest.mark.parametrize("n, d", [(1, 16), (2, 16), (2, 4), (3, 4)])
 def test_dicke_residual_matches_the_dense_oracle(n, d):
     g = build_grid(d, n, f"haar:{n * d}:300")
-    want = oracle_resolution_residual(g.vectors, g.weights, n, d)
-    assert _dense_resolution_residual(g.vectors, g.weights, n, d) == pytest.approx(
+    want = oracle_resolution_residual(g.vectors, g.weights, n)
+    assert _dense_resolution_residual(g.vectors, g.weights, n) == pytest.approx(
         want, rel=1e-12)
 
 
@@ -87,8 +87,8 @@ def test_design_grid_n1_resolves_identity():
 def test_haar_grid_residual_decreases_with_count():
     g1 = build_grid(2, 2, "haar:0:200")
     g2 = build_grid(2, 2, "haar:0:4000")
-    assert (_dense_resolution_residual(g2.vectors, g2.weights, 2, 2)
-            < _dense_resolution_residual(g1.vectors, g1.weights, 2, 2))
+    assert (_dense_resolution_residual(g2.vectors, g2.weights, 2)
+            < _dense_resolution_residual(g1.vectors, g1.weights, 2))
 
 
 @pytest.mark.parametrize("name, d_eff", [("design", 2), ("haar:7:30", 4),
@@ -98,13 +98,12 @@ def test_grid_mode_is_the_name_it_was_built_from(name, d_eff):
 
 
 def test_named_haar_grid_matches_build_grid_with_extra_points():
-    extra = np.eye(4, dtype=complex)[:2]
-    got = build_grid(4, 2, "haar:7:30", include=extra)
+    got = build_grid(4, 2, "haar:7:30")
     rng = np.random.default_rng(7)
     g = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
-    assert got.count == 32
-    assert np.array_equal(got.vectors[:30], g / np.linalg.norm(g, axis=1, keepdims=True))
-    assert np.array_equal(got.vectors[30:], extra)
+    assert got.count == 30
+    assert np.array_equal(got.vectors, g / np.linalg.norm(g, axis=1, keepdims=True))
+    assert np.array_equal(got.weights, np.full(30, 1.0 / 30))
 
 
 @pytest.mark.parametrize("name", ["auto", "haar", "haar:3", "haar:03:30", "haar:-1:30",
@@ -118,11 +117,6 @@ def test_grid_names_outside_the_grammar_are_refused(name):
 def test_haar_grid_without_points_is_refused():
     with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
         build_grid(4, 2, "haar:0:0")
-
-
-def test_design_grid_refuses_extra_points():
-    with pytest.raises(TensorError, match="haar"):
-        build_grid(2, 2, "design", include=np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("kind", ["mixed", "pure"])
@@ -325,7 +319,8 @@ def test_branch_extraction_matches_the_closed_form_at_large_n(rng, n):
         chis.append(chi / np.linalg.norm(chi))
     chis = np.array(chis)
     # the chi_j themselves are on the grid, where M_g is largest
-    grid = build_grid(4, n, "haar:5:200", include=chis)
+    points = np.vstack([build_grid(4, n, "haar:5:200").vectors, chis])
+    grid = MeasureGrid(points, np.full(len(points), 1.0 / len(points)), 4, "haar:5:200")
     ms = extract_measure(branch_extension(ks, phis, n), grid).ms
     amp = np.abs(grid.vectors.conj() @ chis.T) ** (2 * n)
     want = np.einsum("g,gj,jab->gab", grid.weights * sym_dim(n, 4), amp, ks)

@@ -202,7 +202,7 @@ def test_protocol_assembled_from_stacked_measure():
 def test_marginal_choi_matches_per_outcome_loop():
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
     proto = build_locc_protocol(q, grid_spec="haar:1:400")
-    got = marginal_channel(proto, 1).omega
+    got = marginal_channel(proto).omega
     assert got.labels == ("A", "X1", "Y1")
     assert np.abs(got.matrix - loop_marginal_choi(proto)).max() <= 1e-14
 

@@ -7,19 +7,22 @@ package outside its own definition, as a plain name, as an attribute, or by
 being imported into another module.
 
 A public name is library surface, and it must have a caller that is not a
-test: it is read in the package outside its own definition, in the
-benchmark (`bench/`, including the layers `bench/run.py` traces by name) or
-in `scripts/`.  Tests alone do not keep a public name alive; a helper only
-they use belongs in `tests/conftest.py`.
+test: it is read in the package outside its own definition or in the
+benchmark (`bench/`, including the layers `bench/run.py` traces by name).
+Tests alone do not keep a public name alive; a helper only they use belongs
+in `tests/conftest.py`.
 
 Every UPPER_CASE module-level constant of the package is read in the
 package outside its own assignment: a constant nothing reads is a knob
 that turns nothing.
 
 Likewise every defaulted parameter of a public function must be set, by
-position or by keyword, by some call outside `tests/`: in the package, in
-`bench/` or in `scripts/`.  A default only tests override is a knob no user
-turns.
+position or by keyword, by some call outside `tests/`: in the package or in
+`bench/`.  A default only tests override is a knob no user turns.
+
+Every parameter of every function of the package, `self` and `cls` aside,
+is read in that function's body: a parameter nothing reads is an input that
+changes nothing.
 """
 
 import ast
@@ -37,12 +40,7 @@ UNCALLED_PUBLIC = {
     "tomography_task",
 }
 # defaulted parameters kept although only tests set them, with the reason
-UNSET_DEFAULTS = {
-    # ROADMAP item 1's `branches` grid, built from the extension, replaces the
-    # extra points placed on a haar grid
-    "build_grid.include",
-    "build_locc_protocol.include_points",
-}
+UNSET_DEFAULTS: set[str] = set()
 
 
 def definitions(tree: ast.Module, private: bool = True) -> dict[str, ast.AST]:
@@ -159,6 +157,25 @@ def unset_defaults(trees: dict[str, ast.Module], callers: dict[str, ast.Module],
     return found
 
 
+def unread_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """The parameters, `self` and `cls` aside, of every function of `trees`
+    (methods and nested functions included) that the function's body never
+    reads."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+            found += [f"{module}:{node.lineno} {node.name}.{p}" for p in params
+                      if p not in read and p not in ("self", "cls")]
+    return found
+
+
 def parse(paths, base: Path) -> dict[str, ast.Module]:
     """{path relative to base: syntax tree} of the files."""
     return {str(path.relative_to(base)): ast.parse(path.read_text(), filename=str(path))
@@ -174,7 +191,7 @@ def test_package_has_no_orphaned_private_helpers():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     trees = parse(SRC.glob("*.py"), SRC)
-    callers = parse([*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")], ROOT)
+    callers = parse((ROOT / "bench").glob("*.py"), ROOT)
     layers = traced_layers(callers["bench/run.py"])
     assert layers, "bench/run.py traces no layers"
     outside = set().union(layers, UNCALLED_PUBLIC, *map(references, callers.values()))
@@ -193,14 +210,19 @@ def test_every_constant_is_read_in_the_package():
 
 def test_every_default_is_set_outside_the_tests():
     trees = parse(SRC.glob("*.py"), SRC)
-    callers = parse([*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-                     *(ROOT / "tests").glob("*.py")], ROOT)
+    callers = parse([*(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")], ROOT)
     unset = unset_defaults(trees, callers, UNSET_DEFAULTS)
     assert not unset, "defaulted parameters only tests set: " + ", ".join(unset)
     params = {f"{name}.{param}" for tree in trees.values()
               for name, node in public(tree).items()
               if isinstance(node, ast.FunctionDef) for _, param in defaulted(node)}
     assert UNSET_DEFAULTS <= params, "an allowlisted default no longer exists"
+
+
+def test_every_parameter_is_read():
+    trees = parse(SRC.glob("*.py"), SRC)
+    unread = unread_parameters(trees)
+    assert not unread, "parameters nothing reads: " + ", ".join(unread)
 
 
 @pytest.mark.parametrize("source, want", [
@@ -236,7 +258,7 @@ def test_checker_flags_an_unread_constant():
 
 @pytest.mark.parametrize("path, call, allowed, want", [
     ("bench/x.py", "m.f(1, b=2)\n", set(), []),
-    ("scripts/x.py", "f(1, 2)\n", set(), []),
+    ("bench/x.py", "f(1, 2)\n", set(), []),
     ("bench/x.py", "f(*args)\n", set(), []),
     ("bench/x.py", "f(1)\n", set(), ["a.py:1 f.b"]),
     ("tests/test_x.py", "f(1, b=2)\n", set(), ["a.py:1 f.b"]),
@@ -245,6 +267,22 @@ def test_checker_flags_an_unread_constant():
 def test_checker_flags_a_default_only_tests_set(path, call, allowed, want):
     trees = {"a.py": ast.parse("def f(a, b=0):\n    return a + b\n")}
     assert unset_defaults(trees, {path: ast.parse(call)}, allowed) == want
+
+
+def test_checker_flags_an_unread_parameter():
+    source = """
+class C:
+    def method(self, used, unused, *args, key, **kwargs):
+        def inner(x):
+            return used + key + len(args)
+        return inner
+
+    @classmethod
+    def make(cls):
+        return kwargs
+"""
+    assert unread_parameters({"a.py": ast.parse(source)}) == [
+        "a.py:3 method.unused", "a.py:3 method.kwargs", "a.py:4 inner.x"]
 
 
 def test_traced_layers_reads_the_literal():

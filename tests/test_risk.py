@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,7 @@ from conftest import (
     product_channel,
     random_density,
     random_kraus,
+    random_unitary,
 )
 
 
@@ -210,9 +213,9 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
         avg = dense_symmetrize(ch.omega.matrix, ch.d_a, ch.d_x * ch.d_y, ch.n)
         return ChoiChannel(Operator(avg, ch.omega.shape), ch.d_a, ch.d_x, ch.d_y, ch.n)
 
-    def loop_marginal(channel, k):
+    def loop_marginal(channel):
         if not isinstance(channel, MeasurePrepareChannel):
-            return marginal_channel(channel, k)
+            return marginal_channel(channel)
         fac = choi_factorization(channel.d_a, channel.d_x, channel.d_y, 1)
         return ChoiChannel(Operator(loop_marginal_choi(channel), fac),
                            channel.d_a, channel.d_x, channel.d_y, 1)
@@ -270,6 +273,38 @@ def test_relabelling_the_outcomes_leaves_the_risk_report_unchanged(n, seed, over
                               grid)
     for key in RiskReport.__dataclass_fields__:
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=0, abs=1e-12), key
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.3, 0.6, 0.9]))
+def test_local_unitaries_on_channel_and_task_leave_the_risk_unchanged(n, seed, overlap):
+    # (U_A, V_X, W_Y) on the task and the matching conjugation of the channel:
+    # the channel sees rotated inputs, undoes the rotation and rotates its
+    # outputs, which the rotated score undoes again
+    rho0, rho1, povm, preps = _classification_family(overlap)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+    q = MeasurePrepareChannel.of(povm, preps, n)
+    rng = np.random.default_rng(seed)
+    u, v, w = random_unitary(rng, 4), random_unitary(rng, 2), random_unitary(rng, 2)
+    eye = np.eye(2)
+    turned = LearningTask(
+        rho_a=Operator(u @ task.rho_a.matrix @ u.conj().T, task.rho_a.shape),
+        rho_xr=Operator(np.kron(v, eye) @ task.rho_xr.matrix @ np.kron(v, eye).conj().T,
+                        task.rho_xr.shape),
+        s=Operator(np.kron(w, eye) @ task.s.matrix @ np.kron(w, eye).conj().T, task.s.shape),
+        n=n)
+    site = np.kron(v.conj(), w)
+    structured = MeasurePrepareChannel(u @ q.povm @ u.conj().T,
+                                       site @ q.chois @ site.conj().T, 2, 2, n)
+    g = reduce(np.kron, [u.conj()] + [site] * n)
+    dense = q.dense()
+    dense = ChoiChannel(Operator(g @ dense.omega.matrix @ g.conj().T, dense.omega.shape),
+                        4, 2, 2, n)
+    want = expected_risk(q, task, path="marginal")
+    for channel in (structured, dense):
+        got = expected_risk(channel, turned, path="marginal")
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
