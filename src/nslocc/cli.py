@@ -16,6 +16,7 @@ enters through explicit seeds (numpy's seeded default generator, PCG64).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -374,20 +375,24 @@ def cmd_gen_channel(cfg: dict) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def main(argv: list[str] | None = None) -> int:
+_HANDLERS = {
+    "verify": cmd_verify,
+    "risk-gap": cmd_risk_gap,
+    "definetti": cmd_definetti,
+    "classical-demo": cmd_classical_demo,
+    "gen-channel": cmd_gen_channel,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once on first use, not at import."""
     parser = argparse.ArgumentParser(
         prog="nslocc",
         description="non-signalling to measure-then-apply reduction toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-    handlers = {
-        "verify": cmd_verify,
-        "risk-gap": cmd_risk_gap,
-        "definetti": cmd_definetti,
-        "classical-demo": cmd_classical_demo,
-        "gen-channel": cmd_gen_channel,
-    }
-    for name in handlers:
+    for name in _HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--config")
@@ -407,17 +412,20 @@ def main(argv: list[str] | None = None) -> int:
         if name == "verify":
             sp.add_argument("--inject-signalling", dest="inject_signalling",
                             action="store_true", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if not args.command:
-        parser.print_help()
+        _parser().print_help()
         return 2
     try:
         cfg = _load_config(args)
     except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
         return _fail(f"bad config: {exc}")
     try:
-        return handlers[args.command](cfg)
+        return _HANDLERS[args.command](cfg)
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -11,7 +11,7 @@ symmetrized Choi state contracted with a precomputed R-operator (any n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .tensor_core import (
     partial_transpose,
     permutation_matrix,
     tensor,
-    tensor_all,
 )
 
 @dataclass(frozen=True)
@@ -79,6 +78,20 @@ class LearningTask:
         return r_operator(self)
 
 
+def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list, Operator]:
+    """The states, of one dimension and one prior each (summing to 1), as
+    complex arrays, and the training state on A: one copy of each, in order."""
+    if len(priors) != len(states):
+        raise TensorError(f"{len(priors)} priors for {len(states)} states")
+    if abs(sum(priors) - 1.0) > 1e-9:
+        raise TensorError(f"priors sum to {sum(priors)}, not 1")
+    mats = [np.asarray(s, complex) for s in states]
+    if len({m.shape[0] for m in mats}) > 1:
+        raise TensorError("class states must share one dimension")
+    rho_a = reduce(np.kron, mats)
+    return mats, Operator(rho_a, Factorization.of(("A", len(rho_a))))
+
+
 def classification_task(priors: list[float], states: list[np.ndarray],
                         n: int) -> LearningTask:
     """State classification with 0-1 loss.
@@ -88,28 +101,21 @@ def classification_task(priors: list[float], states: list[np.ndarray],
     one copy of every class state in a fixed (label = position) order, the
     programmable-discriminator convention.
     """
-    mats = [np.asarray(s, complex) for s in states]
-    if abs(sum(priors) - 1.0) > 1e-9:
-        raise TensorError(f"priors sum to {sum(priors)}, not 1")
+    mats, rho_a = _training_data(priors, states)
     d_x = mats[0].shape[0]
     labels = len(mats)
     rho_xr = np.zeros((d_x * labels, d_x * labels), dtype=complex)
     for y, (p, m) in enumerate(zip(priors, mats)):
-        if m.shape[0] != d_x:
-            raise TensorError("class states must share one dimension")
         e = np.zeros((labels, labels))
         e[y, y] = 1.0
         rho_xr += p * np.kron(m, e)
-    rho_a = np.array([[1.0]], dtype=complex)
-    for m in mats:
-        rho_a = np.kron(rho_a, m)
     s = np.eye(labels * labels, dtype=complex)
     for y in range(labels):
         e = np.zeros((labels, labels))
         e[y, y] = 1.0
         s -= np.kron(e, e)
     return LearningTask(
-        rho_a=Operator(rho_a, Factorization.of(("A", rho_a.shape[0]))),
+        rho_a=rho_a,
         rho_xr=Operator(rho_xr, Factorization.of(("X1", d_x), ("R1", labels))),
         s=Operator(s, Factorization.of(("Y1", labels), ("R1", labels))),
         n=n)
@@ -127,9 +133,7 @@ def tomography_task(priors: list[float], states: list[np.ndarray],
     1 − SWAP on Y ⊗ R evaluates the overlap with the reference copy.  Training
     data is one copy of every target state.
     """
-    mats = [np.asarray(s, complex) for s in states]
-    if abs(sum(priors) - 1.0) > 1e-9:
-        raise TensorError(f"priors sum to {sum(priors)}, not 1")
+    mats, rho_a = _training_data(priors, states)
     d = mats[0].shape[0]
     labels = len(mats)
     rho_xr = np.zeros((labels * d, labels * d), dtype=complex)
@@ -137,12 +141,9 @@ def tomography_task(priors: list[float], states: list[np.ndarray],
         e = np.zeros((labels, labels))
         e[x, x] = 1.0
         rho_xr += p * np.kron(e, m)
-    rho_a = np.array([[1.0]], dtype=complex)
-    for m in mats:
-        rho_a = np.kron(rho_a, m)
     s = np.eye(d * d) - swap_matrix(d)
     return LearningTask(
-        rho_a=Operator(rho_a, Factorization.of(("A", rho_a.shape[0]))),
+        rho_a=rho_a,
         rho_xr=Operator(rho_xr, Factorization.of(("X1", labels), ("R1", d))),
         s=Operator(s, Factorization.of(("Y1", d), ("R1", d))),
         n=n)
@@ -203,18 +204,17 @@ def _risk_direct(q: ChoiChannel | MeasurePrepareChannel,
     for i in range(1, n + 1):
         factors += [(f"X{i}", task.d_x), (f"Y{i}", task.d_y), (f"R{i}", task.d_r)]
     full = Factorization.of(*factors)
-    parts = [task.rho_a]
-    for i in range(1, n + 1):
-        parts.append(task.rho_xr.relabel({"X1": f"X{i}", "R1": f"R{i}"}))
-    rho_in = embed(tensor_all(parts), full)
+    parts = [task.rho_a] + [task.rho_xr.relabel({"X1": f"X{i}", "R1": f"R{i}"})
+                            for i in range(1, n + 1)]
+    rho_in = embed(reduce(tensor, parts), full)
 
     omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
     omega_big = embed(omega, full)
     in_labels = ["A"] + [f"X{i}" for i in range(1, n + 1)]
     twisted = partial_transpose(omega_big, in_labels)
     s_bar = embed(symmetrized_risk_observable(task.s, n), full)
-    d_in = task.d_a * task.d_x ** n
-    val = d_in * np.trace(twisted.matrix @ rho_in.matrix @ s_bar.matrix)
+    # tr(A B) as the elementwise sum of A * B^T: one matrix product, not two
+    val = task.d_a * task.d_x ** n * np.sum((twisted.matrix @ rho_in.matrix) * s_bar.matrix.T)
     return float(val.real)
 
 

@@ -2,7 +2,8 @@
 
 Every operator carries an ordered factorization (label, dim) of the space it
 acts on, so partial traces, partial transposes and factor permutations can be
-requested by register name instead of by index bookkeeping.
+requested by register name instead of by index bookkeeping: each is one index
+operation on the (dims + dims) view, factor i of k being axes i and k + i.
 """
 
 from __future__ import annotations
@@ -71,10 +72,7 @@ class Factorization:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for _, d in self.factors:
-            out *= d
-        return out
+        return prod(self.dims)
 
     def index(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
@@ -84,9 +82,6 @@ class Factorization:
 
     def dim_of(self, label: str) -> int:
         return self.factors[self.index(label)][1]
-
-    def concat(self, other: "Factorization") -> "Factorization":
-        return Factorization(self.factors + other.factors)
 
     def relabel(self, mapping: dict[str, str]) -> "Factorization":
         return Factorization(tuple((mapping.get(lab, lab), d) for lab, d in self.factors))
@@ -171,22 +166,8 @@ def tensor(a: Operator, b: Operator) -> Operator:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise TensorError(f"label collision in tensor product: {sorted(overlap)}")
-    return Operator(np.kron(a.matrix, b.matrix), a.shape.concat(b.shape))
-
-
-def tensor_all(ops: Sequence[Operator]) -> Operator:
-    out = ops[0]
-    for o in ops[1:]:
-        out = tensor(out, o)
-    return out
-
-
-def _trace_one_factor(m: np.ndarray, dims: Sequence[int], idx: int) -> np.ndarray:
-    pre = int(np.prod(dims[:idx], initial=1))
-    d = dims[idx]
-    post = int(np.prod(dims[idx + 1:], initial=1))
-    t = m.reshape(pre, d, post, pre, d, post)
-    return np.einsum("aibcid->abcd", t).reshape(pre * post, pre * post)
+    return Operator(np.kron(a.matrix, b.matrix),
+                    Factorization(a.shape.factors + b.shape.factors))
 
 
 def partial_trace(operator: Operator, keep: Iterable[str]) -> Operator:
@@ -195,15 +176,14 @@ def partial_trace(operator: Operator, keep: Iterable[str]) -> Operator:
     unknown = keep - set(operator.labels)
     if unknown:
         raise TensorError(f"unknown labels in keep set: {sorted(unknown)}")
-    m = operator.matrix
-    factors = list(operator.shape.factors)
-    # trace right-to-left so earlier indices stay valid
-    for i in reversed(range(len(factors))):
-        lab, _ = factors[i]
-        if lab not in keep:
-            m = _trace_one_factor(m, [d for _, d in factors], i)
-            factors.pop(i)
-    return Operator(m, Factorization(tuple(factors)))
+    k = len(operator.labels)
+    kept = [i for i, lab in enumerate(operator.labels) if lab in keep]
+    # a traced factor's column axis takes its row axis's subscript (52 at most)
+    cols = [k + i if lab in keep else i for i, lab in enumerate(operator.labels)]
+    t = np.einsum(operator.matrix.reshape(operator.shape.dims * 2),
+                  list(range(k)) + cols, kept + [k + i for i in kept])
+    shape = Factorization(tuple(operator.shape.factors[i] for i in kept))
+    return Operator(t.reshape(shape.dim, shape.dim), shape)
 
 
 def partial_transpose(operator: Operator, subset: Iterable[str]) -> Operator:
@@ -212,17 +192,11 @@ def partial_transpose(operator: Operator, subset: Iterable[str]) -> Operator:
     unknown = subset - set(operator.labels)
     if unknown:
         raise TensorError(f"unknown labels in transpose set: {sorted(unknown)}")
-    dims = operator.shape.dims
-    m = operator.matrix
-    for i, (lab, _) in enumerate(operator.shape.factors):
-        if lab not in subset:
-            continue
-        pre = int(np.prod(dims[:i], initial=1))
-        d = dims[i]
-        post = int(np.prod(dims[i + 1:], initial=1))
-        t = m.reshape(pre, d, post, pre, d, post)
-        m = t.transpose(0, 4, 2, 3, 1, 5).reshape(operator.dim, operator.dim)
-    return Operator(m, operator.shape)
+    swap = {operator.shape.index(lab) for lab in subset}
+    k = len(operator.labels)
+    axes = [(i + k) % (2 * k) if i % k in swap else i for i in range(2 * k)]
+    t = operator.matrix.reshape(operator.shape.dims * 2).transpose(axes)
+    return Operator(t.reshape(operator.dim, operator.dim), operator.shape)
 
 
 def permute_factors(operator: Operator, new_labels: Sequence[str]) -> Operator:
@@ -230,10 +204,8 @@ def permute_factors(operator: Operator, new_labels: Sequence[str]) -> Operator:
     if sorted(new_labels) != sorted(operator.labels):
         raise TensorError(f"label sets differ: {new_labels} vs {operator.labels}")
     perm = [operator.shape.index(lab) for lab in new_labels]
-    k = len(perm)
-    dims = operator.shape.dims
-    t = operator.matrix.reshape(dims + dims)
-    t = t.transpose(perm + [p + k for p in perm])
+    t = operator.matrix.reshape(operator.shape.dims * 2)
+    t = t.transpose(perm + [p + len(perm) for p in perm])
     new_factors = tuple(operator.shape.factors[p] for p in perm)
     return Operator(t.reshape(operator.dim, operator.dim), Factorization(new_factors))
 
@@ -286,20 +258,22 @@ def eigh_herm(m: np.ndarray, vectors: bool = True, check: bool = False):
     return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
 
-def trace_norm(operator: Operator | np.ndarray) -> float:
-    """Sum of singular values."""
+def _singular_values(operator: Operator | np.ndarray) -> np.ndarray:
+    """Singular values, as |eigenvalues| when the matrix is Hermitian to HERM_TOL."""
     m = operator.matrix if isinstance(operator, Operator) else np.asarray(operator)
     if np.abs(m - m.conj().T).max() <= HERM_TOL:
-        return float(np.abs(eigh_herm(m, vectors=False)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+        return np.abs(eigh_herm(m, vectors=False))
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def trace_norm(operator: Operator | np.ndarray) -> float:
+    """Sum of singular values."""
+    return float(_singular_values(operator).sum())
 
 
 def op_norm(operator: Operator | np.ndarray) -> float:
     """Largest singular value."""
-    m = operator.matrix if isinstance(operator, Operator) else np.asarray(operator)
-    if np.abs(m - m.conj().T).max() <= HERM_TOL:
-        return float(np.abs(eigh_herm(m, vectors=False)).max())
-    return float(np.linalg.svd(m, compute_uv=False).max())
+    return float(_singular_values(operator).max())
 
 
 def _psd_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -25,9 +26,35 @@ from nslocc.tensor_core import (
     partial_trace,
     partial_transpose,
     permutation_matrix,
-    tensor_all,
+    tensor,
     trace_norm,
 )
+
+
+def oracle_partial_trace(operator: Operator, keep) -> Operator:
+    """Reference partial trace: one factor at a time, right to left, each as
+    the middle index of a (pre, d, post) split of rows and columns."""
+    m, factors = operator.matrix, list(operator.shape.factors)
+    for i in reversed(range(len(factors))):
+        if factors[i][0] not in keep:
+            dims = [d for _, d in factors]
+            pre, d, post = int(np.prod(dims[:i])), dims[i], int(np.prod(dims[i + 1:]))
+            t = m.reshape(pre, d, post, pre, d, post)
+            m = np.einsum("aibcid->abcd", t).reshape(pre * post, pre * post)
+            factors.pop(i)
+    return Operator(m, Factorization(tuple(factors)))
+
+
+def oracle_partial_transpose(operator: Operator, subset) -> Operator:
+    """Reference partial transpose: one factor at a time, swapping the middle
+    index of a (pre, d, post) split between rows and columns."""
+    dims, m = operator.shape.dims, operator.matrix
+    for i, lab in enumerate(operator.labels):
+        if lab in subset:
+            pre, d, post = int(np.prod(dims[:i])), dims[i], int(np.prod(dims[i + 1:]))
+            t = m.reshape(pre, d, post, pre, d, post)
+            m = t.transpose(0, 4, 2, 3, 1, 5).reshape(operator.dim, operator.dim)
+    return Operator(m, operator.shape)
 
 
 def herm_fn(operator: Operator, f, cutoff: float | None = None) -> Operator:
@@ -60,7 +87,7 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
     parts = [identity(Factorization.of(("A", 1)))]
     for i in range(1, n + 1):
         parts.append(single.omega.relabel({"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
-    omega = tensor_all(parts)
+    omega = reduce(tensor, parts)
     omega = partial_trace(omega, set(["A"] + _round_labels(n)))
     return ChoiChannel(omega, 1, single.d_x, single.d_y, n)
 

@@ -1,14 +1,31 @@
+import argparse
 import json
 import warnings
 
 import pytest
 
-from nslocc import tensor_core
+from nslocc import cli, tensor_core
 from nslocc.cli import main
 
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+    assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    tops = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        tops.append(kwargs.get("prog") == "nslocc")    # subparsers have their own prog
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert main(["classical-demo", "--seed", "4"]) == 0
+    assert main([]) == 2
+    assert sum(tops) <= 1
     assert "usage" in capsys.readouterr().out.lower()
 
 

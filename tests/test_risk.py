@@ -95,6 +95,21 @@ def test_classification_task_shapes():
     assert np.isclose(t.rho_a.trace().real, 1.0)
 
 
+@pytest.mark.parametrize("builder", [classification_task, tomography_task])
+def test_task_builders_refuse_one_prior_short(builder):
+    # zipping priors with states would drop the second state from rho_XR
+    # while it still entered rho_A and the label count
+    states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    with pytest.raises(TensorError, match="1 priors for 2 states"):
+        builder([1.0], states, n=1)
+
+
+@pytest.mark.parametrize("builder", [classification_task, tomography_task])
+def test_task_builders_refuse_states_of_different_dimension(builder):
+    with pytest.raises(TensorError, match="share one dimension"):
+        builder([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3], n=1)
+
+
 def test_helstrom_risk_matches_closed_form():
     theta = np.pi / 5
     c = np.cos(theta)

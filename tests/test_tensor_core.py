@@ -26,7 +26,13 @@ from nslocc.tensor_core import (
     trace_norm,
 )
 
-from conftest import herm_fn, permutation_operator, random_pure
+from conftest import (
+    herm_fn,
+    oracle_partial_trace,
+    oracle_partial_transpose,
+    permutation_operator,
+    random_pure,
+)
 
 
 def complex_matrix(rng, d):
@@ -70,6 +76,22 @@ def test_partial_transpose_commutes_with_trace(rng):
     a = partial_trace(partial_transpose(m, ["A"]), ["A"])
     b = partial_trace(m, ["A"])
     assert np.allclose(a.matrix, b.matrix.T)
+
+
+@settings(max_examples=60, deadline=50, derandomize=True)
+@given(st.data())
+def test_axis_view_matches_the_per_factor_oracles(data):
+    # dim-1 factors included, as a trivial side register A has
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    labels = [f"F{i}" for i in range(len(dims))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m = op(complex_matrix(rng, int(np.prod(dims))), *zip(labels, dims))
+    drawn = data.draw(st.sets(st.sampled_from(labels)))
+    for pick in (drawn, set(), set(labels)):
+        for got, want in ((partial_trace(m, pick), oracle_partial_trace(m, pick)),
+                          (partial_transpose(m, pick), oracle_partial_transpose(m, pick))):
+            assert got.shape == want.shape
+            assert np.abs(got.matrix - want.matrix).max() <= 1e-13
 
 
 def test_permute_factors_roundtrip(rng):
