@@ -30,6 +30,7 @@ from .tensor_core import (
     Operator,
     TensorError,
     check_dense_budget,
+    check_psd,
     eigh_herm,
     embed,
     op_norm,
@@ -185,10 +186,8 @@ class MeasurePrepareChannel:
         trace_dev = float(np.abs(np.einsum("kii->k", chois).real - 1.0).max())
         if trace_dev > 1e-7:
             raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
-        for what, stack in (("POVM element", povm), ("preparation", chois)):
-            low = float(eigh_herm(stack, vectors=False, check=True).min())
-            if low < -PSD_TOL:
-                raise TensorError(f"{what} is not PSD (min eigenvalue {low:.3e})")
+        check_psd(povm, "POVM element")
+        check_psd(chois, "preparation")
         # trace preservation, which makes the channel non-signalling
         tp_dev = float(np.abs(marginal_input(chois, self.d_x, self.d_y)
                               - np.eye(self.d_x) / self.d_x).max())
@@ -330,7 +329,10 @@ def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel) -> ChoiChanne
     """
     d_a, d_x, d_y = channel.d_a, channel.d_x, channel.d_y
     if isinstance(channel, MeasurePrepareChannel):
-        total = np.einsum("kba,kij->aibj", channel.povm, channel.chois) / d_a
+        # one GEMM (K, d_A²)ᵀ @ (K, (d_X·d_Y)²) over the outcomes, rows (b, a)
+        k, pair = len(channel.povm), d_x * d_y
+        total = (channel.povm.reshape(k, -1).T @ channel.chois.reshape(k, -1)).reshape(
+            d_a, d_a, pair, pair).transpose(1, 2, 0, 3) / d_a
         fac = choi_factorization(d_a, d_x, d_y, 1)
         return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
     dims = (d_a, d_x, d_y, channel.n)

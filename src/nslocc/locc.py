@@ -225,14 +225,16 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
     rescale = 1.0
     slack = np.eye(d_a) - povm_raw.sum(axis=0)
-    if float(eigh_herm(slack, vectors=False).min()) < -SLACK_TOL:
+    slack_eigs = eigh_herm(slack, vectors=False)
+    if float(slack_eigs.min()) < -SLACK_TOL:
         # grid overshoot: shrink the whole family to restore feasibility
         rescale = 1.0 / float(eigh_herm(povm_raw.sum(axis=0), vectors=False).max())
         povm_raw = rescale * povm_raw
         slack = np.eye(d_a) - povm_raw.sum(axis=0)
+        slack_eigs = eigh_herm(slack, vectors=False)
     # the slack element completes the POVM exactly; eigenvalues down to
     # -SLACK_TOL are rounding and count for no mass
-    slack_mass = float(np.clip(eigh_herm(slack, vectors=False), 0, None).sum()) / d_a
+    slack_mass = float(np.clip(slack_eigs, 0, None).sum()) / d_a
     povm = np.concatenate([povm_raw, slack[None]])
 
     provenance = {

@@ -3,8 +3,9 @@
 A task bundles a training state on A, a test-pair state on X ⊗ R (R is the
 reference register that scores the channel's output), and a risk observable
 S on Y ⊗ R.  The expected risk of a channel is the mean score of its outputs
-against the references, evaluated two independent ways: by applying the
-channel directly (small n), and through the single-round marginal of the
+against the references, evaluated two independent ways: directly from the
+n-round Choi state, one contraction per round (as far as the dense budget
+admits that state), and through the single-round marginal of the
 symmetrized Choi state contracted with a precomputed R-operator (any n).
 """
 
@@ -22,7 +23,7 @@ from .tensor_core import (
     Operator,
     TensorError,
     check_dense_budget,
-    eigh_herm,
+    check_psd,
     embed,
     op_norm,
     partial_trace,
@@ -48,8 +49,7 @@ class LearningTask:
         for state in (self.rho_a, self.rho_xr):
             if abs(state.trace().real - 1.0) > 1e-9:
                 raise TensorError(f"state trace {state.trace().real} != 1")
-            if float(eigh_herm(state.matrix, vectors=False, check=True).min()) < -1e-9:
-                raise TensorError("task state is not PSD")
+            check_psd(state.matrix, "task state", tol=1e-9)
         self.s.hermitize()
         if self.rho_xr.labels != ("X1", "R1"):
             raise TensorError("rho_xr must live on (X1, R1)")
@@ -88,6 +88,7 @@ def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list,
     mats = [np.asarray(s, complex) for s in states]
     if len({m.shape[0] for m in mats}) > 1:
         raise TensorError("class states must share one dimension")
+    check_dense_budget(len(mats[0]) ** len(mats), "training state")
     rho_a = reduce(np.kron, mats)
     return mats, Operator(rho_a, Factorization.of(("A", len(rho_a))))
 
@@ -102,18 +103,10 @@ def classification_task(priors: list[float], states: list[np.ndarray],
     programmable-discriminator convention.
     """
     mats, rho_a = _training_data(priors, states)
-    d_x = mats[0].shape[0]
-    labels = len(mats)
-    rho_xr = np.zeros((d_x * labels, d_x * labels), dtype=complex)
-    for y, (p, m) in enumerate(zip(priors, mats)):
-        e = np.zeros((labels, labels))
-        e[y, y] = 1.0
-        rho_xr += p * np.kron(m, e)
-    s = np.eye(labels * labels, dtype=complex)
-    for y in range(labels):
-        e = np.zeros((labels, labels))
-        e[y, y] = 1.0
-        s -= np.kron(e, e)
+    d_x, labels = len(mats[0]), len(mats)
+    units = [np.diag(row) for row in np.eye(labels)]          # |y><y|
+    rho_xr = sum(p * np.kron(m, e) for p, m, e in zip(priors, mats, units))
+    s = np.eye(labels * labels) - sum(np.kron(e, e) for e in units)
     return LearningTask(
         rho_a=rho_a,
         rho_xr=Operator(rho_xr, Factorization.of(("X1", d_x), ("R1", labels))),
@@ -134,13 +127,9 @@ def tomography_task(priors: list[float], states: list[np.ndarray],
     data is one copy of every target state.
     """
     mats, rho_a = _training_data(priors, states)
-    d = mats[0].shape[0]
-    labels = len(mats)
-    rho_xr = np.zeros((labels * d, labels * d), dtype=complex)
-    for x, (p, m) in enumerate(zip(priors, mats)):
-        e = np.zeros((labels, labels))
-        e[x, x] = 1.0
-        rho_xr += p * np.kron(e, m)
+    d, labels = len(mats[0]), len(mats)
+    units = [np.diag(row) for row in np.eye(labels)]          # |x><x|
+    rho_xr = sum(p * np.kron(e, m) for p, m, e in zip(priors, mats, units))
     s = np.eye(d * d) - swap_matrix(d)
     return LearningTask(
         rho_a=rho_a,
@@ -153,22 +142,6 @@ def tomography_task(priors: list[float], states: list[np.ndarray],
 # risk observables
 # ---------------------------------------------------------------------------
 
-def symmetrized_risk_observable(s: Operator, n: int) -> Operator:
-    """S̄ on (Y1, R1, ..., Yn, Rn): the per-round score averaged over rounds,
-    which makes risks comparable across n (score per test round)."""
-    d_y = s.shape.dim_of("Y1")
-    d_r = s.shape.dim_of("R1")
-    factors = []
-    for i in range(1, n + 1):
-        factors += [(f"Y{i}", d_y), (f"R{i}", d_r)]
-    full = Factorization.of(*factors)
-    total = None
-    for i in range(1, n + 1):
-        term = embed(s.relabel({"Y1": f"Y{i}", "R1": f"R{i}"}), full)
-        total = term if total is None else total + term
-    return (1.0 / n) * total
-
-
 def r_operator(task: LearningTask) -> Operator:
     """Single-round risk kernel R on (A, X1, Y1).
 
@@ -176,13 +149,10 @@ def r_operator(task: LearningTask) -> Operator:
     single-round Choi marginal against R (times d_A·d_X) gives the expected
     risk without ever touching the n-round spaces.
     """
-    big = tensor(task.rho_a, task.rho_xr)
     full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
                             ("Y1", task.d_y), ("R1", task.d_r))
-    big = embed(big, full)
-    twisted = partial_transpose(big, ["A", "X1"])
-    s_big = embed(task.s, full)
-    prod = Operator(twisted.matrix @ s_big.matrix, full)
+    twisted = partial_transpose(embed(tensor(task.rho_a, task.rho_xr), full), ["A", "X1"])
+    prod = Operator(twisted.matrix @ embed(task.s, full).matrix, full)
     return partial_trace(prod, ["A", "X1", "Y1"]).hermitize()
 
 
@@ -197,25 +167,33 @@ def _risk_marginal(q: ChoiChannel | MeasurePrepareChannel,
 
 def _risk_direct(q: ChoiChannel | MeasurePrepareChannel,
                  task: LearningTask) -> float:
-    n = q.n
-    check_dense_budget(task.d_a * (task.d_x * task.d_y * task.d_r) ** n,
-                       "direct risk evaluation")
-    factors = [("A", task.d_a)]
-    for i in range(1, n + 1):
-        factors += [(f"X{i}", task.d_x), (f"Y{i}", task.d_y), (f"R{i}", task.d_r)]
-    full = Factorization.of(*factors)
-    parts = [task.rho_a] + [task.rho_xr.relabel({"X1": f"X{i}", "R1": f"R{i}"})
-                            for i in range(1, n + 1)]
-    rho_in = embed(reduce(tensor, parts), full)
+    """The risk from q's n-round Choi state ω, one contraction per round.
 
-    omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
-    omega_big = embed(omega, full)
-    in_labels = ["A"] + [f"X{i}" for i in range(1, n + 1)]
-    twisted = partial_transpose(omega_big, in_labels)
-    s_bar = embed(symmetrized_risk_observable(task.s, n), full)
-    # tr(A B) as the elementwise sum of A * B^T: one matrix product, not two
-    val = task.d_a * task.d_x ** n * np.sum((twisted.matrix @ rho_in.matrix) * s_bar.matrix.T)
-    return float(val.real)
+    The score is the mean over rounds, so the risk is too.  Round i's term
+    pairs ω's (dims + dims) view with ρ_A on A, with N = tr_R[(ρ_XR ⊗ 1_Y)
+    (1_X ⊗ S)] on (X_i, Y_i) and, on every other round j, with ρ_X = tr_R ρ_XR
+    on X_j and a trace on Y_j.  It neither symmetrizes ω nor assumes it
+    non-signalling, so it is independent of the marginal path.
+    """
+    n, d_a, d_x, d_y, d_r = q.n, task.d_a, task.d_x, task.d_y, task.d_r
+    check_dense_budget(d_a * (d_x * d_y) ** n, "direct risk evaluation")
+    omega = (q.dense() if isinstance(q, MeasurePrepareChannel) else q).omega.matrix
+    k = 2 * n + 1
+    t = omega.reshape(2 * ((d_a,) + (d_x, d_y) * n))
+    rho_xr = task.rho_xr.matrix.reshape(d_x, d_r, d_x, d_r)
+    rho_x = np.einsum("arbr->ab", rho_xr)
+    n_op = np.einsum("arbs,csdr->acbd", rho_xr, task.s.matrix.reshape(d_y, d_r, d_y, d_r))
+    total = 0.0
+    for i in range(1, n + 1):
+        # row axes 0..k-1, column axes k..2k-1; round j's X is 2j-1, its Y 2j
+        cols = [a if a % 2 == 0 and 0 < a != 2 * i else k + a for a in range(k)]
+        operands = [t, list(range(k)) + cols, task.rho_a.matrix, [0, k]]
+        for j in range(1, n + 1):
+            if j != i:
+                operands += [rho_x, [2 * j - 1, k + 2 * j - 1]]
+        operands += [n_op, [2 * i - 1, k + 2 * i, k + 2 * i - 1, 2 * i]]
+        total += np.einsum(*operands, [])
+    return float((d_a * d_x ** n * total / n).real)
 
 
 def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
@@ -223,8 +201,9 @@ def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
     """Expected risk of a channel on a task.
 
     path: "marginal" (symmetrize + single-round Choi against the R-operator,
-    works at any n), "direct" (apply the channel to the full n-round input,
-    small n only), or "both" (run both and insist they agree to 1e-8).
+    works at any n), "direct" (contract the n-round Choi state with the task
+    round by round, as far as the dense budget admits that state), or "both"
+    (run both and insist they agree to 1e-8).
     """
     if q.n != task.n:
         raise TensorError(f"channel n={q.n} != task n={task.n}")

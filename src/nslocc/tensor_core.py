@@ -239,13 +239,16 @@ def embed(operator: Operator, full: Factorization) -> Operator:
 
 def eigh_herm(m: np.ndarray, vectors: bool = True, check: bool = False):
     """Ascending eigenvalues, and eigenvectors unless `vectors` is False, of the
-    Hermitian part (M + M†)/2 of a matrix or of each matrix of a stack.
+    Hermitian part of a matrix or of each matrix of a stack (`_hermitian_part`,
+    so LAPACK solves in real arithmetic, a fraction of the complex solve's
+    cost, when that part has no imaginary part)."""
+    h = _hermitian_part(m, check)
+    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
-    LAPACK runs on the float64 part when the Hermitian part has no imaginary
-    part at all, and on the complex matrix otherwise; both solve the same
-    problem, and the real solve costs a fraction of the complex one.  With
-    `check`, an anti-Hermitian part larger than HERM_TOL raises TensorError.
-    """
+
+def _hermitian_part(m: np.ndarray, check: bool) -> np.ndarray:
+    """(M + M†)/2 of a matrix or stack, float64 if it has no imaginary part;
+    with `check`, an anti-Hermitian part over HERM_TOL raises TensorError."""
     adj = m.conj().swapaxes(-1, -2)
     if check:
         anti = float(np.abs(m - adj).max(initial=0.0))
@@ -253,9 +256,21 @@ def eigh_herm(m: np.ndarray, vectors: bool = True, check: bool = False):
             raise TensorError(
                 f"operator is not Hermitian (anti part {anti:.3e} > {HERM_TOL:g})")
     h = (m + adj) / 2
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = h.real
-    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    return h.real if np.iscomplexobj(h) and not h.imag.any() else h
+
+
+def check_psd(m: np.ndarray, what: str, tol: float = PSD_TOL) -> None:
+    """Refuse a matrix, or a stack, that is not Hermitian to HERM_TOL or whose
+    Hermitian part H has an eigenvalue below -tol.  One batched Cholesky
+    factorization of H + tol·1 certifies the whole stack; only a stack it
+    refuses is eigensolved, for the smallest eigenvalue the message reports."""
+    h = _hermitian_part(m, check=True)
+    try:
+        np.linalg.cholesky(h + tol * np.eye(h.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = float(eigh_herm(h, vectors=False).min())
+        if low < -tol:
+            raise TensorError(f"{what} is not PSD (min eigenvalue {low:.3e})") from None
 
 
 def _singular_values(operator: Operator | np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from nslocc.channels import (
     ChoiChannel,
+    MeasurePrepareChannel,
     NS_TOL,
     _project_tp,
     _round_labels,
@@ -223,6 +224,41 @@ def loop_marginal_choi(protocol) -> np.ndarray:
     """Reference single-round protocol marginal: sum_k kron(M_k^T / d_A, φ_k)."""
     return sum(np.kron(m.T / protocol.d_a, c)
                for m, c in zip(protocol.povm, protocol.chois))
+
+
+def symmetrized_risk_observable(s: Operator, n: int) -> Operator:
+    """S̄ on (Y1, R1, ..., Yn, Rn): the per-round score averaged over rounds."""
+    d_y = s.shape.dim_of("Y1")
+    d_r = s.shape.dim_of("R1")
+    factors = []
+    for i in range(1, n + 1):
+        factors += [(f"Y{i}", d_y), (f"R{i}", d_r)]
+    full = Factorization.of(*factors)
+    total = None
+    for i in range(1, n + 1):
+        term = embed(s.relabel({"Y1": f"Y{i}", "R1": f"R{i}"}), full)
+        total = term if total is None else total + term
+    return (1.0 / n) * total
+
+
+def oracle_risk_direct(q, task) -> float:
+    """Reference direct risk: the input state ρ_A ⊗ ρ_XR^{⊗n}, the Choi state
+    and S̄ embedded into the full (A, X, Y, R)^n space, and
+    d_A·d_X^n·tr[ω^{T_in} ρ_in S̄] there."""
+    n = q.n
+    factors = [("A", task.d_a)]
+    for i in range(1, n + 1):
+        factors += [(f"X{i}", task.d_x), (f"Y{i}", task.d_y), (f"R{i}", task.d_r)]
+    full = Factorization.of(*factors)
+    parts = [task.rho_a] + [task.rho_xr.relabel({"X1": f"X{i}", "R1": f"R{i}"})
+                            for i in range(1, n + 1)]
+    rho_in = embed(reduce(tensor, parts), full)
+    omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
+    twisted = partial_transpose(embed(omega, full), ["A"] + [f"X{i}" for i in range(1, n + 1)])
+    s_bar = embed(symmetrized_risk_observable(task.s, n), full)
+    # tr(A B) as the elementwise sum of A * B^T: one matrix product, not two
+    val = task.d_a * task.d_x ** n * np.sum((twisted.matrix @ rho_in.matrix) * s_bar.matrix.T)
+    return float(val.real)
 
 
 def oracle_signalling_residuals(channel) -> list[float]:

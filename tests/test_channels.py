@@ -17,6 +17,7 @@ from nslocc.channels import (
     is_cptp,
     is_nonsignalling,
     marginal_channel,
+    marginal_input,
     measure_and_prepare_choi,
     random_nonsignalling_choi,
     symmetrize_channel,
@@ -312,3 +313,32 @@ def test_measure_prepare_rejects_invalid_stacks(case, message):
     MeasurePrepareChannel(*_broken_stacks(None), 2, 2, 2)
     with pytest.raises(TensorError, match=message):
         MeasurePrepareChannel(*_broken_stacks(case), 2, 2, 2)
+
+
+def test_a_valid_measure_prepare_channel_is_certified_without_an_eigensolve(monkeypatch, rng):
+    # 2,001 outcomes: a complete POVM of Wishart elements on C^3 and random
+    # trace-preserving Choi states on C^2 ⊗ C^2, whose PSD certificate is one
+    # Cholesky factorization per stack
+    k, d_a = 2001, 3
+    g = rng.standard_normal((k, d_a, 2)) + 1j * rng.standard_normal((k, d_a, 2))
+    blocks = g @ g.conj().swapaxes(1, 2)
+    w, v = np.linalg.eigh(blocks.sum(axis=0))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    povm = inv_root @ blocks @ inv_root
+    h = rng.standard_normal((k, 4, 4)) + 1j * rng.standard_normal((k, 4, 4))
+    phi = h @ h.conj().swapaxes(1, 2)
+    w, v = np.linalg.eigh(marginal_input(phi, 2, 2))
+    lift = np.kron((v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2), np.eye(2))
+    chois = lift @ phi @ lift.conj().swapaxes(1, 2) / 2
+    calls = []
+
+    def counted(solver):
+        def call(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    q = MeasurePrepareChannel(povm, chois, 2, 2, 3)
+    assert len(q.povm) == 2001 and calls == []

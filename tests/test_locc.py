@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nslocc import locc
 from nslocc.channels import (
     ChoiChannel,
     MeasurePrepareChannel,
@@ -30,7 +33,15 @@ from nslocc.locc import (
     theorem1_bound,
     tp_repair,
 )
-from nslocc.tensor_core import Operator, TensorError, op, op_norm, partial_trace, trace_norm
+from nslocc.tensor_core import (
+    Operator,
+    TensorError,
+    eigh_herm,
+    op,
+    op_norm,
+    partial_trace,
+    trace_norm,
+)
 
 from conftest import (
     extension_psi,
@@ -209,14 +220,26 @@ def test_marginal_choi_matches_per_outcome_loop():
 
 @pytest.mark.parametrize("n, grid, rescaled", [(1, "haar:0:10", True),
                                                (2, "haar:1:400", False)])
-def test_slack_element_completes_the_povm(n, grid, rescaled):
+def test_slack_element_completes_the_povm(monkeypatch, n, grid, rescaled):
     q = random_nonsignalling_choi(2, 2, 2, n, seed=11)
+    solved = []
+
+    def counted(m, *args, **kwargs):
+        # the POVM-side solves: on one d_A x d_A matrix, in build_locc_protocol
+        if m.ndim == 2 and sys._getframe(1).f_code.co_name == "build_locc_protocol":
+            solved.append(m)
+        return eigh_herm(m, *args, **kwargs)
+
+    monkeypatch.setattr(locc, "eigh_herm", counted)
     proto = build_locc_protocol(q, grid)
     assert (proto.provenance["povm_rescale"] < 1.0) == rescaled
     *elements, slack = proto.povm
     assert np.abs(slack - (np.eye(2) - sum(elements))).max() <= 1e-15
-    lam = np.linalg.eigvalsh(slack)
-    assert abs(proto.provenance["slack_mass"] - np.clip(lam, 0, None).sum() / 2) <= 1e-15
+    lam = eigh_herm(slack, vectors=False)
+    # the slack is eigensolved once (with a rescale, also the family's sum
+    # and the rescaled slack), and its mass is bitwise that spectrum's
+    assert len(solved) == (3 if rescaled else 1)
+    assert proto.provenance["slack_mass"] == float(np.clip(lam, 0, None).sum()) / 2
 
 
 def structured_case(rng, case, n):

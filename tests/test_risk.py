@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -10,6 +11,7 @@ from nslocc.channels import (
     ChoiChannel,
     MeasurePrepareChannel,
     choi_factorization,
+    choi_of_global_kraus,
     choi_of_kraus,
     marginal_channel,
     measure_and_prepare_choi,
@@ -33,7 +35,6 @@ from nslocc.risk import (
     r_operator,
     risk_gap_experiment,
     swap_matrix,
-    symmetrized_risk_observable,
     tomography_task,
 )
 from nslocc.tensor_core import (
@@ -49,12 +50,15 @@ from nslocc.tensor_core import (
 from conftest import (
     dense_symmetrize,
     loop_marginal_choi,
+    oracle_risk_direct,
     permutation_operator,
     oracle_resolution_residual,
     product_channel,
     random_density,
     random_kraus,
+    random_measure_prepare,
     random_unitary,
+    symmetrized_risk_observable,
 )
 
 
@@ -345,3 +349,69 @@ def test_risk_gap_experiment_builds_the_r_operator_once(monkeypatch):
     monkeypatch.setattr(risk, "r_operator", counted)
     risk_gap_experiment(task, MeasurePrepareChannel.of(povm, preps, 2), "haar:0:200")
     assert len(calls) == 1 and calls[0] is task
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while `call` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("builder", [classification_task, tomography_task])
+def test_training_state_over_the_budget_is_refused_before_it_is_built(builder):
+    # 13 qubit states ask for an 8,192-sided training state (1 GiB)
+    states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])] * 6 + [np.eye(2) / 2]
+
+    def build():
+        with pytest.raises(TensorError, match="training state needs a dense 8192 x 8192"):
+            builder([1 / 13] * 13, states, n=1)
+
+    assert traced_peak(build) < 2 ** 20
+
+
+def _oracle_cases(n: int):
+    """(channel, task) pairs on which the direct path must match the embedding
+    oracle: the risk-gap channel on its task, then, on complex classification
+    and tomography tasks (so that a transposed pairing shows), a random
+    measure-and-prepare channel, two sampled non-signalling channels (not
+    symmetric under round permutations) and a signalling channel, a random
+    joint channel on X^n -> Y^n."""
+    rng = np.random.default_rng(n)
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    out = [(MeasurePrepareChannel.of(povm, preps, n),
+            classification_task([0.5, 0.5], [rho0, rho1], n=n))]
+    for builder in (classification_task, tomography_task):
+        task = builder([0.3, 0.7], [random_density(rng, 2) for _ in range(2)], n=n)
+        out.append((MeasurePrepareChannel.of(*random_measure_prepare(rng, 4, 2, 2, 2), n),
+                    task))
+        out += [(random_nonsignalling_choi(4, 2, 2, n, seed=seed), task) for seed in (0, 1)]
+        joint = choi_of_global_kraus(random_kraus(rng, 2 ** n, 2 ** n, count=3), 2, 2, n)
+        out.append((joint, LearningTask(op(np.eye(1), ("A", 1)), task.rho_xr, task.s, n)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_direct_risk_matches_the_embedding_oracle(n):
+    for q, task in _oracle_cases(n):
+        assert expected_risk(q, task, "direct") == pytest.approx(
+            oracle_risk_direct(q, task), rel=0, abs=1e-14)
+
+
+def test_direct_risk_matches_the_embedding_oracle_at_three_rounds():
+    rng = np.random.default_rng(3)
+    task = classification_task([0.3, 0.7], [random_density(rng, 2) for _ in range(2)], n=3)
+    q = random_nonsignalling_choi(4, 2, 2, 3, seed=0)
+    assert expected_risk(q, task, "direct") == pytest.approx(
+        oracle_risk_direct(q, task), rel=0, abs=1e-14)
+
+
+def test_both_risk_paths_at_three_rounds_stay_small():
+    # the embedding oracle peaked at 385 MiB here
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=3)
+    q = MeasurePrepareChannel.of(povm, preps, 3)
+    assert traced_peak(lambda: expected_risk(q, task, path="both")) < 16 * 2 ** 20

@@ -7,8 +7,10 @@ from nslocc import tensor_core
 from nslocc.tensor_core import (
     Factorization,
     Operator,
+    PSD_TOL,
     TensorError,
     check_dense_budget,
+    check_psd,
     dicke_coordinates,
     eigh_herm,
     embed,
@@ -32,6 +34,7 @@ from conftest import (
     oracle_partial_transpose,
     permutation_operator,
     random_pure,
+    random_unitary,
 )
 
 
@@ -185,6 +188,35 @@ def test_eigh_herm_check_rejects_non_hermitian(rng):
     with pytest.raises(TensorError, match="not Hermitian"):
         eigh_herm(m, check=True)
     eigh_herm(m + m.conj().T, check=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_check_psd_certifies_a_stack_to_psd_tol(d, count, seed, real):
+    # a stack of Hermitian matrices with eigenvalues in [0, 1], except that one
+    # of them has its smallest eigenvalue set to `low`
+    rng = np.random.default_rng(seed)
+    us = [np.linalg.qr(rng.standard_normal((d, d)))[0] if real else random_unitary(rng, d)
+          for _ in range(count)]
+    spectra = rng.uniform(0, 1, (count, d))
+    worst = int(rng.integers(count))
+
+    def stack(low):
+        w = spectra.copy()
+        w[worst, 0] = low
+        return np.stack([(u * wk) @ u.conj().T for u, wk in zip(us, w)])
+
+    check_psd(stack(-PSD_TOL / 2), "element")
+    bad = stack(-2 * PSD_TOL)
+    low = float(eigh_herm(bad, vectors=False).min())
+    with pytest.raises(TensorError, match=f"element is not PSD \\(min eigenvalue {low:.3e}\\)"):
+        check_psd(bad, "element")
+
+
+def test_check_psd_refuses_a_non_hermitian_stack(rng):
+    m = complex_matrix(rng, 3)
+    with pytest.raises(TensorError, match="not Hermitian"):
+        check_psd(np.stack([m @ m.conj().T, m]), "element")
 
 
 def test_permutation_operator_composition():
