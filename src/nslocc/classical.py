@@ -5,19 +5,22 @@ table with axis order (a, x_1..x_n, y_1..y_n).  The central result made
 executable here: every non-signalling protocol can be replaced, per training
 realization a, by a mixture of deterministic classifying functions X -> Y
 with exactly the same expected risk.  The pipeline (symmetrize, take the
-single-round marginal, decompose it into a product measure over functions,
-rebuild an i.i.d. protocol) preserves the risk identically, not just
-approximately.
+single-round marginal, decompose it into a product measure over functions)
+rebuilds it as a `MeasurePrepareChannel`, the diagonal case of the channel
+interface, whose `protocol_risk` on `classical_task` is the original's risk.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .tensor_core import SYMMETRIZE_MAX_N, symmetrize_sites
+from .channels import MeasurePrepareChannel
+from .risk import LearningTask
+from .tensor_core import (SYMMETRIZE_MAX_N, Factorization, Operator, dense_budget_rows,
+                          symmetrize_sites)
 
 NS_TOL = 1e-10
 MAX_FUNCTIONS = 10 ** 6
@@ -60,24 +63,6 @@ class ClassicalProtocol:
     @property
     def x_axes(self) -> tuple[int, ...]:
         return tuple(range(1, 1 + self.n))
-
-
-@dataclass(frozen=True)
-class ClassifierMixture:
-    """Convex mixture of deterministic maps X -> Y."""
-
-    functions: tuple[tuple[int, ...], ...]  # f as a tuple (f(0), .., f(nx-1))
-    weights: np.ndarray
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, float)
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ClassicalError(f"mixture weights sum to {w.sum()}")
-        if w.min() < -1e-12:
-            raise ClassicalError("negative mixture weight")
-        object.__setattr__(self, "weights", w)
 
 
 # ---------------------------------------------------------------------------
@@ -136,94 +121,89 @@ def single_round_map(p: ClassicalProtocol, a: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# classifier mixtures
+# classifier mixtures and risk
 # ---------------------------------------------------------------------------
 
-def decompose_classifier_mixture(q: np.ndarray) -> ClassifierMixture:
+def decompose_classifier_mixture(q: np.ndarray) -> np.ndarray:
     """Exact product-measure decomposition of a stochastic map.
 
-    q is (ny, nx) with columns summing to 1.  The weight of the deterministic
-    map f is mu(f) = prod_x q(f(x)|x); summing delta_{y,f(x)} against mu
-    reproduces q exactly because the product measure factorizes per column.
+    q is (ny, nx) with columns summing to 1.  Returns mu of shape (ny,)*nx,
+    the weight of the deterministic map f being mu[f] = prod_x q(f(x)|x).
+    Summing delta_{y,f(x)} against mu reproduces q exactly because the
+    product measure factorizes per column.
     """
     q = np.asarray(q, float)
     ny, nx = q.shape
     if np.abs(q.sum(axis=0) - 1.0).max() > 1e-9:
         raise ClassicalError("map is not column-stochastic")
+    if q.min() < -1e-12:
+        raise ClassicalError(f"negative mixture weight: map entry {q.min():.3e}")
     if ny ** nx > MAX_FUNCTIONS:
         raise ClassicalError(f"{ny}^{nx} functions exceed the enumeration cap")
-    functions, weights = [], []
-    for f in itertools.product(range(ny), repeat=nx):
-        functions.append(f)
-        weights.append(float(np.prod([q[f[x], x] for x in range(nx)])))
-    return ClassifierMixture(tuple(functions), np.asarray(weights), nx, ny)
+    return reduce(np.multiply.outer, q.T)
 
 
-def reconstruct_protocol(mix_per_a: list[ClassifierMixture],
-                         n: int) -> ClassicalProtocol:
-    """i.i.d. protocol from per-a classifier mixtures.
+def _test_pmf(dist: np.ndarray, shape: tuple[int, ...], a: int, na: int) -> np.ndarray:
+    """dist as a float joint pmf over (x, y_ref) of shape (nx, ny); a in range(na)."""
+    dist = np.asarray(dist, float)
+    if len(shape) != 2 or dist.shape != shape:
+        raise ClassicalError(f"test distribution shape {dist.shape} is not (nx, ny) = {shape}")
+    if dist.min() < -1e-12 or abs(dist.sum() - 1.0) > 1e-9:
+        raise ClassicalError(f"not a test pmf: min {dist.min():.3e}, sum {dist.sum():.12g}")
+    if a not in range(na):
+        raise ClassicalError(f"training value {a} not in range({na})")
+    return dist
 
-    P(y_{1:n}|a, x_{1:n}) = sum_f mu_a(f) prod_i delta_{y_i, f(x_i)};
-    non-signalling by construction.
-    """
-    na = len(mix_per_a)
-    nx, ny = mix_per_a[0].nx, mix_per_a[0].ny
-    table = np.zeros((na,) + (nx,) * n + (ny,) * n)
-    for a, mix in enumerate(mix_per_a):
-        for f, w in zip(mix.functions, mix.weights):
-            if w == 0.0:
-                continue
-            for xs in itertools.product(range(nx), repeat=n):
-                ys = tuple(f[x] for x in xs)
-                table[(a,) + xs + ys] += w
-    return ClassicalProtocol(table, na, nx, ny, n)
-
-
-# ---------------------------------------------------------------------------
-# risk
-# ---------------------------------------------------------------------------
 
 def classical_expected_risk(p: ClassicalProtocol, dist: np.ndarray, a: int) -> float:
     """Average per-round 0-1 loss of protocol outputs against reference labels.
 
-    dist is the joint test pmf over (x, y_ref) of shape (nx, ny).  Evaluated
-    by exact enumeration over all round tuples.
+    dist is the joint test pmf over (x, y_ref), of shape (nx, ny).  The loss
+    is a mean over rounds, so the risk is one contraction per round, signalling
+    or not: round i's output marginal pairs with dist on (x_i, y_ref) and with
+    dist's x-marginal on every other x_j.
     """
-    dist = np.asarray(dist, float)
-    if abs(dist.sum() - 1.0) > 1e-9:
-        raise ClassicalError("test distribution must sum to 1")
+    dist = _test_pmf(dist, (p.nx, p.ny), a, p.na)
+    others = reduce(np.multiply.outer, [dist.sum(axis=1)] * (p.n - 1), np.ones(())).ravel()
     total = 0.0
-    for xs in itertools.product(range(p.nx), repeat=p.n):
-        for yrefs in itertools.product(range(p.ny), repeat=p.n):
-            p_in = float(np.prod([dist[x, yr] for x, yr in zip(xs, yrefs)]))
-            if p_in == 0.0:
-                continue
-            block = p.table[(a,) + xs]
-            for ys in itertools.product(range(p.ny), repeat=p.n):
-                w = block[ys]
-                if w == 0.0:
-                    continue
-                s = sum(y != yr for y, yr in zip(ys, yrefs)) / p.n
-                total += p_in * w * s
-    return float(total)
+    for i in range(p.n):  # round i's marginal as (x_i, x_{j≠i}, y_i)
+        m = np.moveaxis(round_marginal(p, i)[a], i, 0).reshape(p.nx, -1, p.ny)
+        total += np.einsum("xoy,o,xr,yr->", m, others, dist, 1.0 - np.eye(p.ny))
+    return float(total / p.n)
 
 
-def lemma1_pipeline(p: ClassicalProtocol) -> tuple[ClassicalProtocol,
-                                                   list[ClassifierMixture]]:
+def classical_task(dist: np.ndarray, a: int, na: int, n: int) -> LearningTask:
+    """The classical scoring as a diagonal `LearningTask`: rho_A = |a><a|,
+    rho_XR = diag(dist) and the 0-1 loss S = 1 - sum_y |yy><yy| on (Y1, R1)."""
+    dist = _test_pmf(dist, np.shape(dist), a, na)
+    nx, ny = dist.shape
+    return LearningTask(
+        rho_a=Operator(np.diag(np.eye(na)[a]), Factorization.of(("A", na))),
+        rho_xr=Operator(np.diag(dist.ravel()), Factorization.of(("X1", nx), ("R1", ny))),
+        s=Operator(np.diag(1.0 - np.eye(ny).ravel()), Factorization.of(("Y1", ny), ("R1", ny))),
+        n=n)
+
+
+def lemma1_pipeline(p: ClassicalProtocol) -> MeasurePrepareChannel:
     """Symmetrize, marginalize per a, decompose, and rebuild an i.i.d. protocol.
 
-    The returned protocol has exactly the same expected risk as the input for
-    every training value and every test distribution, provided the input is
-    non-signalling.
+    The rebuilt protocol is a measure-and-prepare channel with one outcome per
+    function f, in np.ndindex((ny,)*nx) order: POVM element diag_a mu_a[f],
+    preparation sum_x |x f(x)><x f(x)|/nx.  For a non-signalling input it has
+    exactly the input's risk, for every training value and test distribution.
     """
-    rep = is_nonsignalling_classical(p)
-    if not rep.max_deviation <= 1e-8:
-        raise ClassicalError(
-            f"protocol is signalling (deviation {rep.max_deviation:.3e})")
+    dev = is_nonsignalling_classical(p).max_deviation
+    if not dev <= 1e-8:
+        raise ClassicalError(f"protocol is signalling (deviation {dev:.3e})")
     p_bar = symmetrize_classical(p)
-    mixes = [decompose_classifier_mixture(single_round_map(p_bar, a))
-             for a in range(p.na)]
-    return reconstruct_protocol(mixes, p.n), mixes
+    mus = np.stack([decompose_classifier_mixture(single_round_map(p_bar, a)).ravel()
+                    for a in range(p.na)], axis=1)              # (K, na)
+    if len(mus) > dense_budget_rows((p.nx * p.ny) ** 2):
+        raise ClassicalError(f"{len(mus)} preparations exceed the dense budget")
+    functions = np.indices((p.ny,) * p.nx).reshape(p.nx, -1).T  # row k: f_k(0..nx-1)
+    graph = (functions[:, :, None] == np.arange(p.ny)).reshape(len(mus), -1) / p.nx
+    return MeasurePrepareChannel(mus[:, :, None] * np.eye(p.na),
+                                 graph[:, :, None] * np.eye(p.nx * p.ny), p.nx, p.ny, p.n)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .channels import (
 )
 from .classical import (
     classical_expected_risk,
+    classical_task,
     is_nonsignalling_classical,
     lemma1_pipeline,
     random_nonsignalling_protocol,
@@ -48,7 +49,7 @@ from .definetti import (
     extract_measures,
 )
 from .locc import build_locc_protocol, repair_distance_bound
-from .risk import classification_task, risk_gap_experiment
+from .risk import classification_task, protocol_risk, risk_gap_experiment
 from .tensor_core import (Factorization, Operator, kron_power, op, operator_to_json,
                           partial_trace, permutation_matrix, tensor)
 
@@ -201,16 +202,16 @@ def _verify_checks(seed: int) -> list[dict]:
     checks.append(_check("protocol_nonsignalling",
                          is_nonsignalling(proto).max_residual, 1e-8))
 
-    # classifier-mixture pipeline preserves the risk exactly
+    # Lemma 1's rebuilt channel keeps the original table's risk exactly
     dist = np.array([[0.3, 0.2], [0.1, 0.4]])
     worst_gap = 0.0
     for s in range(5):
         p = random_nonsignalling_protocol(2, 2, 2, 2, seed=seed + s)
-        rec, _ = lemma1_pipeline(p)
+        rebuilt = lemma1_pipeline(p)
         for a in range(2):
             worst_gap = max(worst_gap, abs(
                 classical_expected_risk(p, dist, a)
-                - classical_expected_risk(rec, dist, a)))
+                - protocol_risk(rebuilt, classical_task(dist, a, p.na, p.n))))
     checks.append(_check("classical_mixture_risk_equality", worst_gap, 1e-12))
 
     # de Finetti k=0 identity on a small branch extension
@@ -328,7 +329,7 @@ def cmd_definetti(cfg: dict) -> int:
 def cmd_classical_demo(cfg: dict) -> int:
     seed = _seed(cfg)
     p = random_nonsignalling_protocol(2, 2, 2, 2, seed=seed)
-    rec, mixes = lemma1_pipeline(p)
+    rebuilt = lemma1_pipeline(p)
     dist = np.array([[0.3, 0.2], [0.1, 0.4]])
     report = {
         "seed": seed,
@@ -339,10 +340,9 @@ def cmd_classical_demo(cfg: dict) -> int:
         report["per_a"].append({
             "a": a,
             "risk_original": classical_expected_risk(p, dist, a),
-            "risk_reconstructed": classical_expected_risk(rec, dist, a),
-            "mixture_weights": {"".join(map(str, f)): float(w)
-                                for f, w in zip(mixes[a].functions,
-                                                mixes[a].weights)},
+            "risk_reconstructed": protocol_risk(rebuilt, classical_task(dist, a, p.na, p.n)),
+            "mixture_weights": {"".join(map(str, f)): float(w) for f, w in zip(
+                np.ndindex((p.ny,) * p.nx), rebuilt.povm[:, a, a].real)},
         })
     _write(cfg.get("out"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

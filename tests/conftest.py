@@ -15,7 +15,7 @@ from nslocc.channels import (
     choi_of_kraus,
     is_cptp,
 )
-from nslocc.classical import ClassicalProtocol, ClassifierMixture
+from nslocc.classical import ClassicalProtocol
 from nslocc.definetti import SymmetricExtension, _dense_extension
 from nslocc.tensor_core import (
     Factorization,
@@ -117,13 +117,46 @@ def product_protocol(maps: list[np.ndarray], n: int) -> ClassicalProtocol:
     return ClassicalProtocol(table, na, nx, ny, n)
 
 
-def mixture_to_stochastic(mix: ClassifierMixture) -> np.ndarray:
-    """q(y|x) of a classifier mixture as an (ny, nx) column-stochastic matrix."""
-    q = np.zeros((mix.ny, mix.nx))
-    for f, w in zip(mix.functions, mix.weights):
+def mixture_to_stochastic(mu: np.ndarray) -> np.ndarray:
+    """q(y|x) of a classifier mixture mu, of shape (ny,)*nx and weight mu[f] on
+    the function f, as an (ny, nx) column-stochastic matrix."""
+    nx, ny = mu.ndim, mu.shape[0]
+    q = np.zeros((ny, nx))
+    for f in np.ndindex(mu.shape):
         for x, y in enumerate(f):
-            q[y, x] += w
+            q[y, x] += mu[f]
     return q
+
+
+def oracle_reconstruct_table(mus: list[np.ndarray], n: int) -> np.ndarray:
+    """Reference i.i.d. table P(y_{1:n}|a, x_{1:n}) = sum_f mu_a[f] prod_i
+    delta_{y_i, f(x_i)} of per-a classifier mixtures, one (a, f, x^n) at a time."""
+    nx, ny = mus[0].ndim, mus[0].shape[0]
+    table = np.zeros((len(mus),) + (nx,) * n + (ny,) * n)
+    for a, mu in enumerate(mus):
+        for f in np.ndindex(mu.shape):
+            for xs in itertools.product(range(nx), repeat=n):
+                table[(a,) + xs + tuple(f[x] for x in xs)] += mu[f]
+    return table
+
+
+def oracle_classical_risk(p: ClassicalProtocol, dist: np.ndarray, a: int) -> float:
+    """Reference classical risk: the mean 0-1 loss over rounds, by exact
+    enumeration of every (x^n, y_ref^n, y^n) tuple."""
+    total = 0.0
+    for xs in itertools.product(range(p.nx), repeat=p.n):
+        for yrefs in itertools.product(range(p.ny), repeat=p.n):
+            p_in = float(np.prod([dist[x, yr] for x, yr in zip(xs, yrefs)]))
+            if p_in == 0.0:
+                continue
+            block = p.table[(a,) + xs]
+            for ys in itertools.product(range(p.ny), repeat=p.n):
+                w = block[ys]
+                if w == 0.0:
+                    continue
+                s = sum(y != yr for y, yr in zip(ys, yrefs)) / p.n
+                total += p_in * w * s
+    return float(total)
 
 
 def random_density(rng, d: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from nslocc.channels import (
 )
 from nslocc.classical import (
     classical_expected_risk,
-    is_nonsignalling_classical,
+    classical_task,
     lemma1_pipeline,
     random_nonsignalling_protocol,
 )
@@ -121,14 +121,14 @@ def test_criterion_3_classical_pipeline():
     worst_ns = 0.0
     for seed in range(100):
         p = random_nonsignalling_protocol(2, 2, 2, 2, seed=seed)
-        rebuilt, _ = lemma1_pipeline(p)
-        worst_ns = max(worst_ns,
-                       is_nonsignalling_classical(rebuilt).max_deviation)
+        rebuilt = lemma1_pipeline(p)
+        # the trace-norm signalling residual of the rebuilt Choi state
+        worst_ns = max(worst_ns, is_nonsignalling(rebuilt.dense()).max_residual)
         dist = rng.dirichlet(np.ones(4)).reshape(2, 2)
         for a in range(2):
             worst_risk = max(worst_risk, abs(
                 classical_expected_risk(p, dist, a)
-                - classical_expected_risk(rebuilt, dist, a)))
+                - protocol_risk(rebuilt, classical_task(dist, a, p.na, p.n))))
     elapsed = time.time() - t0
     ok = worst_risk <= 1e-12 and worst_ns <= 1e-10 and elapsed < 10
     _report(3, "classical mixture pipeline", ok,

@@ -90,6 +90,21 @@ def test_classical_demo_runs(tmp_path):
     assert "risks" in blob or len(blob) > 0
 
 
+def test_classical_demo_seed_4_is_pinned(capsys):
+    """The mixture weights, read off the rebuilt channel's POVM diagonal, are
+    the per-function products bit for bit; the original table's risk and the
+    rebuilt channel's agree to 1e-15."""
+    assert main(["classical-demo", "--seed", "4"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert [row["mixture_weights"] for row in blob["per_a"]] == [
+        {"00": 0.4094804534033607, "01": 0.3128477170834366,
+         "10": 0.15740932071053024, "11": 0.1202625088026723},
+        {"00": 0.21382120878428293, "01": 0.3800139359511363,
+         "10": 0.14624708740850995, "11": 0.25991776785607096}]
+    for row in blob["per_a"]:
+        assert abs(row["risk_original"] - row["risk_reconstructed"]) <= 1e-15
+
+
 def test_gen_channel_emits_valid_choi(tmp_path):
     out = tmp_path / "q.json"
     code = main(["gen-channel", "--seed", "9", "--n", "2",
