@@ -251,8 +251,10 @@ def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
         t = clipped
         if np.abs(t - prev).max() < SAMPLER_TOL:
             break
-    t = np.clip(t, 0.0, None)
-    t = _project_normalized(t, na, nx ** n, ny ** n)
+    # normalize each context by division: the additive projection would
+    # push the entries the clip set to zero below zero
+    flat = np.clip(t, 0.0, None).reshape(na, nx ** n, ny ** n)
+    t = (flat / flat.sum(axis=2, keepdims=True)).reshape(shape)
     p = ClassicalProtocol(t, na, nx, ny, n)
     rep = is_nonsignalling_classical(p)
     if rep.max_deviation > 1e-9:

@@ -2,7 +2,9 @@
 
 The pipeline: symmetrize a non-signalling channel, purify its Choi state,
 resolve it over a grid of product states, repair each extracted factor state
-into a trace-preserving channel, and assemble a POVM on the side register
+into a trace-preserving channel (one eigensolve of the stack of input
+marginals gates the repair and gives every τ^{-1/2}; `tp_repair` applies the
+sandwich), and assemble a POVM on the side register
 whose outcomes select which repaired channel to apply to every round.  The
 protocol is a `MeasurePrepareChannel` whose provenance records the
 reduction's diagnostics (grid residual, repaired and fallback counts, POVM
@@ -81,34 +83,42 @@ def purify_channel(q: ChoiChannel | MeasurePrepareChannel) -> SymmetricExtension
 # trace-preserving repair
 # ---------------------------------------------------------------------------
 
-def tp_repair(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
+def tp_repair(phi: np.ndarray, inv_root: np.ndarray, d_x: int) -> np.ndarray:
     """Rescale a state φ on (X, Y) so its input marginal is maximally mixed.
 
     φ̃ = (1/d_X)(τ^{-1/2} ⊗ 1) φ (τ^{-1/2} ⊗ 1), τ = tr_Y φ, both as
-    (d_X·d_Y) x (d_X·d_Y) matrices.  This is the Choi state of a
-    trace-preserving map whenever τ is invertible; a nearly singular τ raises
-    TensorError, so callers route such inputs to a fallback channel instead.
+    (d_X·d_Y) x (d_X·d_Y) matrices, with inv_root = τ^{-1/2} from
+    `_inverse_roots`.  This is the Choi state of a trace-preserving map
+    whenever τ is invertible; callers refuse a nearly singular τ
+    (REPAIR_CUTOFF) before they build its inverse root.
     """
-    w, v = eigh_herm(marginal_input(phi, d_x, d_y), check=True)
-    if w[0] <= REPAIR_CUTOFF:
-        raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
-    inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    d_y = phi.shape[-1] // d_x
     t = phi.reshape(d_x, d_y, d_x, d_y)
     out = np.einsum("xa,aybw,bz->xyzw", inv_root, t, inv_root) / d_x
     return out.reshape(phi.shape)
+
+
+def _inverse_roots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """τ^{-1/2} = V diag(w^{-1/2}) V† from the eigenpairs (w, v) of one input
+    marginal τ or of each of a stack."""
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, float]:
     """Trace distance moved by tp_repair against its closed-form guarantee.
 
     Returns (lhs, rhs) with lhs the normalized trace distance
-    (1/2)‖φ − φ̃‖₁ and rhs = sqrt(1 − tr[√τ]²/d_X).  The guarantee holds for
-    the normalized distance; the unnormalized norm saturates 2·rhs on pure
+    (1/2)‖φ − φ̃‖₁ and rhs = sqrt(1 − tr[√τ]²/d_X); one eigensolve of τ
+    gives both √τ and τ^{-1/2}.  A τ with an eigenvalue at or below
+    REPAIR_CUTOFF raises TensorError.  The guarantee holds for the
+    normalized distance; the unnormalized norm saturates 2·rhs on pure
     states (standard fidelity-distance relation), so the 1/2 convention is
     load-bearing here.
     """
-    phi_t = tp_repair(phi, d_x, d_y)
     w, v = _psd_eigs(marginal_input(phi, d_x, d_y))
+    if w[0] <= REPAIR_CUTOFF:
+        raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
+    phi_t = tp_repair(phi, _inverse_roots(w, v), d_x)
     root_tr = float(np.trace((v * np.sqrt(w)) @ v.conj().T).real)
     rhs = float(np.sqrt(max(0.0, 1.0 - root_tr ** 2 / d_x)))
     lhs = 0.5 * trace_norm(phi - phi_t)
@@ -186,8 +196,10 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
 
     Stages: symmetrize, purify, grid, extract, per-point trace-preserving
     repair (points whose input marginal is singular or strays from the mean
-    by ≥ ε fall back to the depolarizing channel), POVM assembly with one
-    explicit slack element.  When the discretized POVM overshoots the
+    by ≥ ε fall back to the depolarizing channel; the stack of input
+    marginals is eigensolved once, and those eigenpairs give the gate's
+    lowest eigenvalues and every repaired point's τ^{-1/2}), POVM assembly
+    with one explicit slack element.  When the discretized POVM overshoots the
     identity beyond tolerance the whole family is rescaled by the smallest
     factor restoring feasibility; the factor is recorded in provenance
     rather than silently absorbed.  The result is the protocol as a
@@ -210,8 +222,10 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     delta = 4.0 * (d_x * d_y) ** 2 / n
     weights, taus = _input_marginals(approx, d_x, d_y)
     e1 = np.tensordot(weights, taus, axes=(0, 0))
-    lowest = eigh_herm(taus, vectors=False, check=True)[:, 0]
-    repair = (lowest > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
+    # the only eigensolve of the τ stack: its lowest eigenvalues gate the
+    # repair, and its eigenpairs give every repaired point's τ^{-1/2}
+    w, v = eigh_herm(taus, check=True)
+    repair = (w[:, 0] > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
     repaired = int(repair.sum())
     fallback = len(repair) - repaired
     # one Choi state per grid point plus the slack outcome's; every outcome
@@ -219,8 +233,9 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     # channel that outputs 1/d_Y whatever it is fed
     chois = np.empty((len(repair) + 1, d_x * d_y, d_x * d_y), dtype=complex)
     chois[:] = np.eye(d_x * d_y) / (d_x * d_y)
-    for g in np.flatnonzero(repair):
-        chois[g] = tp_repair(approx.phis[g], d_x, d_y)
+    rows = np.flatnonzero(repair)
+    for g, inv_root in zip(rows, _inverse_roots(w[rows], v[rows])):
+        chois[g] = tp_repair(approx.phis[g], inv_root, d_x)
 
     povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
     rescale = 1.0

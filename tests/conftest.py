@@ -14,9 +14,11 @@ from nslocc.channels import (
     choi_factorization,
     choi_of_kraus,
     is_cptp,
+    marginal_input,
 )
 from nslocc.classical import ClassicalProtocol
 from nslocc.definetti import SymmetricExtension, _dense_extension
+from nslocc.locc import _inverse_roots, tp_repair
 from nslocc.tensor_core import (
     Factorization,
     Operator,
@@ -365,6 +367,13 @@ def oracle_tp_repair(phi: Operator) -> Operator:
     d_x = tau.dim
     big = np.kron((v * (1.0 / np.sqrt(w))) @ v.conj().T, np.eye(phi.dim // d_x))
     return Operator(big @ phi.matrix @ big / d_x, phi.shape)
+
+
+def repair_one(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
+    """locc.tp_repair of one state on (X, Y), with τ^{-1/2} from an
+    eigensolve of its own input marginal."""
+    w, v = eigh_herm(marginal_input(phi, d_x, d_y), check=True)
+    return tp_repair(phi, _inverse_roots(w, v), d_x)
 
 
 def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricExtension:

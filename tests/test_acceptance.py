@@ -31,7 +31,6 @@ from nslocc.locc import (
     build_locc_protocol,
     concentration_report,
     repair_distance_bound,
-    tp_repair,
     marginal_input,
 )
 from nslocc.risk import (
@@ -42,7 +41,7 @@ from nslocc.risk import (
 )
 from nslocc.tensor_core import op, partial_trace, trace_norm
 
-from conftest import product_channel, random_density, random_kraus
+from conftest import product_channel, random_density, random_kraus, repair_one
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -155,7 +154,7 @@ def test_criterion_4_repair_distance():
             continue
         lhs, rhs = repair_distance_bound(phi, d_x, d_y)
         worst_excess = max(worst_excess, lhs - rhs)
-        fixed = tp_repair(phi, d_x, d_y)
+        fixed = repair_one(phi, d_x, d_y)
         worst_tp = max(worst_tp, float(np.abs(
             marginal_input(fixed, d_x, d_y) - np.eye(d_x) / d_x).max()))
         done += 1

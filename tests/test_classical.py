@@ -185,6 +185,16 @@ def test_rebuilt_channel_is_the_oracle_table_on_the_diagonal(na, nx, ny, n, seed
         assert np.abs(na * nx * diag[a].T - single_round_map(p_bar, a)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("seed", [39, 57, 67, 106, 155, 181])
+def test_sampler_keeps_clipped_entries_at_zero(seed):
+    # an additive final normalization shifted the entries the clip had set to
+    # zero to about -1.4e-12 at these seeds, and the table was refused
+    p = random_nonsignalling_protocol(2, 2, 2, 3, seed=seed)
+    assert p.table.min() >= 0.0
+    assert np.abs(p.table.reshape(2, 8, 8).sum(axis=2) - 1.0).max() <= 1e-12
+    assert is_nonsignalling_classical(p).ok
+
+
 def test_lemma1_preserves_risk():
     rng = np.random.default_rng(17)
     for seed in range(10):

@@ -97,10 +97,10 @@ def test_classical_demo_seed_4_is_pinned(capsys):
     assert main(["classical-demo", "--seed", "4"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert [row["mixture_weights"] for row in blob["per_a"]] == [
-        {"00": 0.4094804534033607, "01": 0.3128477170834366,
-         "10": 0.15740932071053024, "11": 0.1202625088026723},
-        {"00": 0.21382120878428293, "01": 0.3800139359511363,
-         "10": 0.14624708740850995, "11": 0.25991776785607096}]
+        {"00": 0.4094804534033604, "01": 0.31284771708343656,
+         "10": 0.15740932071053038, "11": 0.12026250880267245},
+        {"00": 0.21382120878427058, "01": 0.3800139359511055,
+         "10": 0.14624708740852768, "11": 0.25991776785609644}]
     for row in blob["per_a"]:
         assert abs(row["risk_original"] - row["risk_reconstructed"]) <= 1e-15
 

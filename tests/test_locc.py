@@ -51,6 +51,7 @@ from conftest import (
     random_kraus,
     random_measure_prepare,
     random_pure,
+    repair_one,
 )
 
 
@@ -77,7 +78,7 @@ def per_point_marginals(approx, d_x, d_y):
 
 
 def test_tp_repair_fixes_input_marginal(rng):
-    fixed = tp_repair(random_density(rng, 6), 2, 3)
+    fixed = repair_one(random_density(rng, 6), 2, 3)
     assert np.allclose(pair_marginal(fixed, 2, 3), np.eye(2) / 2, atol=1e-10)
     assert np.isclose(np.trace(fixed).real, 1.0, atol=1e-10)
 
@@ -94,7 +95,7 @@ def test_marginal_input_of_a_stack_matches_each_state(rng):
 def test_tp_repair_matches_operator_oracle(rng, d_x, d_y):
     for _ in range(5):
         phi = random_pair_state(rng, d_x, d_y)
-        fixed = tp_repair(phi.matrix, d_x, d_y)
+        fixed = repair_one(phi.matrix, d_x, d_y)
         assert fixed.shape == phi.matrix.shape
         assert np.abs(fixed - oracle_tp_repair(phi).matrix).max() <= 1e-14
 
@@ -103,8 +104,8 @@ def test_tp_repair_rejects_singular_marginal():
     # output of a preparation conditioned on input |0>: marginal is a projector
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
-    with pytest.raises(TensorError):
-        tp_repair(m, 2, 2)
+    with pytest.raises(TensorError, match="input marginal nearly singular"):
+        repair_distance_bound(m, 2, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,25 +190,43 @@ def test_concentration_report_fields(rng):
 
 
 def test_protocol_assembled_from_stacked_measure():
-    q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
-    proto = build_locc_protocol(q, grid_spec="haar:1:400")
-    approx = measure_of(q, seed=1, count=400)
-    prov = proto.provenance
-    rep = concentration_report(approx, prov["epsilon"], prov["delta"], 2, 2)
-    _, taus = per_point_marginals(approx, 2, 2)
-    repaired = 0
-    for m, phi, tau, elem, choi in zip(approx.ms, approx.phis, taus,
-                                       proto.povm, proto.chois):
-        assert np.abs(elem - prov["povm_rescale"] * 2 * m.T).max() <= 1e-12
-        if (np.linalg.eigvalsh(tau).min() > 1e-8
-                and op_norm(tau - rep.e1.matrix) < prov["epsilon"]):
-            assert np.abs(choi - tp_repair(phi, 2, 2)).max() <= 1e-12
-            repaired += 1
-        else:
-            assert np.array_equal(choi, np.eye(4) / 4)
-    assert repaired == prov["repaired_count"]
-    assert len(proto.povm) == len(approx.ms) + 1
-    assert np.array_equal(proto.chois[-1], np.eye(4) / 4)
+    # every repaired point against the labelled-Operator oracle, not against
+    # the library's own tp_repair, on sampled channels of each (d_X, d_Y)
+    for d_x, d_y in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        d = d_x * d_y
+        q = random_nonsignalling_choi(2, d_x, d_y, 2, seed=11)
+        proto = build_locc_protocol(q, grid_spec="haar:1:400")
+        approx = measure_of(q, seed=1, count=400)
+        prov = proto.provenance
+        rep = concentration_report(approx, prov["epsilon"], prov["delta"], d_x, d_y)
+        _, taus = per_point_marginals(approx, d_x, d_y)
+        repaired = 0
+        for m, phi, tau, elem, choi in zip(approx.ms, approx.phis, taus,
+                                           proto.povm, proto.chois):
+            assert np.abs(elem - prov["povm_rescale"] * 2 * m.T).max() <= 1e-12
+            if (np.linalg.eigvalsh(tau).min() > 1e-8
+                    and op_norm(tau - rep.e1.matrix) < prov["epsilon"]):
+                want = oracle_tp_repair(op(phi, ("X1", d_x), ("Y1", d_y))).matrix
+                assert np.abs(choi - want).max() <= 1e-14
+                repaired += 1
+            else:
+                assert np.array_equal(choi, np.eye(d) / d)
+        assert repaired == prov["repaired_count"] > 0
+        assert len(proto.povm) == len(approx.ms) + 1
+        assert np.array_equal(proto.chois[-1], np.eye(d) / d)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(2, 2), (3, 2)])
+def test_stacked_inverse_roots_match_the_oracle_on_either_lapack_path(rng, d_x, d_y):
+    # a stack of real states is solved in real arithmetic; one complex state
+    # sends the whole stack, its real members too, down the complex path
+    real = [random_density(rng, d_x * d_y).real for _ in range(4)]
+    for phis in (np.stack(real), np.stack(real + [random_density(rng, d_x * d_y)])):
+        w, v = eigh_herm(marginal_input(phis, d_x, d_y), check=True)
+        assert v.dtype == phis.dtype
+        for phi, inv_root in zip(phis, locc._inverse_roots(w, v)):
+            want = oracle_tp_repair(op(phi, ("X1", d_x), ("Y1", d_y))).matrix
+            assert np.abs(tp_repair(phi, inv_root, d_x) - want).max() <= 1e-14
 
 
 def test_marginal_choi_matches_per_outcome_loop():
@@ -240,6 +259,30 @@ def test_slack_element_completes_the_povm(monkeypatch, n, grid, rescaled):
     # and the rescaled slack), and its mass is bitwise that spectrum's
     assert len(solved) == (3 if rescaled else 1)
     assert proto.provenance["slack_mass"] == float(np.clip(lam, 0, None).sum()) / 2
+
+
+def test_reduction_eigensolves_do_not_grow_with_the_grid(monkeypatch):
+    # the τ stack is eigensolved once (plus _spread's solve), so a grid eight
+    # times larger makes the same number of LAPACK eigensolver calls
+    from nslocc.cli import _classification_family
+    _, _, povm, preps = _classification_family(0.6)
+    q = MeasurePrepareChannel.of(povm, preps, 2)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for count in (50, 400):
+        calls.clear()
+        proto = build_locc_protocol(q, f"haar:0:{count}")
+        assert proto.provenance["repaired_count"] > 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def structured_case(rng, case, n):
