@@ -47,11 +47,12 @@ from .definetti import (
     definetti_bound,
     extract_measure,
     extract_measures,
+    parse_grid_name,
 )
 from .locc import build_locc_protocol, repair_distance_bound
 from .risk import classification_task, protocol_risk, risk_gap_experiment
 from .tensor_core import (Factorization, Operator, kron_power, op, operator_to_json,
-                          partial_trace, permutation_matrix, tensor)
+                          permutation_matrix, tensor)
 
 
 def _fail(msg: str) -> int:
@@ -252,12 +253,16 @@ def _classification_family(overlap: float):
     # starts from a matrix: with identical class states no eigenvalue is positive
     p_plus = sum((np.outer(v[:, i], v[:, i].conj()) for i in range(2) if d[i] > 0),
                  np.zeros((2, 2)))
-    povm = [op(np.kron(p_plus, np.eye(2)), ("A", 4)),
-            op(np.kron(np.eye(2) - p_plus, np.eye(2)), ("A", 4))]
+    povm = [op(np.einsum("ab,cd->acbd", e, np.eye(2)).reshape(4, 4), ("A", 4))
+            for e in (p_plus, np.eye(2) - p_plus)]             # E ⊗ 1 on A
 
     def classifier(basis):
-        kr = [np.outer(np.eye(2)[y], basis[:, y].conj()) for y in range(2)]
-        return partial_trace(choi_of_kraus(kr, 2, 2).omega, ["X1", "Y1"])
+        # Choi state of: measure in `basis`, output the outcome y, which is
+        # sum_y (b̄_y b_yᵀ ⊗ |y><y|)/2 on (X1, Y1)
+        choi = np.zeros((2, 2, 2, 2), complex)
+        for y in range(2):
+            choi[:, y, :, y] = np.outer(basis[:, y].conj(), basis[:, y]) / 2
+        return op(choi.reshape(4, 4), ("X1", 2), ("Y1", 2))
 
     preps = [classifier(v[:, ::-1]), classifier(v)]
     return rho0, rho1, povm, preps
@@ -272,6 +277,9 @@ def cmd_risk_gap(cfg: dict) -> int:
     _require_at_least("--n", ns, 1)
     grid = cfg.get("grid", f"haar:{seed}:2000")
     rho0, rho1, povm, preps = _classification_family(overlap)
+    # every n purifies onto sites of dimension (d_X·d_Y)²: refuse a grid
+    # that none of them takes before the first purification
+    parse_grid_name(preps[0].dim ** 2, grid)
     rows = []
     for n in sorted(ns):
         q = MeasurePrepareChannel.of(povm, preps, n)

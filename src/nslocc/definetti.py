@@ -340,6 +340,32 @@ def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
     return float(trace_norm(t - np.eye(d_big)))
 
 
+def parse_grid_name(d_eff: int, name: str) -> tuple[int, int] | None:
+    """Refuse a grid name that names no grid on C^{d_eff}, without drawing
+    one: (SEED, COUNT) of a haar name, None for `design`.
+
+    TensorError names the reason: a name outside GRID_GRAMMAR, a `design`
+    grid for d_eff other than 2, or a haar grid of no points or over the
+    dense budget.
+    """
+    if name == "design":
+        if d_eff != 2:
+            raise TensorError(f"design grids are only constructed for d_eff=2, "
+                              f"got {d_eff}")
+        return None
+    match = _HAAR_NAME.fullmatch(name) if isinstance(name, str) else None
+    if match is None:
+        raise TensorError(f"bad grid name {name!r}; grid names are {GRID_GRAMMAR}")
+    count = int(match[2])
+    if count < 1:
+        raise TensorError(f"a haar grid needs at least 1 point, got {count}; "
+                          f"grid names are {GRID_GRAMMAR}")
+    if count > dense_budget_rows(d_eff):
+        raise TensorError(f"a haar grid of {count} points on C^{d_eff} is over the "
+                          f"dense budget of {dense_budget_rows(d_eff)} points")
+    return int(match[1]), count
+
+
 def build_grid(d_eff: int, n: int, name: str) -> MeasureGrid:
     """The weighted grid of pure states on C^{d_eff} that `name` picks, one
     of GRID_GRAMMAR; the grid's mode is its name.
@@ -354,10 +380,8 @@ def build_grid(d_eff: int, n: int, name: str) -> MeasureGrid:
     every smaller n.  A haar grid does not depend on n.  The grid carries
     no residual: `extract_measures` evaluates it per extension.
     """
-    if name == "design":
-        if d_eff != 2:
-            raise TensorError(f"design grids are only constructed for d_eff=2, "
-                              f"got {d_eff}")
+    haar = parse_grid_name(d_eff, name)
+    if haar is None:
         nodes_u, w_u = np.polynomial.legendre.leggauss(n + 1)
         k_az = 2 * n + 1
         vecs, ws = [], []
@@ -372,17 +396,8 @@ def build_grid(d_eff: int, n: int, name: str) -> MeasureGrid:
         weights = np.asarray(ws, float)
         weights = weights / weights.sum()
     else:
-        match = _HAAR_NAME.fullmatch(name) if isinstance(name, str) else None
-        if match is None:
-            raise TensorError(f"bad grid name {name!r}; grid names are {GRID_GRAMMAR}")
-        count = int(match[2])
-        if count < 1:
-            raise TensorError(f"a haar grid needs at least 1 point, got {count}; "
-                              f"grid names are {GRID_GRAMMAR}")
-        if count > dense_budget_rows(d_eff):
-            raise TensorError(f"a haar grid of {count} points on C^{d_eff} is over the "
-                              f"dense budget of {dense_budget_rows(d_eff)} points")
-        rng = np.random.default_rng(int(match[1]))
+        seed, count = haar
+        rng = np.random.default_rng(seed)
         g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
         vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
         weights = np.full(count, 1.0 / count)

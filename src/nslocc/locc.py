@@ -3,8 +3,8 @@
 The pipeline: symmetrize a non-signalling channel, purify its Choi state,
 resolve it over a grid of product states, repair each extracted factor state
 into a trace-preserving channel (one eigensolve of the stack of input
-marginals gates the repair and gives every τ^{-1/2}; `tp_repair` applies the
-sandwich), and assemble a POVM on the side register
+marginals gates the repair and gives every factor (τ^{-1/2} ⊗ 1)/√d_X;
+`tp_repair` applies the sandwich), and assemble a POVM on the side register
 whose outcomes select which repaired channel to apply to every round.  The
 protocol is a `MeasurePrepareChannel` whose provenance records the
 reduction's diagnostics (grid residual, repaired and fallback counts, POVM
@@ -83,25 +83,26 @@ def purify_channel(q: ChoiChannel | MeasurePrepareChannel) -> SymmetricExtension
 # trace-preserving repair
 # ---------------------------------------------------------------------------
 
-def tp_repair(phi: np.ndarray, inv_root: np.ndarray, d_x: int) -> np.ndarray:
+def tp_repair(phi: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Rescale a state φ on (X, Y) so its input marginal is maximally mixed.
 
-    φ̃ = (1/d_X)(τ^{-1/2} ⊗ 1) φ (τ^{-1/2} ⊗ 1), τ = tr_Y φ, both as
-    (d_X·d_Y) x (d_X·d_Y) matrices, with inv_root = τ^{-1/2} from
-    `_inverse_roots`.  This is the Choi state of a trace-preserving map
+    φ̃ = F φ F with F = (τ^{-1/2} ⊗ 1_Y)/√d_X from `_repair_factors`, τ =
+    tr_Y φ, all (d_X·d_Y) x (d_X·d_Y) matrices; that is (1/d_X)(τ^{-1/2} ⊗ 1)
+    φ (τ^{-1/2} ⊗ 1).  This is the Choi state of a trace-preserving map
     whenever τ is invertible; callers refuse a nearly singular τ
-    (REPAIR_CUTOFF) before they build its inverse root.
+    (REPAIR_CUTOFF) before they build its factor.
     """
-    d_y = phi.shape[-1] // d_x
-    t = phi.reshape(d_x, d_y, d_x, d_y)
-    out = np.einsum("xa,aybw,bz->xyzw", inv_root, t, inv_root) / d_x
-    return out.reshape(phi.shape)
+    return factor @ phi @ factor
 
 
-def _inverse_roots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """τ^{-1/2} = V diag(w^{-1/2}) V† from the eigenpairs (w, v) of one input
-    marginal τ or of each of a stack."""
-    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+def _repair_factors(w: np.ndarray, v: np.ndarray, d_y: int) -> np.ndarray:
+    """F = (τ^{-1/2} ⊗ 1_Y)/√d_X for the eigenpairs (w, v) of one input
+    marginal τ or of each of a stack, the whole stack at once (an empty
+    stack gives an empty one)."""
+    d_x = w.shape[-1]
+    inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    out = np.einsum("...ab,yz->...aybz", inv_root, np.eye(d_y) / np.sqrt(d_x))
+    return out.reshape(w.shape[:-1] + (d_x * d_y, d_x * d_y))
 
 
 def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, float]:
@@ -118,7 +119,7 @@ def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, f
     w, v = _psd_eigs(marginal_input(phi, d_x, d_y))
     if w[0] <= REPAIR_CUTOFF:
         raise TensorError(f"input marginal nearly singular (min eig {w[0]:.3e})")
-    phi_t = tp_repair(phi, _inverse_roots(w, v), d_x)
+    phi_t = tp_repair(phi, _repair_factors(w, v, d_y))
     root_tr = float(np.trace((v * np.sqrt(w)) @ v.conj().T).real)
     rhs = float(np.sqrt(max(0.0, 1.0 - root_tr ** 2 / d_x)))
     lhs = 0.5 * trace_norm(phi - phi_t)
@@ -234,8 +235,8 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     chois = np.empty((len(repair) + 1, d_x * d_y, d_x * d_y), dtype=complex)
     chois[:] = np.eye(d_x * d_y) / (d_x * d_y)
     rows = np.flatnonzero(repair)
-    for g, inv_root in zip(rows, _inverse_roots(w[rows], v[rows])):
-        chois[g] = tp_repair(approx.phis[g], inv_root, d_x)
+    for g, factor in zip(rows, _repair_factors(w[rows], v[rows], d_y)):
+        chois[g] = tp_repair(approx.phis[g], factor)
 
     povm_raw = d_a * approx.ms.transpose(0, 2, 1)  # Choi-side elements -> physical POVM
     rescale = 1.0

@@ -12,7 +12,7 @@ symmetrized Choi state contracted with a precomputed R-operator (any n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -24,12 +24,8 @@ from .tensor_core import (
     TensorError,
     check_dense_budget,
     check_psd,
-    embed,
     op_norm,
-    partial_trace,
-    partial_transpose,
     permutation_matrix,
-    tensor,
 )
 
 @dataclass(frozen=True)
@@ -80,7 +76,8 @@ class LearningTask:
 
 def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list, Operator]:
     """The states, of one dimension and one prior each (summing to 1), as
-    complex arrays, and the training state on A: one copy of each, in order."""
+    complex arrays, and the training state on A: one copy of each, in order,
+    ρ_1 ⊗ … ⊗ ρ_L by iterated outer products."""
     if len(priors) != len(states):
         raise TensorError(f"{len(priors)} priors for {len(states)} states")
     if abs(sum(priors) - 1.0) > 1e-9:
@@ -89,7 +86,11 @@ def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list,
     if len({m.shape[0] for m in mats}) > 1:
         raise TensorError("class states must share one dimension")
     check_dense_budget(len(mats[0]) ** len(mats), "training state")
-    rho_a = reduce(np.kron, mats)
+    rho_a = np.ones((1, 1), complex)
+    for m in mats:
+        # a broadcast product rounds as np.kron does; a complex einsum need not
+        side = len(rho_a) * len(m)
+        rho_a = (rho_a[:, None, :, None] * m[None, :, None, :]).reshape(side, side)
     return mats, Operator(rho_a, Factorization.of(("A", len(rho_a))))
 
 
@@ -104,12 +105,15 @@ def classification_task(priors: list[float], states: list[np.ndarray],
     """
     mats, rho_a = _training_data(priors, states)
     d_x, labels = len(mats[0]), len(mats)
-    units = [np.diag(row) for row in np.eye(labels)]          # |y><y|
-    rho_xr = sum(p * np.kron(m, e) for p, m, e in zip(priors, mats, units))
-    s = np.eye(labels * labels) - sum(np.kron(e, e) for e in units)
+    rho_xr = np.zeros((d_x, labels, d_x, labels), complex)
+    for y, (p, m) in enumerate(zip(priors, mats)):
+        rho_xr[:, y, :, y] = p * m                            # p_y ρ^{(y)} ⊗ |y><y|
+    s = np.diag(1.0 - np.eye(labels).ravel())                 # 1 − sum_y |yy><yy|
+    side = d_x * labels
     return LearningTask(
         rho_a=rho_a,
-        rho_xr=Operator(rho_xr, Factorization.of(("X1", d_x), ("R1", labels))),
+        rho_xr=Operator(rho_xr.reshape(side, side),
+                        Factorization.of(("X1", d_x), ("R1", labels))),
         s=Operator(s, Factorization.of(("Y1", labels), ("R1", labels))),
         n=n)
 
@@ -128,12 +132,15 @@ def tomography_task(priors: list[float], states: list[np.ndarray],
     """
     mats, rho_a = _training_data(priors, states)
     d, labels = len(mats[0]), len(mats)
-    units = [np.diag(row) for row in np.eye(labels)]          # |x><x|
-    rho_xr = sum(p * np.kron(e, m) for p, m, e in zip(priors, mats, units))
+    rho_xr = np.zeros((labels, d, labels, d), complex)
+    for x, (p, m) in enumerate(zip(priors, mats)):
+        rho_xr[x, :, x, :] = p * m                            # p_x |x><x| ⊗ ρ^{(x)}
     s = np.eye(d * d) - swap_matrix(d)
+    side = labels * d
     return LearningTask(
         rho_a=rho_a,
-        rho_xr=Operator(rho_xr, Factorization.of(("X1", labels), ("R1", d))),
+        rho_xr=Operator(rho_xr.reshape(side, side),
+                        Factorization.of(("X1", labels), ("R1", d))),
         s=Operator(s, Factorization.of(("Y1", d), ("R1", d))),
         n=n)
 
@@ -147,13 +154,17 @@ def r_operator(task: LearningTask) -> Operator:
 
     R = tr_R[(rho_A ⊗ rho_XR ⊗ 1_Y)^{T_{AX}} (1_{AX} ⊗ S)]; contracting the
     single-round Choi marginal against R (times d_A·d_X) gives the expected
-    risk without ever touching the n-round spaces.
+    risk without ever touching the n-round spaces.  The trace over R
+    factorizes it in closed form: R = rho_Aᵀ ⊗ N, with
+    N[x y, x' y'] = sum_{r r'} rho_XR[x' r, x r'] S[y r', y' r].
     """
-    full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
-                            ("Y1", task.d_y), ("R1", task.d_r))
-    twisted = partial_transpose(embed(tensor(task.rho_a, task.rho_xr), full), ["A", "X1"])
-    prod = Operator(twisted.matrix @ embed(task.s, full).matrix, full)
-    return partial_trace(prod, ["A", "X1", "Y1"]).hermitize()
+    d_x, d_y, d_r = task.d_x, task.d_y, task.d_r
+    n_op = np.einsum("XrxR,yRYr->xyXY", task.rho_xr.matrix.reshape(d_x, d_r, d_x, d_r),
+                     task.s.matrix.reshape(d_y, d_r, d_y, d_r))
+    side = task.d_a * d_x * d_y
+    r = np.einsum("ba,xyXY->axybXY", task.rho_a.matrix, n_op).reshape(side, side)
+    full = Factorization.of(("A", task.d_a), ("X1", d_x), ("Y1", d_y))
+    return Operator(r, full).hermitize()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial, prod, sqrt
+from math import comb, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -353,10 +353,20 @@ def dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
     columns follow itertools.combinations_with_replacement order.
     """
     d = vectors.shape[1]
-    tuples = list(itertools.combinations_with_replacement(range(d), n))
-    scale = np.array([sqrt(factorial(n) // prod(factorial(t.count(i)) for i in set(t)))
-                      for t in tuples])
-    idx = np.array(tuples, dtype=int).reshape(len(tuples), n)
+    # the sorted tuples in lexicographic order: each tuple of n − 1 indices
+    # ending in i spawns the tuples that append i, .., d − 1, in order
+    idx = np.zeros((1, 0), dtype=np.intp)
+    last = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        reps = d - last
+        offsets = np.repeat(np.cumsum(reps) - reps - last, reps)
+        last = np.arange(offsets.size) - offsets
+        idx = np.column_stack([np.repeat(idx, reps, axis=0), last])
+    # the multinomial n!/prod_i m_i! of the occupations m, exactly: int64
+    # holds every factorial up to 20!, Python integers the larger ones
+    occupations = (idx[:, :, None] == np.arange(d)).sum(axis=1)
+    factorials = np.cumprod(np.arange(n + 1, dtype=np.int64 if n <= 20 else object).clip(1))
+    scale = np.sqrt((factorials[n] // factorials[occupations].prod(axis=1)).astype(float))
     return scale * vectors[:, idx].prod(axis=2)
 
 

@@ -1,6 +1,6 @@
 import itertools
 from functools import reduce
-from math import comb
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from nslocc.channels import (
 )
 from nslocc.classical import ClassicalProtocol
 from nslocc.definetti import SymmetricExtension, _dense_extension
-from nslocc.locc import _inverse_roots, tp_repair
+from nslocc.locc import _repair_factors, tp_repair
 from nslocc.tensor_core import (
     Factorization,
     Operator,
@@ -370,10 +370,59 @@ def oracle_tp_repair(phi: Operator) -> Operator:
 
 
 def repair_one(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
-    """locc.tp_repair of one state on (X, Y), with τ^{-1/2} from an
+    """locc.tp_repair of one state on (X, Y), with its factor from an
     eigensolve of its own input marginal."""
     w, v = eigh_herm(marginal_input(phi, d_x, d_y), check=True)
-    return tp_repair(phi, _inverse_roots(w, v), d_x)
+    return tp_repair(phi, _repair_factors(w, v, d_y))
+
+
+def oracle_einsum_repair(phi: np.ndarray, inv_root: np.ndarray, d_x: int) -> np.ndarray:
+    """Reference sandwich (1/d_X)(τ^{-1/2} ⊗ 1) φ (τ^{-1/2} ⊗ 1) as one
+    einsum over the (X, Y, X, Y) view of φ, given inv_root = τ^{-1/2}."""
+    d_y = phi.shape[-1] // d_x
+    t = phi.reshape(d_x, d_y, d_x, d_y)
+    out = np.einsum("xa,aybw,bz->xyzw", inv_root, t, inv_root) / d_x
+    return out.reshape(phi.shape)
+
+
+def oracle_r_operator(task) -> Operator:
+    """Reference risk kernel tr_R[(ρ_A ⊗ ρ_XR ⊗ 1_Y)^{T_{AX}} (1_{AX} ⊗ S)]
+    through labelled embeds, a partial transpose and a partial trace over
+    (A, X1, Y1, R1)."""
+    full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
+                            ("Y1", task.d_y), ("R1", task.d_r))
+    twisted = partial_transpose(embed(tensor(task.rho_a, task.rho_xr), full), ["A", "X1"])
+    product = Operator(twisted.matrix @ embed(task.s, full).matrix, full)
+    return partial_trace(product, ["A", "X1", "Y1"]).hermitize()
+
+
+def oracle_task_matrices(kind: str, priors, states) -> tuple[np.ndarray, ...]:
+    """Reference (ρ_A, ρ_XR, S) of a classification or tomography task as
+    sums of np.kron products: ρ_A = ρ_1 ⊗ … ⊗ ρ_L, ρ_XR = sum_y p_y ρ_y ⊗
+    |y><y| (classification) or sum_x p_x |x><x| ⊗ ρ_x (tomography), and S =
+    1 − sum_y |yy><yy| or 1 − SWAP."""
+    mats = [np.asarray(m, complex) for m in states]
+    d, labels = len(mats[0]), len(mats)
+    units = [np.diag(row) for row in np.eye(labels)]
+    rho_a = reduce(np.kron, mats)
+    if kind == "classification":
+        rho_xr = sum(p * np.kron(m, e) for p, m, e in zip(priors, mats, units))
+        s = np.eye(labels * labels) - sum(np.kron(e, e) for e in units)
+    else:
+        rho_xr = sum(p * np.kron(e, m) for p, m, e in zip(priors, mats, units))
+        s = np.eye(d * d) - permutation_matrix((1, 0), d).real
+    return rho_a, rho_xr, s
+
+
+def oracle_dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
+    """Reference Dicke coordinates, one sorted index tuple at a time, with
+    the multinomial from Python's exact factorials."""
+    d = vectors.shape[1]
+    tuples = list(itertools.combinations_with_replacement(range(d), n))
+    scale = np.array([sqrt(factorial(n) // prod(factorial(t.count(i)) for i in set(t)))
+                      for t in tuples])
+    idx = np.array(tuples, dtype=int).reshape(len(tuples), n)
+    return scale * vectors[:, idx].prod(axis=2)
 
 
 def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricExtension:

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from nslocc import cli, tensor_core
+from nslocc import cli, locc, tensor_core
 from nslocc.cli import main
 
 
@@ -197,6 +197,20 @@ def test_bad_grid_name_exits_2_naming_the_grammar(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+def test_design_grid_is_refused_before_any_purification(monkeypatch, tmp_path, capsys):
+    # every risk-gap reduction purifies onto sites of dimension (2·2)² = 16,
+    # and design grids exist only for d_eff = 2
+    def refuse(q):
+        raise AssertionError("purified before the grid name was checked")
+
+    monkeypatch.setattr(locc, "purify_channel", refuse)
+    out = tmp_path / "r.csv"
+    assert main(["risk-gap", "--n", "1..4", "--grid", "design", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: design grids are only constructed for d_eff=2, got 16\n")
+    assert not out.exists()
+
+
 def test_empty_n_range_exits_2_naming_the_flag(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["risk-gap", "--n", "3..1", "--out", str(out)]) == 2
@@ -216,7 +230,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     [cmd, "--tol", "5"] for cmd in
     ("verify", "risk-gap", "definetti", "classical-demo", "gen-channel")] + [
-    [cmd, "--grid", "design"] for cmd in
+    [cmd, "--grid", "haar:0:10"] for cmd in
     ("verify", "definetti", "classical-demo", "gen-channel")] + [
     [cmd, "--n", "7"] for cmd in ("verify", "classical-demo")],
     ids=lambda argv: f"{argv[0]}{argv[1]}")

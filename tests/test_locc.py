@@ -46,6 +46,7 @@ from nslocc.tensor_core import (
 from conftest import (
     extension_psi,
     loop_marginal_choi,
+    oracle_einsum_repair,
     oracle_tp_repair,
     random_density,
     random_kraus,
@@ -98,6 +99,30 @@ def test_tp_repair_matches_operator_oracle(rng, d_x, d_y):
         fixed = repair_one(phi.matrix, d_x, d_y)
         assert fixed.shape == phi.matrix.shape
         assert np.abs(fixed - oracle_tp_repair(phi).matrix).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d_x, d_y", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_tp_repair_matches_the_einsum_sandwich(rng, d_x, d_y):
+    # F φ F with F = (τ^{-1/2} ⊗ 1_Y)/√d_X against one einsum over the
+    # (X, Y, X, Y) view of φ, on complex states
+    for _ in range(5):
+        phi = random_density(rng, d_x * d_y)
+        w, v = eigh_herm(marginal_input(phi, d_x, d_y), check=True)
+        want = oracle_einsum_repair(phi, (v / np.sqrt(w)) @ v.conj().T, d_x)
+        assert np.abs(repair_one(phi, d_x, d_y) - want).max() <= 1e-15
+
+
+def test_reduction_that_repairs_no_point_assembles_every_fallback(tmp_path):
+    # at n = 3 no input marginal of this grid passes the repair gate, so the
+    # stack of repair factors is empty
+    from nslocc.cli import _classification_family, main
+    _, _, povm, preps = _classification_family(0.6)
+    proto = build_locc_protocol(MeasurePrepareChannel.of(povm, preps, 3), "haar:14402:200")
+    assert proto.provenance["repaired_count"] == 0
+    assert all(np.array_equal(choi, np.eye(4) / 4) for choi in proto.chois)
+    out = tmp_path / "r.csv"
+    assert main(["risk-gap", "--n", "3", "--grid", "haar:14402:200", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_tp_repair_rejects_singular_marginal():
@@ -224,9 +249,9 @@ def test_stacked_inverse_roots_match_the_oracle_on_either_lapack_path(rng, d_x, 
     for phis in (np.stack(real), np.stack(real + [random_density(rng, d_x * d_y)])):
         w, v = eigh_herm(marginal_input(phis, d_x, d_y), check=True)
         assert v.dtype == phis.dtype
-        for phi, inv_root in zip(phis, locc._inverse_roots(w, v)):
+        for phi, factor in zip(phis, locc._repair_factors(w, v, d_y)):
             want = oracle_tp_repair(op(phi, ("X1", d_x), ("Y1", d_y))).matrix
-            assert np.abs(tp_repair(phi, inv_root, d_x) - want).max() <= 1e-14
+            assert np.abs(tp_repair(phi, factor) - want).max() <= 1e-14
 
 
 def test_marginal_choi_matches_per_outcome_loop():

@@ -48,9 +48,12 @@ from nslocc.tensor_core import (
 )
 
 from conftest import (
+    classifier_choi,
     dense_symmetrize,
     loop_marginal_choi,
+    oracle_r_operator,
     oracle_risk_direct,
+    oracle_task_matrices,
     permutation_operator,
     oracle_resolution_residual,
     product_channel,
@@ -172,6 +175,69 @@ def test_r_operator_hermitian_and_bounded():
     r = r_operator(t)
     assert np.abs(r.matrix - r.matrix.conj().T).max() <= HERM_TOL
     assert op_norm(r) <= op_norm(t.s) + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["classification", "tomography"]), st.integers(1, 3),
+       st.integers(2, 3), st.integers(0, 2 ** 31 - 1))
+def test_r_operator_matches_the_embedded_oracle(kind, labels, d, seed):
+    # the closed form ρ_Aᵀ ⊗ N against the trace over (A, X, Y, R) of the
+    # embedded, partially transposed product, on complex states
+    rng = np.random.default_rng(seed)
+    priors = rng.dirichlet(np.ones(labels))
+    priors[-1] = 1.0 - priors[:-1].sum()
+    build = classification_task if kind == "classification" else tomography_task
+    task = build(list(priors), [random_density(rng, d) for _ in range(labels)], n=1)
+    got, want = r_operator(task), oracle_r_operator(task)
+    assert got.shape == want.shape
+    assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+
+
+@pytest.mark.parametrize("overlap", [0.3, 0.6, 1.0])
+def test_r_operator_is_the_oracle_bit_for_bit_on_the_risk_gap_task(overlap):
+    rho0, rho1, _, _ = _classification_family(overlap)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=3)
+    assert np.array_equal(r_operator(task).matrix, oracle_r_operator(task).matrix)
+
+
+@pytest.mark.parametrize("kind", ["classification", "tomography"])
+@pytest.mark.parametrize("labels, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3),
+                                       (1, 16), (2, 16)])
+def test_task_matrices_are_the_kron_sums_bit_for_bit(rng, kind, labels, d):
+    # three 16-level class states would make a 4,096-side ρ_A of 256 MiB
+    priors = list(np.full(labels, 1.0 / labels))
+    states = [random_density(rng, d) for _ in range(labels)]
+    build = classification_task if kind == "classification" else tomography_task
+    task = build(priors, states, n=labels)
+    rho_a, rho_xr, s = oracle_task_matrices(kind, priors, states)
+    assert np.array_equal(task.rho_a.matrix, rho_a)
+    assert np.array_equal(task.rho_xr.matrix, rho_xr)
+    assert np.array_equal(task.s.matrix, s)
+
+
+def test_risk_gap_operators_are_built_without_kron(monkeypatch):
+    # the risk-gap run's fixed operators are single contractions: the
+    # classifier family, its task and the task's risk kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    task = classification_task([0.5, 0.5], [rho0, rho1], n=3)
+    assert task.r_kernel.dim == 16
+
+
+def test_classification_family_matches_the_kraus_choi_states():
+    rho0, rho1, povm, preps = _classification_family(0.6)
+    _, v = np.linalg.eigh(rho0 / 2 - rho1 / 2)
+    for got, basis in zip(preps, (v[:, ::-1], v)):
+        want = classifier_choi(basis)
+        assert got.labels == want.labels
+        assert np.array_equal(got.matrix, want.matrix)
+    p_plus = np.outer(v[:, 1], v[:, 1])
+    for got, e in zip(povm, (p_plus, np.eye(2) - p_plus)):
+        assert got.labels == ("A",)
+        assert np.array_equal(got.matrix, np.kron(e, np.eye(2)))
 
 
 def test_swap_matrix_is_involution():

@@ -30,6 +30,7 @@ from nslocc.tensor_core import (
 
 from conftest import (
     herm_fn,
+    oracle_dicke_coordinates,
     oracle_partial_trace,
     oracle_partial_transpose,
     permutation_operator,
@@ -257,6 +258,14 @@ def test_dicke_coordinates_preserve_product_state_overlaps(rng, n, d):
     assert c.shape == (5, sym_dim(n, d))
     # <phi^n|chi^n> = <phi|chi>^n, so the coordinates are an isometric image
     assert np.abs(c.conj() @ c.T - (vecs.conj() @ vecs.T) ** n).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in (2, 3, 16)]
+                         + [(20, 2), (21, 2)])
+def test_dicke_coordinates_match_the_per_tuple_loop_bit_for_bit(rng, n, d):
+    # n = 20 is the last multinomial in int64, n = 21 the first in Python integers
+    vecs = np.stack([random_pure(rng, d) for _ in range(4)])
+    assert np.array_equal(dicke_coordinates(vecs, n), oracle_dicke_coordinates(vecs, n))
 
 
 def test_dicke_coordinates_of_a_qubit_pair():
