@@ -198,8 +198,13 @@ class MeasurePrepareChannel:
     def of(cls, povm: Sequence[Operator], preparations: Sequence[Operator],
            n: int) -> "MeasurePrepareChannel":
         """From POVM elements on A and single-round Choi states on (X1, Y1)."""
-        if len(povm) != len(preparations):
-            raise TensorError("need one preparation per POVM outcome")
+        if not povm or len(povm) != len(preparations):
+            raise TensorError(f"need at least one POVM element and one preparation per element, "
+                              f"got {len(povm)} elements and {len(preparations)} preparations")
+        for what, ops in (("POVM elements", povm), ("preparations", preparations)):
+            spaces = list(dict.fromkeys(o.shape.factors for o in ops))
+            if len(spaces) > 1:
+                raise TensorError(f"{what} live on different spaces: {spaces}")
         shape = preparations[0].shape
         return cls(np.stack([m.matrix for m in povm]),
                    np.stack([p.matrix for p in preparations]),
@@ -233,7 +238,7 @@ def apply_channel(channel: ChoiChannel, rho: Operator) -> Operator:
     big = embed(rho, channel.omega.shape)
     prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
     out = partial_trace(prod, channel.output_labels)
-    return channel.d_in * out
+    return Operator(out.matrix * channel.d_in, out.shape)
 
 
 # ---------------------------------------------------------------------------

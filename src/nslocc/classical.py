@@ -19,8 +19,7 @@ import numpy as np
 
 from .channels import MeasurePrepareChannel
 from .risk import LearningTask
-from .tensor_core import (SYMMETRIZE_MAX_N, Factorization, Operator, dense_budget_rows,
-                          symmetrize_sites)
+from .tensor_core import SYMMETRIZE_MAX_N, dense_budget_rows, symmetrize_sites
 
 NS_TOL = 1e-10
 MAX_FUNCTIONS = 10 ** 6
@@ -177,11 +176,8 @@ def classical_task(dist: np.ndarray, a: int, na: int, n: int) -> LearningTask:
     rho_XR = diag(dist) and the 0-1 loss S = 1 - sum_y |yy><yy| on (Y1, R1)."""
     dist = _test_pmf(dist, np.shape(dist), a, na)
     nx, ny = dist.shape
-    return LearningTask(
-        rho_a=Operator(np.diag(np.eye(na)[a]), Factorization.of(("A", na))),
-        rho_xr=Operator(np.diag(dist.ravel()), Factorization.of(("X1", nx), ("R1", ny))),
-        s=Operator(np.diag(1.0 - np.eye(ny).ravel()), Factorization.of(("Y1", ny), ("R1", ny))),
-        n=n)
+    return LearningTask(np.diag(np.eye(na)[a]), np.diag(dist.ravel()).reshape(nx, ny, nx, ny),
+                        np.diag(1.0 - np.eye(ny).ravel()).reshape((ny,) * 4), n)
 
 
 def lemma1_pipeline(p: ClassicalProtocol) -> MeasurePrepareChannel:

@@ -51,8 +51,7 @@ from .definetti import (
 )
 from .locc import build_locc_protocol, repair_distance_bound
 from .risk import classification_task, protocol_risk, risk_gap_experiment
-from .tensor_core import (Factorization, Operator, kron_power, op, operator_to_json,
-                          permutation_matrix, tensor)
+from .tensor_core import kron_power, op, operator_to_json, permutation_matrix, tensor
 
 
 def _fail(msg: str) -> int:
@@ -320,10 +319,7 @@ def cmd_definetti(cfg: dict) -> int:
             if k == 0:
                 delta_k = ap.povm_deficit
             else:
-                fac = Factorization.of(
-                    ("A", 1), *((f"B{i}", 2) for i in range(1, k + 1)))
-                omega_k = Operator(kron_power(site[None], k)[0], fac)
-                delta_k = approx_error(omega_k, ap, k)
+                delta_k = approx_error(kron_power(site[None], k)[0], ap, k)
             buf.write("{},{},{:.12g},{:.12g},{:.12g}\n".format(
                 n, k, delta_k, definetti_bound(2, k, n), ap.grid_residual))
     _write(cfg.get("out"), buf.getvalue())

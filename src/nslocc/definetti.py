@@ -587,8 +587,8 @@ def extract_measure(ext: SymmetricExtension, grid: MeasureGrid) -> DeFinettiAppr
     return extract_measures([ext], grid)[0]
 
 
-def approx_error(omega_k: Operator, approx: DeFinettiApprox, k: int) -> float:
-    """Δ_k = ‖omega_{A B_1..B_k} − sum_g M_g ⊗ phi_g^{⊗k}‖₁.
+def approx_error(omega_k: np.ndarray, approx: DeFinettiApprox, k: int) -> float:
+    """Δ_k = ‖omega_{A B_1..B_k} − sum_g M_g ⊗ phi_g^{⊗k}‖₁, omega_k a matrix.
 
     The caller compares against 4 d² k / n with d the physical site dimension
     (site_keep_dim) and n the source copy count.
@@ -598,10 +598,10 @@ def approx_error(omega_k: Operator, approx: DeFinettiApprox, k: int) -> float:
     d_a = approx.d_a
     d = approx.site_keep_dim
     dim = d_a * d ** k
-    if omega_k.dim != dim:
-        raise TensorError(f"omega_k dim {omega_k.dim} != expected {dim}")
+    if np.shape(omega_k) != (dim, dim):
+        raise TensorError(f"omega_k shape {np.shape(omega_k)} != expected {(dim, dim)}")
     acc = np.einsum("gab,gij->aibj", approx.ms, kron_power(approx.phis, k))
-    return float(trace_norm(omega_k.matrix - acc.reshape(dim, dim)))
+    return float(trace_norm(omega_k - acc.reshape(dim, dim)))
 
 
 def definetti_bound(d_site: int, k: int, n: int) -> float:

@@ -11,7 +11,7 @@ symmetrized Choi state contracted with a precomputed R-operator (any n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,11 +19,10 @@ import numpy as np
 from .channels import ChoiChannel, MeasurePrepareChannel, marginal_channel, symmetrize_channel
 from .locc import build_locc_protocol, theorem1_bound
 from .tensor_core import (
-    Factorization,
-    Operator,
     TensorError,
     check_dense_budget,
     check_psd,
+    eigh_herm,
     op_norm,
     permutation_matrix,
 )
@@ -32,49 +31,59 @@ from .tensor_core import (
 class LearningTask:
     """Training state, test-pair distribution and risk observable.
 
-    rho_a on ("A", d_a); rho_xr on ("X1", d_x), ("R1", d_r);
-    s on ("Y1", d_y), ("R1", d_r); n test rounds.
+    rho_a is (d_a, d_a); rho_xr, on X1 ⊗ R1, is its (d_x, d_r, d_x, d_r)
+    view and s, on Y1 ⊗ R1, its (d_y, d_r, d_y, d_r) view; n test rounds.
+    Each is held as a read-only complex copy.
     """
 
-    rho_a: Operator
-    rho_xr: Operator
-    s: Operator
+    rho_a: np.ndarray = field(repr=False)
+    rho_xr: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
     n: int
 
     def __post_init__(self):
-        for state in (self.rho_a, self.rho_xr):
-            if abs(state.trace().real - 1.0) > 1e-9:
-                raise TensorError(f"state trace {state.trace().real} != 1")
-            check_psd(state.matrix, "task state", tol=1e-9)
-        self.s.hermitize()
-        if self.rho_xr.labels != ("X1", "R1"):
-            raise TensorError("rho_xr must live on (X1, R1)")
-        if self.s.labels != ("Y1", "R1"):
-            raise TensorError("s must live on (Y1, R1)")
+        arrays = [np.array(m, dtype=complex) for m in (self.rho_a, self.rho_xr, self.s)]
+        shapes, want = [m.shape for m in arrays], None
+        if [m.ndim for m in arrays] == [2, 4, 4]:
+            (d_a, _), (d_x, d_r, _, _), (d_y, *_) = shapes
+            want = [(d_a, d_a), (d_x, d_r) * 2, (d_y, d_r) * 2]
+        if shapes != want:
+            raise TensorError(
+                f"task shapes {', '.join(map(str, shapes))} are not (d_a, d_a), "
+                f"(d_x, d_r, d_x, d_r) and (d_y, d_r, d_y, d_r)")
+        for name, m in zip(("rho_a", "rho_xr", "s"), arrays):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+        pair, score = self.d_x * self.d_r, self.d_y * self.d_r
+        for state in (self.rho_a, self.rho_xr.reshape(pair, pair)):
+            if abs(np.trace(state).real - 1.0) > 1e-9:
+                raise TensorError(f"state trace {np.trace(state).real} != 1")
+            check_psd(state, "task state", tol=1e-9)
+        eigh_herm(self.s.reshape(score, score), vectors=False, check=True)  # S is Hermitian
 
     @property
     def d_a(self) -> int:
-        return self.rho_a.dim
+        return self.rho_a.shape[0]
 
     @property
     def d_x(self) -> int:
-        return self.rho_xr.shape.dim_of("X1")
+        return self.rho_xr.shape[0]
 
     @property
     def d_y(self) -> int:
-        return self.s.shape.dim_of("Y1")
+        return self.s.shape[0]
 
     @property
     def d_r(self) -> int:
-        return self.rho_xr.shape.dim_of("R1")
+        return self.rho_xr.shape[1]
 
     @cached_property
-    def r_kernel(self) -> Operator:
+    def r_kernel(self) -> np.ndarray:
         """The task's single-round risk kernel `r_operator`, built once."""
         return r_operator(self)
 
 
-def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list, Operator]:
+def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list, np.ndarray]:
     """The states, of one dimension and one prior each (summing to 1), as
     complex arrays, and the training state on A: one copy of each, in order,
     ρ_1 ⊗ … ⊗ ρ_L by iterated outer products."""
@@ -91,7 +100,7 @@ def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list,
         # a broadcast product rounds as np.kron does; a complex einsum need not
         side = len(rho_a) * len(m)
         rho_a = (rho_a[:, None, :, None] * m[None, :, None, :]).reshape(side, side)
-    return mats, Operator(rho_a, Factorization.of(("A", len(rho_a))))
+    return mats, rho_a
 
 
 def classification_task(priors: list[float], states: list[np.ndarray],
@@ -109,13 +118,7 @@ def classification_task(priors: list[float], states: list[np.ndarray],
     for y, (p, m) in enumerate(zip(priors, mats)):
         rho_xr[:, y, :, y] = p * m                            # p_y ρ^{(y)} ⊗ |y><y|
     s = np.diag(1.0 - np.eye(labels).ravel())                 # 1 − sum_y |yy><yy|
-    side = d_x * labels
-    return LearningTask(
-        rho_a=rho_a,
-        rho_xr=Operator(rho_xr.reshape(side, side),
-                        Factorization.of(("X1", d_x), ("R1", labels))),
-        s=Operator(s, Factorization.of(("Y1", labels), ("R1", labels))),
-        n=n)
+    return LearningTask(rho_a, rho_xr, s.reshape((labels,) * 4), n)
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -136,35 +139,27 @@ def tomography_task(priors: list[float], states: list[np.ndarray],
     for x, (p, m) in enumerate(zip(priors, mats)):
         rho_xr[x, :, x, :] = p * m                            # p_x |x><x| ⊗ ρ^{(x)}
     s = np.eye(d * d) - swap_matrix(d)
-    side = labels * d
-    return LearningTask(
-        rho_a=rho_a,
-        rho_xr=Operator(rho_xr.reshape(side, side),
-                        Factorization.of(("X1", labels), ("R1", d))),
-        s=Operator(s, Factorization.of(("Y1", d), ("R1", d))),
-        n=n)
+    return LearningTask(rho_a, rho_xr, s.reshape((d,) * 4), n)
 
 
 # ---------------------------------------------------------------------------
 # risk observables
 # ---------------------------------------------------------------------------
 
-def r_operator(task: LearningTask) -> Operator:
-    """Single-round risk kernel R on (A, X1, Y1).
+def r_operator(task: LearningTask) -> np.ndarray:
+    """Single-round risk kernel R on (A, X1, Y1), as a matrix.
 
     R = tr_R[(rho_A ⊗ rho_XR ⊗ 1_Y)^{T_{AX}} (1_{AX} ⊗ S)]; contracting the
     single-round Choi marginal against R (times d_A·d_X) gives the expected
     risk without ever touching the n-round spaces.  The trace over R
     factorizes it in closed form: R = rho_Aᵀ ⊗ N, with
-    N[x y, x' y'] = sum_{r r'} rho_XR[x' r, x r'] S[y r', y' r].
+    N[x y, x' y'] = sum_{r r'} rho_XR[x' r, x r'] S[y r', y' r].  The task's
+    inputs are Hermitian, so R is too; (R + R†)/2 only drops rounding.
     """
-    d_x, d_y, d_r = task.d_x, task.d_y, task.d_r
-    n_op = np.einsum("XrxR,yRYr->xyXY", task.rho_xr.matrix.reshape(d_x, d_r, d_x, d_r),
-                     task.s.matrix.reshape(d_y, d_r, d_y, d_r))
-    side = task.d_a * d_x * d_y
-    r = np.einsum("ba,xyXY->axybXY", task.rho_a.matrix, n_op).reshape(side, side)
-    full = Factorization.of(("A", task.d_a), ("X1", d_x), ("Y1", d_y))
-    return Operator(r, full).hermitize()
+    n_op = np.einsum("XrxR,yRYr->xyXY", task.rho_xr, task.s)
+    side = task.d_a * task.d_x * task.d_y
+    r = np.einsum("ba,xyXY->axybXY", task.rho_a, n_op).reshape(side, side)
+    return (r + r.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +181,18 @@ def _risk_direct(q: ChoiChannel | MeasurePrepareChannel,
     on X_j and a trace on Y_j.  It neither symmetrizes ω nor assumes it
     non-signalling, so it is independent of the marginal path.
     """
-    n, d_a, d_x, d_y, d_r = q.n, task.d_a, task.d_x, task.d_y, task.d_r
+    n, d_a, d_x, d_y = q.n, task.d_a, task.d_x, task.d_y
     check_dense_budget(d_a * (d_x * d_y) ** n, "direct risk evaluation")
     omega = (q.dense() if isinstance(q, MeasurePrepareChannel) else q).omega.matrix
     k = 2 * n + 1
     t = omega.reshape(2 * ((d_a,) + (d_x, d_y) * n))
-    rho_xr = task.rho_xr.matrix.reshape(d_x, d_r, d_x, d_r)
-    rho_x = np.einsum("arbr->ab", rho_xr)
-    n_op = np.einsum("arbs,csdr->acbd", rho_xr, task.s.matrix.reshape(d_y, d_r, d_y, d_r))
+    rho_x = np.einsum("arbr->ab", task.rho_xr)
+    n_op = np.einsum("arbs,csdr->acbd", task.rho_xr, task.s)
     total = 0.0
     for i in range(1, n + 1):
         # row axes 0..k-1, column axes k..2k-1; round j's X is 2j-1, its Y 2j
         cols = [a if a % 2 == 0 and 0 < a != 2 * i else k + a for a in range(k)]
-        operands = [t, list(range(k)) + cols, task.rho_a.matrix, [0, k]]
+        operands = [t, list(range(k)) + cols, task.rho_a, [0, k]]
         for j in range(1, n + 1):
             if j != i:
                 operands += [rho_x, [2 * j - 1, k + 2 * j - 1]]
@@ -240,7 +234,7 @@ def protocol_risk(channel: ChoiChannel | MeasurePrepareChannel,
     measure-then-apply protocol: its single-round marginal contracted
     against the task's R-operator."""
     omega_1 = marginal_channel(channel)
-    val = np.trace(omega_1.omega.matrix @ task.r_kernel.matrix)
+    val = np.trace(omega_1.omega.matrix @ task.r_kernel)
     return float((task.d_a * task.d_x * val).real)
 
 

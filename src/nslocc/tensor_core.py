@@ -83,9 +83,6 @@ class Factorization:
     def dim_of(self, label: str) -> int:
         return self.factors[self.index(label)][1]
 
-    def relabel(self, mapping: dict[str, str]) -> "Factorization":
-        return Factorization(tuple((mapping.get(lab, lab), d) for lab, d in self.factors))
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -117,36 +114,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def relabel(self, mapping: dict[str, str]) -> "Operator":
-        return Operator(self.matrix, self.shape.relabel(mapping))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same_shape(other)
-        return Operator(self.matrix + other.matrix, self.shape)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_shape(other)
-        return Operator(self.matrix - other.matrix, self.shape)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.matrix * scalar, self.shape)
-
-    __rmul__ = __mul__
-
-    def _check_same_shape(self, other: "Operator"):
-        if self.shape.labels != other.shape.labels or self.shape.dims != other.shape.dims:
-            raise TensorError(
-                f"factorization mismatch: {self.shape.factors} vs {other.shape.factors}"
-            )
-
-    def hermitize(self) -> "Operator":
-        """Symmetrize (M+M†)/2; error if the anti-Hermitian part exceeds HERM_TOL."""
-        anti = np.abs(self.matrix - self.matrix.conj().T).max()
-        if anti > HERM_TOL:
-            raise TensorError(
-                f"operator is not Hermitian (anti part {anti:.3e} > {HERM_TOL:g})")
-        return Operator((self.matrix + self.matrix.conj().T) / 2, self.shape)
 
 
 def op(matrix: np.ndarray, *factors: tuple[str, int]) -> Operator:
@@ -273,22 +240,23 @@ def check_psd(m: np.ndarray, what: str, tol: float = PSD_TOL) -> None:
             raise TensorError(f"{what} is not PSD (min eigenvalue {low:.3e})") from None
 
 
-def _singular_values(operator: Operator | np.ndarray) -> np.ndarray:
-    """Singular values, as |eigenvalues| when the matrix is Hermitian to HERM_TOL."""
-    m = operator.matrix if isinstance(operator, Operator) else np.asarray(operator)
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, as |eigenvalues| when it is Hermitian to HERM_TOL."""
+    if np.ndim(m) != 2:
+        raise TensorError(f"a norm takes one matrix, got an array of shape {np.shape(m)}")
     if np.abs(m - m.conj().T).max() <= HERM_TOL:
         return np.abs(eigh_herm(m, vectors=False))
     return np.linalg.svd(m, compute_uv=False)
 
 
-def trace_norm(operator: Operator | np.ndarray) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
-    return float(_singular_values(operator).sum())
+    return float(_singular_values(m).sum())
 
 
-def op_norm(operator: Operator | np.ndarray) -> float:
+def op_norm(m: np.ndarray) -> float:
     """Largest singular value."""
-    return float(_singular_values(operator).max())
+    return float(_singular_values(m).max())
 
 
 def _psd_eigs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from nslocc.tensor_core import (
     eigh_herm,
     embed,
     identity,
+    op,
     partial_trace,
     partial_transpose,
     permutation_matrix,
@@ -77,6 +78,21 @@ def herm_fn(operator: Operator, f, cutoff: float | None = None) -> Operator:
     return Operator((v * fw) @ v.conj().T, operator.shape)
 
 
+def relabel(operator: Operator, mapping: dict[str, str]) -> Operator:
+    """The operator with its factors renamed by mapping, same matrix."""
+    return Operator(operator.matrix, Factorization(
+        tuple((mapping.get(lab, lab), d) for lab, d in operator.shape.factors)))
+
+
+def task_operators(task) -> tuple[Operator, Operator, Operator]:
+    """A task's arrays as labelled operators: ρ_A on A, ρ_XR on (X1, R1)
+    and S on (Y1, R1)."""
+    pair, score = task.d_x * task.d_r, task.d_y * task.d_r
+    return (op(task.rho_a, ("A", task.d_a)),
+            op(task.rho_xr.reshape(pair, pair), ("X1", task.d_x), ("R1", task.d_r)),
+            op(task.s.reshape(score, score), ("Y1", task.d_y), ("R1", task.d_r)))
+
+
 def permutation_operator(perm, site_dim: int, prefix: str = "B") -> Operator:
     """permutation_matrix(perm, site_dim) on the factors prefix1..prefixn."""
     fac = Factorization.of(*((f"{prefix}{i + 1}", site_dim) for i in range(len(perm))))
@@ -89,7 +105,7 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
         raise TensorError("product_channel expects a single-round channel with d_a=1")
     parts = [identity(Factorization.of(("A", 1)))]
     for i in range(1, n + 1):
-        parts.append(single.omega.relabel({"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
+        parts.append(relabel(single.omega, {"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
     omega = reduce(tensor, parts)
     omega = partial_trace(omega, set(["A"] + _round_labels(n)))
     return ChoiChannel(omega, 1, single.d_x, single.d_y, n)
@@ -104,7 +120,7 @@ def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
     big = embed(obs, channel.omega.shape)
     prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
     out = partial_trace(prod, channel.input_labels)
-    return channel.d_in * out
+    return Operator(out.matrix * channel.d_in, out.shape)
 
 
 def product_protocol(maps: list[np.ndarray], n: int) -> ClassicalProtocol:
@@ -269,11 +285,9 @@ def symmetrized_risk_observable(s: Operator, n: int) -> Operator:
     for i in range(1, n + 1):
         factors += [(f"Y{i}", d_y), (f"R{i}", d_r)]
     full = Factorization.of(*factors)
-    total = None
-    for i in range(1, n + 1):
-        term = embed(s.relabel({"Y1": f"Y{i}", "R1": f"R{i}"}), full)
-        total = term if total is None else total + term
-    return (1.0 / n) * total
+    total = sum(embed(relabel(s, {"Y1": f"Y{i}", "R1": f"R{i}"}), full).matrix
+                for i in range(1, n + 1))
+    return Operator(total * (1.0 / n), full)
 
 
 def oracle_risk_direct(q, task) -> float:
@@ -285,12 +299,13 @@ def oracle_risk_direct(q, task) -> float:
     for i in range(1, n + 1):
         factors += [(f"X{i}", task.d_x), (f"Y{i}", task.d_y), (f"R{i}", task.d_r)]
     full = Factorization.of(*factors)
-    parts = [task.rho_a] + [task.rho_xr.relabel({"X1": f"X{i}", "R1": f"R{i}"})
-                            for i in range(1, n + 1)]
+    rho_a, rho_xr, s = task_operators(task)
+    parts = [rho_a] + [relabel(rho_xr, {"X1": f"X{i}", "R1": f"R{i}"})
+                       for i in range(1, n + 1)]
     rho_in = embed(reduce(tensor, parts), full)
     omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
     twisted = partial_transpose(embed(omega, full), ["A"] + [f"X{i}" for i in range(1, n + 1)])
-    s_bar = embed(symmetrized_risk_observable(task.s, n), full)
+    s_bar = embed(symmetrized_risk_observable(s, n), full)
     # tr(A B) as the elementwise sum of A * B^T: one matrix product, not two
     val = task.d_a * task.d_x ** n * np.sum((twisted.matrix @ rho_in.matrix) * s_bar.matrix.T)
     return float(val.real)
@@ -305,7 +320,8 @@ def oracle_signalling_residuals(channel) -> list[float]:
         keep = ["A"] + [f"X{j}" for j in range(1, n + 1)] + [f"Y{i}"]
         m_i = partial_trace(channel.omega, keep)
         small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-        out.append(trace_norm(m_i - embed(small * channel.d_x ** -(n - 1), m_i.shape)))
+        spread = embed(Operator(small.matrix * channel.d_x ** -(n - 1), small.shape), m_i.shape)
+        out.append(trace_norm(m_i.matrix - spread.matrix))
     return out
 
 
@@ -317,8 +333,9 @@ def oracle_project_ns_round(m: np.ndarray, dims, i: int) -> np.ndarray:
     other_y = [f"Y{j}" for j in range(1, n + 1) if j != i]
     m_i = partial_trace(omega, [lab for lab in omega.labels if lab not in other_y])
     small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-    target = embed(small * (d_x ** -(n - 1)), m_i.shape)
-    return (omega + embed((target - m_i) * (d_y ** -(n - 1)), omega.shape)).matrix
+    target = embed(Operator(small.matrix * (d_x ** -(n - 1)), small.shape), m_i.shape)
+    fix = Operator((target.matrix - m_i.matrix) * (d_y ** -(n - 1)), m_i.shape)
+    return omega.matrix + embed(fix, omega.shape).matrix
 
 
 def _oracle_psd_trace(m: np.ndarray) -> np.ndarray:
@@ -362,9 +379,9 @@ def oracle_random_nonsignalling_choi(d_a, d_x, d_y, n, seed, max_iter=5000,
 def oracle_tp_repair(phi: Operator) -> Operator:
     """Reference repair through labelled Operators: τ = tr_Y φ by partial_trace,
     then the dense sandwich kron(τ^{-1/2}, 1) φ kron(τ^{-1/2}, 1) / d_X."""
-    tau = partial_trace(phi, [phi.labels[0]])
-    w, v = np.linalg.eigh(tau.hermitize().matrix)
-    d_x = tau.dim
+    tau = partial_trace(phi, [phi.labels[0]]).matrix
+    w, v = np.linalg.eigh((tau + tau.conj().T) / 2)
+    d_x = len(tau)
     big = np.kron((v * (1.0 / np.sqrt(w))) @ v.conj().T, np.eye(phi.dim // d_x))
     return Operator(big @ phi.matrix @ big / d_x, phi.shape)
 
@@ -385,15 +402,17 @@ def oracle_einsum_repair(phi: np.ndarray, inv_root: np.ndarray, d_x: int) -> np.
     return out.reshape(phi.shape)
 
 
-def oracle_r_operator(task) -> Operator:
+def oracle_r_operator(task) -> np.ndarray:
     """Reference risk kernel tr_R[(ρ_A ⊗ ρ_XR ⊗ 1_Y)^{T_{AX}} (1_{AX} ⊗ S)]
     through labelled embeds, a partial transpose and a partial trace over
-    (A, X1, Y1, R1)."""
+    (A, X1, Y1, R1), then made Hermitian as (R + R†)/2."""
+    rho_a, rho_xr, s = task_operators(task)
     full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
                             ("Y1", task.d_y), ("R1", task.d_r))
-    twisted = partial_transpose(embed(tensor(task.rho_a, task.rho_xr), full), ["A", "X1"])
-    product = Operator(twisted.matrix @ embed(task.s, full).matrix, full)
-    return partial_trace(product, ["A", "X1", "Y1"]).hermitize()
+    twisted = partial_transpose(embed(tensor(rho_a, rho_xr), full), ["A", "X1"])
+    product = Operator(twisted.matrix @ embed(s, full).matrix, full)
+    r = partial_trace(product, ["A", "X1", "Y1"]).matrix
+    return (r + r.conj().T) / 2
 
 
 def oracle_task_matrices(kind: str, priors, states) -> tuple[np.ndarray, ...]:
@@ -432,7 +451,7 @@ def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricEx
     dims = omega.shape.dims
     d_a, sites = (dims[0], dims[1:]) if omega.labels[0] == "A" else (1, dims)
     d, n = sites[0], len(sites)
-    w, v = np.linalg.eigh(np.asarray(omega.hermitize().matrix, complex))
+    w, v = np.linalg.eigh((omega.matrix + omega.matrix.conj().T) / 2)
     w = np.clip(w, 0, None)
     keep = w > w[-1] * len(w) * np.finfo(float).eps if floor else w >= 0
     root = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T

@@ -265,8 +265,7 @@ def test_criterion_8_dual_path_risk():
     for i in range(50):
         n = int(rng.integers(1, 4))
         q = random_nonsignalling_choi(2, 2, 2, n, seed=1000 + i)
-        task = LearningTask(rho_a=op(random_density(rng, 2), ("A", 2)),
-                            rho_xr=base.rho_xr, s=base.s, n=n)
+        task = LearningTask(rho_a=random_density(rng, 2), rho_xr=base.rho_xr, s=base.s, n=n)
         a = expected_risk(q, task, path="marginal")
         b = expected_risk(q, task, path="direct")
         worst = max(worst, abs(a - b))

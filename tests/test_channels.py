@@ -35,6 +35,7 @@ from conftest import (
     random_kraus,
     random_measure_prepare,
     random_unitary,
+    relabel,
 )
 
 
@@ -141,9 +142,8 @@ def test_symmetrize_idempotent_and_permutation_invariant(rng):
     s = symmetrize_channel(q)
     s2 = symmetrize_channel(s)
     assert np.allclose(s.omega.matrix, s2.omega.matrix, atol=1e-12)
-    swapped = permute_factors(
-        s.omega, ["A", "X2", "Y2", "X1", "Y1"]).relabel(
-        {"X2": "X1", "Y2": "Y1", "X1": "X2", "Y1": "Y2"})
+    swapped = relabel(permute_factors(s.omega, ["A", "X2", "Y2", "X1", "Y1"]),
+                      {"X2": "X1", "Y2": "Y1", "X1": "X2", "Y1": "Y2"})
     aligned = permute_factors(swapped, list(s.omega.labels))
     assert np.allclose(aligned.matrix, s.omega.matrix, atol=1e-12)
 
@@ -172,7 +172,7 @@ def test_choi_unit_trace_enforced(rng):
     ch = choi_of_kraus(kraus, 2, 2)
     assert np.isclose(ch.omega.trace(), 1.0)
     with pytest.raises(TensorError):
-        ChoiChannel(ch.omega * 2.0, 1, 2, 2, 1)
+        ChoiChannel(Operator(ch.omega.matrix * 2.0, ch.omega.shape), 1, 2, 2, 1)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 2, 3),
@@ -313,6 +313,24 @@ def test_measure_prepare_rejects_invalid_stacks(case, message):
     MeasurePrepareChannel(*_broken_stacks(None), 2, 2, 2)
     with pytest.raises(TensorError, match=message):
         MeasurePrepareChannel(*_broken_stacks(case), 2, 2, 2)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no-outcome", "got 0 elements and 0 preparations"),
+    ("preparations-on-two-spaces",
+     r"preparations live on different spaces: \[\(\('X1', 2\), \('Y1', 2\)\), "
+     r"\(\('X1', 3\), \('Y1', 2\)\)\]"),
+    ("povm-on-two-spaces", "POVM elements live on different spaces"),
+], ids=["no-outcome", "preparations-on-two-spaces", "povm-on-two-spaces"])
+def test_measure_prepare_of_refuses_inputs_it_cannot_stack(case, message):
+    povm = [op(np.eye(2) / 2, ("A", 2))] * 2
+    preps = [op(np.eye(4) / 4, ("X1", 2), ("Y1", 2)), op(np.eye(6) / 6, ("X1", 3), ("Y1", 2))]
+    if case == "no-outcome":
+        povm, preps = [], []
+    elif case == "povm-on-two-spaces":
+        povm, preps = [op(np.eye(2), ("A", 2)), op(np.zeros((3, 3)), ("A", 3))], preps[:1] * 2
+    with pytest.raises(TensorError, match=message):
+        MeasurePrepareChannel.of(povm, preps, 2)
 
 
 def test_a_valid_measure_prepare_channel_is_certified_without_an_eigensolve(monkeypatch, rng):

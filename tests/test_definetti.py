@@ -422,10 +422,10 @@ def test_approx_error_k2_matches_kron_loop(rng):
     omega, _ = symmetric_test_state(rng, d_a, 2, n)
     ext = purify_extension(omega)
     approx = extract_measure(ext, build_grid(ext.site_dim, n, "haar:8:200"))
-    omega_2 = partial_trace(omega, ["A", "B1", "B2"])
+    omega_2 = partial_trace(omega, ["A", "B1", "B2"]).matrix
     acc = sum(np.kron(np.kron(m, p), p) for m, p in zip(approx.ms, approx.phis))
     assert abs(approx_error(omega_2, approx, 2)
-               - trace_norm(omega_2.matrix - acc)) <= 1e-12
+               - trace_norm(omega_2 - acc)) <= 1e-12
 
 
 def test_extract_measure_k1_error_within_grid_budget(rng):
@@ -434,7 +434,7 @@ def test_extract_measure_k1_error_within_grid_budget(rng):
     ext = purify_extension(omega)
     grid = build_grid(ext.site_dim, n, "haar:1:2500")
     approx = extract_measure(ext, grid)
-    omega_1 = partial_trace(omega, ["A", "B1"])
+    omega_1 = partial_trace(omega, ["A", "B1"]).matrix
     err = approx_error(omega_1, approx, 1)
     assert err <= definetti_bound(d, 1, n) + approx.grid_residual + 1e-8
 
@@ -446,7 +446,7 @@ def test_approx_error_monotone_in_k(rng):
     grid = build_grid(ext.site_dim, n, "haar:3:2000")
     approx = extract_measure(ext, grid)
     errs = [approx_error(partial_trace(
-        omega, ["A"] + [f"B{i}" for i in range(1, k + 1)]), approx, k)
+        omega, ["A"] + [f"B{i}" for i in range(1, k + 1)]).matrix, approx, k)
         for k in (1, 2, 3)]
     assert errs[0] <= errs[1] + 1e-10 <= errs[2] + 2e-10
 

@@ -23,9 +23,16 @@ position or by keyword, by some call outside `tests/`: in the package or in
 Every parameter of every function of the package, `self` and `cls` aside,
 is read in that function's body: a parameter nothing reads is an input that
 changes nothing.
+
+Every named method or property of a package class (one that is not a
+dunder) is read outside its own definition: in the package, or in
+`bench/`.  The check matches attribute names, not the types that own them.
+Dunders (`__add__`, `__mul__`, ...) are reached through operators and
+protocols rather than by name, so their callers are beyond an AST check.
 """
 
 import ast
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -64,19 +71,42 @@ def constants(tree: ast.Module) -> dict[str, ast.AST]:
     return out
 
 
+def read_names(tree: ast.AST):
+    """Yield every name the tree reads or imports, once per occurrence."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
 def references(tree: ast.AST) -> set[str]:
     """Names the tree reads or imports."""
-    out, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+    return set(read_names(tree))
+
+
+def methods(tree: ast.Module) -> dict[str, ast.AST]:
+    """{Class.name: definition} of the methods and properties, dunders
+    aside, of the module-level classes."""
+    return {f"{cls.name}.{node.name}": node for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def unread_methods(trees: dict[str, ast.Module], outside: set[str] = frozenset()) -> list[str]:
+    """The methods of `trees` whose name is read nowhere but inside their
+    own definition: neither elsewhere in `trees` nor in `outside`."""
+    counts = Counter(name for tree in trees.values() for name in read_names(tree))
+    found = []
+    for module, tree in trees.items():
+        for qualified, node in methods(tree).items():
+            own = sum(name == node.name for name in read_names(node))
+            if counts[node.name] == own and node.name not in outside:
+                found.append(f"{module}:{node.lineno} {qualified}")
+    return found
 
 
 def traced_layers(tree: ast.Module) -> set[str]:
@@ -201,6 +231,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert UNCALLED_PUBLIC <= defined, "an allowlisted name no longer exists"
 
 
+def test_every_method_is_read_outside_its_definition():
+    trees = parse(SRC.glob("*.py"), SRC)
+    callers = parse((ROOT / "bench").glob("*.py"), ROOT)
+    assert sum(len(methods(t)) for t in trees.values()) > 0
+    unread = unread_methods(trees, set().union(*map(references, callers.values())))
+    assert not unread, "methods nothing reads: " + ", ".join(unread)
+
+
 def test_every_constant_is_read_in_the_package():
     trees = parse(SRC.glob("*.py"), SRC)
     assert sum(len(constants(t)) for t in trees.values()) > 0
@@ -248,6 +286,30 @@ def test_checker_flags_an_uncalled_public_name(source, outside, want):
     trees = {"a.py": ast.parse(source),
              "b.py": ast.parse("from .a import Kept\n")}
     assert orphans(trees, public, outside) == want
+
+
+def test_checker_flags_an_unread_method():
+    source = """
+class C:
+    def dead(self):
+        return self.dead()
+
+    def used(self):
+        pass
+
+    @property
+    def read_elsewhere(self):
+        pass
+
+    def read_outside(self):
+        pass
+
+    def __add__(self, other):
+        pass
+"""
+    trees = {"a.py": ast.parse(source),
+             "b.py": ast.parse("C().used()\nx = C().read_elsewhere\n")}
+    assert unread_methods(trees, {"read_outside"}) == ["a.py:3 C.dead"]
 
 
 def test_checker_flags_an_unread_constant():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import reduce
 
@@ -61,7 +62,9 @@ from conftest import (
     random_kraus,
     random_measure_prepare,
     random_unitary,
+    relabel,
     symmetrized_risk_observable,
+    task_operators,
 )
 
 
@@ -117,6 +120,20 @@ def test_task_builders_refuse_states_of_different_dimension(builder):
         builder([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3], n=1)
 
 
+@pytest.mark.parametrize("rho_xr, s", [
+    # ρ_XR's R is a qubit and S's a qutrit
+    (np.eye(4).reshape(2, 2, 2, 2) / 4, np.eye(6).reshape(2, 3, 2, 3)),
+    # ρ_XR as a matrix, not as its (X, R, X, R) view
+    (np.eye(4) / 4, np.eye(4).reshape(2, 2, 2, 2)),
+    # S's column Y differs from its row Y
+    (np.eye(4).reshape(2, 2, 2, 2) / 4, np.zeros((2, 2, 3, 2))),
+], ids=["r-registers-differ", "flat-pair-state", "score-not-square"])
+def test_task_refuses_arrays_of_mismatched_shapes(rho_xr, s):
+    shapes = ", ".join(map(str, [(2, 2), rho_xr.shape, s.shape]))
+    with pytest.raises(TensorError, match=f"task shapes {re.escape(shapes)} are not"):
+        LearningTask(np.eye(2) / 2, rho_xr, s, 1)
+
+
 def test_helstrom_risk_matches_closed_form():
     theta = np.pi / 5
     c = np.cos(theta)
@@ -133,7 +150,7 @@ def test_risk_affine_in_observable(rng):
     scaled = LearningTask(rho_a=t.rho_a, rho_xr=t.rho_xr,
                           s=t.s * 2.0, n=t.n)
     shifted = LearningTask(rho_a=t.rho_a, rho_xr=t.rho_xr,
-                           s=t.s + op(np.eye(4), ("Y1", 2), ("R1", 2)) * 0.3,
+                           s=t.s + np.eye(4).reshape(2, 2, 2, 2) * 0.3,
                            n=t.n)
     assert np.isclose(expected_risk(q, scaled, path="marginal"), 2 * base)
     assert np.isclose(expected_risk(q, shifted, path="marginal"), base + 0.3)
@@ -141,8 +158,7 @@ def test_risk_affine_in_observable(rng):
 
 def test_dual_paths_agree(rng):
     base = two_state_task(np.pi / 3, n=2)
-    t2 = LearningTask(rho_a=op(np.eye(2) / 2, ("A", 2)),
-                      rho_xr=base.rho_xr, s=base.s, n=2)
+    t2 = LearningTask(rho_a=np.eye(2) / 2, rho_xr=base.rho_xr, s=base.s, n=2)
     for seed in range(5):
         q = random_nonsignalling_choi(2, 2, 2, 2, seed=seed)
         a = expected_risk(q, t2, path="marginal")
@@ -152,29 +168,30 @@ def test_dual_paths_agree(rng):
 
 def test_symmetrized_observable_permutation_invariant():
     t = two_state_task(np.pi / 3, n=1)
-    s_bar = symmetrized_risk_observable(t.s, 3)
+    s_bar = symmetrized_risk_observable(task_operators(t)[2], 3)
     perm = ["Y2", "R2", "Y1", "R1", "Y3", "R3"]
     swapped = permute_factors(s_bar, perm)
-    relabeled = swapped.relabel({"Y2": "Y1", "R2": "R1",
-                                 "Y1": "Y2", "R1": "R2"})
+    relabeled = relabel(swapped, {"Y2": "Y1", "R2": "R1",
+                                  "Y1": "Y2", "R1": "R2"})
     aligned = permute_factors(relabeled, list(s_bar.labels))
     assert np.allclose(aligned.matrix, s_bar.matrix, atol=1e-12)
 
 
 def test_symmetrized_observable_sum_vs_average():
     t = two_state_task(np.pi / 3, n=1)
-    avg = symmetrized_risk_observable(t.s, 2)
+    s = task_operators(t)[2]
+    avg = symmetrized_risk_observable(s, 2)
     # the raw sum S ⊗ 1 + 1 ⊗ S on (Y1, R1, Y2, R2)
-    eye = np.eye(t.s.dim)
-    tot = np.kron(t.s.matrix, eye) + np.kron(eye, t.s.matrix)
+    eye = np.eye(s.dim)
+    tot = np.kron(s.matrix, eye) + np.kron(eye, s.matrix)
     assert np.allclose(tot, 2 * avg.matrix)
 
 
 def test_r_operator_hermitian_and_bounded():
     t = two_state_task(np.pi / 4, n=2)
     r = r_operator(t)
-    assert np.abs(r.matrix - r.matrix.conj().T).max() <= HERM_TOL
-    assert op_norm(r) <= op_norm(t.s) + 1e-12
+    assert np.abs(r - r.conj().T).max() <= HERM_TOL
+    assert op_norm(r) <= op_norm(t.s.reshape(4, 4)) + 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -190,14 +207,14 @@ def test_r_operator_matches_the_embedded_oracle(kind, labels, d, seed):
     task = build(list(priors), [random_density(rng, d) for _ in range(labels)], n=1)
     got, want = r_operator(task), oracle_r_operator(task)
     assert got.shape == want.shape
-    assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+    assert np.abs(got - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("overlap", [0.3, 0.6, 1.0])
 def test_r_operator_is_the_oracle_bit_for_bit_on_the_risk_gap_task(overlap):
     rho0, rho1, _, _ = _classification_family(overlap)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=3)
-    assert np.array_equal(r_operator(task).matrix, oracle_r_operator(task).matrix)
+    assert np.array_equal(r_operator(task), oracle_r_operator(task))
 
 
 @pytest.mark.parametrize("kind", ["classification", "tomography"])
@@ -210,9 +227,9 @@ def test_task_matrices_are_the_kron_sums_bit_for_bit(rng, kind, labels, d):
     build = classification_task if kind == "classification" else tomography_task
     task = build(priors, states, n=labels)
     rho_a, rho_xr, s = oracle_task_matrices(kind, priors, states)
-    assert np.array_equal(task.rho_a.matrix, rho_a)
-    assert np.array_equal(task.rho_xr.matrix, rho_xr)
-    assert np.array_equal(task.s.matrix, s)
+    assert np.array_equal(task.rho_a, rho_a)
+    assert np.array_equal(task.rho_xr.reshape(rho_xr.shape), rho_xr)
+    assert np.array_equal(task.s.reshape(s.shape), s)
 
 
 def test_risk_gap_operators_are_built_without_kron(monkeypatch):
@@ -224,7 +241,7 @@ def test_risk_gap_operators_are_built_without_kron(monkeypatch):
     monkeypatch.setattr(np, "kron", refuse)
     rho0, rho1, povm, preps = _classification_family(0.6)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=3)
-    assert task.r_kernel.dim == 16
+    assert task.r_kernel.shape == (16, 16)
 
 
 def test_classification_family_matches_the_kraus_choi_states():
@@ -270,14 +287,14 @@ def test_protocol_risk_close_to_collective_for_mp_channel(rng):
     t = two_state_task(theta, n=2)
     q = helstrom_channel(theta, n=2)
     report = risk_gap_experiment(t, q, grid_spec="haar:0:800")
-    assert report.gap <= min(2 * op_norm(t.s), report.bound) + 1e-9
+    assert report.gap <= min(2 * op_norm(t.s.reshape(4, 4)), report.bound) + 1e-9
     assert report.bound == theorem1_bound(t.d_a, t.d_x, t.d_y, t.n,
                                           report.r_infnorm)
 
 
 def test_expected_risk_both_paths_gate(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=21)
-    t = LearningTask(rho_a=op(np.eye(2) / 2, ("A", 2)),
+    t = LearningTask(rho_a=np.eye(2) / 2,
                      rho_xr=two_state_task(np.pi / 3).rho_xr,
                      s=two_state_task(np.pi / 3).s, n=2)
     val = expected_risk(q, t, path="both")
@@ -373,11 +390,11 @@ def test_local_unitaries_on_channel_and_task_leave_the_risk_unchanged(n, seed, o
     rng = np.random.default_rng(seed)
     u, v, w = random_unitary(rng, 4), random_unitary(rng, 2), random_unitary(rng, 2)
     eye = np.eye(2)
+    _, rho_xr, s = task_operators(task)
     turned = LearningTask(
-        rho_a=Operator(u @ task.rho_a.matrix @ u.conj().T, task.rho_a.shape),
-        rho_xr=Operator(np.kron(v, eye) @ task.rho_xr.matrix @ np.kron(v, eye).conj().T,
-                        task.rho_xr.shape),
-        s=Operator(np.kron(w, eye) @ task.s.matrix @ np.kron(w, eye).conj().T, task.s.shape),
+        rho_a=u @ task.rho_a @ u.conj().T,
+        rho_xr=(np.kron(v, eye) @ rho_xr.matrix @ np.kron(v, eye).conj().T).reshape(2, 2, 2, 2),
+        s=(np.kron(w, eye) @ s.matrix @ np.kron(w, eye).conj().T).reshape(2, 2, 2, 2),
         n=n)
     site = np.kron(v.conj(), w)
     structured = MeasurePrepareChannel(u @ q.povm @ u.conj().T,
@@ -456,7 +473,7 @@ def _oracle_cases(n: int):
                     task))
         out += [(random_nonsignalling_choi(4, 2, 2, n, seed=seed), task) for seed in (0, 1)]
         joint = choi_of_global_kraus(random_kraus(rng, 2 ** n, 2 ** n, count=3), 2, 2, n)
-        out.append((joint, LearningTask(op(np.eye(1), ("A", 1)), task.rho_xr, task.s, n)))
+        out.append((joint, LearningTask(np.eye(1), task.rho_xr, task.s, n)))
     return out
 
 
