@@ -25,7 +25,6 @@ import numpy as np
 
 from .tensor_core import (
     PSD_TOL,
-    SYMMETRIZE_MAX_N,
     Factorization,
     Operator,
     TensorError,
@@ -364,9 +363,6 @@ def symmetrize_channel(channel: ChoiChannel | MeasurePrepareChannel
     if isinstance(channel, MeasurePrepareChannel):
         return channel
     n = channel.n
-    if n > SYMMETRIZE_MAX_N:
-        raise TensorError(
-            f"dense symmetrization supports n <= {SYMMETRIZE_MAX_N}, got {n}")
     check_dense_budget(channel.omega.dim, "symmetrize_channel")
     # rows and columns as (A, site_1..site_n) with site_i = (X_i, Y_i)
     t = channel.omega.matrix.reshape(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import MeasurePrepareChannel
 from .risk import LearningTask
-from .tensor_core import SYMMETRIZE_MAX_N, dense_budget_rows, symmetrize_sites
+from .tensor_core import dense_budget_rows, symmetrize_sites
 
 NS_TOL = 1e-10
 MAX_FUNCTIONS = 10 ** 6
@@ -101,8 +101,6 @@ def is_nonsignalling_classical(p: ClassicalProtocol) -> ClassicalNSReport:
 
 def symmetrize_classical(p: ClassicalProtocol) -> ClassicalProtocol:
     """Average over simultaneous permutations of the round coordinates."""
-    if p.n > SYMMETRIZE_MAX_N:
-        raise ClassicalError(f"dense symmetrization supports n <= {SYMMETRIZE_MAX_N}")
     avg = symmetrize_sites(p.table, [p.x_axes, p.y_axes])
     return ClassicalProtocol(avg, p.na, p.nx, p.ny, p.n)
 

@@ -8,7 +8,6 @@ operation on the (dims + dims) view, factor i of k being axes i and k + i.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Iterable, Sequence
@@ -17,7 +16,6 @@ import numpy as np
 
 HERM_TOL = 1e-9
 PSD_TOL = 1e-8
-SYMMETRIZE_MAX_N = 6  # largest n whose n! site permutations a dense symmetrizer sums
 # Bytes of the largest dense complex operator a dense constructor may build:
 # side 4096, 256 MiB.  A risk-gap run peaks near six operator-sized arrays, so
 # this caps it near 1.5 GiB.
@@ -286,9 +284,17 @@ def permute_sites(t: np.ndarray, perm: Sequence[int],
 
 
 def symmetrize_sites(t: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """S_n average of permute_sites over every permutation of the n sites."""
-    perms = list(itertools.permutations(range(len(groups[0]))))
-    return sum(permute_sites(t, perm, groups) for perm in perms) / len(perms)
+    """S_n average of permute_sites over every permutation of the n sites, by
+    the coset cascade sum_{S_n} = (1 + X_2)..(1 + X_n), X_k = sum_{i<k} (i k):
+    each permutation once, in n(n + 1)/2 − 1 views rather than n!."""
+    n = len(groups[0])
+    for k in range(1, n):
+        acc = t.copy()
+        for i in range(k):
+            acc += permute_sites(t, [k if j == i else i if j == k else j for j in range(n)],
+                                 groups)
+        t = acc / (k + 1)
+    return t
 
 
 def _site_identity(n: int, d: int) -> np.ndarray:
@@ -318,7 +324,7 @@ def dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
 
     The basis state D_m is the normalized symmetrization of |i_1..i_n> for a
     sorted index tuple i_1 <= .. <= i_n with occupation numbers m; the
-    columns follow itertools.combinations_with_replacement order.
+    columns follow the lexicographic order of those tuples.
     """
     d = vectors.shape[1]
     # the sorted tuples in lexicographic order: each tuple of n − 1 indices
@@ -375,8 +381,7 @@ def int_powers(x: np.ndarray, ns: Sequence[int], scratch: np.ndarray):
 def symmetric_projector(n: int, d: int) -> Operator:
     """Projector onto the symmetric subspace of the sites B1..Bn, as the S_n
     average of permutations."""
-    if d ** n > 1 << 14:
-        raise TensorError(f"symmetric projector dim {d}^{n} exceeds budget {1 << 14}")
+    check_dense_budget(d ** n, "symmetric_projector")
     total = symmetrize_sites(_site_identity(n, d), [range(n)])
     fac = Factorization.of(*((f"B{i + 1}", d) for i in range(n)))
     return Operator(total.reshape(d ** n, d ** n), fac)

@@ -135,6 +135,25 @@ def product_protocol(maps: list[np.ndarray], n: int) -> ClassicalProtocol:
     return ClassicalProtocol(table, na, nx, ny, n)
 
 
+def mixed_product_protocol(na: int, nx: int, ny: int, n: int, seed: int,
+                           count: int = 3) -> ClassicalProtocol:
+    """A non-signalling table that no round permutation fixes, built without
+    a sampler: P(y|a,x) = sum_l w_l prod_i q_{l,i,a}(y_i|x_i), a mixture of
+    products of random per-round, per-a stochastic maps, one outer product
+    per round."""
+    rng = np.random.default_rng(seed)
+    maps = rng.random((count, n, na, nx, ny))
+    maps /= maps.sum(axis=4, keepdims=True)
+    table = 0.0
+    for w, rounds in zip(rng.dirichlet(np.ones(count)), maps):
+        term = np.full(na, w)                           # axes (a, x1, y1, .., xi, yi)
+        for i, q in enumerate(rounds):
+            term = term[..., None, None] * q.reshape((na,) + (1,) * (2 * i) + (nx, ny))
+        table = table + term
+    axes = [0] + [1 + 2 * i for i in range(n)] + [2 + 2 * i for i in range(n)]
+    return ClassicalProtocol(table.transpose(axes), na, nx, ny, n)
+
+
 def mixture_to_stochastic(mu: np.ndarray) -> np.ndarray:
     """q(y|x) of a classifier mixture mu, of shape (ny,)*nx and weight mu[f] on
     the function f, as an (ny, nx) column-stochastic matrix."""
@@ -256,6 +275,12 @@ def dense_symmetrize(omega: np.ndarray, d_a: int, d_site: int, n: int) -> np.nda
     return total / len(perms)
 
 
+def oracle_symmetric_projector(n: int, d: int) -> np.ndarray:
+    """Reference symmetric projector: the average of all n! dense permutation matrices."""
+    perms = list(itertools.permutations(range(n)))
+    return sum(dense_permutation(perm, d) for perm in perms) / len(perms)
+
+
 def oracle_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
                                n: int) -> float:
     """Reference grid residual ‖sum_g w_g D |phi_g^n><phi_g^n| − P_sym‖₁ on the
@@ -265,8 +290,7 @@ def oracle_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
     stack = vectors
     for _ in range(n - 1):
         stack = np.einsum("gi,gj->gij", stack, vectors).reshape(len(vectors), -1)
-    perms = list(itertools.permutations(range(n)))
-    proj = sum(dense_permutation(perm, d) for perm in perms) / len(perms)
+    proj = oracle_symmetric_projector(n, d)
     t = (weights[:, None] * stack).T @ stack.conj() * comb(n + d - 1, n)
     return float(trace_norm(t - proj))
 

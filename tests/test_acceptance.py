@@ -5,7 +5,6 @@ tolerance, then asserts.  Runtimes are bounded per criterion; the whole file
 is sized to finish comfortably inside those budgets on a laptop-class CPU.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -39,7 +38,7 @@ from nslocc.risk import (
     expected_risk,
     protocol_risk,
 )
-from nslocc.tensor_core import op, partial_trace, trace_norm
+from nslocc.tensor_core import op, partial_trace
 
 from conftest import product_channel, random_density, random_kraus, repair_one
 

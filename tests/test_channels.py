@@ -26,6 +26,7 @@ from nslocc.tensor_core import Operator, TensorError, op, permute_factors
 
 from conftest import (
     adjoint_apply,
+    dense_permutation,
     dense_symmetrize,
     oracle_project_ns_round,
     oracle_random_nonsignalling_choi,
@@ -148,14 +149,31 @@ def test_symmetrize_idempotent_and_permutation_invariant(rng):
     assert np.allclose(aligned.matrix, s.omega.matrix, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+# (d_a, d_x, d_y) at each n, so the n! oracle's side d_a·(d_x·d_y)^n stays at most 256
+SANDWICH_DIMS = {2: (2, 2, 2), 3: (2, 2, 2), 4: (1, 2, 2), 5: (2, 2, 1), 6: (2, 2, 1)}
+
+
+@pytest.mark.parametrize("n", sorted(SANDWICH_DIMS))
 def test_symmetrize_matches_dense_permutation_sandwich(rng, n):
     # a generic Choi state: unit trace, but not symmetric under any site swap
-    fac = choi_factorization(2, 2, 2, n)
+    d_a, d_x, d_y = SANDWICH_DIMS[n]
+    fac = choi_factorization(d_a, d_x, d_y, n)
     omega = random_density(rng, fac.dim)
-    got = symmetrize_channel(ChoiChannel(Operator(omega, fac), 2, 2, 2, n)).omega.matrix
+    got = symmetrize_channel(ChoiChannel(Operator(omega, fac), d_a, d_x, d_y, n)).omega.matrix
     assert np.abs(got - omega).max() > 1e-4
-    assert np.abs(got - dense_symmetrize(omega, 2, 4, n)).max() <= 1e-14
+    assert np.abs(got - dense_symmetrize(omega, d_a, d_x * d_y, n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_symmetrize_is_permutation_invariant_past_the_oracle(rng, n):
+    # sides 128 and 256, where the n! sum would take 5,040 and 40,320 views
+    fac = choi_factorization(1, 2, 1, n)
+    omega = random_density(rng, fac.dim)
+    got = symmetrize_channel(ChoiChannel(Operator(omega, fac), 1, 2, 1, n)).omega.matrix
+    assert np.abs(got - omega).max() > 1e-4
+    for perm in [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]:
+        p = dense_permutation(perm, 2)
+        assert np.abs(p @ got @ p.T - got).max() <= 1e-14
 
 
 @settings(max_examples=5, deadline=None)

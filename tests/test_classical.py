@@ -24,6 +24,7 @@ from nslocc.classical import (
 from nslocc.risk import protocol_risk
 
 from conftest import (
+    mixed_product_protocol,
     mixture_to_stochastic,
     oracle_classical_risk,
     oracle_reconstruct_table,
@@ -99,20 +100,29 @@ def test_symmetrize_preserves_ns_and_is_idempotent():
     assert np.allclose(s.table, s2.table, atol=1e-12)
 
 
+def permute_rounds(table: np.ndarray, perm, n: int) -> np.ndarray:
+    """The table with round perm[i]'s (x, y) axes in round i's place."""
+    return table.transpose((0,) + tuple(1 + perm[i] for i in range(n))
+                           + tuple(1 + n + perm[i] for i in range(n)))
+
+
 def test_symmetrize_matches_per_permutation_loop():
-    na, nx, ny, n = 2, 2, 3, 3
-    p = random_table_protocol(na, nx, ny, n, seed=5)
-    table = p.table
-    want = np.zeros_like(table)
-    perms = list(itertools.permutations(range(n)))
-    for perm in perms:
-        axes = (0,) + tuple(1 + perm[i] for i in range(n)) \
-            + tuple(1 + n + perm[i] for i in range(n))
-        want += table.transpose(axes)
-    want /= len(perms)
+    for n in (3, 5, 6):
+        p = random_table_protocol(2, 2, 3, n, seed=5)
+        perms = list(itertools.permutations(range(n)))
+        want = sum(permute_rounds(p.table, perm, n) for perm in perms) / len(perms)
+        got = symmetrize_classical(p).table
+        assert np.abs(got - p.table).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_symmetrize_is_round_permutation_invariant_past_the_oracle(n):
+    p = mixed_product_protocol(2, 2, 2, n, seed=n)
     got = symmetrize_classical(p).table
-    assert np.abs(got - table).max() > 1e-3
-    assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(got - p.table).max() > 1e-3
+    for perm in [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]:
+        assert np.abs(permute_rounds(got, perm, n) - got).max() <= 1e-14
 
 
 def test_decompose_exact_product_measure():
@@ -219,6 +229,16 @@ def test_lemma1_channel_has_the_original_risk(n, dims, seed):
     dist = np.random.default_rng(seed).dirichlet(np.ones(nx * ny)).reshape(nx, ny)
     for a in range(na):
         got = protocol_risk(rebuilt, classical_task(dist, a, na, n))
+        assert abs(got - classical_expected_risk(p, dist, a)) <= 1e-12
+
+
+def test_lemma1_preserves_risk_past_the_oracle():
+    # seven rounds with different maps: round 1 of the S_7 average mixes all seven
+    p = mixed_product_protocol(2, 2, 2, 7, seed=7)
+    rebuilt = lemma1_pipeline(p)
+    dist = np.random.default_rng(7).dirichlet(np.ones(4)).reshape(2, 2)
+    for a in range(2):
+        got = protocol_risk(rebuilt, classical_task(dist, a, p.na, p.n))
         assert abs(got - classical_expected_risk(p, dist, a)) <= 1e-12
 
 

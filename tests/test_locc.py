@@ -51,7 +51,6 @@ from conftest import (
     random_density,
     random_kraus,
     random_measure_prepare,
-    random_pure,
     repair_one,
 )
 

@@ -311,7 +311,7 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
     fast = risk_gap_experiment(task, q, grid_spec="haar:0:200")
 
-    def dense_symmetrize_channel(ch, max_n=6):
+    def dense_symmetrize_channel(ch):
         avg = dense_symmetrize(ch.omega.matrix, ch.d_a, ch.d_x * ch.d_y, ch.n)
         return ChoiChannel(Operator(avg, ch.omega.shape), ch.d_a, ch.d_x, ch.d_y, ch.n)
 

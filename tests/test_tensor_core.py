@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from nslocc import tensor_core
 from nslocc.tensor_core import (
     Factorization,
-    Operator,
     PSD_TOL,
     TensorError,
     check_dense_budget,
@@ -33,6 +34,7 @@ from conftest import (
     oracle_dicke_coordinates,
     oracle_partial_trace,
     oracle_partial_transpose,
+    oracle_symmetric_projector,
     permutation_operator,
     random_pure,
     random_unitary,
@@ -249,13 +251,27 @@ def test_permutation_operator_action_on_basis():
 
 
 def test_symmetric_projector_properties():
-    for n, d in [(2, 2), (3, 2), (2, 3)]:
+    for n, d in [(2, 2), (3, 2), (2, 3), (6, 2)]:
         p = symmetric_projector(n, d).matrix
+        assert np.abs(p - oracle_symmetric_projector(n, d)).max() <= 1e-13
         assert np.allclose(p @ p, p)
         assert np.isclose(np.trace(p).real, sym_dim(n, d))
-        for perm in [(1, 0) if n == 2 else (1, 0, 2)]:
-            pm = permutation_operator(perm, d).matrix
-            assert np.allclose(pm @ p, p)
+        pm = permutation_operator((1, 0) + tuple(range(2, n)), d).matrix
+        assert np.allclose(pm @ p, p)
+
+
+def test_symmetric_projector_refuses_a_side_over_the_dense_budget(monkeypatch):
+    # the budget admits side 64 and refuses side 128 before the identity is built
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64)
+    assert symmetric_projector(6, 2).matrix.shape == (64, 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TensorError, match="symmetric_projector"):
+            symmetric_projector(7, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 128 * 128 // 16
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (3, 2), (2, 4)])

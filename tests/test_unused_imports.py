@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of its tests imports is used in that
+module.
 
 No linter is a test dependency, so this walks each module's syntax tree: a
 name bound by an import must be read somewhere else in the module, as a
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nslocc"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "nslocc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -55,7 +57,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
