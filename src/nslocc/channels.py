@@ -31,11 +31,8 @@ from .tensor_core import (
     check_dense_budget,
     check_psd,
     eigh_herm,
-    embed,
     op_norm,
     partial_trace,
-    partial_transpose,
-    permute_factors,
     symmetrize_sites,
     trace_norm,
 )
@@ -85,14 +82,6 @@ class ChoiChannel:
     def d_in(self) -> int:
         return self.d_a * self.d_x ** self.n
 
-    @property
-    def input_labels(self) -> list[str]:
-        return ["A"] + [f"X{i}" for i in range(1, self.n + 1)]
-
-    @property
-    def output_labels(self) -> list[str]:
-        return [f"Y{i}" for i in range(1, self.n + 1)]
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -121,12 +110,11 @@ def choi_of_global_kraus(kraus: Sequence[np.ndarray], d_x: int, d_y: int,
         vec = k.T.reshape(-1)  # |i>_in |K i>_out stacked as (in, out)
         m += np.outer(vec, vec.conj())
     m /= d_in
-    # split IN into (A, X1..Xn) and OUT into (Y1..Yn), then interleave rounds
-    fac_block = Factorization.of(
-        ("A", 1), *((f"X{i}", d_x) for i in range(1, n + 1)),
-        *((f"Y{i}", d_y) for i in range(1, n + 1)))
-    omega = permute_factors(Operator(m, fac_block), ["A"] + _round_labels(n))
-    return ChoiChannel(omega, 1, d_x, d_y, n)
+    # rows and columns as (X1..Xn, Y1..Yn); one transpose interleaves the rounds
+    pairs = [ax for i in range(n) for ax in (i, n + i)]
+    t = m.reshape(2 * ((d_x,) * n + (d_y,) * n)).transpose(pairs + [2 * n + ax for ax in pairs])
+    fac = choi_factorization(1, d_x, d_y, n)
+    return ChoiChannel(Operator(t.reshape(fac.dim, fac.dim), fac), 1, d_x, d_y, n)
 
 
 def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Operator],
@@ -228,16 +216,19 @@ class MeasurePrepareChannel:
 # ---------------------------------------------------------------------------
 
 def apply_channel(channel: ChoiChannel, rho: Operator) -> Operator:
-    """Q(rho): rho lives on the input factors (A, X1..Xn), output on (Y1..Yn)."""
-    in_labels = channel.input_labels
-    if list(rho.labels) != in_labels or rho.shape.dims != tuple(
-            channel.omega.shape.dim_of(l) for l in in_labels):
-        raise TensorError(f"input state must live on {in_labels}")
-    twisted = partial_transpose(channel.omega, in_labels)
-    big = embed(rho, channel.omega.shape)
-    prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
-    out = partial_trace(prod, channel.output_labels)
-    return Operator(out.matrix * channel.d_in, out.shape)
+    """Q(rho) on (Y1..Yn) for rho on the input factors (A, X1..Xn): one
+    contraction Q(rho)[y, y'] = d_in sum_{i, j} rho[i, j] omega[(i, y), (j, y')]."""
+    factors = channel.omega.shape.factors          # A, X1, Y1, .., Xn, Yn
+    inputs = factors[:1] + factors[1::2]
+    if rho.shape.factors != inputs:
+        raise TensorError(f"input state must live on {inputs}")
+    k = len(factors)
+    ins, outs = [0] + list(range(1, k, 2)), list(range(2, k, 2))
+    t = np.einsum(rho.matrix.reshape(2 * rho.shape.dims), ins + [k + a for a in ins],
+                  channel.omega.matrix.reshape(2 * channel.omega.shape.dims), list(range(2 * k)),
+                  outs + [k + a for a in outs])
+    fac = Factorization(factors[2::2])
+    return Operator(channel.d_in * t.reshape(fac.dim, fac.dim), fac)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +249,7 @@ def is_cptp(channel: ChoiChannel) -> CPTPReport:
     """Check positivity of the Choi state and the trace-preservation marginal."""
     w = eigh_herm(channel.omega.matrix, vectors=False)
     psd_violation = max(0.0, float(-w.min()))
-    marg = partial_trace(channel.omega, channel.input_labels)
+    marg = partial_trace(channel.omega, ["A"] + [f"X{i}" for i in range(1, channel.n + 1)])
     target = np.eye(channel.d_in) / channel.d_in
     tp_violation = float(op_norm(marg.matrix - target))
     return CPTPReport(psd_violation, tp_violation)

@@ -51,7 +51,7 @@ from .definetti import (
 )
 from .locc import build_locc_protocol, repair_distance_bound
 from .risk import classification_task, protocol_risk, risk_gap_experiment
-from .tensor_core import kron_power, op, operator_to_json, permutation_matrix, tensor
+from .tensor_core import kron_power, op, operator_to_json, permutation_matrix
 
 
 def _fail(msg: str) -> int:
@@ -169,8 +169,7 @@ def _verify_checks(seed: int) -> list[dict]:
     rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = rho @ rho.conj().T
     rho /= np.trace(rho).real
-    rho_full = tensor(op(np.eye(1), ("A", 1)), op(rho, ("X1", 2)))
-    out = apply_channel(ch, rho_full)
+    out = apply_channel(ch, op(rho, ("A", 1), ("X1", 2)))
     expect = sum(k @ rho @ k.conj().T for k in kraus)
     checks.append(_check("choi_matches_kraus",
                          float(np.abs(out.matrix - expect).max()), 1e-10))

@@ -33,7 +33,6 @@ from math import pi, sqrt
 import numpy as np
 
 from .tensor_core import (
-    Operator,
     TensorError,
     _psd_eigs,
     check_dense_budget,
@@ -108,16 +107,17 @@ def _transposition_deviations(t: np.ndarray, groups: list[range]):
         yield i, float(np.abs(permute_sites(t, perm, groups) - t).max())
 
 
-def purify_extension(omega: Operator) -> SymmetricExtension:
-    """Symmetric purification of a state on A ⊗ B1..Bn.
+def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
+    """Symmetric purification of a state omega on A ⊗ B1..Bn.
 
-    The factor layout of omega must be ("A", d_a), ("B1", d), ..., ("Bn", d);
-    a missing A factor means d_a = 1.  If omega is (numerically) pure and its
-    state vector is symmetric, that vector is returned with the original
-    site dimension.  Otherwise the purification is vec √omega, which pairs
-    each site with its mirror copy, giving doubled sites of dimension d² and
-    a block (A, A') of dimension d_a²; it is symmetric even where omega's
-    vector is antisymmetric, as for the singlet on two sites.
+    omega is the matrix on (A, B1..Bn), A of dimension d_a (1 for none) and
+    the n sites of one dimension d; a side that is not d_a·d^n is refused.
+    If omega is (numerically) pure and its state vector is symmetric, that
+    vector is returned with the original site dimension.  Otherwise the
+    purification is vec √omega, which pairs each site with its mirror copy,
+    giving doubled sites of dimension d² and a block (A, A') of dimension
+    d_a²; it is symmetric even where omega's vector is antisymmetric, as for
+    the singlet on two sites.
 
     The eigensolve runs in real arithmetic when omega is real (`eigh_herm`).
     √omega is built only from the eigenpairs above the rank floor
@@ -125,29 +125,22 @@ def purify_extension(omega: Operator) -> SymmetricExtension:
     solver's null-space noise never enters the state; the eigenvalue mass
     left out is recorded as the extension's `dropped_mass`.
     """
-    labels = list(omega.labels)
-    if labels and labels[0] == "A":
-        d_a = omega.shape.dims[0]
-        site_dims = omega.shape.dims[1:]
-    else:
-        d_a = 1
-        site_dims = omega.shape.dims
-    if len(set(site_dims)) != 1:
-        raise TensorError(f"sites must share one dimension, got {site_dims}")
-    d = site_dims[0]
-    n = len(site_dims)
-    check_dense_budget(omega.dim, "purify_extension")
+    side = len(omega)
+    d = round((side / d_a) ** (1 / n))
+    if np.shape(omega) != (side, side) or d_a * d ** n != side:
+        raise TensorError(f"omega of shape {np.shape(omega)} is not a square of side "
+                          f"d_a·d^n for d_a = {d_a}, n = {n}")
+    check_dense_budget(side, "purify_extension")
 
     # permutation invariance of omega on the sites (adjacent transpositions)
-    m = omega.matrix
-    t = m.reshape(2 * ((d_a,) + (d,) * n))
+    t = omega.reshape(2 * ((d_a,) + (d,) * n))
     for i, dev in _transposition_deviations(t, [range(1, n + 1), range(n + 2, 2 * n + 2)]):
         if dev > SYMMETRY_TOL:
             raise TensorError(
                 f"omega is not permutation symmetric (transposition {i + 1},{i + 2}: "
                 f"deviation {dev:.3e})")
 
-    w, v = _psd_eigs(m)
+    w, v = _psd_eigs(omega)
     # the vector of a pure symmetric omega may be antisymmetric; vec √omega never is
     top = v[:, -1].reshape(t.shape[:n + 1])
     if w[-1] >= 1.0 - PURE_EIG_THRESHOLD and all(

@@ -37,8 +37,6 @@ from .definetti import (
     purify_product_mixture,
 )
 from .tensor_core import (
-    Factorization,
-    Operator,
     TensorError,
     _psd_eigs,
     eigh_herm,
@@ -54,21 +52,6 @@ SLACK_TOL = 1e-8
 EPSILON = 0.2
 
 
-# ---------------------------------------------------------------------------
-# factor regrouping between Choi pairs and de Finetti sites
-# ---------------------------------------------------------------------------
-
-def choi_pairs_to_sites(channel: ChoiChannel) -> Operator:
-    """Reinterpret a Choi state on (A, X1,Y1, ..) as (A, B1, ..) with B=(X,Y).
-
-    The matrix is unchanged: each round's input and output factors are
-    adjacent in the fixed Choi layout, so fusing them is pure relabelling.
-    """
-    factors = [("A", channel.d_a)]
-    factors += [(f"B{i}", channel.d_x * channel.d_y) for i in range(1, channel.n + 1)]
-    return Operator(channel.omega.matrix, Factorization.of(*factors))
-
-
 def purify_channel(q: ChoiChannel | MeasurePrepareChannel) -> SymmetricExtension:
     """vec √omega of a permutation-symmetric channel's Choi state omega, on the
     sites B_i = (X_i, Y_i).  A measure-and-prepare channel is purified from
@@ -76,7 +59,7 @@ def purify_channel(q: ChoiChannel | MeasurePrepareChannel) -> SymmetricExtension
     same state."""
     if isinstance(q, MeasurePrepareChannel):
         return purify_product_mixture(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, q.n)
-    return purify_extension(choi_pairs_to_sites(q))
+    return purify_extension(q.omega.matrix, q.d_a, q.n)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +117,15 @@ def repair_distance_bound(phi: np.ndarray, d_x: int, d_y: int) -> tuple[float, f
 class ConcentrationReport:
     """Measured concentration of the extracted input marginals.
 
-    ek_residuals holds (k, ‖E_k − (1/d_X)^{⊗k}‖₁, k·δ + grid_residual) for
-    k = 1, 2; complement_mass is the measure of grid points whose input
-    marginal strays from E₁ by ≥ ε in operator norm, with its certified
-    bound.  All inequalities are reported two-sided; several are vacuous at
-    desk scale and that is expected.
+    e1 is the mean input marginal E₁ on X; ek_residuals holds (k,
+    ‖E_k − (1/d_X)^{⊗k}‖₁, k·δ + grid_residual) for k = 1, 2;
+    complement_mass is the measure of grid points whose input marginal
+    strays from E₁ by ≥ ε in operator norm, with its certified bound.  All
+    inequalities are reported two-sided; several are vacuous at desk scale
+    and that is expected.
     """
 
-    e1: Operator
+    e1: np.ndarray
     ek_residuals: tuple[tuple[int, float, float], ...]
     r_eps_mass: float
     complement_mass: float
@@ -179,9 +163,8 @@ def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
     comp_mass = float(weights.sum()) - r_mass
     comp_bound = (d_x ** 2 / epsilon ** 2) * (2 * delta * (1 + 1 / d_x) + delta ** 2) \
         + approx.grid_residual
-    fac_x = Factorization.of(("X", d_x))
     return ConcentrationReport(
-        e1=Operator(e1, fac_x), ek_residuals=tuple(residuals),
+        e1=e1, ek_residuals=tuple(residuals),
         r_eps_mass=r_mass, complement_mass=comp_mass,
         complement_bound=float(comp_bound), epsilon=epsilon, delta=delta,
         grid_residual=approx.grid_residual)

@@ -1,9 +1,11 @@
-"""Dense complex linear algebra on labelled tensor-product spaces.
+"""Dense complex linear algebra on tensor-product spaces.
 
-Every operator carries an ordered factorization (label, dim) of the space it
-acts on, so partial traces, partial transposes and factor permutations can be
-requested by register name instead of by index bookkeeping: each is one index
-operation on the (dims + dims) view, factor i of k being axes i and k + i.
+The pipeline computes on plain arrays and their (dims + dims) views, factor
+i of k being axes i and k + i; `permute_sites` and `symmetrize_sites` are its
+one site-permutation kernel.  Labels stay at the boundary: an `Operator`
+carries an ordered factorization (label, dim) of the space it acts on, so an
+operator handed in or written out names its registers, and `partial_trace`
+and `embed` take them by name.
 """
 
 from __future__ import annotations
@@ -118,22 +120,9 @@ def op(matrix: np.ndarray, *factors: tuple[str, int]) -> Operator:
     return Operator(np.asarray(matrix, dtype=complex), Factorization.of(*factors))
 
 
-def identity(shape: Factorization) -> Operator:
-    return Operator(np.eye(shape.dim, dtype=complex), shape)
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; factorizations are concatenated."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise TensorError(f"label collision in tensor product: {sorted(overlap)}")
-    return Operator(np.kron(a.matrix, b.matrix),
-                    Factorization(a.shape.factors + b.shape.factors))
-
 
 def partial_trace(operator: Operator, keep: Iterable[str]) -> Operator:
     """Trace out every factor not in `keep`; factor order is preserved."""
@@ -151,30 +140,6 @@ def partial_trace(operator: Operator, keep: Iterable[str]) -> Operator:
     return Operator(t.reshape(shape.dim, shape.dim), shape)
 
 
-def partial_transpose(operator: Operator, subset: Iterable[str]) -> Operator:
-    """Transpose on the selected factors."""
-    subset = set(subset)
-    unknown = subset - set(operator.labels)
-    if unknown:
-        raise TensorError(f"unknown labels in transpose set: {sorted(unknown)}")
-    swap = {operator.shape.index(lab) for lab in subset}
-    k = len(operator.labels)
-    axes = [(i + k) % (2 * k) if i % k in swap else i for i in range(2 * k)]
-    t = operator.matrix.reshape(operator.shape.dims * 2).transpose(axes)
-    return Operator(t.reshape(operator.dim, operator.dim), operator.shape)
-
-
-def permute_factors(operator: Operator, new_labels: Sequence[str]) -> Operator:
-    """Reorder tensor factors to the given label order (same label set)."""
-    if sorted(new_labels) != sorted(operator.labels):
-        raise TensorError(f"label sets differ: {new_labels} vs {operator.labels}")
-    perm = [operator.shape.index(lab) for lab in new_labels]
-    t = operator.matrix.reshape(operator.shape.dims * 2)
-    t = t.transpose(perm + [p + len(perm) for p in perm])
-    new_factors = tuple(operator.shape.factors[p] for p in perm)
-    return Operator(t.reshape(operator.dim, operator.dim), Factorization(new_factors))
-
-
 def kron_power(stack: np.ndarray, k: int) -> np.ndarray:
     """Batched Kronecker power: out[g] = stack[g]^{⊗k} for a (G, a, b) stack.
     A result over DENSE_BYTES_BUDGET is refused before it is built."""
@@ -190,12 +155,16 @@ def kron_power(stack: np.ndarray, k: int) -> np.ndarray:
 
 
 def embed(operator: Operator, full: Factorization) -> Operator:
-    """Tensor with identity on the missing factors of `full`, in full's order."""
-    missing = [f for f in full.factors if f[0] not in operator.labels]
-    out = operator
-    if missing:
-        out = tensor(operator, identity(Factorization(tuple(missing))))
-    return permute_factors(out, full.labels)
+    """Tensor with identity on the missing factors of `full`, in full's order:
+    one np.kron, then one transpose of the (dims + dims) view."""
+    missing = tuple(f for f in full.factors if f[0] not in operator.labels)
+    have = Factorization(operator.shape.factors + missing)
+    if sorted(have.factors) != sorted(full.factors):
+        raise TensorError(f"cannot embed {operator.shape.factors} in {full.factors}")
+    perm = [have.index(lab) for lab in full.labels]
+    t = np.kron(operator.matrix, np.eye(prod(d for _, d in missing))).reshape(have.dims * 2)
+    return Operator(t.transpose(perm + [len(perm) + p for p in perm]).reshape(
+        full.dim, full.dim), full)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +347,11 @@ def int_powers(x: np.ndarray, ns: Sequence[int], scratch: np.ndarray):
                 yield i, acc.get(i, x)
 
 
-def symmetric_projector(n: int, d: int) -> Operator:
-    """Projector onto the symmetric subspace of the sites B1..Bn, as the S_n
+def symmetric_projector(n: int, d: int) -> np.ndarray:
+    """Projector onto the symmetric subspace of n d-level sites, as the S_n
     average of permutations."""
     check_dense_budget(d ** n, "symmetric_projector")
-    total = symmetrize_sites(_site_identity(n, d), [range(n)])
-    fac = Factorization.of(*((f"B{i + 1}", d) for i in range(n)))
-    return Operator(total.reshape(d ** n, d ** n), fac)
+    return symmetrize_sites(_site_identity(n, d), [range(n)]).reshape(d ** n, d ** n)
 
 
 # ---------------------------------------------------------------------------

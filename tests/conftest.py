@@ -25,12 +25,9 @@ from nslocc.tensor_core import (
     TensorError,
     eigh_herm,
     embed,
-    identity,
     op,
     partial_trace,
-    partial_transpose,
     permutation_matrix,
-    tensor,
     trace_norm,
 )
 
@@ -47,6 +44,17 @@ def oracle_partial_trace(operator: Operator, keep) -> Operator:
             m = np.einsum("aibcid->abcd", t).reshape(pre * post, pre * post)
             factors.pop(i)
     return Operator(m, Factorization(tuple(factors)))
+
+
+def tensor(a: Operator, b: Operator) -> Operator:
+    """Kronecker product of labelled operators; the factorizations are
+    concatenated, and a label on both sides is refused."""
+    return Operator(np.kron(a.matrix, b.matrix), Factorization(a.shape.factors + b.shape.factors))
+
+
+def input_labels(n: int) -> list[str]:
+    """The input factors A, X1..Xn of an n-round Choi state."""
+    return ["A"] + [f"X{i}" for i in range(1, n + 1)]
 
 
 def oracle_partial_transpose(operator: Operator, subset) -> Operator:
@@ -103,7 +111,7 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
     """n-fold tensor power of a single-round channel (trivial A)."""
     if single.n != 1 or single.d_a != 1:
         raise TensorError("product_channel expects a single-round channel with d_a=1")
-    parts = [identity(Factorization.of(("A", 1)))]
+    parts = [op(np.eye(1), ("A", 1))]
     for i in range(1, n + 1):
         parts.append(relabel(single.omega, {"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
     omega = reduce(tensor, parts)
@@ -113,13 +121,13 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
 
 def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
     """Q*(obs) on the input factors, for obs on the output factors (Y1..Yn)."""
-    out_labels = channel.output_labels
+    out_labels = [f"Y{i}" for i in range(1, channel.n + 1)]
     if list(obs.labels) != out_labels:
         raise TensorError(f"observable must live on {out_labels}")
-    twisted = partial_transpose(channel.omega, channel.input_labels)
+    twisted = oracle_partial_transpose(channel.omega, input_labels(channel.n))
     big = embed(obs, channel.omega.shape)
     prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
-    out = partial_trace(prod, channel.input_labels)
+    out = partial_trace(prod, input_labels(channel.n))
     return Operator(out.matrix * channel.d_in, out.shape)
 
 
@@ -328,7 +336,7 @@ def oracle_risk_direct(q, task) -> float:
                        for i in range(1, n + 1)]
     rho_in = embed(reduce(tensor, parts), full)
     omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
-    twisted = partial_transpose(embed(omega, full), ["A"] + [f"X{i}" for i in range(1, n + 1)])
+    twisted = oracle_partial_transpose(embed(omega, full), input_labels(n))
     s_bar = embed(symmetrized_risk_observable(s, n), full)
     # tr(A B) as the elementwise sum of A * B^T: one matrix product, not two
     val = task.d_a * task.d_x ** n * np.sum((twisted.matrix @ rho_in.matrix) * s_bar.matrix.T)
@@ -433,7 +441,7 @@ def oracle_r_operator(task) -> np.ndarray:
     rho_a, rho_xr, s = task_operators(task)
     full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
                             ("Y1", task.d_y), ("R1", task.d_r))
-    twisted = partial_transpose(embed(tensor(rho_a, rho_xr), full), ["A", "X1"])
+    twisted = oracle_partial_transpose(embed(tensor(rho_a, rho_xr), full), ["A", "X1"])
     product = Operator(twisted.matrix @ embed(s, full).matrix, full)
     r = partial_trace(product, ["A", "X1", "Y1"]).matrix
     return (r + r.conj().T) / 2
@@ -468,14 +476,13 @@ def oracle_dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
     return scale * vectors[:, idx].prod(axis=2)
 
 
-def oracle_purify_extension(omega: Operator, floor: bool = False) -> SymmetricExtension:
-    """Reference purification vec √omega from a complex128 eigensolve: every
-    eigenpair (the full spectrum), or with `floor` only those above the
-    w_max · D · eps rank floor.  A missing A factor means d_a = 1."""
-    dims = omega.shape.dims
-    d_a, sites = (dims[0], dims[1:]) if omega.labels[0] == "A" else (1, dims)
-    d, n = sites[0], len(sites)
-    w, v = np.linalg.eigh((omega.matrix + omega.matrix.conj().T) / 2)
+def oracle_purify_extension(omega: np.ndarray, d_a: int, n: int,
+                            floor: bool = False) -> SymmetricExtension:
+    """Reference purification vec √omega of a state on (A, B1..Bn), A of
+    dimension d_a, from a complex128 eigensolve: every eigenpair (the full
+    spectrum), or with `floor` only those above the w_max · D · eps rank floor."""
+    d = round((len(omega) // d_a) ** (1 / n))
+    w, v = np.linalg.eigh((omega + omega.conj().T) / 2)
     w = np.clip(w, 0, None)
     keep = w > w[-1] * len(w) * np.finfo(float).eps if floor else w >= 0
     root = (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T

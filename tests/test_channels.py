@@ -1,4 +1,6 @@
+import itertools
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from nslocc.channels import (
     random_nonsignalling_choi,
     symmetrize_channel,
 )
-from nslocc.tensor_core import Operator, TensorError, op, permute_factors
+from nslocc.tensor_core import Operator, TensorError, op, partial_trace
 
 from conftest import (
     adjoint_apply,
@@ -35,8 +37,8 @@ from conftest import (
     random_density,
     random_kraus,
     random_measure_prepare,
+    random_pure,
     random_unitary,
-    relabel,
 )
 
 
@@ -62,6 +64,45 @@ def test_adjoint_is_proper_adjoint(rng):
     lhs = np.trace(apply_channel(ch, op(rho, ("A", 1), ("X1", 3))).matrix @ obs)
     rhs = np.trace(rho @ adjoint_apply(ch, op(obs, ("Y1", 2))).matrix)
     assert np.isclose(lhs, rhs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_channel_matches_the_kraus_sum_with_a_side_register(rng, n):
+    # measure A with {M, 1 − M}, then run outcome j's Kraus family on every
+    # round: Q(ρ) = sum_j Φ_j^{⊗n}(tr_A[(M_j ⊗ 1) ρ]), each Φ_j^{⊗n} by Kraus products
+    d_a, d_x, d_y = 2, 2, 3
+    krauses = [random_kraus(rng, d_x, d_y, count=2) for _ in range(2)]
+    v = random_pure(rng, d_a)
+    povm = [np.outer(v, v.conj()), np.eye(d_a) - np.outer(v, v.conj())]
+    preps = [partial_trace(choi_of_kraus(k, d_x, d_y).omega, ["X1", "Y1"]) for k in krauses]
+    q = measure_and_prepare_choi([op(m, ("A", d_a)) for m in povm], preps, n)
+    rho = random_density(rng, d_a * d_x ** n)
+    inputs = [("A", d_a)] + [(f"X{i}", d_x) for i in range(1, n + 1)]
+    got = apply_channel(q, op(rho, *inputs)).matrix
+    want = 0
+    for m, kraus in zip(povm, krauses):
+        sigma = np.einsum("ab,bxay->xy", m, rho.reshape(d_a, d_x ** n, d_a, d_x ** n))
+        for ks in itertools.product(kraus, repeat=n):
+            k = reduce(np.kron, ks)
+            want = want + k @ sigma @ k.conj().T
+    assert np.abs(got - want).max() <= 1e-14
+    with pytest.raises(TensorError, match="input state must live on"):
+        apply_channel(q, op(rho, *inputs[::-1]))
+
+
+def test_choi_of_global_kraus_interleaves_the_rounds(rng):
+    # omega[(x1, y1, .., xn, yn), (x1', ..)] = sum_K K[y, x] conj(K[y', x']) / d_X^n,
+    # x and y the joint indices of the X and Y digits, read off by fancy indexing
+    n, d_x, d_y = 3, 2, 3
+    kraus = random_kraus(rng, d_x ** n, d_y ** n, count=3)
+    digits = np.indices((d_x, d_y) * n).reshape(2 * n, -1)
+    xs = np.ravel_multi_index(tuple(digits[0::2]), (d_x,) * n)
+    ys = np.ravel_multi_index(tuple(digits[1::2]), (d_y,) * n)
+    vecs = np.stack([k[ys, xs] for k in kraus])
+    ch = choi_of_global_kraus(kraus, d_x, d_y, n)
+    assert ch.omega.shape == choi_factorization(1, d_x, d_y, n)
+    assert np.abs(ch.omega.matrix - vecs.T @ vecs.conj() / d_x ** n).max() <= 1e-15
+    assert is_cptp(ch).ok
 
 
 def test_cptp_report_flags_non_tp(rng):
@@ -143,10 +184,9 @@ def test_symmetrize_idempotent_and_permutation_invariant(rng):
     s = symmetrize_channel(q)
     s2 = symmetrize_channel(s)
     assert np.allclose(s.omega.matrix, s2.omega.matrix, atol=1e-12)
-    swapped = relabel(permute_factors(s.omega, ["A", "X2", "Y2", "X1", "Y1"]),
-                      {"X2": "X1", "Y2": "Y1", "X1": "X2", "Y1": "Y2"})
-    aligned = permute_factors(swapped, list(s.omega.labels))
-    assert np.allclose(aligned.matrix, s.omega.matrix, atol=1e-12)
+    # swap the (X, Y) pairs of rounds 1 and 2
+    p = dense_permutation([1, 0], 4)      # d_a = 1
+    assert np.allclose(p @ s.omega.matrix @ p.T, s.omega.matrix, atol=1e-12)
 
 
 # (d_a, d_x, d_y) at each n, so the n! oracle's side d_a·(d_x·d_y)^n stays at most 256

@@ -133,7 +133,7 @@ def test_purify_extension_reduces_back(rng, d_a, kind):
                   for s in (random_pure(rng, d), random_pure(rng, d)))
         vec /= np.linalg.norm(vec)
         omega = op(np.outer(vec, vec.conj()), ("A", d_a), ("B1", d), ("B2", d))
-    ext = purify_extension(omega)
+    ext = purify_extension(omega.matrix, d_a, n)
     assert ext.site_dim == (d if kind == "pure" else d * d)
     want = partial_trace(omega, ["A"]).matrix
     assert np.abs(ext.marginal - want).max() <= 1e-10
@@ -143,13 +143,13 @@ def test_purify_extension_purifies_an_antisymmetric_pure_state():
     # the singlet's omega is symmetric but its vector is antisymmetric, so
     # it takes vec √omega on doubled sites, as its mixture with noise does
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-    omega = op(np.outer(singlet, singlet), ("B1", 2), ("B2", 2))
-    ext = purify_extension(omega)
+    omega = np.outer(singlet, singlet)
+    ext = purify_extension(omega, 1, 2)
     assert ext.site_dim == 4
-    assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-12
+    assert np.abs(unprimed_state(ext) - omega).max() <= 1e-12
     # a symmetric pure omega keeps its vector on the physical sites
     triplet = np.abs(singlet)
-    ext = purify_extension(op(np.outer(triplet, triplet), ("B1", 2), ("B2", 2)))
+    ext = purify_extension(np.outer(triplet, triplet), 1, 2)
     assert ext.site_dim == 2
 
 
@@ -164,38 +164,38 @@ def test_purify_extension_reduces_back_with_antisymmetric_parts(seed, antisymmet
     vecs = [v - swap @ v if anti else v + swap @ v for v, anti in zip(vecs, antisymmetric)]
     p = rng.dirichlet(np.ones(len(vecs)))
     omega = sum(pk * np.outer(v, v.conj()) / np.vdot(v, v).real for pk, v in zip(p, vecs))
-    ext = purify_extension(op(omega, ("B1", 2), ("B2", 2)))
+    ext = purify_extension(omega, 1, 2)
     assert np.abs(unprimed_state(ext) - omega).max() <= 1e-10
     # and the extension itself is symmetric under the swap of its sites
     psi = extension_psi(ext).reshape(-1, ext.site_dim, ext.site_dim)
     assert np.abs(psi - psi.transpose(0, 2, 1)).max() <= 1e-10
 
 
-def risk_gap_state(n):
-    """The symmetrized Choi state, on (A, B1..Bn), that risk-gap purifies."""
+def risk_gap_channel(n):
+    """The symmetrized channel whose Choi state risk-gap purifies."""
     from nslocc.channels import symmetrize_channel
     from nslocc.cli import _classification_family
-    from nslocc.locc import choi_pairs_to_sites
     _, _, povm, preps = _classification_family(0.6)
-    return choi_pairs_to_sites(symmetrize_channel(measure_and_prepare_choi(povm, preps, n)))
+    return symmetrize_channel(measure_and_prepare_choi(povm, preps, n))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_real_purification_matches_complex_solve_above_the_floor(n):
-    omega = risk_gap_state(n)
-    assert not omega.matrix.imag.any()
-    ext = purify_extension(omega)
+    q = risk_gap_channel(n)
+    omega = q.omega.matrix
+    assert not omega.imag.any()
+    ext = purify_extension(omega, q.d_a, n)
     assert ext.coeffs.dtype == np.float64   # the real solve ran
-    want = oracle_purify_extension(omega, floor=True)
+    want = oracle_purify_extension(omega, q.d_a, n, floor=True)
     assert np.abs(extension_psi(ext) - extension_psi(want)).max() <= 1e-12
-    assert np.abs(ext.marginal - partial_trace(omega, ["A"]).matrix).max() <= 1e-12
+    assert np.abs(ext.marginal - partial_trace(q.omega, ["A"]).matrix).max() <= 1e-12
     assert 0.0 <= ext.dropped_mass <= 1e-13
 
 
 def test_complex_symmetric_state_takes_the_complex_solve(rng):
     omega, _ = symmetric_test_state(rng, 2, 2, 2)
     assert np.abs(omega.matrix.imag).max() > 1e-3
-    ext = purify_extension(omega)
+    ext = purify_extension(omega.matrix, 2, 2)
     assert np.iscomplexobj(ext.coeffs)
     assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-12
 
@@ -205,12 +205,12 @@ def test_purification_keeps_a_small_eigenvalue_above_the_floor(rng):
     eps = 1e-9
     o, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     rot = np.kron(o, o)
-    omega = op(rot @ np.diag([1 - eps, 0.0, 0.0, eps]) @ rot.T, ("B1", 2), ("B2", 2))
-    ext = purify_extension(omega)
+    omega = rot @ np.diag([1 - eps, 0.0, 0.0, eps]) @ rot.T
+    ext = purify_extension(omega, 1, 2)
     assert ext.site_dim != ext.site_keep_dim and ext.dropped_mass <= 1e-15
     back = rot.T @ unprimed_state(ext) @ rot
     assert abs(back[3, 3] - eps) <= 1e-15
-    assert np.abs(unprimed_state(ext) - omega.matrix).max() <= 1e-15
+    assert np.abs(unprimed_state(ext) - omega).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -231,10 +231,17 @@ def test_risk_gap_matches_full_spectrum_complex_purification(monkeypatch, n):
 def test_purify_extension_names_the_broken_transposition(rng):
     # symmetric under swapping sites 1 and 2, not under swapping 2 and 3
     sigma, tau = random_density(rng, 2), random_density(rng, 2)
-    m = np.kron(np.kron(random_density(rng, 2), np.kron(sigma, sigma)), tau)
-    omega = op(m, ("A", 2), ("B1", 2), ("B2", 2), ("B3", 2))
+    omega = np.kron(np.kron(random_density(rng, 2), np.kron(sigma, sigma)), tau)
     with pytest.raises(TensorError, match=r"transposition 2,3"):
-        purify_extension(omega)
+        purify_extension(omega, 2, 3)
+
+
+@pytest.mark.parametrize("shape, d_a, n", [((12, 12), 2, 2), ((6, 6), 1, 2), ((8, 8), 3, 1),
+                                            ((4, 8), 1, 2)],
+                         ids=["side-12-at-2-2", "side-6-at-1-2", "side-8-at-3-1", "not-square"])
+def test_purify_extension_refuses_a_side_that_is_not_d_a_times_a_power(shape, d_a, n):
+    with pytest.raises(TensorError, match=r"not a square of side d_a·d\^n"):
+        purify_extension(np.eye(*shape) / shape[0], d_a, n)
 
 
 def test_branch_extension_requires_unit_mass():
@@ -253,10 +260,7 @@ def test_branch_extraction_matches_dense(rng):
              for _ in range(2)]
     q = MeasurePrepareChannel.of([op(m, ("A", 2)) for m in povm], preps, n)
     ext_b = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
-
-    from nslocc.locc import choi_pairs_to_sites
-    sites = choi_pairs_to_sites(q.dense())
-    ext_d = purify_extension(sites)
+    ext_d = purify_extension(q.dense().omega.matrix, q.d_a, n)
 
     grid = build_grid(ext_b.site_dim, n, "haar:2:300")
     ma = extract_measure(ext_b, grid)
@@ -291,12 +295,12 @@ def test_stacked_extraction_matches_per_point_loop(rng):
     vec = random_pure(rng, d_a)
     for _ in range(n):
         vec = np.kron(vec, site)
-    pure = op(np.outer(vec, vec.conj()), ("A", d_a), *((f"B{i}", 2) for i in range(1, n + 1)))
+    pure = np.outer(vec, vec.conj())
     parts = [(random_density(rng, d_a) * w, random_density(rng, 2)) for w in (0.3, 0.7)]
     exts = [branch_extension(np.stack([k for k, _ in parts]),
                              np.stack([p for _, p in parts]), n=5),
-            purify_extension(mixed),   # doubled sites
-            purify_extension(pure)]    # plain sites
+            purify_extension(mixed.matrix, d_a, n),   # doubled sites
+            purify_extension(pure, d_a, n)]           # plain sites
     assert [e.site_dim != e.site_keep_dim for e in exts] == [True, True, False]
     for ext in exts:
         grid = build_grid(ext.site_dim, ext.n, "haar:7:150")
@@ -333,7 +337,7 @@ def test_extraction_in_several_grid_chunks_matches_per_point_loop(rng, monkeypat
     mixed, _ = symmetric_test_state(rng, d_a, 2, n)
     blocks = np.stack([random_density(rng, d_a) * w for w in (0.3, 0.7)])
     sites = np.stack([random_density(rng, 2) for _ in range(2)])
-    exts = [purify_extension(mixed),                     # dense
+    exts = [purify_extension(mixed.matrix, d_a, n),      # dense
             branch_extension(blocks, sites, n),          # branches
             purify_product_mixture(blocks, sites, n)]    # product mixture
     for ext in exts:
@@ -420,7 +424,7 @@ def test_int_powers_serves_every_n_from_one_series_of_squarings(rng):
 def test_approx_error_k2_matches_kron_loop(rng):
     n, d_a = 3, 2
     omega, _ = symmetric_test_state(rng, d_a, 2, n)
-    ext = purify_extension(omega)
+    ext = purify_extension(omega.matrix, d_a, n)
     approx = extract_measure(ext, build_grid(ext.site_dim, n, "haar:8:200"))
     omega_2 = partial_trace(omega, ["A", "B1", "B2"]).matrix
     acc = sum(np.kron(np.kron(m, p), p) for m, p in zip(approx.ms, approx.phis))
@@ -431,7 +435,7 @@ def test_approx_error_k2_matches_kron_loop(rng):
 def test_extract_measure_k1_error_within_grid_budget(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
-    ext = purify_extension(omega)
+    ext = purify_extension(omega.matrix, d_a, n)
     grid = build_grid(ext.site_dim, n, "haar:1:2500")
     approx = extract_measure(ext, grid)
     omega_1 = partial_trace(omega, ["A", "B1"]).matrix
@@ -442,7 +446,7 @@ def test_extract_measure_k1_error_within_grid_budget(rng):
 def test_approx_error_monotone_in_k(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
-    ext = purify_extension(omega)
+    ext = purify_extension(omega.matrix, d_a, n)
     grid = build_grid(ext.site_dim, n, "haar:3:2000")
     approx = extract_measure(ext, grid)
     errs = [approx_error(partial_trace(
@@ -468,7 +472,7 @@ def test_povm_deficit_bounded_by_residual(rng):
 def test_subspace_residual_nonnegative(rng):
     n = 3
     omega, _ = symmetric_test_state(rng, 2, 2, n)
-    ext = purify_extension(omega)
+    ext = purify_extension(omega.matrix, 2, n)
     grid = build_grid(ext.site_dim, n, "haar:6:500")
     r = subspace_residual(ext, grid)
     assert r >= 0.0
@@ -483,7 +487,7 @@ def dense_subspace_residual(ext, grid):
     for _ in range(n - 1):
         stack = np.einsum("gi,gj->gij", stack, grid.vectors).reshape(grid.count, -1)
     t = (grid.weights[:, None] * stack).T @ stack.conj() * sym_dim(n, d)
-    defect = t - symmetric_projector(n, d).matrix
+    defect = t - symmetric_projector(n, d)
     # psi's rows are block entries, its columns the sites: (1 ⊗ A) psi = psi A^T
     return float(np.linalg.norm(extension_psi(ext) @ defect.T))
 
@@ -492,7 +496,7 @@ def residual_extensions(rng, n):
     mixed, _ = symmetric_test_state(rng, 2, 2, n)
     blocks = np.stack([random_density(rng, 2) * w for w in (0.3, 0.7)])
     sites = np.stack([random_density(rng, 2) for _ in range(2)])
-    return {"dense": purify_extension(mixed),
+    return {"dense": purify_extension(mixed.matrix, 2, n),
             "branches": branch_extension(blocks, sites, n),
             "product mixture": purify_product_mixture(blocks, sites, n)}
 
@@ -537,7 +541,7 @@ def test_grid_serves_every_n_and_refuses_other_sites():
 def test_sweep_refuses_extensions_with_other_physical_sites():
     # both extensions have sites on C^4, but only the pure one keeps all four
     doubled = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=2)
-    pure = purify_extension(op(np.diag(np.eye(16)[0]), ("B1", 4), ("B2", 4)))
+    pure = purify_extension(np.diag(np.eye(16)[0]), 1, 2)
     assert (pure.site_dim, pure.site_keep_dim) == (4, 4)
     grid = build_grid(4, 2, "haar:0:20")
     us = [_block_overlaps(ext, grid) for ext in (doubled, pure)]
@@ -708,8 +712,7 @@ def test_design_grid_extracts_every_smaller_n_exactly(rng):
         vec = (np.kron([1.0, 0.0], reduce(np.kron, [psi] * n))
                + np.kron([0.0, 1.0], reduce(np.kron, [chi] * n)))
         vec /= np.linalg.norm(vec)
-        exts.append(purify_extension(op(np.outer(vec, vec.conj()), ("A", 2),
-                                        *((f"B{i}", 2) for i in range(1, n + 1)))))
+        exts.append(purify_extension(np.outer(vec, vec.conj()), 2, n))
     for ext, ap in zip(exts, extract_measures(exts, grid)):
         assert ext.site_dim == 2
         assert ap.grid_residual <= 1e-12, ext.n
@@ -742,4 +745,4 @@ def test_definetti_bound_formula():
 def test_symmetric_projector_consistency_with_sym_dim():
     for n, d in [(2, 4), (3, 2)]:
         p = symmetric_projector(n, d)
-        assert np.isclose(p.trace().real, sym_dim(n, d))
+        assert np.isclose(np.trace(p).real, sym_dim(n, d))

@@ -25,7 +25,6 @@ from nslocc.definetti import (
 )
 from nslocc.locc import (
     build_locc_protocol,
-    choi_pairs_to_sites,
     concentration_report,
     marginal_input,
     purify_channel,
@@ -59,9 +58,14 @@ def random_pair_state(rng, d_x, d_y):
     return op(random_density(rng, d_x * d_y), ("X1", d_x), ("Y1", d_y))
 
 
+def dense_purification(q):
+    """purify_extension of a dense channel's Choi state."""
+    return purify_extension(q.omega.matrix, q.d_a, q.n)
+
+
 def measure_of(q, seed, count):
     """The de Finetti measure build_locc_protocol extracts on a haar grid."""
-    ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
+    ext = dense_purification(symmetrize_channel(q))
     return extract_measure(ext, build_grid(ext.site_dim, q.n, f"haar:{seed}:{count}"))
 
 
@@ -188,7 +192,7 @@ def test_build_protocol_reports_the_purification_dropped_mass():
     from nslocc.cli import _classification_family
     _, _, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, 2)
-    ext = purify_extension(choi_pairs_to_sites(symmetrize_channel(q)))
+    ext = dense_purification(symmetrize_channel(q))
     proto = build_locc_protocol(q, "haar:0:200")
     assert proto.provenance["dropped_mass"] == ext.dropped_mass
     assert 0.0 <= ext.dropped_mass <= 1e-13
@@ -207,7 +211,7 @@ def test_concentration_report_fields(rng):
     e1 = sum(w * t for w, t in zip(weights, taus))
     e2 = sum(w * np.kron(t, t) for w, t in zip(weights, taus))
     near = sum(w for w, t in zip(weights, taus) if op_norm(t - e1) < 0.2)
-    assert np.abs(rep.e1.matrix - e1).max() <= 1e-12
+    assert np.abs(rep.e1 - e1).max() <= 1e-12
     assert abs(rep.ek_residuals[0][1] - trace_norm(e1 - np.eye(2) / 2)) <= 1e-12
     assert abs(rep.ek_residuals[1][1] - trace_norm(e2 - np.eye(4) / 4)) <= 1e-12
     assert abs(rep.r_eps_mass - near) <= 1e-12
@@ -229,7 +233,7 @@ def test_protocol_assembled_from_stacked_measure():
                                            proto.povm, proto.chois):
             assert np.abs(elem - prov["povm_rescale"] * 2 * m.T).max() <= 1e-12
             if (np.linalg.eigvalsh(tau).min() > 1e-8
-                    and op_norm(tau - rep.e1.matrix) < prov["epsilon"]):
+                    and op_norm(tau - rep.e1) < prov["epsilon"]):
                 want = oracle_tp_repair(op(phi, ("X1", d_x), ("Y1", d_y))).matrix
                 assert np.abs(choi - want).max() <= 1e-14
                 repaired += 1
@@ -340,7 +344,7 @@ def structured_case(rng, case, n):
 def test_structured_purification_is_the_dense_one(rng, case, n):
     q = structured_case(rng, case, n)
     got = purify_channel(q)
-    want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
+    want = dense_purification(symmetrize_channel(q.dense()))
     assert (got.d_a, got.site_dim, got.site_keep_dim) == (want.d_a, want.site_dim,
                                                          want.site_keep_dim)
     assert (got.site_dim != got.site_keep_dim) == (case != "pure")
@@ -356,7 +360,7 @@ def test_structured_overlaps_are_the_dense_ones(rng, case, n):
     # only a pure one takes the dense storage, with identity sites
     q = structured_case(rng, case, n)
     got = purify_channel(q)
-    want = purify_extension(choi_pairs_to_sites(symmetrize_channel(q.dense())))
+    want = dense_purification(symmetrize_channel(q.dense()))
     assert np.array_equal(got.sites, np.eye(got.site_dim)) == (case == "pure")
     grid = build_grid(want.site_dim, n, "haar:3:60")
     assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
@@ -370,5 +374,5 @@ def test_structured_purification_counts_the_mass_its_floors_drop():
     q = MeasurePrepareChannel(np.eye(1)[None], phi[None], 2, 2, 3)
     got = purify_channel(q)
     assert got.dropped_mass == pytest.approx(3e-17, rel=1e-9)
-    want = purify_extension(choi_pairs_to_sites(q.dense()))
+    want = dense_purification(q.dense())
     assert np.abs(extension_psi(got) - extension_psi(want)).max() <= 1e-12

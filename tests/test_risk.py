@@ -23,7 +23,6 @@ from nslocc.cli import _classification_family
 from nslocc.definetti import purify_extension
 from nslocc.locc import (
     build_locc_protocol,
-    choi_pairs_to_sites,
     purify_channel,
     theorem1_bound,
 )
@@ -45,11 +44,11 @@ from nslocc.tensor_core import (
     op,
     op_norm,
     partial_trace,
-    permute_factors,
 )
 
 from conftest import (
     classifier_choi,
+    dense_permutation,
     dense_symmetrize,
     loop_marginal_choi,
     oracle_r_operator,
@@ -62,7 +61,6 @@ from conftest import (
     random_kraus,
     random_measure_prepare,
     random_unitary,
-    relabel,
     symmetrized_risk_observable,
     task_operators,
 )
@@ -168,13 +166,11 @@ def test_dual_paths_agree(rng):
 
 def test_symmetrized_observable_permutation_invariant():
     t = two_state_task(np.pi / 3, n=1)
-    s_bar = symmetrized_risk_observable(task_operators(t)[2], 3)
-    perm = ["Y2", "R2", "Y1", "R1", "Y3", "R3"]
-    swapped = permute_factors(s_bar, perm)
-    relabeled = relabel(swapped, {"Y2": "Y1", "R2": "R1",
-                                  "Y1": "Y2", "R1": "R2"})
-    aligned = permute_factors(relabeled, list(s_bar.labels))
-    assert np.allclose(aligned.matrix, s_bar.matrix, atol=1e-12)
+    s = task_operators(t)[2]
+    s_bar = symmetrized_risk_observable(s, 3).matrix
+    # swap the (Y, R) pairs of rounds 1 and 2
+    p = dense_permutation([1, 0, 2], s.dim)
+    assert np.allclose(p @ s_bar @ p.T, s_bar, atol=1e-12)
 
 
 def test_symmetrized_observable_sum_vs_average():
@@ -339,7 +335,7 @@ def test_dense_stages_refuse_work_over_the_budget(monkeypatch, stage):
     task = classification_task([0.5, 0.5], [rho0, rho1], n=2)  # direct side 256
     structured = MeasurePrepareChannel.of(povm, preps, 3)   # core side 64
     calls = {"symmetrize_channel": lambda: symmetrize_channel(q),
-             "purify_extension": lambda: purify_extension(choi_pairs_to_sites(q)),
+             "purify_extension": lambda: purify_extension(q.omega.matrix, q.d_a, q.n),
              "purify_product_mixture": lambda: purify_channel(structured),
              "direct risk evaluation": lambda: expected_risk(q, task, path="direct")}
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64 - 1)
@@ -482,6 +478,29 @@ def test_direct_risk_matches_the_embedding_oracle(n):
     for q, task in _oracle_cases(n):
         assert expected_risk(q, task, "direct") == pytest.approx(
             oracle_risk_direct(q, task), rel=0, abs=1e-14)
+
+
+@st.composite
+def sampled_channel_tasks(draw):
+    """A sampled non-signalling channel on (A, X, Y) = (4, 2, 2) at n = 1 or
+    2, and a complex classification or tomography task of two qubit states.
+    The sampler runs here, as draw time, which the deadline leaves out."""
+    n = draw(st.integers(1, 2))
+    builder = draw(st.sampled_from([classification_task, tomography_task]))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    rng = np.random.default_rng(seed)
+    prior = rng.uniform(0.1, 0.9)
+    task = builder([prior, 1.0 - prior], [random_density(rng, 2) for _ in range(2)], n=n)
+    return random_nonsignalling_choi(4, 2, 2, n, seed=seed), task
+
+
+@settings(max_examples=20, deadline=50, derandomize=True)
+@given(sampled_channel_tasks())
+def test_direct_risk_matches_the_embedding_oracle_on_sampled_channels(case):
+    """ROADMAP item 8, oracle agreement: the per-round contraction against
+    the embedding oracle's labelled embeds and partial transpose."""
+    q, task = case
+    assert abs(risk._risk_direct(q, task) - oracle_risk_direct(q, task)) <= 1e-14
 
 
 def test_direct_risk_matches_the_embedding_oracle_at_three_rounds():

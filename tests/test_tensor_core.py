@@ -15,17 +15,13 @@ from nslocc.tensor_core import (
     dicke_coordinates,
     eigh_herm,
     embed,
-    identity,
     op,
     op_norm,
     operator_from_json,
     operator_to_json,
     partial_trace,
-    partial_transpose,
-    permute_factors,
     sym_dim,
     symmetric_projector,
-    tensor,
     trace_norm,
 )
 
@@ -33,11 +29,11 @@ from conftest import (
     herm_fn,
     oracle_dicke_coordinates,
     oracle_partial_trace,
-    oracle_partial_transpose,
     oracle_symmetric_projector,
     permutation_operator,
     random_pure,
     random_unitary,
+    tensor,
 )
 
 
@@ -69,21 +65,6 @@ def test_partial_trace_preserves_total_trace(rng):
         assert np.isclose(partial_trace(m, keep).trace(), m.trace())
 
 
-def test_partial_transpose_involution_and_full(rng):
-    m = op(complex_matrix(rng, 6), ("A", 2), ("B", 3))
-    twice = partial_transpose(partial_transpose(m, ["B"]), ["B"])
-    assert np.allclose(twice.matrix, m.matrix)
-    full = partial_transpose(m, ["A", "B"])
-    assert np.allclose(full.matrix, m.matrix.T)
-
-
-def test_partial_transpose_commutes_with_trace(rng):
-    m = op(complex_matrix(rng, 6), ("A", 2), ("B", 3))
-    a = partial_trace(partial_transpose(m, ["A"]), ["A"])
-    b = partial_trace(m, ["A"])
-    assert np.allclose(a.matrix, b.matrix.T)
-
-
 @settings(max_examples=60, deadline=50, derandomize=True)
 @given(st.data())
 def test_axis_view_matches_the_per_factor_oracles(data):
@@ -94,24 +75,24 @@ def test_axis_view_matches_the_per_factor_oracles(data):
     m = op(complex_matrix(rng, int(np.prod(dims))), *zip(labels, dims))
     drawn = data.draw(st.sets(st.sampled_from(labels)))
     for pick in (drawn, set(), set(labels)):
-        for got, want in ((partial_trace(m, pick), oracle_partial_trace(m, pick)),
-                          (partial_transpose(m, pick), oracle_partial_transpose(m, pick))):
-            assert got.shape == want.shape
-            assert np.abs(got.matrix - want.matrix).max() <= 1e-13
+        got, want = partial_trace(m, pick), oracle_partial_trace(m, pick)
+        assert got.shape == want.shape
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-13
 
 
 def test_permute_factors_roundtrip(rng):
+    # embed into the same factors in another order permutes them
     m = op(complex_matrix(rng, 12), ("A", 2), ("B", 3), ("C", 2))
-    p = permute_factors(m, ["C", "A", "B"])
+    p = embed(m, Factorization.of(("C", 2), ("A", 2), ("B", 3)))
     assert p.labels == ("C", "A", "B")
-    back = permute_factors(p, ["A", "B", "C"])
-    assert np.allclose(back.matrix, m.matrix)
+    back = embed(p, m.shape)
+    assert np.array_equal(back.matrix, m.matrix)
 
 
 def test_permute_matches_kron_swap(rng):
     a, b = complex_matrix(rng, 2), complex_matrix(rng, 3)
     m = op(np.kron(a, b), ("A", 2), ("B", 3))
-    swapped = permute_factors(m, ["B", "A"])
+    swapped = embed(m, Factorization.of(("B", 3), ("A", 2)))
     assert np.allclose(swapped.matrix, np.kron(b, a))
 
 
@@ -120,6 +101,34 @@ def test_embed_inserts_identity(rng):
     full = Factorization.of(("B", 3), ("A", 2))
     big = embed(a, full)
     assert np.allclose(big.matrix, np.kron(np.eye(3), a.matrix))
+    for bad in (Factorization.of(("B", 3)), Factorization.of(("A", 3), ("B", 3))):
+        with pytest.raises(TensorError, match="cannot embed"):
+            embed(a, bad)
+
+
+@settings(max_examples=60, deadline=50, derandomize=True)
+@given(st.data())
+def test_embed_is_a_kron_with_the_identity_then_a_factor_permutation(data):
+    # dim-1 factors included; the operator's factors and full's come in drawn orders
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    order = data.draw(st.permutations(range(len(dims))))
+    kept = data.draw(st.lists(st.sampled_from(range(len(dims))), min_size=1, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = op(complex_matrix(rng, int(np.prod([dims[f] for f in kept]))),
+           *((f"F{f}", dims[f]) for f in kept))
+    full = Factorization.of(*((f"F{f}", dims[f]) for f in order))
+    # np.kron on the factors (kept, then the missing ones in full's order), then
+    # the permutation matrix that sends each basis product to full's order
+    src = kept + [f for f in order if f not in kept]
+    missing = int(np.prod([dims[f] for f in src[len(kept):]]))
+    digits = np.indices([dims[f] for f in order]).reshape(len(order), -1)
+    cols = np.ravel_multi_index(tuple(digits[order.index(f)] for f in src),
+                                [dims[f] for f in src])
+    p = np.eye(full.dim)[cols]
+    want = p @ np.kron(a.matrix, np.eye(missing)) @ p.T
+    got = embed(a, full)
+    assert got.shape == full
+    assert np.array_equal(got.matrix, want)
 
 
 def test_trace_norm_and_op_norm_known_values():
@@ -252,7 +261,7 @@ def test_permutation_operator_action_on_basis():
 
 def test_symmetric_projector_properties():
     for n, d in [(2, 2), (3, 2), (2, 3), (6, 2)]:
-        p = symmetric_projector(n, d).matrix
+        p = symmetric_projector(n, d)
         assert np.abs(p - oracle_symmetric_projector(n, d)).max() <= 1e-13
         assert np.allclose(p @ p, p)
         assert np.isclose(np.trace(p).real, sym_dim(n, d))
@@ -263,7 +272,7 @@ def test_symmetric_projector_properties():
 def test_symmetric_projector_refuses_a_side_over_the_dense_budget(monkeypatch):
     # the budget admits side 64 and refuses side 128 before the identity is built
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64 * 64)
-    assert symmetric_projector(6, 2).matrix.shape == (64, 64)
+    assert symmetric_projector(6, 2).shape == (64, 64)
     tracemalloc.start()
     try:
         with pytest.raises(TensorError, match="symmetric_projector"):
@@ -320,7 +329,3 @@ def test_operator_json_roundtrip(rng):
     assert back.labels == m.labels
     assert np.allclose(back.matrix, m.matrix)
 
-
-def test_identity_helper():
-    fac = Factorization.of(("A", 2), ("B", 3))
-    assert np.allclose(identity(fac).matrix, np.eye(6))
