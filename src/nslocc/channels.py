@@ -38,7 +38,6 @@ from .tensor_core import (
 )
 
 NS_TOL = 1e-8
-NS_GATE = 1e-6  # largest signalling residual accepted
 TP_TOL = 1e-8
 SAMPLER_MAX_ITER = 5000  # sweeps random_nonsignalling_choi may take
 SAMPLER_TOL = 1e-9       # the largest entry move of a converged sweep
@@ -318,7 +317,7 @@ def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel) -> ChoiChanne
     For a non-signalling channel, discarding the outputs Y2..Yn leaves round 1
     acting as a bona fide channel on (A, X1); the unused inputs decouple as
     maximally mixed and are traced away.  A dense channel whose round-1
-    signalling residual (`is_nonsignalling`'s) exceeds NS_GATE is refused.
+    signalling residual (`is_nonsignalling`'s) exceeds NS_TOL is refused.
     A measure-and-prepare channel's marginal is the closed form
     sum_j M_j^T/d_A ⊗ phi_j.
     """
@@ -332,10 +331,10 @@ def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel) -> ChoiChanne
         return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
     dims = (d_a, d_x, d_y, channel.n)
     res = float(trace_norm(_signalling_part(channel.omega.matrix, dims, 1)[0]))
-    if res > NS_GATE:
+    if not res <= NS_TOL:
         raise TensorError(
             f"channel does not reduce to its first round: signalling residual "
-            f"{res:.3e} > {NS_GATE:g}")
+            f"{res:.3e} > {NS_TOL:g}")
     omega_1 = partial_trace(channel.omega, ["A", "X1", "Y1"])
     return ChoiChannel(omega_1, d_a, d_x, d_y, 1)
 

@@ -22,7 +22,6 @@ from .risk import LearningTask
 from .tensor_core import dense_budget_rows, symmetrize_sites
 
 NS_TOL = 1e-10
-MAX_FUNCTIONS = 10 ** 6
 SAMPLER_MAX_ITER = 3000  # sweeps random_nonsignalling_protocol may take
 SAMPLER_TOL = 1e-12      # the largest entry move of a converged sweep
 
@@ -135,8 +134,8 @@ def decompose_classifier_mixture(q: np.ndarray) -> np.ndarray:
         raise ClassicalError("map is not column-stochastic")
     if q.min() < -1e-12:
         raise ClassicalError(f"negative mixture weight: map entry {q.min():.3e}")
-    if ny ** nx > MAX_FUNCTIONS:
-        raise ClassicalError(f"{ny}^{nx} functions exceed the enumeration cap")
+    if ny ** nx > dense_budget_rows(1):
+        raise ClassicalError(f"{ny}^{nx} functions exceed the dense budget")
     return reduce(np.multiply.outer, q.T)
 
 
@@ -186,14 +185,14 @@ def lemma1_pipeline(p: ClassicalProtocol) -> MeasurePrepareChannel:
     preparation sum_x |x f(x)><x f(x)|/nx.  For a non-signalling input it has
     exactly the input's risk, for every training value and test distribution.
     """
-    dev = is_nonsignalling_classical(p).max_deviation
-    if not dev <= 1e-8:
-        raise ClassicalError(f"protocol is signalling (deviation {dev:.3e})")
+    rep = is_nonsignalling_classical(p)
+    if not rep.ok:
+        raise ClassicalError(f"protocol is signalling (deviation {rep.max_deviation:.3e})")
+    if p.ny ** p.nx > dense_budget_rows((p.nx * p.ny) ** 2):
+        raise ClassicalError(f"{p.ny ** p.nx} preparations exceed the dense budget")
     p_bar = symmetrize_classical(p)
     mus = np.stack([decompose_classifier_mixture(single_round_map(p_bar, a)).ravel()
                     for a in range(p.na)], axis=1)              # (K, na)
-    if len(mus) > dense_budget_rows((p.nx * p.ny) ** 2):
-        raise ClassicalError(f"{len(mus)} preparations exceed the dense budget")
     functions = np.indices((p.ny,) * p.nx).reshape(p.nx, -1).T  # row k: f_k(0..nx-1)
     graph = (functions[:, :, None] == np.arange(p.ny)).reshape(len(mus), -1) / p.nx
     return MeasurePrepareChannel(mus[:, :, None] * np.eye(p.na),
@@ -251,7 +250,7 @@ def random_nonsignalling_protocol(na: int, nx: int, ny: int, n: int,
     t = (flat / flat.sum(axis=2, keepdims=True)).reshape(shape)
     p = ClassicalProtocol(t, na, nx, ny, n)
     rep = is_nonsignalling_classical(p)
-    if rep.max_deviation > 1e-9:
+    if not rep.ok:
         raise ClassicalError(
             f"alternating projections left deviation {rep.max_deviation:.3e}")
     return p

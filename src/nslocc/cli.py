@@ -25,6 +25,8 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    NS_TOL,
+    TP_TOL,
     MeasurePrepareChannel,
     apply_channel,
     choi_of_global_kraus,
@@ -51,7 +53,7 @@ from .definetti import (
 )
 from .locc import build_locc_protocol, repair_distance_bound
 from .risk import classification_task, protocol_risk, risk_gap_experiment
-from .tensor_core import kron_power, op, operator_to_json, permutation_matrix
+from .tensor_core import PSD_TOL, kron_power, op, operator_to_json, permutation_matrix
 
 
 def _fail(msg: str) -> int:
@@ -196,10 +198,10 @@ def _verify_checks(seed: int) -> list[dict]:
     # the protocol reduced from that input is CPTP and non-signalling
     proto = build_locc_protocol(q, f"haar:{seed}:300").dense()
     cptp = is_cptp(proto)
-    checks.append(_check("protocol_cptp",
-                         max(cptp.psd_violation, cptp.tp_violation), 1e-8))
+    checks.append(_check("protocol_cptp", max(cptp.psd_violation, cptp.tp_violation),
+                         min(PSD_TOL, TP_TOL)))
     checks.append(_check("protocol_nonsignalling",
-                         is_nonsignalling(proto).max_residual, 1e-8))
+                         is_nonsignalling(proto).max_residual, NS_TOL))
 
     # Lemma 1's rebuilt channel keeps the original table's risk exactly
     dist = np.array([[0.3, 0.2], [0.1, 0.4]])
@@ -231,7 +233,7 @@ def cmd_verify(cfg: dict) -> int:
     if cfg.get("inject_signalling"):
         # negative-control fixture: a signalling channel must fail the gate
         res = is_nonsignalling(_crossing_channel()).max_residual
-        checks.append(_check("injected_signalling_passes_gate", res, 1e-8))
+        checks.append(_check("injected_signalling_passes_gate", res, NS_TOL))
     report = {"version": __version__, "seed": seed,
               "passed": all(c["ok"] for c in checks), "checks": checks}
     _write(cfg.get("out"), json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -46,7 +46,6 @@ from .tensor_core import (
 )
 
 SYMMETRY_TOL = 1e-8
-PURE_EIG_THRESHOLD = 1e-10
 DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
 RESIDUAL_CHUNK = 128         # grid points per Gram block in subspace_residual
 OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's (T, chunk) buffers
@@ -112,18 +111,18 @@ def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
 
     omega is the matrix on (A, B1..Bn), A of dimension d_a (1 for none) and
     the n sites of one dimension d; a side that is not d_a·d^n is refused.
-    If omega is (numerically) pure and its state vector is symmetric, that
-    vector is returned with the original site dimension.  Otherwise the
-    purification is vec √omega, which pairs each site with its mirror copy,
-    giving doubled sites of dimension d² and a block (A, A') of dimension
-    d_a²; it is symmetric even where omega's vector is antisymmetric, as for
-    the singlet on two sites.
+    If exactly one eigenpair of omega lies above the rank floor and its
+    vector is symmetric, that vector is returned with the original site
+    dimension.  Otherwise the purification is vec √omega, which pairs each
+    site with its mirror copy, giving doubled sites of dimension d² and a
+    block (A, A') of dimension d_a²; it is symmetric even where omega's
+    vector is antisymmetric, as for the singlet on two sites.
 
     The eigensolve runs in real arithmetic when omega is real (`eigh_herm`).
-    √omega is built only from the eigenpairs above the rank floor
+    The state is built only from the eigenpairs above the rank floor
     w_max · D · eps of `numpy.linalg.matrix_rank` (D = omega's side), so the
-    solver's null-space noise never enters the state; the eigenvalue mass
-    left out is recorded as the extension's `dropped_mass`.
+    solver's null-space noise never enters it; the eigenvalue mass left out
+    is recorded as the extension's `dropped_mass`.
     """
     side = len(omega)
     d = round((side / d_a) ** (1 / n))
@@ -141,30 +140,30 @@ def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
                 f"deviation {dev:.3e})")
 
     w, v = _psd_eigs(omega)
+    keep = w > w[-1] * side * np.finfo(float).eps
+    dropped = float(w[~keep].sum())
     # the vector of a pure symmetric omega may be antisymmetric; vec √omega never is
     top = v[:, -1].reshape(t.shape[:n + 1])
-    if w[-1] >= 1.0 - PURE_EIG_THRESHOLD and all(
-            dev <= 1e-7 for _, dev in _transposition_deviations(top, [range(1, n + 1)])):
-        return _pure_extension(v[:, -1], d_a, d, n, float(w[:-1].sum()))
-    keep = w > w[-1] * len(w) * np.finfo(float).eps
+    if keep.sum() == 1 and all(
+            dev <= SYMMETRY_TOL for _, dev in _transposition_deviations(top, [range(1, n + 1)])):
+        # global phase: the first entry above half the largest modulus is positive
+        psi = top.reshape(d_a, d ** n) / np.linalg.norm(top)
+        mod = np.abs(psi.ravel())
+        lead = psi.ravel()[np.argmax(mod > 0.5 * mod.max())]
+        return _dense_extension(psi * (abs(lead) / lead), d_a, d, d, n, dropped)
     v_r = v[:, keep]
     root = (v_r * np.sqrt(w[keep])) @ v_r.conj().T
     # vec √omega, each site paired with its mirror:
     # (a, b1..bn ; a', b1'..bn') -> (a a') (b1 b1') ... (bn bn')
     order = [0, n + 1] + [ax for i in range(n) for ax in (1 + i, n + 2 + i)]
     psi = root.reshape(t.shape).transpose(order).reshape(d_a * d_a, (d * d) ** n)
-    return _dense_extension(psi / np.linalg.norm(psi), d_a, d * d, d, n,
-                            float(w[~keep].sum()))
+    return _dense_extension(psi / np.linalg.norm(psi), d_a, d * d, d, n, dropped)
 
 
-def _pure_extension(vec: np.ndarray, d_a: int, d: int, n: int,
-                    dropped: float) -> SymmetricExtension:
-    """The unit state vector of a pure omega on (A, B1..Bn), its global phase
-    fixed so that its first entry above half the largest modulus is positive."""
-    psi = vec.reshape(d_a, d ** n) / np.linalg.norm(vec)
-    mod = np.abs(psi.ravel())
-    lead = psi.ravel()[np.argmax(mod > 0.5 * mod.max())]
-    return _dense_extension(psi * (abs(lead) / lead), d_a, d, d, n, dropped)
+def _site_products(base: int, n: int) -> np.ndarray:
+    """The base**n products of n sites, as their (n, base**n) base-`base`
+    digits, site 1 slowest: np.indices((base,) * n) flattened, at any n."""
+    return np.arange(base ** n) // base ** np.arange(n - 1, -1, -1)[:, None] % base
 
 
 def _dense_extension(psi: np.ndarray, d_a: int, site_dim: int, site_keep_dim: int,
@@ -174,7 +173,7 @@ def _dense_extension(psi: np.ndarray, d_a: int, site_dim: int, site_keep_dim: in
     rows = psi.reshape(d_a, -1)       # a, then the rest of the block and the sites
     return SymmetricExtension(
         n=n, d_a=d_a, site_dim=site_dim, site_keep_dim=site_keep_dim,
-        sites=np.eye(site_dim), index=np.indices((site_dim,) * n).reshape(n, -1),
+        sites=np.eye(site_dim), index=_site_products(site_dim, n),
         coeffs=psi.T, marginal=rows @ rows.conj().T, dropped_mass=dropped)
 
 
@@ -197,15 +196,13 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
     omega's side D = d_a·d^n.  The r x r Gram matrix L†L = W Λ W† is built
     from the products (a_j†a_j') ⊗ (b_j†b_j')^{⊗n} and shares omega's nonzero
     spectrum, so √omega = L W Λ^{-1/2} W† L†, from the eigenpairs above
-    purify_extension's rank floor λ_max · D · eps.  The rank floors on a_j
-    and b_j move omega's spectrum by less than that floor.  `dropped_mass`
-    sums the trace all three floors leave out.
+    the Gram solve's own rank floor λ_max · r · eps.  `dropped_mass` sums
+    the trace that floor and those on a_j and b_j leave out.
 
-    A mixed omega gives the state purify_extension returns, with one term
-    per pair (e, e') of the E site products of the b_j: its sites are the
-    pairs b_r ⊗ conj(b_s) of factor columns, and its coefficients a core of
-    E² x d_a² entries, so neither √omega nor the state is built.  A pure
-    omega gives its d_a·d^n state vector, as purify_extension does.
+    Every omega, pure or mixed, gives vec √omega on doubled sites, with one
+    term per pair (e, e') of the E site products of the b_j: its sites are
+    the pairs b_r ⊗ conj(b_s) of factor columns, and its coefficients a
+    core of E² x d_a² entries, so neither √omega nor the state is built.
     """
     d_a, d = blocks.shape[1], sites.shape[1]
     factors, dropped = [], 0.0
@@ -228,7 +225,7 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
         count = b.shape[1] ** n
         a_cols.append(np.repeat(a, count, axis=1))
         col_products.append(e0 + np.tile(np.arange(count), a.shape[1]))
-        index.append(r0 + np.indices((b.shape[1],) * n).reshape(n, count))
+        index.append(r0 + _site_products(b.shape[1], n))
         b_cols.append(b)
         e0, r0 = e0 + count, r0 + b.shape[1]
     a_mat, products = np.concatenate(a_cols, axis=1), np.concatenate(col_products)
@@ -240,19 +237,12 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
         prod_gram = prod_gram * site_gram[ix[:, None], ix]
     prod_gram = prod_gram[products[:, None], products]      # (b^{⊗n})†(b'^{⊗n})
     lam, w = _psd_eigs((a_mat.conj().T @ a_mat) * prod_gram)
-    onehot = np.eye(e)[products]                            # column c -> product
-    if lam[-1] >= 1.0 - PURE_EIG_THRESHOLD:
-        check_dense_budget(d_a * d ** n, "purify_product_mixture")
-        vecs = b_mat[:, index[0]]
-        for ix in index[1:]:
-            vecs = (vecs[:, None, :] * b_mat[:, ix]).reshape(-1, e)
-        return _pure_extension(((a_mat * w[:, -1]) @ onehot) @ vecs.T, d_a, d, n,
-                               dropped + float(lam[:-1].sum()))
-    keep = lam > lam[-1] * d_a * d ** n * np.finfo(float).eps
+    keep = lam > lam[-1] * r * np.finfo(float).eps
     w_k, lam_k = w[:, keep], lam[keep]
     mass = float(lam_k.sum())
     root = (w_k * lam_k ** -0.5) @ w_k.conj().T / sqrt(mass)   # N
     # core over (product, a) pairs, regrouped to rows (e, e'), columns (a, a')
+    onehot = np.eye(e)[products]                            # column c -> product
     y = (onehot[:, :, None] * a_mat.T[:, None, :]).reshape(r, e * d_a)
     core = np.empty((e, e, d_a, d_a), dtype=complex)
     core[:] = (y.T @ root @ y.conj()).reshape(e, d_a, e, d_a).transpose(0, 2, 1, 3)

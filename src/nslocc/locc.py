@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    NS_GATE,
     ChoiChannel,
     MeasurePrepareChannel,
     is_nonsignalling,
@@ -37,6 +36,7 @@ from .definetti import (
     purify_product_mixture,
 )
 from .tensor_core import (
+    PSD_TOL,
     TensorError,
     _psd_eigs,
     eigh_herm,
@@ -45,7 +45,6 @@ from .tensor_core import (
 )
 
 REPAIR_CUTOFF = 1e-8
-SLACK_TOL = 1e-8
 # ε of the repair gate.  The asymptotic choice δ^{1/3} exceeds 1 for every
 # feasible n here, which would make the gate vacuous; a fixed desk-scale ε
 # keeps it informative.
@@ -194,7 +193,7 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     """
     d_a, d_x, d_y, n = q.d_a, q.d_x, q.d_y, q.n
     rep = is_nonsignalling(q)
-    if rep.max_residual > NS_GATE:
+    if not rep.ok:
         raise TensorError(
             f"channel is signalling (residual {rep.max_residual:.3e}); "
             "the reduction only applies to non-signalling channels")
@@ -225,14 +224,14 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     rescale = 1.0
     slack = np.eye(d_a) - povm_raw.sum(axis=0)
     slack_eigs = eigh_herm(slack, vectors=False)
-    if float(slack_eigs.min()) < -SLACK_TOL:
+    if float(slack_eigs.min()) < -PSD_TOL:
         # grid overshoot: shrink the whole family to restore feasibility
         rescale = 1.0 / float(eigh_herm(povm_raw.sum(axis=0), vectors=False).max())
         povm_raw = rescale * povm_raw
         slack = np.eye(d_a) - povm_raw.sum(axis=0)
         slack_eigs = eigh_herm(slack, vectors=False)
     # the slack element completes the POVM exactly; eigenvalues down to
-    # -SLACK_TOL are rounding and count for no mass
+    # -PSD_TOL are rounding and count for no mass
     slack_mass = float(np.clip(slack_eigs, 0, None).sum()) / d_a
     povm = np.concatenate([povm_raw, slack[None]])
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nslocc.channels import MeasurePrepareChannel, is_nonsignalling, marginal_channel
 from nslocc.classical import (
-    MAX_FUNCTIONS,
     ClassicalError,
     ClassicalProtocol,
     classical_expected_risk,
@@ -154,7 +153,7 @@ def test_decompose_reconstruct_roundtrip(seed, nx, ny):
 @pytest.mark.parametrize("q, match", [
     ([[1.2, 0.5], [-0.2, 0.5]], "negative mixture weight"),
     ([[0.7, 0.5], [0.2, 0.5]], "column-stochastic"),
-    (np.full((MAX_FUNCTIONS + 1, 1), 1.0 / (MAX_FUNCTIONS + 1)), "enumeration cap"),
+    (np.full((2, 25), 0.5), "2\\^25 functions exceed the dense budget"),
 ], ids=["negative-entry", "not-stochastic", "over-cap"])
 def test_decompose_refuses_a_bad_map(q, match):
     with pytest.raises(ClassicalError, match=match):

@@ -18,6 +18,7 @@ from nslocc.channels import (
     symmetrize_channel,
 )
 from nslocc.definetti import (
+    MeasureGrid,
     _block_overlaps,
     build_grid,
     extract_measure,
@@ -46,6 +47,7 @@ from conftest import (
     extension_psi,
     loop_marginal_choi,
     oracle_einsum_repair,
+    oracle_purify_extension,
     oracle_tp_repair,
     random_density,
     random_kraus,
@@ -339,15 +341,25 @@ def structured_case(rng, case, n):
     return MeasurePrepareChannel.of(povm, preps, n)
 
 
+def structured_reference(q, case):
+    """The dense vec √ω the structured route gives for q: purify_extension's,
+    or for a pure ω, which purify_extension keeps on its own sites, the
+    oracle's on doubled sites."""
+    sym = symmetrize_channel(q.dense())
+    if case == "pure":
+        return oracle_purify_extension(sym.omega.matrix, sym.d_a, sym.n, floor=True)
+    return dense_purification(sym)
+
+
 @pytest.mark.parametrize("case", ["classifier", "complex", "overcomplete", "pure"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structured_purification_is_the_dense_one(rng, case, n):
     q = structured_case(rng, case, n)
     got = purify_channel(q)
-    want = dense_purification(symmetrize_channel(q.dense()))
+    want = structured_reference(q, case)
     assert (got.d_a, got.site_dim, got.site_keep_dim) == (want.d_a, want.site_dim,
                                                          want.site_keep_dim)
-    assert (got.site_dim != got.site_keep_dim) == (case != "pure")
+    assert got.site_dim == got.site_keep_dim ** 2
     assert np.abs(extension_psi(got) - extension_psi(want)).max() <= 1e-12
     assert 0.0 <= got.dropped_mass <= 1e-13
     assert abs(got.dropped_mass - want.dropped_mass) <= 1e-13
@@ -356,15 +368,60 @@ def test_structured_purification_is_the_dense_one(rng, case, n):
 @pytest.mark.parametrize("case", ["classifier", "complex", "overcomplete", "pure"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structured_overlaps_are_the_dense_ones(rng, case, n):
-    # a mixed channel keeps its site factors: neither √ω nor ψ is built, and
-    # only a pure one takes the dense storage, with identity sites
+    # every channel, pure or mixed, keeps its site factors: neither √ω nor
+    # ψ is built, so no extension takes the dense storage's identity sites
     q = structured_case(rng, case, n)
     got = purify_channel(q)
-    want = dense_purification(symmetrize_channel(q.dense()))
-    assert np.array_equal(got.sites, np.eye(got.site_dim)) == (case == "pure")
+    want = structured_reference(q, case)
+    assert not np.array_equal(got.sites, np.eye(got.site_dim))
     grid = build_grid(want.site_dim, n, "haar:3:60")
     assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
     assert np.abs(got.marginal - want.marginal).max() <= 1e-13
+
+
+def unitary_pair_channel(n):
+    """Two-outcome measure-and-prepare qubit channel, d_A = 2, whose
+    preparations are the unitaries U and XU: tr(U†XU) = tr X = 0, so their
+    Choi states P_0, P_1 are orthogonal pure states."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m0 = g @ g.conj().T
+    m0 /= 1.25 * np.linalg.eigvalsh(m0).max()        # 0 < M_0 < 1, full rank
+    x = np.array([[0, 1], [1, 0]])
+    chois = [choi_of_kraus([k @ u], 2, 2).omega.matrix for k in (np.eye(2), x)]
+    return MeasurePrepareChannel(np.stack([m0, np.eye(2) - m0]), np.stack(chois), 2, 2, n)
+
+
+@pytest.mark.parametrize("n", [26, 64, 256])
+def test_structured_purification_of_orthogonal_pure_preparations_is_closed_form(n):
+    # ω = sum_j K_j ⊗ P_j^{⊗n} with orthogonal projectors P_j, so √ω =
+    # sum_j √K_j ⊗ P_j^{⊗n} and u_g = sum_j vec √K_j · <g|vec P_j>^n, with
+    # vec P_j = c_j ⊗ conj(c_j) the doubled site vector
+    q = unitary_pair_channel(n)
+    assert abs(np.trace(q.chois[0] @ q.chois[1])) <= 1e-15
+    ext = purify_channel(q)
+    assert 0.0 <= ext.dropped_mass <= 1e-12
+    # grid points from on top of each vec P_j to far from both, so that the
+    # overlaps^n span many orders of magnitude instead of all underflowing
+    rng = np.random.default_rng(n)
+    sites = q.chois.reshape(2, 16)
+    noise = rng.standard_normal((40, 16)) + 1j * rng.standard_normal((40, 16))
+    scale = np.logspace(-4, 1, 20).repeat(2)[:, None]
+    vecs = np.concatenate([sites, sites[np.arange(40) % 2] + scale * noise / 4])
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    grid = MeasureGrid(vecs, np.full(len(vecs), 1 / len(vecs)), 16, "closed-form")
+    roots = []
+    for k in q.povm.transpose(0, 2, 1) / 2:
+        w, v = np.linalg.eigh(k)
+        roots.append(((v * np.sqrt(w)) @ v.conj().T).ravel())
+    want = (vecs.conj() @ sites.T) ** n @ np.stack(roots)
+    got = _block_overlaps(ext, grid)
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.linalg.norm(got[:2], axis=1).min() > 0.1  # on top of vec P_j: not vanishing
+    proto = build_locc_protocol(q, "haar:0:2000")
+    assert proto.provenance["dropped_mass"] == ext.dropped_mass
 
 
 def test_structured_purification_counts_the_mass_its_floors_drop():

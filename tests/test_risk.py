@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from nslocc import definetti, locc, risk, tensor_core
 from nslocc.channels import (
+    NS_TOL,
     ChoiChannel,
     MeasurePrepareChannel,
     choi_factorization,
     choi_of_global_kraus,
     choi_of_kraus,
+    is_nonsignalling,
     marginal_channel,
     measure_and_prepare_choi,
     random_nonsignalling_choi,
@@ -501,6 +503,44 @@ def test_direct_risk_matches_the_embedding_oracle_on_sampled_channels(case):
     the embedding oracle's labelled embeds and partial transpose."""
     q, task = case
     assert abs(risk._risk_direct(q, task) - oracle_risk_direct(q, task)) <= 1e-14
+
+
+@st.composite
+def nearly_nonsignalling_channels(draw):
+    """A sampled non-signalling channel on (A, X, Y) = (4, 2, 2) at n = 2 mixed
+    with a log-uniform ε in [1e-10, 1e-6] of the round-swap channel (Y1 = X2,
+    Y2 = X1) ⊗ 1_A/4, which signals, and a classification task of two random
+    qubit states.  The sampler runs here, as draw time."""
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    eps = 10.0 ** draw(st.floats(-10.0, -6.0))
+    swap = choi_of_global_kraus([swap_matrix(2)], 2, 2, n=2).omega.matrix
+    m = ((1.0 - eps) * random_nonsignalling_choi(4, 2, 2, 2, seed=seed).omega.matrix
+         + eps * np.kron(np.eye(4) / 4, swap))
+    rng = np.random.default_rng(seed)
+    task = classification_task([0.8, 0.2], [random_density(rng, 2) for _ in range(2)], n=2)
+    return ChoiChannel(Operator(m, choi_factorization(4, 2, 2, 2)), 4, 2, 2, 2), task
+
+
+@settings(max_examples=15, deadline=50, derandomize=True)
+@given(nearly_nonsignalling_channels())
+def test_the_reduction_and_the_dual_path_risk_share_one_signalling_gate(case):
+    """ROADMAP item 13: the reduction refuses exactly the channels whose
+    signalling residual is over NS_TOL, and the dual-path risk either refuses
+    for the residual or its two paths agree to its 1e-8 gate."""
+    q, task = case
+    signals = is_nonsignalling(q).max_residual > NS_TOL
+    try:
+        build_locc_protocol(q, "haar:0:50")
+    except TensorError as err:
+        assert signals and "signalling" in str(err)
+    else:
+        assert not signals
+    try:
+        direct, marginal = risk._risk_direct(q, task), expected_risk(q, task, "both")
+    except TensorError as err:
+        assert "signalling residual" in str(err)
+    else:
+        assert abs(direct - marginal) <= 1e-8
 
 
 def test_direct_risk_matches_the_embedding_oracle_at_three_rounds():
