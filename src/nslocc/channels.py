@@ -18,7 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,9 @@ from .tensor_core import (
 
 NS_TOL = 1e-8
 TP_TOL = 1e-8
+# a constructor's unit trace, POVM completeness, preparation trace and
+# preparation input marginal
+NORM_TOL = 1e-7
 SAMPLER_MAX_ITER = 5000  # sweeps random_nonsignalling_choi may take
 SAMPLER_TOL = 1e-9       # the largest entry move of a converged sweep
 
@@ -74,12 +77,21 @@ class ChoiChannel:
                 f"Choi factor layout must be {want.factors}, got {self.omega.shape.factors}"
             )
         tr = self.omega.trace().real
-        if abs(tr - 1.0) > 1e-7:
+        if abs(tr - 1.0) > NORM_TOL:
             raise TensorError(f"Choi state must have unit trace, got {tr}")
 
     @property
     def d_in(self) -> int:
         return self.d_a * self.d_x ** self.n
+
+    # the channel is immutable, so each report is computed once and kept
+    @cached_property
+    def cptp_report(self) -> CPTPReport:
+        return is_cptp(self)
+
+    @cached_property
+    def ns_report(self) -> NonSignallingReport:
+        return is_nonsignalling(self)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +179,17 @@ class MeasurePrepareChannel:
                 f"need povm (K, d_a, d_a) and single-round chois (K, {pair}, {pair}) "
                 f"stacks, got {povm.shape} and {chois.shape}")
         dev = float(np.abs(povm.sum(axis=0) - np.eye(povm.shape[1])).max())
-        if dev > 1e-7:
+        if dev > NORM_TOL:
             raise TensorError(f"POVM completeness violated by {dev:.3e}")
         trace_dev = float(np.abs(np.einsum("kii->k", chois).real - 1.0).max())
-        if trace_dev > 1e-7:
+        if trace_dev > NORM_TOL:
             raise TensorError(f"Choi state trace off 1 by {trace_dev:.3e}")
         check_psd(povm, "POVM element")
         check_psd(chois, "preparation")
         # trace preservation, which makes the channel non-signalling
         tp_dev = float(np.abs(marginal_input(chois, self.d_x, self.d_y)
                               - np.eye(self.d_x) / self.d_x).max())
-        if tp_dev > 1e-7:
+        if tp_dev > NORM_TOL:
             raise TensorError(f"preparation input marginal off 1/d_X by {tp_dev:.3e}")
 
     @classmethod
@@ -373,10 +385,12 @@ def _project_tp(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     interleaves (A, X1, Y1, ..): for n = 3, all dims 2 it pins (A, X1, Y1, X2),
     and for n >= 2 every sampled channel's (A, X1, Y1) marginal is maximally mixed.
     """
-    t = m.reshape(d_in, d_out, d_in, d_out)
-    marg = np.einsum("iaja->ij", t)
-    delta = np.eye(d_in) / d_in - marg
-    return m + np.kron(delta, np.eye(d_out) / d_out)
+    out = m.copy()
+    t = out.reshape(d_in, d_out, d_in, d_out)
+    delta = np.eye(d_in) / d_in - np.einsum("iaja->ij", t)
+    # delta ⊗ 1/d_out touches only the a = b diagonal, a writeable view
+    np.einsum("iaja->iaj", t)[...] += delta[:, None, :] * (1.0 / d_out)
+    return out
 
 
 def _project_nonsignalling(m: np.ndarray, dims: tuple[int, int, int, int]) -> np.ndarray:
@@ -393,14 +407,25 @@ def _project_nonsignalling(m: np.ndarray, dims: tuple[int, int, int, int]) -> np
 def _project_psd_trace(m: np.ndarray) -> np.ndarray:
     """Clip the Hermitian part's negative eigenvalues, rescale to unit trace
     (1/dim if nothing is left).  Not the Euclidean projection onto the unit-trace
-    PSD set, which would shift the eigenvalues before clipping them."""
-    h = (m + m.conj().T) / 2
+    PSD set, which would shift the eigenvalues before clipping them.  eigh is
+    ascending, so the negative part is the leading k columns.  numpy divides a
+    complex array by a real c as (re, im)·(1/c), so the scalings multiply by
+    the reciprocal: the same bits, without the complex division's cost."""
+    h = np.conjugate(m.T, order="C")
+    h += m
+    h *= 0.5
     w, v = np.linalg.eigh(h)
     s = w[w > 0].sum()
     if s <= 0:
         return np.eye(len(m), dtype=complex) / len(m)
-    v_neg = v[:, w < 0]
-    return (h - (v_neg * w[w < 0]) @ v_neg.conj().T) / s
+    k = np.count_nonzero(w < 0)
+    v_neg = v[:, :k]
+    # a result allocated after eigh reuses its freed workspace; subtracting in
+    # place into h left that workspace to be returned to the OS and faulted
+    # back in on every sweep
+    out = h - (v_neg * w[:k]) @ v_neg.conj().T
+    out *= 1.0 / s
+    return out
 
 
 def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
@@ -412,8 +437,10 @@ def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
     no Dykstra correction: it would lie in the orthogonal complement of the
     set's direction), then applies _project_psd_trace with one, until no entry
     moves by SAMPLER_TOL and is_cptp and is_nonsignalling pass, for at most
-    SAMPLER_MAX_ITER sweeps.  The PSD step is not a Euclidean projection, so
-    the result is in general not the intersection's point nearest the start.
+    SAMPLER_MAX_ITER sweeps.  A sweep costs one eigh of the Choi state's side
+    d_A·(d_X·d_Y)^n.  The PSD step is not a Euclidean projection, so the result
+    is in general not the intersection's point nearest the start.  The channel
+    returned keeps the reports that accepted it (`cptp_report`, `ns_report`).
     A Choi state over the dense budget is refused before it is drawn.
     """
     dims = (d_a, d_x, d_y, n)
@@ -426,15 +453,16 @@ def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
     correction = np.zeros_like(m)
     for _ in range(SAMPLER_MAX_ITER):
         prev = m
-        y = _project_nonsignalling(_project_tp(m, d_a * d_x ** n, d_y ** n), dims) + correction
+        y = _project_nonsignalling(_project_tp(m, d_a * d_x ** n, d_y ** n), dims)
+        y += correction
         m = _project_psd_trace(y)
         correction = y - m
         if np.abs(m - prev).max() < SAMPLER_TOL:
             ch = ChoiChannel(Operator(m, fac), *dims)
-            if is_nonsignalling(ch).ok and is_cptp(ch).ok:
+            if ch.ns_report.ok and ch.cptp_report.ok:
                 return ch
     ch = ChoiChannel(Operator(m, fac), *dims)
-    rep_c, rep_ns = is_cptp(ch), is_nonsignalling(ch)
+    rep_c, rep_ns = ch.cptp_report, ch.ns_report
     if rep_c.ok and rep_ns.ok:
         return ch
     raise TensorError(

@@ -364,12 +364,13 @@ def cmd_gen_channel(cfg: dict) -> int:
     d_x = int(cfg.get("d_x", 2))
     d_y = int(cfg.get("d_y", 2))
     ch = random_nonsignalling_choi(d_a, d_x, d_y, n, seed=seed)
-    cptp = is_cptp(ch)
+    # the reports that accepted the channel, not a second eigensolve
+    cptp = ch.cptp_report
     payload = {
         "seed": seed, "d_a": d_a, "d_x": d_x, "d_y": d_y, "n": n,
         "cptp": {"psd_violation": cptp.psd_violation,
                  "tp_violation": cptp.tp_violation},
-        "ns_residual": is_nonsignalling(ch).max_residual,
+        "ns_residual": ch.ns_report.max_residual,
         "omega": operator_to_json(ch.omega),
     }
     _write(cfg.get("out"), json.dumps(payload, sort_keys=True) + "\n")

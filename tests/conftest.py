@@ -9,11 +9,14 @@ from nslocc.channels import (
     ChoiChannel,
     MeasurePrepareChannel,
     NS_TOL,
-    _project_tp,
+    SAMPLER_MAX_ITER,
+    SAMPLER_TOL,
+    _project_nonsignalling,
     _round_labels,
     choi_factorization,
     choi_of_kraus,
     is_cptp,
+    is_nonsignalling,
     marginal_input,
 )
 from nslocc.classical import ClassicalProtocol
@@ -370,6 +373,55 @@ def oracle_project_ns_round(m: np.ndarray, dims, i: int) -> np.ndarray:
     return omega.matrix + embed(fix, omega.shape).matrix
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bit patterns: unlike np.array_equal, 0.0 and -0.0
+    differ, as they do in a JSON output."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def oracle_project_tp_kron(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """channels._project_tp as a dense sum: m + (1/d_in − marginal) ⊗ 1/d_out."""
+    marg = np.einsum("iaja->ij", m.reshape(d_in, d_out, d_in, d_out))
+    delta = np.eye(d_in) / d_in - marg
+    return m + np.kron(delta, np.eye(d_out) / d_out)
+
+
+def oracle_project_psd_trace_mask(m: np.ndarray) -> np.ndarray:
+    """channels._project_psd_trace with the negative eigenpairs gathered by a
+    boolean mask and every step in a fresh array."""
+    h = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    s = w[w > 0].sum()
+    if s <= 0:
+        return np.eye(len(m), dtype=complex) / len(m)
+    v_neg = v[:, w < 0]
+    return (h - (v_neg * w[w < 0]) @ v_neg.conj().T) / s
+
+
+def oracle_sampler_loop(d_a, d_x, d_y, n, seed) -> np.ndarray:
+    """random_nonsignalling_choi's sweep built from the oracle projections
+    above, each sweep's arrays fresh; the same arithmetic in the same order,
+    so its Choi state should match the sampler's bit for bit."""
+    dims = (d_a, d_x, d_y, n)
+    fac = choi_factorization(*dims)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((fac.dim,) * 2) + 1j * rng.standard_normal((fac.dim,) * 2)
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    correction = np.zeros_like(m)
+    for _ in range(SAMPLER_MAX_ITER):
+        prev = m
+        y = _project_nonsignalling(oracle_project_tp_kron(m, d_a * d_x ** n, d_y ** n),
+                                   dims) + correction
+        m = oracle_project_psd_trace_mask(y)
+        correction = y - m
+        if np.abs(m - prev).max() < SAMPLER_TOL:
+            ch = ChoiChannel(Operator(m, fac), *dims)
+            if is_nonsignalling(ch).ok and is_cptp(ch).ok:
+                return m
+    raise AssertionError("oracle sweep did not converge")
+
+
 def _oracle_psd_trace(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     w = np.clip(w, 0, None)
@@ -394,7 +446,7 @@ def oracle_random_nonsignalling_choi(d_a, d_x, d_y, n, seed, max_iter=5000,
         for j in range(n + 2):
             y = cur + corrections[j]
             if j == 0:
-                cur = _project_tp(y, d_a * d_x ** n, d_y ** n)
+                cur = oracle_project_tp_kron(y, d_a * d_x ** n, d_y ** n)
             elif j <= n:
                 cur = oracle_project_ns_round(y, dims, j)
             else:

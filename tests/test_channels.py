@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nslocc import channels
 from nslocc.channels import (
     ChoiChannel,
     MeasurePrepareChannel,
     _project_nonsignalling,
     _project_psd_trace,
+    _project_tp,
     apply_channel,
     choi_factorization,
     choi_of_global_kraus,
@@ -31,7 +33,10 @@ from conftest import (
     dense_permutation,
     dense_symmetrize,
     oracle_project_ns_round,
+    oracle_project_psd_trace_mask,
+    oracle_project_tp_kron,
     oracle_random_nonsignalling_choi,
+    oracle_sampler_loop,
     oracle_signalling_residuals,
     product_channel,
     random_density,
@@ -39,6 +44,7 @@ from conftest import (
     random_measure_prepare,
     random_pure,
     random_unitary,
+    same_bits,
 )
 
 
@@ -264,6 +270,63 @@ def test_random_nonsignalling_choi_matches_oracle_sampler(n, seeds):
         got = random_nonsignalling_choi(2, 2, 2, n, seed=seed).omega.matrix
         want = oracle_random_nonsignalling_choi(2, 2, 2, n, seed=seed)
         assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 2), (8, 4), (16, 8), (4, 3), (6, 9)])
+def test_project_tp_is_the_kron_form_bitwise(rng, d_in, d_out):
+    dim = d_in * d_out
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    before = m.copy()
+    got = _project_tp(m, d_in, d_out)
+    assert same_bits(got, oracle_project_tp_kron(m, d_in, d_out))
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("dim, shift, negatives", [
+    (16, 0.5, "some"), (27, 0.3, "some"), (128, 0.5, "some"),
+    (24, -1.0, "none"), (9, 10.0, "all")])
+def test_project_psd_trace_is_the_mask_form_bitwise(rng, dim, shift, negatives):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # not Hermitian: the step takes the Hermitian part first
+    m = g @ g.conj().T / dim - shift * np.eye(dim) + 0.01 * g
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    k = np.count_nonzero(w < 0)
+    assert {"none": k == 0, "some": 0 < k < dim, "all": k == dim}[negatives]
+    before = m.copy()
+    got = _project_psd_trace(m)
+    assert same_bits(got, oracle_project_psd_trace_mask(m))
+    assert np.array_equal(m, before)
+    if negatives == "all":
+        assert np.array_equal(got, np.eye(dim) / dim)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_nonsignalling_choi_is_the_fresh_array_sweep_bitwise(n, seed):
+    got = random_nonsignalling_choi(2, 2, 2, n, seed=seed).omega.matrix
+    assert same_bits(got, oracle_sampler_loop(2, 2, 2, n, seed))
+
+
+def test_random_nonsignalling_choi_refuses_what_does_not_converge(monkeypatch):
+    monkeypatch.setattr(channels, "SAMPLER_MAX_ITER", 1)
+    with pytest.raises(TensorError, match=r"alternating projections did not converge: "
+                                          r"tp=\S+ psd=\S+ ns=\S+$"):
+        random_nonsignalling_choi(2, 2, 2, 2, seed=0)
+
+
+def test_a_sampled_channel_keeps_the_reports_that_accepted_it(monkeypatch):
+    calls = []
+    for name in ("is_cptp", "is_nonsignalling"):
+        def counted(ch, fn=getattr(channels, name), name=name):
+            calls.append(name)
+            return fn(ch)
+        monkeypatch.setattr(channels, name, counted)
+    q = random_nonsignalling_choi(2, 2, 2, 2, seed=4)
+    accepted = len(calls)
+    assert q.cptp_report.ok and q.ns_report.ok
+    assert q.cptp_report is q.cptp_report and q.ns_report is q.ns_report
+    assert len(calls) == accepted
+    assert q.cptp_report == is_cptp(q) and q.ns_report == is_nonsignalling(q)
 
 
 def test_nonsignalling_residuals_match_oracle(rng):

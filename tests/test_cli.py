@@ -4,8 +4,10 @@ import warnings
 
 import pytest
 
-from nslocc import cli, locc, tensor_core
+from nslocc import channels, cli, locc, tensor_core
+from nslocc.channels import NS_TOL, TP_TOL
 from nslocc.cli import main
+from nslocc.tensor_core import PSD_TOL
 
 
 def test_no_command_prints_help(capsys):
@@ -112,10 +114,45 @@ def test_gen_channel_emits_valid_choi(tmp_path):
                  "--out", str(out)])
     assert code == 0
     blob = json.loads(out.read_text())
-    assert blob["cptp"]["psd_violation"] <= 1e-8
-    assert blob["cptp"]["tp_violation"] <= 1e-8
-    assert blob["ns_residual"] <= 1e-6
+    assert blob["cptp"]["psd_violation"] <= PSD_TOL
+    assert blob["cptp"]["tp_violation"] <= TP_TOL
+    assert blob["ns_residual"] <= NS_TOL
     assert blob["omega"]["labels"][0] == "A"
+
+
+def test_gen_channel_deterministic_json(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["gen-channel", "--seed", "3", "--n", "2"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_channel_checks_each_channel_once(monkeypatch, tmp_path):
+    calls = []   # (check, channel); holding the channel keeps its id unique
+    for name in ("is_cptp", "is_nonsignalling"):
+        def counted(ch, fn=getattr(channels, name), name=name):
+            calls.append((name, ch))
+            return fn(ch)
+        for module in (channels, cli):
+            monkeypatch.setattr(module, name, counted)
+    # seed 5's first converged sweep fails the signalling check, so two
+    # channels are checked; only the emitted one gets the eigensolve
+    assert main(["gen-channel", "--seed", "5", "--n", "2",
+                 "--out", str(tmp_path / "q.json")]) == 0
+    assert len({(name, id(ch)) for name, ch in calls}) == len(calls)
+    assert [name for name, _ in calls].count("is_cptp") == 1
+
+
+def test_gen_channel_exits_2_when_the_sampler_does_not_converge(monkeypatch, tmp_path,
+                                                                capsys):
+    monkeypatch.setattr(channels, "SAMPLER_MAX_ITER", 1)
+    out = tmp_path / "q.json"
+    assert main(["gen-channel", "--seed", "3", "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alternating projections did not converge: tp=")
+    assert " psd=" in err and " ns=" in err
+    assert not out.exists()
 
 
 def test_config_file_merges_with_flags(tmp_path):
