@@ -31,6 +31,7 @@ from .tensor_core import (
     check_dense_budget,
     check_psd,
     eigh_herm,
+    one_blas_thread,
     op_norm,
     partial_trace,
     symmetrize_sites,
@@ -428,6 +429,7 @@ def _project_psd_trace(m: np.ndarray) -> np.ndarray:
     return out
 
 
+@one_blas_thread()
 def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
                               seed: int | None = None) -> ChoiChannel:
     """Random non-signalling channel by Dykstra-style alternating projections.
@@ -442,6 +444,12 @@ def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
     is in general not the intersection's point nearest the start.  The channel
     returned keeps the reports that accepted it (`cptp_report`, `ns_report`).
     A Choi state over the dense budget is refused before it is drawn.
+
+    The sampler runs on one BLAS thread (`one_blas_thread`), so under OpenBLAS
+    its bytes do not depend on the caller's thread count.  At d_A = 2, n = 3
+    (side 128) a sweep's eigh is also faster on one thread than on two; larger
+    sides pay for it: one eigh takes 106 -> 175 ms at side 512 and
+    0.80 -> 1.34 s at side 1024 (best of 3, 2-vCPU VM, OpenBLAS 0.3.31).
     """
     dims = (d_a, d_x, d_y, n)
     fac = choi_factorization(*dims)

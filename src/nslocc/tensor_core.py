@@ -10,6 +10,8 @@ and `embed` take them by name.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Iterable, Sequence
@@ -178,6 +180,42 @@ def eigh_herm(m: np.ndarray, vectors: bool = True, check: bool = False):
     cost, when that part has no imaginary part)."""
     h = _hermitian_part(m, check)
     return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+
+
+@functools.cache
+def _openblas_threads():
+    """(setter, getter) of the thread count of the OpenBLAS that numpy's linalg
+    calls, or None under another BLAS.  dlsym on the extension's handle also
+    searches the libraries it links, so this finds the BLAS wherever it lies."""
+    import ctypes
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        setter = getattr(lib, name.format("set"), None)
+        getter = getattr(lib, name.format("get"), None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the caller's count
+    after it, also when it raises: its floating-point results then do not
+    depend on the thread count.  Under another BLAS this does nothing."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    setter, getter = calls
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def _hermitian_part(m: np.ndarray, check: bool) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslocc import channels
+from nslocc import channels, tensor_core
 from nslocc.channels import (
     ChoiChannel,
     MeasurePrepareChannel,
@@ -26,7 +26,7 @@ from nslocc.channels import (
     random_nonsignalling_choi,
     symmetrize_channel,
 )
-from nslocc.tensor_core import Operator, TensorError, op, partial_trace
+from nslocc.tensor_core import Operator, TensorError, one_blas_thread, op, partial_trace
 
 from conftest import (
     adjoint_apply,
@@ -303,8 +303,61 @@ def test_project_psd_trace_is_the_mask_form_bitwise(rng, dim, shift, negatives):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_nonsignalling_choi_is_the_fresh_array_sweep_bitwise(n, seed):
+    # the sampler runs on one BLAS thread, so the oracle does too
     got = random_nonsignalling_choi(2, 2, 2, n, seed=seed).omega.matrix
-    assert same_bits(got, oracle_sampler_loop(2, 2, 2, n, seed))
+    with one_blas_thread():
+        want = oracle_sampler_loop(2, 2, 2, n, seed)
+    assert same_bits(got, want)
+
+
+@pytest.fixture
+def blas_threads_seen(monkeypatch):
+    """The caller runs on two OpenBLAS threads; yields the getter and the
+    thread counts the sampler's PSD steps ran on."""
+    calls = tensor_core._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    setter, getter = calls
+    seen = []
+
+    def counted(y, fn=channels._project_psd_trace):
+        seen.append(getter())
+        return fn(y)
+
+    monkeypatch.setattr(channels, "_project_psd_trace", counted)
+    before = getter()
+    setter(2)
+    yield getter, seen
+    setter(before)
+
+
+def test_random_nonsignalling_choi_runs_on_one_blas_thread_and_restores_it(
+        blas_threads_seen):
+    getter, seen = blas_threads_seen
+    q = random_nonsignalling_choi(2, 2, 2, 2, seed=0)
+    assert q.cptp_report.ok and q.ns_report.ok
+    assert seen and set(seen) == {1}
+    assert getter() == 2
+
+
+def test_random_nonsignalling_choi_restores_the_blas_threads_when_it_refuses(
+        blas_threads_seen, monkeypatch):
+    getter, seen = blas_threads_seen
+    monkeypatch.setattr(channels, "SAMPLER_MAX_ITER", 1)
+    with pytest.raises(TensorError, match="did not converge"):
+        random_nonsignalling_choi(2, 2, 2, 2, seed=0)
+    assert seen == [1]
+    assert getter() == 2
+
+
+def test_random_nonsignalling_choi_without_a_thread_setter_still_samples(
+        blas_threads_seen, monkeypatch):
+    getter, seen = blas_threads_seen
+    monkeypatch.setattr(tensor_core, "_openblas_threads", lambda: None)
+    q = random_nonsignalling_choi(2, 2, 2, 2, seed=0)
+    assert q.cptp_report.ok and q.ns_report.ok
+    assert seen and set(seen) == {2}
+    assert getter() == 2
 
 
 def test_random_nonsignalling_choi_refuses_what_does_not_converge(monkeypatch):

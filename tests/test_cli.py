@@ -128,6 +128,29 @@ def test_gen_channel_deterministic_json(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["1", "21"])
+def test_gen_channel_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, seed):
+    # both seeds wrote different files at one and two threads when the
+    # sampler ran on the caller's thread count
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"q{threads}.json"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "nslocc.cli", "gen-channel", "--seed", seed,
+             "--n", "3", "--d-a", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_gen_channel_checks_each_channel_once(monkeypatch, tmp_path):
     calls = []   # (check, channel); holding the channel keeps its id unique
     for name in ("is_cptp", "is_nonsignalling"):
