@@ -30,6 +30,12 @@ class ClassicalError(ValueError):
     pass
 
 
+# a probability, map entry or test-pmf entry may round below 0 by NEGATIVE_TOL,
+# and the sum of a conditional slice, map column or test pmf stray from 1 by SUM_TOL
+NEGATIVE_TOL = 1e-12
+SUM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ClassicalProtocol:
     """Conditional pmf table P(y_{1:n} | a, x_{1:n})."""
@@ -45,10 +51,10 @@ class ClassicalProtocol:
         t = np.asarray(self.table, dtype=float)
         if t.shape != want:
             raise ClassicalError(f"table shape {t.shape} != {want}")
-        if t.min() < -1e-12:
+        if t.min() < -NEGATIVE_TOL:
             raise ClassicalError(f"negative probability {t.min()}")
         sums = t.reshape(self.na, self.nx ** self.n, self.ny ** self.n).sum(axis=2)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        if np.abs(sums - 1.0).max() > SUM_TOL:
             raise ClassicalError("conditional slices do not sum to 1")
         t = t.copy()
         t.flags.writeable = False
@@ -130,9 +136,9 @@ def decompose_classifier_mixture(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, float)
     ny, nx = q.shape
-    if np.abs(q.sum(axis=0) - 1.0).max() > 1e-9:
+    if np.abs(q.sum(axis=0) - 1.0).max() > SUM_TOL:
         raise ClassicalError("map is not column-stochastic")
-    if q.min() < -1e-12:
+    if q.min() < -NEGATIVE_TOL:
         raise ClassicalError(f"negative mixture weight: map entry {q.min():.3e}")
     if ny ** nx > dense_budget_rows(1):
         raise ClassicalError(f"{ny}^{nx} functions exceed the dense budget")
@@ -144,7 +150,7 @@ def _test_pmf(dist: np.ndarray, shape: tuple[int, ...], a: int, na: int) -> np.n
     dist = np.asarray(dist, float)
     if len(shape) != 2 or dist.shape != shape:
         raise ClassicalError(f"test distribution shape {dist.shape} is not (nx, ny) = {shape}")
-    if dist.min() < -1e-12 or abs(dist.sum() - 1.0) > 1e-9:
+    if dist.min() < -NEGATIVE_TOL or abs(dist.sum() - 1.0) > SUM_TOL:
         raise ClassicalError(f"not a test pmf: min {dist.min():.3e}, sum {dist.sum():.12g}")
     if a not in range(na):
         raise ClassicalError(f"training value {a} not in range({na})")

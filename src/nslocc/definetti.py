@@ -58,6 +58,9 @@ _HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 # symmetric extensions
 # ---------------------------------------------------------------------------
 
+UNIT_MASS_TOL = 1e-8  # how far an extension's trace on A may stray from 1
+
+
 @dataclass(frozen=True)
 class SymmetricExtension:
     """Pure state on block ⊗ site^{⊗n}, symmetric under site permutations,
@@ -93,17 +96,8 @@ class SymmetricExtension:
 
     def __post_init__(self):
         mass = float(np.trace(self.marginal).real)
-        if abs(mass - 1.0) > 1e-8:
+        if abs(mass - 1.0) > UNIT_MASS_TOL:
             raise TensorError(f"extension state has trace {mass} on A, need 1")
-
-
-def _transposition_deviations(t: np.ndarray, groups: list[range]):
-    """Yield (i, max |P t − t|) for each adjacent site transposition P = (i, i+1)."""
-    n = len(groups[0])
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        yield i, float(np.abs(permute_sites(t, perm, groups) - t).max())
 
 
 def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
@@ -111,12 +105,11 @@ def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
 
     omega is the matrix on (A, B1..Bn), A of dimension d_a (1 for none) and
     the n sites of one dimension d; a side that is not d_a·d^n is refused.
-    If exactly one eigenpair of omega lies above the rank floor and its
-    vector is symmetric, that vector is returned with the original site
-    dimension.  Otherwise the purification is vec √omega, which pairs each
-    site with its mirror copy, giving doubled sites of dimension d² and a
-    block (A, A') of dimension d_a²; it is symmetric even where omega's
-    vector is antisymmetric, as for the singlet on two sites.
+    Every omega, pure or mixed, gives vec √omega, as `purify_product_mixture`
+    does: it pairs each site with its mirror copy, giving doubled sites of
+    dimension d² and a block (A, A') of dimension d_a², and it is symmetric
+    even where a pure omega's vector is antisymmetric, as for the singlet on
+    two sites.
 
     The eigensolve runs in real arithmetic when omega is real (`eigh_herm`).
     The state is built only from the eigenpairs above the rank floor
@@ -133,7 +126,11 @@ def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
 
     # permutation invariance of omega on the sites (adjacent transpositions)
     t = omega.reshape(2 * ((d_a,) + (d,) * n))
-    for i, dev in _transposition_deviations(t, [range(1, n + 1), range(n + 2, 2 * n + 2)]):
+    sites = [range(1, n + 1), range(n + 2, 2 * n + 2)]
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        dev = float(np.abs(permute_sites(t, perm, sites) - t).max())
         if dev > SYMMETRY_TOL:
             raise TensorError(
                 f"omega is not permutation symmetric (transposition {i + 1},{i + 2}: "
@@ -142,15 +139,6 @@ def purify_extension(omega: np.ndarray, d_a: int, n: int) -> SymmetricExtension:
     w, v = _psd_eigs(omega)
     keep = w > w[-1] * side * np.finfo(float).eps
     dropped = float(w[~keep].sum())
-    # the vector of a pure symmetric omega may be antisymmetric; vec √omega never is
-    top = v[:, -1].reshape(t.shape[:n + 1])
-    if keep.sum() == 1 and all(
-            dev <= SYMMETRY_TOL for _, dev in _transposition_deviations(top, [range(1, n + 1)])):
-        # global phase: the first entry above half the largest modulus is positive
-        psi = top.reshape(d_a, d ** n) / np.linalg.norm(top)
-        mod = np.abs(psi.ravel())
-        lead = psi.ravel()[np.argmax(mod > 0.5 * mod.max())]
-        return _dense_extension(psi * (abs(lead) / lead), d_a, d, d, n, dropped)
     v_r = v[:, keep]
     root = (v_r * np.sqrt(w[keep])) @ v_r.conj().T
     # vec √omega, each site paired with its mirror:
@@ -256,6 +244,9 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
         dropped_mass=dropped + float(lam[~keep].sum()))
 
 
+ZERO_TRACE_TOL = 1e-12  # the norm below which a preparation's vec √phi is zero
+
+
 def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> SymmetricExtension:
     """Structured symmetric extension of sum_j K_j ⊗ phi_j^{⊗n}.
 
@@ -277,7 +268,7 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
         w, v = _psd_eigs(p_j)
         chi = ((v * np.sqrt(w)) @ v.conj().T).reshape(-1)  # (b, b') pairing
         nrm = np.linalg.norm(chi)
-        if nrm < 1e-12:
+        if nrm < ZERO_TRACE_TOL:
             raise TensorError("preparation state has zero trace")
         chis[j] = chi / nrm
     return SymmetricExtension(
@@ -290,6 +281,9 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
 # grids over pure site states
 # ---------------------------------------------------------------------------
 
+WEIGHT_SUM_TOL = 1e-9  # how far a grid's weights may sum from 1
+
+
 @dataclass(frozen=True)
 class MeasureGrid:
     """Weighted pure-state grid on C^{d_eff} that resolves Sym^n; the same
@@ -301,7 +295,7 @@ class MeasureGrid:
     mode: str
 
     def __post_init__(self):
-        if abs(self.weights.sum() - 1.0) > 1e-9:
+        if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise TensorError(f"grid weights sum to {self.weights.sum()}, not 1")
 
     @property
@@ -414,14 +408,13 @@ class DeFinettiApprox:
 
 
 def _check_sweep(exts: list[SymmetricExtension], grid: MeasureGrid) -> None:
-    """Refuse an extension whose sites are not the grid's C^{d_eff}, or whose
-    physical sites are not those of the sweep's first extension."""
+    """Refuse an extension whose sites are not the grid's C^{d_eff}.  Every
+    extension the package builds doubles its physical sites, so those then
+    match too."""
     for ext in exts:
-        if (ext.site_dim, ext.site_keep_dim) != (grid.d_eff, exts[0].site_keep_dim):
-            raise TensorError(
-                f"grid on C^{grid.d_eff} (sweep kept on C^{exts[0].site_keep_dim}) "
-                f"does not match extension on C^{ext.site_dim} "
-                f"(kept on C^{ext.site_keep_dim})")
+        if ext.site_dim != grid.d_eff:
+            raise TensorError(f"grid on C^{grid.d_eff} does not match extension "
+                              f"on C^{ext.site_dim}")
 
 
 def _block_overlaps(ext: SymmetricExtension, grid: MeasureGrid) -> np.ndarray:

@@ -27,6 +27,11 @@ from .tensor_core import (
     permutation_matrix,
 )
 
+# how far a task state's trace, its lowest eigenvalue and the priors' sum
+# may stray from 1, 0 and 1
+STATE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LearningTask:
     """Training state, test-pair distribution and risk observable.
@@ -56,9 +61,9 @@ class LearningTask:
             object.__setattr__(self, name, m)
         pair, score = self.d_x * self.d_r, self.d_y * self.d_r
         for state in (self.rho_a, self.rho_xr.reshape(pair, pair)):
-            if abs(np.trace(state).real - 1.0) > 1e-9:
+            if abs(np.trace(state).real - 1.0) > STATE_TOL:
                 raise TensorError(f"state trace {np.trace(state).real} != 1")
-            check_psd(state, "task state", tol=1e-9)
+            check_psd(state, "task state", tol=STATE_TOL)
         eigh_herm(self.s.reshape(score, score), vectors=False, check=True)  # S is Hermitian
 
     @property
@@ -89,7 +94,7 @@ def _training_data(priors: list[float], states: list[np.ndarray]) -> tuple[list,
     ρ_1 ⊗ … ⊗ ρ_L by iterated outer products."""
     if len(priors) != len(states):
         raise TensorError(f"{len(priors)} priors for {len(states)} states")
-    if abs(sum(priors) - 1.0) > 1e-9:
+    if abs(sum(priors) - 1.0) > STATE_TOL:
         raise TensorError(f"priors sum to {sum(priors)}, not 1")
     mats = [np.asarray(s, complex) for s in states]
     if len({m.shape[0] for m in mats}) > 1:
@@ -201,6 +206,9 @@ def _risk_direct(q: ChoiChannel | MeasurePrepareChannel,
     return float((d_a * d_x ** n * total / n).real)
 
 
+RISK_PATHS_TOL = 1e-8  # how far path="both" lets the two risk paths disagree
+
+
 def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
                   path: str) -> float:
     """Expected risk of a channel on a task.
@@ -208,7 +216,7 @@ def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
     path: "marginal" (symmetrize + single-round Choi against the R-operator,
     works at any n), "direct" (contract the n-round Choi state with the task
     round by round, as far as the dense budget admits that state), or "both"
-    (run both and insist they agree to 1e-8).
+    (run both and insist they agree to RISK_PATHS_TOL).
     """
     if q.n != task.n:
         raise TensorError(f"channel n={q.n} != task n={task.n}")
@@ -221,7 +229,7 @@ def expected_risk(q: ChoiChannel | MeasurePrepareChannel, task: LearningTask,
     if path == "both":
         a = _risk_direct(q, task)
         b = _risk_marginal(q, task)
-        if abs(a - b) > 1e-8:
+        if abs(a - b) > RISK_PATHS_TOL:
             raise TensorError(
                 f"risk evaluation paths disagree: direct {a!r} vs marginal {b!r}")
         return b

@@ -397,11 +397,13 @@ def symmetric_projector(n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def operator_to_json(operator: Operator) -> dict:
+    """The operator's JSON fields; its real and imaginary parts stay array
+    views, for a writer to encode row by row (`nslocc.cli`)."""
     return {
         "labels": list(operator.labels),
         "dims": list(operator.shape.dims),
-        "re": operator.matrix.real.tolist(),
-        "im": operator.matrix.imag.tolist(),
+        "re": operator.matrix.real,
+        "im": operator.matrix.imag,
     }
 
 

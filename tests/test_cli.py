@@ -2,6 +2,7 @@ import argparse
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from nslocc import channels, cli, locc, tensor_core
@@ -126,6 +127,69 @@ def test_gen_channel_deterministic_json(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("d_a, d_x, d_y, n", [(1, 2, 2, 1), (2, 3, 2, 2), (2, 2, 2, 3)])
+def test_gen_channel_streams_the_one_shot_json_bytes(monkeypatch, tmp_path, capsys,
+                                                     d_a, d_x, d_y, n):
+    # the file and stdout both read json.dumps(payload, sort_keys=True) + "\n"
+    # of the channel the command sampled, encoded in one piece
+    sampled = []
+
+    def sampler(*args, **kwargs):
+        sampled.append(channels.random_nonsignalling_choi(*args, **kwargs))
+        return sampled[-1]
+    monkeypatch.setattr(cli, "random_nonsignalling_choi", sampler)
+    argv = ["gen-channel", "--seed", "2", "--d-a", str(d_a), "--d-x", str(d_x),
+            "--d-y", str(d_y), "--n", str(n)]
+    out = tmp_path / "q.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    ch = sampled[0]
+    payload = {
+        "seed": 2, "d_a": d_a, "d_x": d_x, "d_y": d_y, "n": n,
+        "cptp": {"psd_violation": ch.cptp_report.psd_violation,
+                 "tp_violation": ch.cptp_report.tp_violation},
+        "ns_residual": ch.ns_report.max_residual,
+        "omega": {"labels": list(ch.omega.labels), "dims": list(ch.omega.shape.dims),
+                  "re": ch.omega.matrix.real.tolist(), "im": ch.omega.matrix.imag.tolist()},
+    }
+    want = json.dumps(payload, sort_keys=True) + "\n"
+    for where, got in (("--out", out.read_text()), ("stdout", capsys.readouterr().out)):
+        if got != want:   # a plain == would make pytest diff the whole document
+            at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                      min(len(got), len(want)))
+            pytest.fail(f"{where} differs from the one-shot bytes at offset {at}: "
+                        f"{got[at - 20:at + 20]!r} vs {want[at - 20:at + 20]!r}")
+
+
+def test_gen_channel_writes_a_row_at_a_time(monkeypatch, tmp_path):
+    # a side-512 channel's write holds far less than one float list of its matrix
+    import sys
+    import tracemalloc
+    from types import SimpleNamespace
+    rng = np.random.default_rng(0)
+    side = 512
+    m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    ch = SimpleNamespace(
+        omega=tensor_core.op(m, ("A", 2), *[(f"{r}{i}", 2) for i in range(1, 5) for r in "XY"]),
+        cptp_report=SimpleNamespace(psd_violation=0.0, tp_violation=0.0),
+        ns_report=SimpleNamespace(max_residual=0.0))
+    monkeypatch.setattr(cli, "random_nonsignalling_choi", lambda *args, **kwargs: ch)
+    float_list = side * side * (sys.getsizeof(0.5) + 8)       # floats and pointers
+    out = tmp_path / "q.json"
+    tracemalloc.start()
+    try:
+        assert main(["gen-channel", "--n", "4", "--d-a", "2", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < float_list / 16, (peak, float_list)
+    with open(out) as fh:
+        head = fh.read(side * 40)
+    assert head.startswith('{"cptp": {"psd_violation": 0.0, "tp_violation": 0.0}, "d_a": 2')
+    assert json.dumps(m.imag[0].tolist())[1:-1] in head
 
 
 @pytest.mark.parametrize("seed", ["1", "21"])
@@ -501,8 +565,9 @@ def test_haar_grid_over_the_budget_exits_2_before_it_is_drawn(monkeypatch, tmp_p
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
-    assert main(["classical-demo", "--seed", "4", "--out", str(out)]) == 2
-    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    for argv in (["classical-demo", "--seed", "4"], ["gen-channel", "--n", "1"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

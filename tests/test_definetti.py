@@ -10,6 +10,7 @@ from nslocc.definetti import (
     DENSE_RESIDUAL_BUDGET,
     MeasureGrid,
     _block_overlaps,
+    _dense_extension,
     _dense_resolution_residual,
     approx_error,
     branch_extension,
@@ -122,8 +123,7 @@ def test_haar_grid_without_points_is_refused():
 @pytest.mark.parametrize("kind", ["mixed", "pure"])
 @pytest.mark.parametrize("d_a", [1, 2, 3])
 def test_purify_extension_reduces_back(rng, d_a, kind):
-    # the block marginal tells the storage from the block side: d_a for a
-    # pure state's vector, d_a² for a purification (also 1 at d_a = 1)
+    # pure or mixed, omega purifies to vec √omega on doubled sites
     n, d = 2, 2
     if kind == "mixed":
         omega, _ = symmetric_test_state(rng, d_a, d, n)
@@ -134,23 +134,22 @@ def test_purify_extension_reduces_back(rng, d_a, kind):
         vec /= np.linalg.norm(vec)
         omega = op(np.outer(vec, vec.conj()), ("A", d_a), ("B1", d), ("B2", d))
     ext = purify_extension(omega.matrix, d_a, n)
-    assert ext.site_dim == (d if kind == "pure" else d * d)
+    assert ext.site_dim == d * d
     want = partial_trace(omega, ["A"]).matrix
     assert np.abs(ext.marginal - want).max() <= 1e-10
 
 
 def test_purify_extension_purifies_an_antisymmetric_pure_state():
-    # the singlet's omega is symmetric but its vector is antisymmetric, so
-    # it takes vec √omega on doubled sites, as its mixture with noise does
+    # the singlet's omega is symmetric but its vector is antisymmetric;
+    # vec √omega on doubled sites is symmetric, as for the symmetric triplet
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-    omega = np.outer(singlet, singlet)
-    ext = purify_extension(omega, 1, 2)
-    assert ext.site_dim == 4
-    assert np.abs(unprimed_state(ext) - omega).max() <= 1e-12
-    # a symmetric pure omega keeps its vector on the physical sites
-    triplet = np.abs(singlet)
-    ext = purify_extension(np.outer(triplet, triplet), 1, 2)
-    assert ext.site_dim == 2
+    for vec in (singlet, np.abs(singlet)):
+        omega = np.outer(vec, vec)
+        ext = purify_extension(omega, 1, 2)
+        assert ext.site_dim == 4
+        assert np.abs(unprimed_state(ext) - omega).max() <= 1e-12
+        psi = extension_psi(ext).reshape(-1, 4, 4)
+        assert np.abs(psi - psi.transpose(0, 2, 1)).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -299,9 +298,8 @@ def test_stacked_extraction_matches_per_point_loop(rng):
     parts = [(random_density(rng, d_a) * w, random_density(rng, 2)) for w in (0.3, 0.7)]
     exts = [branch_extension(np.stack([k for k, _ in parts]),
                              np.stack([p for _, p in parts]), n=5),
-            purify_extension(mixed.matrix, d_a, n),   # doubled sites
-            purify_extension(pure, d_a, n)]           # plain sites
-    assert [e.site_dim != e.site_keep_dim for e in exts] == [True, True, False]
+            purify_extension(mixed.matrix, d_a, n),
+            purify_extension(pure, d_a, n)]
     for ext in exts:
         grid = build_grid(ext.site_dim, ext.n, "haar:7:150")
         approx = extract_measure(ext, grid)
@@ -538,19 +536,6 @@ def test_grid_serves_every_n_and_refuses_other_sites():
         extract_measure(ext, qubits)
 
 
-def test_sweep_refuses_extensions_with_other_physical_sites():
-    # both extensions have sites on C^4, but only the pure one keeps all four
-    doubled = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=2)
-    pure = purify_extension(np.diag(np.eye(16)[0]), 1, 2)
-    assert (pure.site_dim, pure.site_keep_dim) == (4, 4)
-    grid = build_grid(4, 2, "haar:0:20")
-    us = [_block_overlaps(ext, grid) for ext in (doubled, pure)]
-    with pytest.raises(TensorError, match="does not match extension"):
-        extract_measures([doubled, pure], grid)
-    with pytest.raises(TensorError, match="does not match extension"):
-        subspace_residuals([doubled, pure], grid, us)
-
-
 def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
     ext = residual_extensions(rng, 2)["branches"]
     grid = build_grid(ext.site_dim, 2, "haar:1:40")
@@ -712,9 +697,9 @@ def test_design_grid_extracts_every_smaller_n_exactly(rng):
         vec = (np.kron([1.0, 0.0], reduce(np.kron, [psi] * n))
                + np.kron([0.0, 1.0], reduce(np.kron, [chi] * n)))
         vec /= np.linalg.norm(vec)
-        exts.append(purify_extension(np.outer(vec, vec.conj()), 2, n))
+        # the pure state on its own qubit sites, which no purification keeps
+        exts.append(_dense_extension(vec.reshape(2, -1), 2, 2, 2, n, 0.0))
     for ext, ap in zip(exts, extract_measures(exts, grid)):
-        assert ext.site_dim == 2
         assert ap.grid_residual <= 1e-12, ext.n
         assert ap.povm_deficit <= 1e-12, ext.n
 

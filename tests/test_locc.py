@@ -47,7 +47,6 @@ from conftest import (
     extension_psi,
     loop_marginal_choi,
     oracle_einsum_repair,
-    oracle_purify_extension,
     oracle_tp_repair,
     random_density,
     random_kraus,
@@ -341,22 +340,12 @@ def structured_case(rng, case, n):
     return MeasurePrepareChannel.of(povm, preps, n)
 
 
-def structured_reference(q, case):
-    """The dense vec √ω the structured route gives for q: purify_extension's,
-    or for a pure ω, which purify_extension keeps on its own sites, the
-    oracle's on doubled sites."""
-    sym = symmetrize_channel(q.dense())
-    if case == "pure":
-        return oracle_purify_extension(sym.omega.matrix, sym.d_a, sym.n, floor=True)
-    return dense_purification(sym)
-
-
 @pytest.mark.parametrize("case", ["classifier", "complex", "overcomplete", "pure"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structured_purification_is_the_dense_one(rng, case, n):
     q = structured_case(rng, case, n)
     got = purify_channel(q)
-    want = structured_reference(q, case)
+    want = dense_purification(symmetrize_channel(q.dense()))
     assert (got.d_a, got.site_dim, got.site_keep_dim) == (want.d_a, want.site_dim,
                                                          want.site_keep_dim)
     assert got.site_dim == got.site_keep_dim ** 2
@@ -372,7 +361,7 @@ def test_structured_overlaps_are_the_dense_ones(rng, case, n):
     # ψ is built, so no extension takes the dense storage's identity sites
     q = structured_case(rng, case, n)
     got = purify_channel(q)
-    want = structured_reference(q, case)
+    want = dense_purification(symmetrize_channel(q.dense()))
     assert not np.array_equal(got.sites, np.eye(got.site_dim))
     grid = build_grid(want.site_dim, n, "haar:3:60")
     assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
