@@ -7,9 +7,17 @@ Subcommands:
 * definetti      -- de Finetti approximation error for a product family (CSV)
 * classical-demo -- classifier-mixture pipeline on a random protocol (JSON)
 * gen-channel    -- sample a random non-signalling Choi state (JSON), written
-                    one row of ω at a time: the bytes of json.dumps(payload,
-                    sort_keys=True) at the sampler's own peak RSS, 80.8 MB
-                    at side 512 and 203.8 MB at side 1,024 (x86-64, OpenBLAS)
+                    ENCODE_BLOCK elements of ω at a time: the bytes of
+                    json.dumps(payload, sort_keys=True) at the sampler's own
+                    peak RSS, 80.8 MB at side 512 and 204.0 MB at side 1,024
+                    (x86-64, OpenBLAS)
+
+gen-channel's float encoder (_float_rows) gives json.dumps's text for ω's
+floats, byte for byte.  An element with 1e-7 <= |x| < 1 whose shortest
+round-trip digits number 13 or more, with a mantissa other than 2^52 and no
+exact tie between two candidates, gets those digits from fixed-width integer
+arithmetic, a block of elements at a time; every other element, and every
+element unless sys.float_repr_style is "short", is encoded by json.dumps.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad configuration.
 Identical configurations produce byte-identical outputs; randomness only
@@ -152,8 +160,8 @@ def _write(out_path: str | None, chunks: Iterable[str]):
 
 
 def _json_chunks(value) -> Iterator[str]:
-    """The text of json.dumps(value, sort_keys=True) in pieces: an array is
-    encoded one row at a time, so no piece holds more than a row of it."""
+    """The text of json.dumps(value, sort_keys=True) in pieces: a 2-D float
+    array is encoded ENCODE_BLOCK elements at a time, in whole rows."""
     if isinstance(value, dict):
         yield "{"
         for i, key in enumerate(sorted(value)):
@@ -161,12 +169,172 @@ def _json_chunks(value) -> Iterator[str]:
             yield from _json_chunks(value[key])
         yield "}"
     elif isinstance(value, np.ndarray):
+        step = max(1, ENCODE_BLOCK // value.shape[1])
         yield "["
-        for i, row in enumerate(value):
-            yield (", " if i else "") + json.dumps(row.tolist())
+        for i in range(0, len(value), step):
+            if i:
+                yield ", "
+            yield _float_rows(value[i:i + step])
         yield "]"
     else:
         yield json.dumps(value, sort_keys=True)
+
+
+# elements per block of the float encoder, in whole rows; its arrays take
+# about 130 bytes per element, so a block holds about 0.27 MB
+ENCODE_BLOCK = 2048
+_SLOT = 32   # bytes of one element's text in the encoder's buffer
+
+
+@functools.cache
+def _float_tables():
+    """The float encoder's tables, built on first use: the smallest double
+    >= 10^e for e = -7..0, 5^s for s < 24, the four ASCII digits of
+    0..9999 as one word each, the exponent tails e-07..e-05, and for each
+    start*(_SLOT + 1) + end the mask of a slot's bytes start..end-1."""
+    lower = []
+    for e in range(-7, 1):
+        t = float(f"1e{e}")
+        num, den = t.as_integer_ratio()
+        lower.append(t if num * 10 ** -e >= den else np.nextafter(t, 1.0))
+    pow5 = np.array([5 ** s for s in range(24)], np.uint64)
+    digits = np.arange(10 ** 4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    digits %= 10
+    digits += ord("0")
+    words = digits.astype(np.uint8).view(np.uint32).ravel()
+    tails = np.frombuffer(b"e-07e-06e-05\0\0\0\0", np.uint32)
+    col = np.arange(_SLOT)
+    spans = (col >= np.arange(_SLOT + 1)[:, None, None]) & (col < np.arange(_SLOT + 1)[:, None])
+    return np.array(lower), pow5, words, tails, spans.reshape(-1, _SLOT)
+
+
+def _scaled(m: np.ndarray, f: np.ndarray, t: np.ndarray):
+    """(a, r) with m*f = a*2^t + r and r < 2^t, for m < 2^53, f < 2^54 and
+    t < 64, from the product held in two uint64 words."""
+    low32, w = np.uint64(2 ** 32 - 1), np.uint64(32)
+    mid = (m & low32) * (f >> w) + (m >> w) * (f & low32)    # < 2^55
+    hi = (m >> w) * (f >> w) + (mid >> w)
+    mid <<= w
+    lo = (m & low32) * (f & low32) + mid
+    hi += lo < mid                             # the carry out of the low word
+    return (hi << (np.uint64(64) - t)) | (lo >> t), lo & ((np.uint64(1) << t) - np.uint64(1))
+
+
+def _shortest(x: np.ndarray):
+    """The elements of a float64 vector that the fast path encodes: their
+    indices, shortest round-trip digits D, digit counts L and decimal
+    exponents e10, so that repr(|x|) spells D * 10^(e10 + 1 - L).
+
+    Fast are the x with 10^-7 <= |x| < 1 whose mantissa is not 2^52 (its
+    rounding interval is lopsided) and whose shortest digits number 13 or
+    more without an exact tie between two candidates.  With |x| = m*2^-q,
+    s = 16 - e10 and t = q - s, scaling by 10^s * 2^t makes |x| the integer
+    m*5^s = a*2^t + r, a its 17-digit floor, a 17-digit unit 2^t and the
+    rounding interval's half-width 5^s / 2.  A candidate round-trips iff its
+    distance from m*5^s is at most that; 5^s is odd, so no candidate of 17
+    digits or fewer lies on the interval's ends, and whether the ends
+    belong to it never matters."""
+    lower, pow5 = _float_tables()[:2]
+    ax = np.abs(x)
+    at = np.flatnonzero((ax >= lower[0]) & (ax < 1.0))
+    ax = ax[at]
+    e10 = np.searchsorted(lower, ax, side="right") - 8
+    f = pow5[16 - e10]
+    m = ax.view(np.uint64)
+    t = np.uint64(1075) - (m >> np.uint64(52)) - (16 - e10).astype(np.uint64)
+    m &= np.uint64(2 ** 52 - 1)
+    lopsided = m == 0
+    m |= np.uint64(2 ** 52)
+    a, r = _scaled(m, f, t)
+    del ax, m   # arrays go once spent: the block's peak sets ENCODE_BLOCK
+    f >>= np.uint64(1)                         # the interval's half-width
+    half = np.uint64(1) << (t - np.uint64(1))
+    d, tie, digits = a + (r > half), r == half, np.full(a.size, 17, np.int8)
+    del half
+    # 17 digits always fit; each shorter length is tried where the last fit,
+    # down to 12, which sends the element to the fallback.  Its candidates
+    # below and above lie c and p - c units from a; a distance of 16 units
+    # never fits (the half-width is under 12), so it is capped there
+    sub = np.arange(a.size)
+    for k in range(1, 6):
+        p = np.uint64(10 ** k)
+        q = a[sub] // p
+        c = a[sub] - q * p
+        ts, rs = t[sub], r[sub]
+        down = (np.minimum(c, np.uint64(16)) << ts) + rs
+        up = (np.minimum(p - c, np.uint64(16)) << ts) - rs
+        fit = np.minimum(down, up) <= f[sub]
+        sub = sub[fit]
+        if not sub.size:
+            break
+        d[sub] = q[fit] + (up < down)[fit]
+        tie[sub] = (up == down)[fit]
+        digits[sub] = 17 - k
+    keep = np.flatnonzero((digits >= 13) & ~tie & ~lopsided)
+    return at[keep], d[keep].view(np.int64), digits[keep], e10[keep]
+
+
+def _float_rows(block: np.ndarray) -> str:
+    """The text ", ".join(json.dumps(row.tolist()) for row in block) of a
+    2-D float64 array.
+
+    Each element's text is laid out in a _SLOT-byte row of one buffer: the
+    fast path writes the 20 zero-padded digits of D to bytes 4..23 and the
+    exponent tail to 24..27, and marks the point, lead digit and sign; every
+    other element takes json.dumps's own text, as does every element unless
+    sys.float_repr_style is "short".  One mask then picks each slot's text
+    and separator."""
+    _, _, words, tails, spans = _float_tables()
+    ncols = block.shape[1]
+    x = block.ravel()
+    n = x.size
+    short = sys.float_repr_style == "short"
+    at, d, digits, e10 = _shortest(x) if short else (np.zeros(0, np.intp),) * 4
+    buf = np.zeros((n, _SLOT), np.uint8)
+    flat, b32 = buf.reshape(-1), buf.view(np.uint32)
+    rest = np.zeros(n, np.int64)
+    rest[at] = d
+    for col in range(5, 0, -1):
+        group = rest % 10 ** 4
+        rest //= 10 ** 4
+        b32[:, col] = words[group]
+    del rest, group
+    fixed = e10 >= -4                          # repr's 0.000ddd down to 1e-4
+    dot = at * _SLOT + 24 - digits + np.where(fixed, e10, 0)
+    b32[at, 6] = tails[np.where(fixed, 3, e10 + 7)]
+    lead = flat[dot]
+    lead[fixed] = ord("0")
+    flat[dot - 1] = lead
+    flat[dot] = ord(".")
+    flat[dot - 2] = ord("-")
+    start, end = np.ones(n, np.intp), np.full(n, 28, np.intp)
+    start[at] = dot - at * _SLOT - 1 - (x[at] < 0)
+    end[at[fixed]] = 24
+    del dot, lead, fixed
+    slow = np.ones(n, bool)
+    slow[at] = False
+    slow = np.flatnonzero(slow)
+    for i in range(0, slow.size, 256):   # a few Python strings at a time
+        part = slow[i:i + 256]
+        text = json.dumps(x[part].tolist())[1:-1].split(", ")
+        text = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+        buf[part, 1:25] = text
+        end[part] = 1 + np.count_nonzero(text, axis=1)
+    # brackets around each row, a separator after each element
+    row = np.arange(0, n * _SLOT, _SLOT)
+    start[::ncols] -= 1
+    flat[row[::ncols] + start[::ncols]] = ord("[")
+    flat[row[ncols - 1::ncols] + end[ncols - 1::ncols]] = ord("]")
+    end[ncols - 1::ncols] += 1
+    row += end
+    flat[row] = ord(",")
+    flat[row + 1] = ord(" ")
+    start *= _SLOT + 1
+    start += end + 2
+    del row, end
+    text = buf[np.take(spans, start, axis=0)]
+    del buf, start
+    return str(text, "ascii")[:-2]
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def symmetric_projector(n: int, d: int) -> np.ndarray:
 
 def operator_to_json(operator: Operator) -> dict:
     """The operator's JSON fields; its real and imaginary parts stay array
-    views, for a writer to encode row by row (`nslocc.cli`)."""
+    views, for a writer to encode a block of rows at a time (`nslocc.cli`)."""
     return {
         "labels": list(operator.labels),
         "dims": list(operator.shape.dims),

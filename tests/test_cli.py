@@ -129,11 +129,13 @@ def test_gen_channel_deterministic_json(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("d_a, d_x, d_y, n", [(1, 2, 2, 1), (2, 3, 2, 2), (2, 2, 2, 3)])
+@pytest.mark.parametrize("d_a, d_x, d_y, n", [(1, 2, 2, 1), (2, 3, 2, 2), (2, 2, 2, 3),
+                                               (1, 1, 1, 1), (4, 2, 2, 2)])
 def test_gen_channel_streams_the_one_shot_json_bytes(monkeypatch, tmp_path, capsys,
                                                      d_a, d_x, d_y, n):
     # the file and stdout both read json.dumps(payload, sort_keys=True) + "\n"
-    # of the channel the command sampled, encoded in one piece
+    # of the channel the command sampled, encoded in one piece; ω = [[1.0]] at
+    # (1, 1, 1, 1) takes the float encoder's fallback only, side 64 its blocks
     sampled = []
 
     def sampler(*args, **kwargs):
@@ -164,8 +166,9 @@ def test_gen_channel_streams_the_one_shot_json_bytes(monkeypatch, tmp_path, caps
                         f"{got[at - 20:at + 20]!r} vs {want[at - 20:at + 20]!r}")
 
 
-def test_gen_channel_writes_a_row_at_a_time(monkeypatch, tmp_path):
-    # a side-512 channel's write holds far less than one float list of its matrix
+def test_gen_channel_writes_a_block_of_rows_at_a_time(monkeypatch, tmp_path):
+    # a side-512 channel's write holds far less than one float list of its
+    # matrix: the float encoder takes cli.ENCODE_BLOCK elements at a time
     import sys
     import tracemalloc
     from types import SimpleNamespace

@@ -10,16 +10,25 @@ that no longer mutates anything.
 
 import __future__
 import inspect
+import json
 import textwrap
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from nslocc import definetti, locc
-from nslocc.channels import marginal_input
+from nslocc import channels, cli, definetti, locc, risk, tensor_core
+from nslocc.channels import marginal_input, random_nonsignalling_choi
+from nslocc.risk import classification_task
 
-from conftest import extension_psi, oracle_einsum_repair, random_density
+from conftest import (
+    extension_psi,
+    oracle_einsum_repair,
+    oracle_risk_direct,
+    oracle_symmetric_projector,
+    random_density,
+    random_kraus,
+)
 
 
 def overlaps_match_the_per_point_contraction():
@@ -52,6 +61,66 @@ def repair_matches_the_einsum_sandwich():
     assert np.abs(got - want).max() <= 1e-15
 
 
+def channel_output_is_the_kraus_sum():
+    # Q(ρ) = sum_K K ρ K† for a global Kraus family on two rounds, d_X != d_Y
+    rng = np.random.default_rng(14)
+    kraus = random_kraus(rng, 4, 9, count=3)
+    rho = random_density(rng, 4)
+    q = channels.choi_of_global_kraus(kraus, 2, 3, n=2)
+    got = channels.apply_channel(q, tensor_core.op(rho, ("A", 1), ("X1", 2), ("X2", 2)))
+    assert np.abs(got.matrix - sum(k @ rho @ k.conj().T for k in kraus)).max() <= 1e-14
+
+
+def choi_state_is_the_kraus_outer_products():
+    # ω[(x1, y1, x2, y2), (x1', ..)] = sum_K K[y, x] conj(K[y', x']) / d_X^n, each
+    # K's entries moved to round order by one transpose of its (y1, y2, x1, x2) view
+    rng = np.random.default_rng(15)
+    kraus = random_kraus(rng, 4, 9, count=3)
+    vecs = [k.reshape(3, 3, 2, 2).transpose(2, 0, 3, 1).reshape(-1) for k in kraus]
+    want = sum(np.outer(v, v.conj()) for v in vecs) / 4
+    got = channels.choi_of_global_kraus(kraus, 2, 3, n=2).omega.matrix
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def embed_is_the_kron_with_the_identity():
+    # the operator's factor is full's last one, so its embedding is 1_AB ⊗ M;
+    # the factor order it is built in, (C, A, B), is a 3-cycle of full's
+    m = np.random.default_rng(16).standard_normal((2, 2))
+    full = tensor_core.Factorization.of(("A", 2), ("B", 3), ("C", 2))
+    got = tensor_core.embed(tensor_core.op(m, ("C", 2)), full).matrix
+    assert np.abs(got - np.kron(np.eye(6), m)).max() == 0
+
+
+def direct_risk_matches_the_embedding_oracle():
+    # two rounds, so ρ_X pairs with the round whose score is not taken, and
+    # complex class states, so that ρ_X is not its own transpose
+    rng = np.random.default_rng(17)
+    task = classification_task([0.3, 0.7], [random_density(rng, 2) for _ in range(2)], n=2)
+    q = random_nonsignalling_choi(4, 2, 2, 2, seed=17)
+    assert abs(risk._risk_direct(q, task) - oracle_risk_direct(q, task)) <= 1e-14
+
+
+def site_average_is_the_symmetric_projection():
+    # the S_3 average of a state on three qubit sites against the mean of all
+    # six dense permutation matrices
+    v = np.random.default_rng(18).standard_normal(8)
+    got = tensor_core.symmetrize_sites(v.reshape(2, 2, 2), [range(3)]).reshape(-1)
+    assert np.abs(got - oracle_symmetric_projector(3, 2) @ v).max() <= 1e-15
+
+
+def float_text_is_json_dumps():
+    # the float encoder's rows against json.dumps on the classes that find
+    # its faults: neighbours of 10^-k and 2^-k, ties k·2^-j and random values
+    rng = np.random.default_rng(19)
+    k = np.arange(1, 8.0)
+    edges = [float(f"1e-{int(e)}") for e in k] + list(2.0 ** -k)
+    values = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                             rng.integers(1, 2 ** 20, 200) * 2.0 ** -rng.integers(18, 30, 200),
+                             rng.standard_normal(200) * 1e-3])
+    block = np.resize(values, (8, 64))
+    assert cli._float_rows(block) == ", ".join(json.dumps(row.tolist()) for row in block)
+
+
 MUTANTS = {
     "overlap-kernel-drops-conj": (definetti, "_block_overlaps", "ext.sites @ vectors.conj().T",
                                   "ext.sites @ vectors.T", overlaps_match_the_per_point_contraction),
@@ -59,6 +128,30 @@ MUTANTS = {
                                    "* prod_gram) @", product_marginal_is_the_sum_of_blocks),
     "repair-sandwich-transposed": (locc, "tp_repair", "factor @ phi @ factor",
                                    "factor.T @ phi @ factor.T", repair_matches_the_einsum_sandwich),
+    "apply-channel-reverses-Y": (channels, "apply_channel", "list(range(2, k, 2))",
+                                 "list(range(2, k, 2))[::-1]", channel_output_is_the_kraus_sum),
+    "round-interleave-reversed": (channels, "choi_of_global_kraus", "for i in range(n) for",
+                                  "for i in reversed(range(n)) for",
+                                  choi_state_is_the_kraus_outer_products),
+    "embed-inverse-permutation": (tensor_core, "embed",
+                                  "[have.index(lab) for lab in full.labels]",
+                                  "[full.labels.index(lab) for lab in have.labels]",
+                                  embed_is_the_kron_with_the_identity),
+    "risk-rho_X-transposed": (risk, "_risk_direct", '"arbr->ab"', '"arbr->ba"',
+                              direct_risk_matches_the_embedding_oracle),
+    "cascade-drops-last-transposition": (tensor_core, "symmetrize_sites", "for i in range(k):",
+                                         "for i in range(k - (k == n - 1)):",
+                                         site_average_is_the_symmetric_projection),
+    # the float encoder: the decimal exponent from log10 alone, which puts the
+    # neighbours just below 10^-k a decade high; ties rounded down instead of
+    # sent to the fallback; the rounding interval twice its width
+    "encoder-exponent-uncorrected": (cli, "_shortest",
+                                     'np.searchsorted(lower, ax, side="right") - 8',
+                                     "np.floor(np.log10(ax)).astype(np.intp)",
+                                     float_text_is_json_dumps),
+    "encoder-ties-kept": (cli, "_shortest", "& ~tie ", "", float_text_is_json_dumps),
+    "encoder-interval-doubled": (cli, "_shortest", "f >>= np.uint64(1)", "f >>= np.uint64(0)",
+                                 float_text_is_json_dumps),
 }
 
 
