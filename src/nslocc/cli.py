@@ -422,7 +422,7 @@ def _verify_checks(seed: int) -> list[dict]:
     sigma = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
     ext = branch_extension(sigma[None], site[None], n=4)
-    grid = build_grid(4, 4, f"haar:{seed}:1200")
+    grid = build_grid(4, f"haar:{seed}:1200")
     ap = extract_measure(ext, grid)
     checks.append(_check("definetti_k0_identity", ap.povm_deficit,
                          ap.grid_residual + K0_IDENTITY_SLACK))
@@ -515,7 +515,7 @@ def cmd_definetti(cfg: dict) -> int:
     ns = sorted(ns)
     # one grid serves every n, so one Gram pass certifies them all
     approxes = extract_measures([branch_extension(sigma[None], site[None], n=n) for n in ns],
-                                build_grid(4, max(ns), f"haar:{seed}:{count}"))
+                                build_grid(4, f"haar:{seed}:{count}"))
     buf = io.StringIO()
     buf.write("n,k,delta_k,bound,grid_residual\n")
     for n, ap in zip(ns, approxes):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -49,7 +49,7 @@ SYMMETRY_TOL = 1e-8
 DENSE_RESIDUAL_BUDGET = 512  # largest site_dim**n for dense residual evaluation
 RESIDUAL_CHUNK = 128         # grid points per Gram block in subspace_residual
 OVERLAP_CACHE_BYTES = 1 << 22  # cap on the overlap kernel's (T, chunk) buffers
-GRID_GRAMMAR = "design | haar:SEED:COUNT"
+GRID_GRAMMAR = "haar:SEED:COUNT"
 # decimal SEED and COUNT without leading zeros, so a grid's mode is its name
 _HAAR_NAME = re.compile(r"haar:(0|[1-9][0-9]*):(0|[1-9][0-9]*)")
 
@@ -286,8 +286,9 @@ WEIGHT_SUM_TOL = 1e-9  # how far a grid's weights may sum from 1
 
 @dataclass(frozen=True)
 class MeasureGrid:
-    """Weighted pure-state grid on C^{d_eff} that resolves Sym^n; the same
-    points serve every n, and `mode` is the name the grid was built from."""
+    """Weighted pure-state grid on C^{d_eff}, a finite stand-in for the
+    resolution of Sym^n; the same points serve every n, and `mode` is the
+    name the grid was built from."""
 
     vectors: np.ndarray = field(repr=False)  # (count, d_eff), unit rows
     weights: np.ndarray = field(repr=False)  # (count,), sums to 1
@@ -317,19 +318,13 @@ def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
     return float(trace_norm(t - np.eye(d_big)))
 
 
-def parse_grid_name(d_eff: int, name: str) -> tuple[int, int] | None:
-    """Refuse a grid name that names no grid on C^{d_eff}, without drawing
-    one: (SEED, COUNT) of a haar name, None for `design`.
+def parse_grid_name(d_eff: int, name: str) -> tuple[int, int]:
+    """(SEED, COUNT) of the grid name `name` on C^{d_eff}, refused without
+    drawing the grid.
 
-    TensorError names the reason: a name outside GRID_GRAMMAR, a `design`
-    grid for d_eff other than 2, or a haar grid of no points or over the
-    dense budget.
+    TensorError names the reason: a name outside GRID_GRAMMAR, or a haar grid
+    of no points or over the dense budget.
     """
-    if name == "design":
-        if d_eff != 2:
-            raise TensorError(f"design grids are only constructed for d_eff=2, "
-                              f"got {d_eff}")
-        return None
     match = _HAAR_NAME.fullmatch(name) if isinstance(name, str) else None
     if match is None:
         raise TensorError(f"bad grid name {name!r}; grid names are {GRID_GRAMMAR}")
@@ -343,42 +338,21 @@ def parse_grid_name(d_eff: int, name: str) -> tuple[int, int] | None:
     return int(match[1]), count
 
 
-def build_grid(d_eff: int, n: int, name: str) -> MeasureGrid:
-    """The weighted grid of pure states on C^{d_eff} that `name` picks, one
-    of GRID_GRAMMAR; the grid's mode is its name.
+def build_grid(d_eff: int, name: str) -> MeasureGrid:
+    """The weighted grid of pure states on C^{d_eff} that `name`, of
+    GRID_GRAMMAR, picks; the grid's mode is its name.
 
     `haar:SEED:COUNT`: COUNT unit vectors from the unitarily invariant
     measure (normalized complex Gaussians drawn with seed SEED), equal
     weights; a (COUNT, d_eff) stack over the dense budget is refused before
-    it is drawn.  `design` (d_eff = 2 only): a product quadrature grid,
-    Gauss-Legendre in the polar coordinate times a uniform azimuth, which
-    integrates every matrix element of phi^{⊗n}(phi^{⊗n})† exactly, so the
-    grid reproduces the symmetric projector to machine precision at n and at
-    every smaller n.  A haar grid does not depend on n.  The grid carries
-    no residual: `extract_measures` evaluates it per extension.
+    it is drawn.  The grid does not depend on n and carries no residual:
+    `extract_measures` evaluates it per extension.
     """
-    haar = parse_grid_name(d_eff, name)
-    if haar is None:
-        nodes_u, w_u = np.polynomial.legendre.leggauss(n + 1)
-        k_az = 2 * n + 1
-        vecs, ws = [], []
-        for u, wu in zip(nodes_u, w_u):
-            c = sqrt((1.0 + u) / 2.0)
-            s = sqrt((1.0 - u) / 2.0)
-            for b in range(k_az):
-                phase = np.exp(2j * pi * b / k_az)
-                vecs.append([c, s * phase])
-                ws.append(wu / 2.0 / k_az)
-        vectors = np.asarray(vecs, complex)
-        weights = np.asarray(ws, float)
-        weights = weights / weights.sum()
-    else:
-        seed, count = haar
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
-        vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
-        weights = np.full(count, 1.0 / count)
-    return MeasureGrid(vectors, weights, d_eff, name)
+    seed, count = parse_grid_name(d_eff, name)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, d_eff)) + 1j * rng.standard_normal((count, d_eff))
+    vectors = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return MeasureGrid(vectors, np.full(count, 1.0 / count), d_eff, name)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +382,9 @@ class DeFinettiApprox:
 
 
 def _check_sweep(exts: list[SymmetricExtension], grid: MeasureGrid) -> None:
-    """Refuse an extension whose sites are not the grid's C^{d_eff}.  Every
-    extension the package builds doubles its physical sites, so those then
-    match too."""
+    """Refuse an extension whose sites are not the grid's C^{d_eff}: every
+    extension the package builds doubles its physical sites of dimension d,
+    so its grid lies on C^{d²}."""
     for ext in exts:
         if ext.site_dim != grid.d_eff:
             raise TensorError(f"grid on C^{grid.d_eff} does not match extension "

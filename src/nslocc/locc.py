@@ -199,7 +199,7 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
             "the reduction only applies to non-signalling channels")
 
     extension = purify_channel(symmetrize_channel(q))
-    grid = build_grid(extension.site_dim, n, grid_spec)
+    grid = build_grid(extension.site_dim, grid_spec)
     approx = extract_measure(extension, grid)
 
     delta = 4.0 * (d_x * d_y) ** 2 / n

@@ -1,6 +1,6 @@
 import itertools
 from functools import reduce
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, pi, prod, sqrt
 
 import numpy as np
 import pytest
@@ -20,14 +20,13 @@ from nslocc.channels import (
     marginal_input,
 )
 from nslocc.classical import ClassicalProtocol
-from nslocc.definetti import SymmetricExtension, _dense_extension
+from nslocc.definetti import MeasureGrid, SymmetricExtension, _dense_extension
 from nslocc.locc import _repair_factors, tp_repair
 from nslocc.tensor_core import (
     Factorization,
     Operator,
     TensorError,
     eigh_herm,
-    embed,
     op,
     partial_trace,
     permutation_matrix,
@@ -47,6 +46,22 @@ def oracle_partial_trace(operator: Operator, keep) -> Operator:
             m = np.einsum("aibcid->abcd", t).reshape(pre * post, pre * post)
             factors.pop(i)
     return Operator(m, Factorization(tuple(factors)))
+
+
+def oracle_embed(operator: Operator, full: Factorization) -> Operator:
+    """Reference embed: np.kron with an identity for each factor of `full`
+    the operator lacks, one at a time, then one transpose of the
+    (dims + dims) view into full's factor order."""
+    m, factors = operator.matrix, list(operator.shape.factors)
+    for lab, d in full.factors:
+        if lab not in operator.labels:
+            m = np.kron(m, np.eye(d))
+            factors.append((lab, d))
+    order = [lab for lab, _ in factors]
+    perm = [order.index(lab) for lab in full.labels]
+    t = m.reshape([d for _, d in factors] * 2)
+    return Operator(t.transpose(perm + [len(perm) + p for p in perm]).reshape(
+        full.dim, full.dim), full)
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
@@ -128,9 +143,9 @@ def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
     if list(obs.labels) != out_labels:
         raise TensorError(f"observable must live on {out_labels}")
     twisted = oracle_partial_transpose(channel.omega, input_labels(channel.n))
-    big = embed(obs, channel.omega.shape)
+    big = oracle_embed(obs, channel.omega.shape)
     prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
-    out = partial_trace(prod, input_labels(channel.n))
+    out = oracle_partial_trace(prod, input_labels(channel.n))
     return Operator(out.matrix * channel.d_in, out.shape)
 
 
@@ -320,7 +335,7 @@ def symmetrized_risk_observable(s: Operator, n: int) -> Operator:
     for i in range(1, n + 1):
         factors += [(f"Y{i}", d_y), (f"R{i}", d_r)]
     full = Factorization.of(*factors)
-    total = sum(embed(relabel(s, {"Y1": f"Y{i}", "R1": f"R{i}"}), full).matrix
+    total = sum(oracle_embed(relabel(s, {"Y1": f"Y{i}", "R1": f"R{i}"}), full).matrix
                 for i in range(1, n + 1))
     return Operator(total * (1.0 / n), full)
 
@@ -337,10 +352,10 @@ def oracle_risk_direct(q, task) -> float:
     rho_a, rho_xr, s = task_operators(task)
     parts = [rho_a] + [relabel(rho_xr, {"X1": f"X{i}", "R1": f"R{i}"})
                        for i in range(1, n + 1)]
-    rho_in = embed(reduce(tensor, parts), full)
+    rho_in = oracle_embed(reduce(tensor, parts), full)
     omega = q.dense().omega if isinstance(q, MeasurePrepareChannel) else q.omega
-    twisted = oracle_partial_transpose(embed(omega, full), input_labels(n))
-    s_bar = embed(symmetrized_risk_observable(s, n), full)
+    twisted = oracle_partial_transpose(oracle_embed(omega, full), input_labels(n))
+    s_bar = oracle_embed(symmetrized_risk_observable(s, n), full)
     # tr(A B) as the elementwise sum of A * B^T: one matrix product, not two
     val = task.d_a * task.d_x ** n * np.sum((twisted.matrix @ rho_in.matrix) * s_bar.matrix.T)
     return float(val.real)
@@ -353,9 +368,10 @@ def oracle_signalling_residuals(channel) -> list[float]:
     out = []
     for i in range(1, n + 1):
         keep = ["A"] + [f"X{j}" for j in range(1, n + 1)] + [f"Y{i}"]
-        m_i = partial_trace(channel.omega, keep)
-        small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-        spread = embed(Operator(small.matrix * channel.d_x ** -(n - 1), small.shape), m_i.shape)
+        m_i = oracle_partial_trace(channel.omega, keep)
+        small = oracle_partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
+        spread = oracle_embed(Operator(small.matrix * channel.d_x ** -(n - 1), small.shape),
+                              m_i.shape)
         out.append(trace_norm(m_i.matrix - spread.matrix))
     return out
 
@@ -366,11 +382,11 @@ def oracle_project_ns_round(m: np.ndarray, dims, i: int) -> np.ndarray:
     d_a, d_x, d_y, n = dims
     omega = Operator(m, choi_factorization(*dims))
     other_y = [f"Y{j}" for j in range(1, n + 1) if j != i]
-    m_i = partial_trace(omega, [lab for lab in omega.labels if lab not in other_y])
-    small = partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-    target = embed(Operator(small.matrix * (d_x ** -(n - 1)), small.shape), m_i.shape)
+    m_i = oracle_partial_trace(omega, [lab for lab in omega.labels if lab not in other_y])
+    small = oracle_partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
+    target = oracle_embed(Operator(small.matrix * (d_x ** -(n - 1)), small.shape), m_i.shape)
     fix = Operator((target.matrix - m_i.matrix) * (d_y ** -(n - 1)), m_i.shape)
-    return omega.matrix + embed(fix, omega.shape).matrix
+    return omega.matrix + oracle_embed(fix, omega.shape).matrix
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -461,9 +477,10 @@ def oracle_random_nonsignalling_choi(d_a, d_x, d_y, n, seed, max_iter=5000,
 
 
 def oracle_tp_repair(phi: Operator) -> Operator:
-    """Reference repair through labelled Operators: τ = tr_Y φ by partial_trace,
-    then the dense sandwich kron(τ^{-1/2}, 1) φ kron(τ^{-1/2}, 1) / d_X."""
-    tau = partial_trace(phi, [phi.labels[0]]).matrix
+    """Reference repair through labelled Operators: τ = tr_Y φ by
+    oracle_partial_trace, then the dense sandwich
+    kron(τ^{-1/2}, 1) φ kron(τ^{-1/2}, 1) / d_X."""
+    tau = oracle_partial_trace(phi, [phi.labels[0]]).matrix
     w, v = np.linalg.eigh((tau + tau.conj().T) / 2)
     d_x = len(tau)
     big = np.kron((v * (1.0 / np.sqrt(w))) @ v.conj().T, np.eye(phi.dim // d_x))
@@ -493,9 +510,9 @@ def oracle_r_operator(task) -> np.ndarray:
     rho_a, rho_xr, s = task_operators(task)
     full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
                             ("Y1", task.d_y), ("R1", task.d_r))
-    twisted = oracle_partial_transpose(embed(tensor(rho_a, rho_xr), full), ["A", "X1"])
-    product = Operator(twisted.matrix @ embed(s, full).matrix, full)
-    r = partial_trace(product, ["A", "X1", "Y1"]).matrix
+    twisted = oracle_partial_transpose(oracle_embed(tensor(rho_a, rho_xr), full), ["A", "X1"])
+    product = Operator(twisted.matrix @ oracle_embed(s, full).matrix, full)
+    r = oracle_partial_trace(product, ["A", "X1", "Y1"]).matrix
     return (r + r.conj().T) / 2
 
 
@@ -515,6 +532,26 @@ def oracle_task_matrices(kind: str, priors, states) -> tuple[np.ndarray, ...]:
         rho_xr = sum(p * np.kron(e, m) for p, m, e in zip(priors, mats, units))
         s = np.eye(d * d) - permutation_matrix((1, 0), d).real
     return rho_a, rho_xr, s
+
+
+def oracle_design_grid(n: int) -> MeasureGrid:
+    """The exact resolution of Sym^n on qubit sites: a product quadrature,
+    Gauss-Legendre in the polar coordinate times a uniform azimuth, which
+    integrates every matrix element of phi^{⊗n}(phi^{⊗n})† exactly, so the
+    grid reproduces the symmetric projector to machine precision at n and at
+    every smaller n."""
+    nodes_u, w_u = np.polynomial.legendre.leggauss(n + 1)
+    k_az = 2 * n + 1
+    vecs, ws = [], []
+    for u, wu in zip(nodes_u, w_u):
+        c = sqrt((1.0 + u) / 2.0)
+        s = sqrt((1.0 - u) / 2.0)
+        for b in range(k_az):
+            phase = np.exp(2j * pi * b / k_az)
+            vecs.append([c, s * phase])
+            ws.append(wu / 2.0 / k_az)
+    weights = np.asarray(ws, float)
+    return MeasureGrid(np.asarray(vecs, complex), weights / weights.sum(), 2, "design")
 
 
 def oracle_dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:

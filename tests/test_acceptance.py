@@ -182,7 +182,7 @@ def test_criterion_6_definetti_residual():
     ok = True
     for n in (8, 16, 32):
         ext = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
-        grid = build_grid(ext.site_dim, n, "haar:6:5000")
+        grid = build_grid(ext.site_dim, "haar:6:5000")
         approx = extract_measure(ext, grid)
         delta = 4.0 * (2 * 2) ** 2 / n
         rep = concentration_report(approx, epsilon=0.2, delta=delta,

@@ -320,13 +320,12 @@ def test_verify_reports_measured_crossing_residual(tmp_path):
 def test_bad_grid_name_exits_2_naming_the_grammar(tmp_path, capsys, grid):
     out = tmp_path / "r.csv"
     assert main(["risk-gap", "--n", "1", "--grid", grid, "--out", str(out)]) == 2
-    assert "design | haar:SEED:COUNT" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("; grid names are haar:SEED:COUNT\n")
     assert not out.exists()
 
 
 def test_design_grid_is_refused_before_any_purification(monkeypatch, tmp_path, capsys):
-    # every risk-gap reduction purifies onto sites of dimension (2·2)² = 16,
-    # and design grids exist only for d_eff = 2
+    # `design` names no grid: it is refused as a name, before any reduction
     def refuse(q):
         raise AssertionError("purified before the grid name was checked")
 
@@ -334,7 +333,7 @@ def test_design_grid_is_refused_before_any_purification(monkeypatch, tmp_path, c
     out = tmp_path / "r.csv"
     assert main(["risk-gap", "--n", "1..4", "--grid", "design", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: design grids are only constructed for d_eff=2, got 16\n")
+        "error: bad grid name 'design'; grid names are haar:SEED:COUNT\n")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_prepare_choi
 from nslocc.definetti import (
     DENSE_RESIDUAL_BUDGET,
+    GRID_GRAMMAR,
     MeasureGrid,
     _block_overlaps,
     _dense_extension,
@@ -18,6 +20,7 @@ from nslocc.definetti import (
     definetti_bound,
     extract_measure,
     extract_measures,
+    parse_grid_name,
     purify_extension,
     purify_product_mixture,
     subspace_residual,
@@ -37,6 +40,7 @@ from nslocc.tensor_core import (
 
 from conftest import (
     extension_psi,
+    oracle_design_grid,
     oracle_purify_extension,
     oracle_resolution_residual,
     random_density,
@@ -64,21 +68,21 @@ def symmetric_test_state(rng, d_a, d, n):
 
 def test_design_grid_resolves_symmetric_projector():
     for n in range(1, 7):
-        g = build_grid(2, n, "design")
+        g = oracle_design_grid(n)
         assert _dense_resolution_residual(g.vectors, g.weights, n) <= 1e-12
         assert oracle_resolution_residual(g.vectors, g.weights, n) <= 1e-12
 
 
 @pytest.mark.parametrize("n, d", [(1, 16), (2, 16), (2, 4), (3, 4)])
 def test_dicke_residual_matches_the_dense_oracle(n, d):
-    g = build_grid(d, n, f"haar:{n * d}:300")
+    g = build_grid(d, f"haar:{n * d}:300")
     want = oracle_resolution_residual(g.vectors, g.weights, n)
     assert _dense_resolution_residual(g.vectors, g.weights, n) == pytest.approx(
         want, rel=1e-12)
 
 
 def test_design_grid_n1_resolves_identity():
-    g = build_grid(2, 1, "design")
+    g = oracle_design_grid(1)
     acc = np.zeros((2, 2), dtype=complex)
     for v, w in zip(g.vectors, g.weights):
         acc += 2 * w * np.outer(v, v.conj())
@@ -86,20 +90,19 @@ def test_design_grid_n1_resolves_identity():
 
 
 def test_haar_grid_residual_decreases_with_count():
-    g1 = build_grid(2, 2, "haar:0:200")
-    g2 = build_grid(2, 2, "haar:0:4000")
+    g1 = build_grid(2, "haar:0:200")
+    g2 = build_grid(2, "haar:0:4000")
     assert (_dense_resolution_residual(g2.vectors, g2.weights, 2)
             < _dense_resolution_residual(g1.vectors, g1.weights, 2))
 
 
-@pytest.mark.parametrize("name, d_eff", [("design", 2), ("haar:7:30", 4),
-                                         ("haar:0:1", 4)])
+@pytest.mark.parametrize("name, d_eff", [("haar:7:30", 4), ("haar:0:1", 4)])
 def test_grid_mode_is_the_name_it_was_built_from(name, d_eff):
-    assert build_grid(d_eff, 2, name).mode == name
+    assert build_grid(d_eff, name).mode == name
 
 
 def test_named_haar_grid_matches_build_grid_with_extra_points():
-    got = build_grid(4, 2, "haar:7:30")
+    got = build_grid(4, "haar:7:30")
     rng = np.random.default_rng(7)
     g = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
     assert got.count == 30
@@ -109,15 +112,27 @@ def test_named_haar_grid_matches_build_grid_with_extra_points():
 
 @pytest.mark.parametrize("name", ["auto", "haar", "haar:3", "haar:03:30", "haar:-1:30",
                                   "haar:3:30:x", "haar:3:+30", " design", "haarfoo",
-                                  {"mode": "haar", "seed": 0, "count": 30}])
+                                  {"mode": "haar", "seed": 0, "count": 30}, "design"])
 def test_grid_names_outside_the_grammar_are_refused(name):
-    with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
-        build_grid(4, 2, name)
+    with pytest.raises(TensorError, match="grid names are haar:SEED:COUNT$"):
+        build_grid(4, name)
+
+
+def test_readme_grid_paragraph_quotes_the_grammar():
+    # the paragraph on `--grid` quotes the grammar, the signature and the
+    # refusal of a name outside it as the package has them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [para] = [" ".join(p.split()) for p in readme.split("\n\n") if "takes `--grid`" in p]
+    with pytest.raises(TensorError) as refusal:
+        parse_grid_name(16, "design")
+    assert f"grammar is `{GRID_GRAMMAR}`" in para
+    assert "`build_grid(d_eff, name)`" in para
+    assert f'"{refusal.value}"' in para
 
 
 def test_haar_grid_without_points_is_refused():
-    with pytest.raises(TensorError, match="design [|] haar:SEED:COUNT"):
-        build_grid(4, 2, "haar:0:0")
+    with pytest.raises(TensorError, match="grid names are haar:SEED:COUNT$"):
+        build_grid(4, "haar:0:0")
 
 
 @pytest.mark.parametrize("kind", ["mixed", "pure"])
@@ -261,7 +276,7 @@ def test_branch_extraction_matches_dense(rng):
     ext_b = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
     ext_d = purify_extension(q.dense().omega.matrix, q.d_a, n)
 
-    grid = build_grid(ext_b.site_dim, n, "haar:2:300")
+    grid = build_grid(ext_b.site_dim, "haar:2:300")
     ma = extract_measure(ext_b, grid)
     md = extract_measure(ext_d, grid)
     assert np.allclose(ma.ms, md.ms, atol=1e-8)
@@ -301,7 +316,7 @@ def test_stacked_extraction_matches_per_point_loop(rng):
             purify_extension(mixed.matrix, d_a, n),
             purify_extension(pure, d_a, n)]
     for ext in exts:
-        grid = build_grid(ext.site_dim, ext.n, "haar:7:150")
+        grid = build_grid(ext.site_dim, "haar:7:150")
         approx = extract_measure(ext, grid)
         ms, phis = per_point_measure(ext, grid)
         assert approx.ms.shape == (grid.count, d_a, d_a)
@@ -321,7 +336,7 @@ def test_branch_extraction_matches_the_closed_form_at_large_n(rng, n):
         chis.append(chi / np.linalg.norm(chi))
     chis = np.array(chis)
     # the chi_j themselves are on the grid, where M_g is largest
-    points = np.vstack([build_grid(4, n, "haar:5:200").vectors, chis])
+    points = np.vstack([build_grid(4, "haar:5:200").vectors, chis])
     grid = MeasureGrid(points, np.full(len(points), 1.0 / len(points)), 4, "haar:5:200")
     ms = extract_measure(branch_extension(ks, phis, n), grid).ms
     amp = np.abs(grid.vectors.conj() @ chis.T) ** (2 * n)
@@ -339,7 +354,7 @@ def test_extraction_in_several_grid_chunks_matches_per_point_loop(rng, monkeypat
             branch_extension(blocks, sites, n),          # branches
             purify_product_mixture(blocks, sites, n)]    # product mixture
     for ext in exts:
-        grid = build_grid(ext.site_dim, n, "haar:9:50")
+        grid = build_grid(ext.site_dim, "haar:9:50")
         # a budget that holds 7 grid points of the two (T, chunk) buffers
         terms = ext.index.shape[1]
         monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 2 * terms * 7)
@@ -423,7 +438,7 @@ def test_approx_error_k2_matches_kron_loop(rng):
     n, d_a = 3, 2
     omega, _ = symmetric_test_state(rng, d_a, 2, n)
     ext = purify_extension(omega.matrix, d_a, n)
-    approx = extract_measure(ext, build_grid(ext.site_dim, n, "haar:8:200"))
+    approx = extract_measure(ext, build_grid(ext.site_dim, "haar:8:200"))
     omega_2 = partial_trace(omega, ["A", "B1", "B2"]).matrix
     acc = sum(np.kron(np.kron(m, p), p) for m, p in zip(approx.ms, approx.phis))
     assert abs(approx_error(omega_2, approx, 2)
@@ -434,7 +449,7 @@ def test_extract_measure_k1_error_within_grid_budget(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
     ext = purify_extension(omega.matrix, d_a, n)
-    grid = build_grid(ext.site_dim, n, "haar:1:2500")
+    grid = build_grid(ext.site_dim, "haar:1:2500")
     approx = extract_measure(ext, grid)
     omega_1 = partial_trace(omega, ["A", "B1"]).matrix
     err = approx_error(omega_1, approx, 1)
@@ -445,7 +460,7 @@ def test_approx_error_monotone_in_k(rng):
     n, d_a, d = 4, 2, 2
     omega, _ = symmetric_test_state(rng, d_a, d, n)
     ext = purify_extension(omega.matrix, d_a, n)
-    grid = build_grid(ext.site_dim, n, "haar:3:2000")
+    grid = build_grid(ext.site_dim, "haar:3:2000")
     approx = extract_measure(ext, grid)
     errs = [approx_error(partial_trace(
         omega, ["A"] + [f"B{i}" for i in range(1, k + 1)]).matrix, approx, k)
@@ -462,7 +477,7 @@ def test_povm_deficit_bounded_by_residual(rng):
              for _ in range(2)]
     q = MeasurePrepareChannel.of([op(m, ("A", 2)) for m in povm], preps, n)
     ext = branch_extension(q.povm.transpose(0, 2, 1) / q.d_a, q.chois, n)
-    grid = build_grid(ext.site_dim, n, "haar:4:1500")
+    grid = build_grid(ext.site_dim, "haar:4:1500")
     approx = extract_measure(ext, grid)
     assert approx.povm_deficit <= approx.grid_residual + 1e-8
 
@@ -471,7 +486,7 @@ def test_subspace_residual_nonnegative(rng):
     n = 3
     omega, _ = symmetric_test_state(rng, 2, 2, n)
     ext = purify_extension(omega.matrix, 2, n)
-    grid = build_grid(ext.site_dim, n, "haar:6:500")
+    grid = build_grid(ext.site_dim, "haar:6:500")
     r = subspace_residual(ext, grid)
     assert r >= 0.0
 
@@ -502,7 +517,7 @@ def residual_extensions(rng, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_subspace_residual_matches_the_dense_oracle(rng, n):
     for kind, ext in residual_extensions(rng, n).items():
-        grid = build_grid(ext.site_dim, n, "haar:11:120")
+        grid = build_grid(ext.site_dim, "haar:11:120")
         got = subspace_residual(ext, grid)
         assert abs(got - dense_subspace_residual(ext, grid)) <= 1e-10, kind
         assert got > 1e-3, kind    # a 120-point grid leaves a visible defect
@@ -511,7 +526,7 @@ def test_subspace_residual_matches_the_dense_oracle(rng, n):
 def test_subspace_residual_is_the_same_in_partial_gram_blocks(rng, monkeypatch):
     from nslocc import definetti
     for kind, ext in residual_extensions(rng, 3).items():
-        grid = build_grid(ext.site_dim, 3, "haar:12:50")
+        grid = build_grid(ext.site_dim, "haar:12:50")
         whole = subspace_residual(ext, grid)
         # blocks of 7, 7, .., 7, 1 rows: the reused buffer's last block is partial
         monkeypatch.setattr(definetti, "RESIDUAL_CHUNK", 7)
@@ -521,15 +536,17 @@ def test_subspace_residual_is_the_same_in_partial_gram_blocks(rng, monkeypatch):
 
 
 def test_grid_serves_every_n_and_refuses_other_sites():
-    # a haar grid does not depend on n: the extension's n = 16 is used on a
-    # grid built for n = 64
-    ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=16)
-    wide, own = build_grid(4, 64, "haar:0:50"), build_grid(4, 16, "haar:0:50")
-    assert subspace_residual(ext, wide) == subspace_residual(ext, own)
-    got, want = extract_measure(ext, wide), extract_measure(ext, own)
+    # a grid has no n: the n = 16 extension extracts the same alone as in a
+    # sweep with n = 64 on the one grid
+    ext, ext64 = (branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
+                 for n in (16, 64))
+    grid = build_grid(4, "haar:0:50")
+    assert subspace_residual(ext, grid) == subspace_residuals(
+        [ext, ext64], grid, [_block_overlaps(e, grid) for e in (ext, ext64)])[0]
+    got, want = extract_measures([ext, ext64], grid)[0], extract_measure(ext, grid)
     assert np.array_equal(got.ms, want.ms) and np.array_equal(got.phis, want.phis)
     assert got.grid_residual == want.grid_residual
-    qubits = build_grid(2, 16, "haar:0:50")
+    qubits = build_grid(2, "haar:0:50")
     with pytest.raises(TensorError, match=r"grid on C\^2 .*does not match extension"):
         subspace_residual(ext, qubits)
     with pytest.raises(TensorError, match="does not match extension"):
@@ -538,7 +555,7 @@ def test_grid_serves_every_n_and_refuses_other_sites():
 
 def test_subspace_residual_refuses_overlaps_of_another_shape(rng):
     ext = residual_extensions(rng, 2)["branches"]
-    grid = build_grid(ext.site_dim, 2, "haar:1:40")
+    grid = build_grid(ext.site_dim, "haar:1:40")
     full = np.zeros((40, ext.coeffs.shape[1]), dtype=complex)
     for bad in (full[:-1], full[:, :-1], full.ravel()):
         with pytest.raises(TensorError, match=r"overlaps have shape"):
@@ -551,7 +568,7 @@ def test_subspace_residual_peak_is_one_gram_block(n, blocks):
     # triangle block), plus one accumulator when n is not a power of two
     import tracemalloc
     ext = branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
-    grid = build_grid(4, n, "haar:3:400")
+    grid = build_grid(4, "haar:3:400")
     u = _block_overlaps(ext, grid)
     tracemalloc.start()
     try:
@@ -572,7 +589,7 @@ def test_block_overlaps_peak_is_two_term_buffers():
     from nslocc.locc import purify_channel
     _, _, povm, preps = _classification_family(0.6)
     ext = purify_channel(symmetrize_channel(MeasurePrepareChannel.of(povm, preps, 3)))
-    grid = build_grid(ext.site_dim, 3, "haar:0:200")
+    grid = build_grid(ext.site_dim, "haar:0:200")
     t, g = ext.index.shape[1], grid.count
     r, block = ext.sites.shape[0], ext.coeffs.shape[1]
     assert ext.coeffs.dtype == complex     # no complex copy of coeffs is taken
@@ -629,7 +646,7 @@ def test_sweep_extraction_is_bitwise_the_per_n_extraction(rng, monkeypatch, chun
         monkeypatch.setattr(definetti, "RESIDUAL_CHUNK", chunk)
     ns = [3, 4, 5, 8, 12, 16, 256]
     exts = sweep_extensions(rng, ns)
-    grid = build_grid(4, max(ns), "haar:9:50")
+    grid = build_grid(4, "haar:9:50")
     sweep = extract_measures(exts, grid)
     certified = [ext for ext in exts if 4 ** ext.n > DENSE_RESIDUAL_BUDGET]
     for ext, got in zip(exts, sweep):
@@ -656,7 +673,7 @@ def test_triangle_gram_blocks_match_the_full_gram_matrix(rng, monkeypatch, chunk
     exts = residual_extensions(rng, n) if n <= 5 else {
         "branches": sweep_extensions(rng, [n])[0]}
     for kind, ext in exts.items():
-        grid = build_grid(ext.site_dim, ext.n, "haar:13:300")
+        grid = build_grid(ext.site_dim, "haar:13:300")
         assert ext.coeffs.shape[1] > 1, kind
         got = subspace_residual(ext, grid)
         assert abs(got - int_power_residual(ext, grid)) <= 1e-12, (kind, ext.n)
@@ -674,7 +691,7 @@ def test_permuting_the_grid_permutes_the_measure(seed, count, n, chunk):
     from nslocc import definetti
     rng = np.random.default_rng(seed)
     [ext] = sweep_extensions(rng, [n])
-    grid = build_grid(ext.site_dim, n, f"haar:{seed}:{count}")
+    grid = build_grid(ext.site_dim, f"haar:{seed}:{count}")
     perm = rng.permutation(count)
     moved = MeasureGrid(grid.vectors[perm], grid.weights[perm], grid.d_eff, grid.mode)
     with pytest.MonkeyPatch.context() as patch:
@@ -690,7 +707,7 @@ def test_permuting_the_grid_permutes_the_measure(seed, count, n, chunk):
 
 def test_design_grid_extracts_every_smaller_n_exactly(rng):
     # the design built for N = 6 integrates phi^{⊗n} exactly for every n <= 6
-    grid = build_grid(2, 6, "design")
+    grid = oracle_design_grid(6)
     psi, chi = random_pure(rng, 2), random_pure(rng, 2)
     exts = []
     for n in range(1, 7):
@@ -711,7 +728,7 @@ def test_subspace_residuals_sweep_peak_is_one_gram_block():
     ns = [16, 64, 256]
     exts = [branch_extension(np.eye(1)[None], np.diag([1.0, 0.0])[None], n=n)
             for n in ns]
-    grid = build_grid(4, max(ns), "haar:3:400")
+    grid = build_grid(4, "haar:3:400")
     us = [_block_overlaps(ext, grid) for ext in exts]
     tracemalloc.start()
     try:

@@ -67,7 +67,7 @@ def dense_purification(q):
 def measure_of(q, seed, count):
     """The de Finetti measure build_locc_protocol extracts on a haar grid."""
     ext = dense_purification(symmetrize_channel(q))
-    return extract_measure(ext, build_grid(ext.site_dim, q.n, f"haar:{seed}:{count}"))
+    return extract_measure(ext, build_grid(ext.site_dim, f"haar:{seed}:{count}"))
 
 
 def pair_marginal(phi, d_x, d_y):
@@ -363,7 +363,7 @@ def test_structured_overlaps_are_the_dense_ones(rng, case, n):
     got = purify_channel(q)
     want = dense_purification(symmetrize_channel(q.dense()))
     assert not np.array_equal(got.sites, np.eye(got.site_dim))
-    grid = build_grid(want.site_dim, n, "haar:3:60")
+    grid = build_grid(want.site_dim, "haar:3:60")
     assert np.abs(_block_overlaps(got, grid) - _block_overlaps(want, grid)).max() <= 1e-12
     assert np.abs(got.marginal - want.marginal).max() <= 1e-13
 

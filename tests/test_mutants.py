@@ -36,7 +36,7 @@ def overlaps_match_the_per_point_contraction():
     rng = np.random.default_rng(11)
     blocks = np.stack([random_density(rng, 2) * w for w in (0.3, 0.7)])
     ext = definetti.branch_extension(blocks, np.stack([random_density(rng, 2)] * 2), n=3)
-    grid = definetti.build_grid(ext.site_dim, 3, "haar:9:40")
+    grid = definetti.build_grid(ext.site_dim, "haar:9:40")
     psi = extension_psi(ext)
     want = np.stack([psi @ reduce(np.kron, [v.conj()] * 3) for v in grid.vectors])
     assert np.abs(definetti._block_overlaps(ext, grid) - want).max() <= 1e-12
