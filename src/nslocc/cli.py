@@ -65,7 +65,6 @@ from .definetti import (
     definetti_bound,
     extract_measure,
     extract_measures,
-    parse_grid_name,
 )
 from .locc import build_locc_protocol, repair_distance_bound
 from .risk import classification_task, protocol_risk, risk_gap_experiment
@@ -399,7 +398,8 @@ def _verify_checks(seed: int) -> list[dict]:
     checks.append(_check("repair_distance_bound", lhs, rhs + REPAIR_BOUND_SLACK))
 
     # the protocol reduced from that input is CPTP and non-signalling
-    proto = build_locc_protocol(q, f"haar:{seed}:300").dense()
+    grid = build_grid((q.d_x * q.d_y) ** 2, f"haar:{seed}:300")
+    proto = build_locc_protocol(q, grid).dense()
     cptp = is_cptp(proto)
     checks.append(_check("protocol_cptp", max(cptp.psd_violation, cptp.tp_violation),
                          min(PSD_TOL, TP_TOL)))
@@ -478,16 +478,15 @@ def cmd_risk_gap(cfg: dict) -> int:
     seed = _seed(cfg)
     ns = _parse_n_range("--n", cfg.get("n", "1..4"))
     _require_at_least("--n", ns, 1)
-    grid = cfg.get("grid", f"haar:{seed}:2000")
     rho0, rho1, povm, preps = _classification_family(overlap)
-    # every n purifies onto sites of dimension (d_X·d_Y)²: refuse a grid
-    # that none of them takes before the first purification
-    parse_grid_name(preps[0].dim ** 2, grid)
+    # every n purifies onto sites of dimension (d_X·d_Y)², so one grid,
+    # drawn (or refused) before the first purification, serves them all
+    grid = build_grid(preps[0].dim ** 2, cfg.get("grid", f"haar:{seed}:2000"))
     rows = []
     for n in sorted(ns):
         q = MeasurePrepareChannel.of(povm, preps, n)
         task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
-        rep = risk_gap_experiment(task, q, grid_spec=grid)
+        rep = risk_gap_experiment(task, q, grid)
         rows.append((n, rep.risk_collective, rep.risk_locc, rep.gap,
                      rep.bound, rep.grid_residual, seed))
     buf = io.StringIO()

@@ -282,26 +282,69 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
 # ---------------------------------------------------------------------------
 
 WEIGHT_SUM_TOL = 1e-9  # how far a grid's weights may sum from 1
+UNIT_ROW_TOL = 1e-12   # how far a grid vector's norm may stray from 1
 
 
 @dataclass(frozen=True)
 class MeasureGrid:
     """Weighted pure-state grid on C^{d_eff}, a finite stand-in for the
-    resolution of Sym^n; the same points serve every n, and `mode` is the
-    name the grid was built from."""
+    resolution of Sym^n; `mode` is the name the grid was built from.
+
+    The same points serve every n, so a sweep draws one grid and passes it
+    to every n's reduction.  What depends on the grid alone, such as its
+    physical-site states, is computed on first use by `derived` and kept
+    read-only, once per grid and per split of its sites.
+    """
 
     vectors: np.ndarray = field(repr=False)  # (count, d_eff), unit rows
-    weights: np.ndarray = field(repr=False)  # (count,), sums to 1
+    weights: np.ndarray = field(repr=False)  # (count,), non-negative, sums to 1
     d_eff: int
     mode: str
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+        count = len(self.vectors)
+        if np.shape(self.vectors) != (count, self.d_eff):
+            raise TensorError(f"grid vectors have shape {np.shape(self.vectors)}, "
+                              f"need (count, d_eff) = {(count, self.d_eff)}")
+        if np.shape(self.weights) != (count,):
+            raise TensorError(f"grid weights have shape {np.shape(self.weights)}, "
+                              f"need (count,) = {(count,)}")
+        if (self.weights < 0).any():
+            raise TensorError(f"grid weight {self.weights.min()} is negative")
+        stray = np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0)
+        off = ~(stray <= UNIT_ROW_TOL)            # a NaN row is off too
+        if off.any():
+            g = int(off.argmax())
+            raise TensorError(f"grid vector {g} is not a unit vector "
+                              f"(norm off by {stray[g]:.3e})")
+        if not abs(self.weights.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise TensorError(f"grid weights sum to {self.weights.sum()}, not 1")
 
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
+
+    def derived(self, key: tuple, compute):
+        """The arrays compute() returns for `key`, computed on the first call
+        with that key and kept, read-only, for every later one."""
+        if key not in self._derived:
+            value = compute()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
+
+
+def site_states(grid: MeasureGrid, site_keep_dim: int) -> np.ndarray:
+    """The grid's physical-site states φ_g, shape (count, d, d) with d =
+    site_keep_dim: each doubled site vector with its purifying half (its
+    column index) traced out, normalized.  Computed once per grid and d."""
+    def compute():
+        g = grid.vectors.reshape(grid.count, site_keep_dim, -1)
+        rho = g @ g.conj().transpose(0, 2, 1)
+        return rho / np.einsum("gii->g", rho).real[:, None, None]
+    return grid.derived(("site_states", site_keep_dim), compute)
 
 
 def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
@@ -496,7 +539,8 @@ def extract_measures(exts: list[SymmetricExtension],
 
     M_g = w_g * dim Sym^n * tr_{block minus A}[ u_g u_g† ] with
     u_g = (1 ⊗ <phi_g^{⊗n}|)|psi>, evaluated as pure vector contractions.
-    The site states are computed once.  Each grid residual is the dense
+    The site states are the grid's own (`site_states`), computed once per
+    grid, however many sweeps it serves.  Each grid residual is the dense
     `_dense_resolution_residual` when site_dim**n is at most
     DENSE_RESIDUAL_BUDGET, and otherwise certified on the state, one
     `subspace_residuals` pass serving every such n.
@@ -506,11 +550,7 @@ def extract_measures(exts: list[SymmetricExtension],
     todo = [i for i, ext in enumerate(exts) if grid.d_eff ** ext.n > DENSE_RESIDUAL_BUDGET]
     certified = dict(zip(todo, subspace_residuals(
         [exts[i] for i in todo], grid, [us[i] for i in todo]) if todo else []))
-    # physical-site states: the purifying half of a doubled site vector (its
-    # column index) is traced out
-    g = grid.vectors.reshape(grid.count, exts[0].site_keep_dim, -1)
-    rho = g @ g.conj().transpose(0, 2, 1)
-    phis = rho / np.einsum("gii->g", rho).real[:, None, None]
+    phis = site_states(grid, exts[0].site_keep_dim)
     approxes = []
     for i, (ext, u) in enumerate(zip(exts, us)):
         scale = grid.weights * float(sym_dim(ext.n, ext.site_dim))

@@ -29,8 +29,8 @@ from .channels import (
 )
 from .definetti import (
     DeFinettiApprox,
+    MeasureGrid,
     SymmetricExtension,
-    build_grid,
     extract_measure,
     purify_extension,
     purify_product_mixture,
@@ -174,13 +174,13 @@ def concentration_report(approx: DeFinettiApprox, epsilon: float, delta: float,
 # ---------------------------------------------------------------------------
 
 def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
-                        grid_spec: str) -> MeasurePrepareChannel:
+                        grid: MeasureGrid) -> MeasurePrepareChannel:
     """Run the full reduction on a non-signalling channel.
 
-    Stages: symmetrize, purify, grid, extract, per-point trace-preserving
+    Stages: symmetrize, purify, extract on `grid`, per-point trace-preserving
     repair (points whose input marginal is singular or strays from the mean
     by ≥ ε fall back to the depolarizing channel; the stack of input
-    marginals is eigensolved once, and those eigenpairs give the gate's
+    marginals is eigensolved once per grid, and those eigenpairs give the gate's
     lowest eigenvalues and every repaired point's τ^{-1/2}), POVM assembly
     with one explicit slack element.  When the discretized POVM overshoots the
     identity beyond tolerance the whole family is rescaled by the smallest
@@ -189,7 +189,11 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
     measure-and-prepare channel on q's n rounds, which its constructor
     checks to be CPTP.
 
-    grid_spec names the grid (see `definetti.build_grid`).
+    `grid` is a `MeasureGrid` on C^{(d_X·d_Y)²}, the purification's doubled
+    sites (see `definetti.build_grid`).  One grid serves a whole sweep over
+    n: what depends on the grid alone, its site states and the eigensolve of
+    their input marginals, is computed on the first call and kept on the
+    grid, while each n still extracts, gates and repairs on its own.
     """
     d_a, d_x, d_y, n = q.d_a, q.d_x, q.d_y, q.n
     rep = is_nonsignalling(q)
@@ -199,15 +203,16 @@ def build_locc_protocol(q: ChoiChannel | MeasurePrepareChannel,
             "the reduction only applies to non-signalling channels")
 
     extension = purify_channel(symmetrize_channel(q))
-    grid = build_grid(extension.site_dim, grid_spec)
     approx = extract_measure(extension, grid)
 
     delta = 4.0 * (d_x * d_y) ** 2 / n
     weights, taus = _input_marginals(approx, d_x, d_y)
     e1 = np.tensordot(weights, taus, axes=(0, 0))
-    # the only eigensolve of the τ stack: its lowest eigenvalues gate the
-    # repair, and its eigenpairs give every repaired point's τ^{-1/2}
-    w, v = eigh_herm(taus, check=True)
+    # the only eigensolve of the τ stack, kept on the grid for every later n:
+    # its lowest eigenvalues gate the repair, and its eigenpairs give every
+    # repaired point's τ^{-1/2}
+    w, v = grid.derived(("input_marginal_eigs", d_x, d_y),
+                        lambda: eigh_herm(taus, check=True))
     repair = (w[:, 0] > REPAIR_CUTOFF) & (_spread(taus, e1) < EPSILON)
     repaired = int(repair.sum())
     fallback = len(repair) - repaired

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiChannel, MeasurePrepareChannel, marginal_channel, symmetrize_channel
+from .definetti import MeasureGrid
 from .locc import build_locc_protocol, theorem1_bound
 from .tensor_core import (
     TensorError,
@@ -263,10 +264,14 @@ class RiskReport:
 
 def risk_gap_experiment(task: LearningTask,
                         q: ChoiChannel | MeasurePrepareChannel,
-                        grid_spec: str) -> RiskReport:
-    """Collective-vs-LOCC gap with the (loose) rate bound, both reported."""
+                        grid: MeasureGrid) -> RiskReport:
+    """Collective-vs-LOCC gap with the (loose) rate bound, both reported.
+
+    `grid` is the `MeasureGrid` the reduction resolves q's purification on
+    (`locc.build_locc_protocol`); a sweep over n passes every n the one grid.
+    """
     risk_q = expected_risk(q, task, path="marginal")
-    protocol = build_locc_protocol(q, grid_spec=grid_spec)
+    protocol = build_locc_protocol(q, grid)
     risk_p = protocol_risk(protocol, task)
     r_inf = op_norm(task.r_kernel)
     bound = theorem1_bound(task.d_a, task.d_x, task.d_y, task.n, r_inf)

@@ -28,7 +28,6 @@ from nslocc.tensor_core import (
     TensorError,
     eigh_herm,
     op,
-    partial_trace,
     permutation_matrix,
     trace_norm,
 )
@@ -133,7 +132,7 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
     for i in range(1, n + 1):
         parts.append(relabel(single.omega, {"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
     omega = reduce(tensor, parts)
-    omega = partial_trace(omega, set(["A"] + _round_labels(n)))
+    omega = oracle_partial_trace(omega, set(["A"] + _round_labels(n)))
     return ChoiChannel(omega, 1, single.d_x, single.d_y, n)
 
 
@@ -260,8 +259,8 @@ def random_measure_prepare(rng, d_a: int, d_x: int, d_y: int,
     half = u[:, :d_a // 2]
     proj = half @ half.conj().T
     povm = [Operator(p, Factorization.of(("A", d_a))) for p in (proj, np.eye(d_a) - proj)]
-    preps = [partial_trace(choi_of_kraus(random_kraus(rng, d_x, d_y, count=rank),
-                                         d_x, d_y).omega, ["X1", "Y1"])
+    preps = [oracle_partial_trace(choi_of_kraus(random_kraus(rng, d_x, d_y, count=rank),
+                                                d_x, d_y).omega, ["X1", "Y1"])
              for _ in range(2)]
     return povm, preps
 
@@ -270,14 +269,14 @@ def prepare_state_choi(vec: np.ndarray) -> Operator:
     """Single-round Choi state of the channel that always prepares |vec>."""
     d = len(vec)
     kraus = [np.outer(vec, e) for e in np.eye(d)]
-    return partial_trace(choi_of_kraus(kraus, d, d).omega, ["X1", "Y1"])
+    return oracle_partial_trace(choi_of_kraus(kraus, d, d).omega, ["X1", "Y1"])
 
 
 def classifier_choi(basis: np.ndarray) -> Operator:
     """Choi of: measure the input in `basis`, output the outcome label."""
     d = basis.shape[1]
     kraus = [np.outer(np.eye(d)[y], basis[:, y].conj()) for y in range(d)]
-    return partial_trace(choi_of_kraus(kraus, d, d).omega, ["X1", "Y1"])
+    return oracle_partial_trace(choi_of_kraus(kraus, d, d).omega, ["X1", "Y1"])
 
 
 def dense_permutation(perm, d: int) -> np.ndarray:

@@ -235,7 +235,7 @@ def test_criterion_7_locc_reconstruction():
     q = measure_and_prepare_choi(povm, preps, n)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
     risk_q = expected_risk(q, task, path="marginal")
-    proto = build_locc_protocol(q, grid_spec="haar:3:1500")
+    proto = build_locc_protocol(q, build_grid(16, "haar:3:1500"))
     risk_p = protocol_risk(proto, task)
     gap = abs(risk_q - risk_p)
     rebuilt = proto.dense()

@@ -337,6 +337,28 @@ def test_design_grid_is_refused_before_any_purification(monkeypatch, tmp_path, c
     assert not out.exists()
 
 
+def test_risk_gap_draws_one_grid_for_its_whole_sweep(monkeypatch, tmp_path):
+    # the grid is drawn once, before the n loop, and every n is reduced on it
+    drawn, used = [], []
+    build, reduce_on = cli.build_grid, locc.extract_measure
+
+    def counted(d_eff, name):
+        drawn.append(build(d_eff, name))
+        return drawn[-1]
+
+    def recorded(ext, grid):
+        used.append(grid)
+        return reduce_on(ext, grid)
+
+    monkeypatch.setattr(cli, "build_grid", counted)
+    monkeypatch.setattr(locc, "extract_measure", recorded)
+    out = tmp_path / "r.csv"
+    assert main(["risk-gap", "--n", "1,2,3", "--grid", "haar:0:200", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    assert len(drawn) == 1 and len(used) == 3
+    assert all(grid is drawn[0] for grid in used)
+
+
 def test_empty_n_range_exits_2_naming_the_flag(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["risk-gap", "--n", "3..1", "--out", str(out)]) == 2
@@ -600,8 +622,8 @@ def test_verify_fails_a_protocol_that_is_not_trace_preserving(monkeypatch, tmp_p
     build, eps = cli.build_locc_protocol, 1.6e-7
     skew = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
 
-    def skewed(q, grid_spec):
-        proto = build(q, grid_spec)
+    def skewed(q, grid):
+        proto = build(q, grid)
         return replace(proto, chois=(1 - eps) * proto.chois + eps * skew)
 
     monkeypatch.setattr(cli, "build_locc_protocol", skewed)

@@ -10,6 +10,7 @@ from nslocc.channels import MeasurePrepareChannel, choi_of_kraus, measure_and_pr
 from nslocc.definetti import (
     DENSE_RESIDUAL_BUDGET,
     GRID_GRAMMAR,
+    UNIT_ROW_TOL,
     MeasureGrid,
     _block_overlaps,
     _dense_extension,
@@ -135,6 +136,41 @@ def test_haar_grid_without_points_is_refused():
         build_grid(4, "haar:0:0")
 
 
+def malformed_grid(defect):
+    """The arguments of a 3-point grid on C^4 with one defect."""
+    g = build_grid(4, "haar:0:3")
+    vectors, weights = g.vectors.copy(), g.weights.copy()
+    if defect == "vectors-shape":
+        vectors = vectors[:, :3]
+    elif defect == "weights-shape":
+        weights = np.append(weights[:2], [0.0, 1 / 3])
+    elif defect == "negative-weight":
+        weights = np.array([0.75, 0.5, -0.25])
+    elif defect == "nan-weight":
+        weights[0] = np.nan
+    elif defect == "nan-row":
+        vectors[1, 0] = np.nan
+    else:
+        vectors[1] *= 1 + 10 * UNIT_ROW_TOL
+    return vectors, weights, 4, "haar:0:3"
+
+
+GRID_DEFECTS = {
+    "vectors-shape": r"grid vectors have shape \(3, 3\), need \(count, d_eff\) = \(3, 4\)",
+    "weights-shape": r"grid weights have shape \(4,\), need \(count,\) = \(3,\)",
+    "negative-weight": "grid weight -0.25 is negative",
+    "non-unit-row": "grid vector 1 is not a unit vector",
+    "nan-row": r"grid vector 1 is not a unit vector \(norm off by nan\)",
+    "nan-weight": "grid weights sum to nan, not 1",
+}
+
+
+@pytest.mark.parametrize("defect", list(GRID_DEFECTS))
+def test_malformed_grid_is_refused_naming_its_defect(defect):
+    with pytest.raises(TensorError, match=GRID_DEFECTS[defect]):
+        MeasureGrid(*malformed_grid(defect))
+
+
 @pytest.mark.parametrize("kind", ["mixed", "pure"])
 @pytest.mark.parametrize("d_a", [1, 2, 3])
 def test_purify_extension_reduces_back(rng, d_a, kind):
@@ -235,9 +271,9 @@ def test_risk_gap_matches_full_spectrum_complex_purification(monkeypatch, n):
     rho0, rho1, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, n)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
-    got = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    got = risk_gap_experiment(task, q, build_grid(16, "haar:0:200"))
     monkeypatch.setattr(locc, "purify_extension", oracle_purify_extension)
-    want = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    want = risk_gap_experiment(task, q, build_grid(16, "haar:0:200"))
     for key in ("risk_collective", "risk_locc", "gap", "grid_residual"):
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-8), key
 

@@ -121,7 +121,8 @@ def test_reduction_that_repairs_no_point_assembles_every_fallback(tmp_path):
     # stack of repair factors is empty
     from nslocc.cli import _classification_family, main
     _, _, povm, preps = _classification_family(0.6)
-    proto = build_locc_protocol(MeasurePrepareChannel.of(povm, preps, 3), "haar:14402:200")
+    proto = build_locc_protocol(MeasurePrepareChannel.of(povm, preps, 3),
+                                build_grid(16, "haar:14402:200"))
     assert proto.provenance["repaired_count"] == 0
     assert all(np.array_equal(choi, np.eye(4) / 4) for choi in proto.chois)
     out = tmp_path / "r.csv"
@@ -167,12 +168,12 @@ def test_build_protocol_rejects_signalling_input(rng):
     from nslocc.channels import choi_of_global_kraus
     q = choi_of_global_kraus([swap], 2, 2, n=2)
     with pytest.raises(TensorError):
-        build_locc_protocol(q, "haar:0:20")
+        build_locc_protocol(q, build_grid(16, "haar:0:20"))
 
 
 def test_build_protocol_output_is_valid(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
-    proto = build_locc_protocol(q, "haar:1:400")
+    proto = build_locc_protocol(q, build_grid(16, "haar:1:400"))
     assert isinstance(proto, MeasurePrepareChannel)
     assert (proto.d_a, proto.d_x, proto.d_y, proto.n) == (2, 2, 2, 2)
     assert proto.provenance["grid_mode"] == "haar:1:400"
@@ -194,14 +195,14 @@ def test_build_protocol_reports_the_purification_dropped_mass():
     _, _, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, 2)
     ext = dense_purification(symmetrize_channel(q))
-    proto = build_locc_protocol(q, "haar:0:200")
+    proto = build_locc_protocol(q, build_grid(16, "haar:0:200"))
     assert proto.provenance["dropped_mass"] == ext.dropped_mass
     assert 0.0 <= ext.dropped_mass <= 1e-13
 
 
 def test_concentration_report_fields(rng):
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=13)
-    proto = build_locc_protocol(q, grid_spec="haar:3:300")
+    proto = build_locc_protocol(q, build_grid(16, "haar:3:300"))
     approx = measure_of(q, seed=3, count=300)  # the measure proto was built from
     rep = concentration_report(approx, epsilon=0.2, delta=0.5, d_x=2, d_y=2)
     assert rep.complement_mass <= 1.0 + 1e-9
@@ -224,7 +225,7 @@ def test_protocol_assembled_from_stacked_measure():
     for d_x, d_y in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         d = d_x * d_y
         q = random_nonsignalling_choi(2, d_x, d_y, 2, seed=11)
-        proto = build_locc_protocol(q, grid_spec="haar:1:400")
+        proto = build_locc_protocol(q, build_grid(d * d, "haar:1:400"))
         approx = measure_of(q, seed=1, count=400)
         prov = proto.provenance
         rep = concentration_report(approx, prov["epsilon"], prov["delta"], d_x, d_y)
@@ -260,7 +261,7 @@ def test_stacked_inverse_roots_match_the_oracle_on_either_lapack_path(rng, d_x, 
 
 def test_marginal_choi_matches_per_outcome_loop():
     q = random_nonsignalling_choi(2, 2, 2, 2, seed=11)
-    proto = build_locc_protocol(q, grid_spec="haar:1:400")
+    proto = build_locc_protocol(q, build_grid(16, "haar:1:400"))
     got = marginal_channel(proto).omega
     assert got.labels == ("A", "X1", "Y1")
     assert np.abs(got.matrix - loop_marginal_choi(proto)).max() <= 1e-14
@@ -279,7 +280,7 @@ def test_slack_element_completes_the_povm(monkeypatch, n, grid, rescaled):
         return eigh_herm(m, *args, **kwargs)
 
     monkeypatch.setattr(locc, "eigh_herm", counted)
-    proto = build_locc_protocol(q, grid)
+    proto = build_locc_protocol(q, build_grid(16, grid))
     assert (proto.provenance["povm_rescale"] < 1.0) == rescaled
     *elements, slack = proto.povm
     assert np.abs(slack - (np.eye(2) - sum(elements))).max() <= 1e-15
@@ -308,10 +309,35 @@ def test_reduction_eigensolves_do_not_grow_with_the_grid(monkeypatch):
     counts = []
     for count in (50, 400):
         calls.clear()
-        proto = build_locc_protocol(q, f"haar:0:{count}")
+        proto = build_locc_protocol(q, build_grid(16, f"haar:0:{count}"))
         assert proto.provenance["repaired_count"] > 0
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
+
+
+def test_a_grid_the_other_n_have_used_gives_the_fresh_grid_protocol():
+    # what the grid keeps for later calls (its site states and their input
+    # marginals' eigensolve) changes no protocol: at each n, a grid the other
+    # n have already reduced on gives bit for bit the fresh grid's protocol
+    from nslocc.cli import _classification_family
+    _, _, povm, preps = _classification_family(0.6)
+    ns = (1, 2, 3)
+    for n in ns:
+        shared = build_grid(16, "haar:0:300")
+        for other in ns:
+            if other != n:
+                build_locc_protocol(MeasurePrepareChannel.of(povm, preps, other), shared)
+        q = MeasurePrepareChannel.of(povm, preps, n)
+        got = build_locc_protocol(q, shared)
+        want = build_locc_protocol(q, build_grid(16, "haar:0:300"))
+        assert np.array_equal(got.povm, want.povm)
+        assert np.array_equal(got.chois, want.chois)
+        assert got.provenance == want.provenance
+        kept = [arr for value in shared._derived.values()
+                for arr in (value if isinstance(value, tuple) else (value,))]
+        assert len(kept) == 3 and not any(arr.flags.writeable for arr in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            extract_measure(purify_channel(q), shared).phis[0, 0, 0] = 0.0
 
 
 def structured_case(rng, case, n):
@@ -409,7 +435,7 @@ def test_structured_purification_of_orthogonal_pure_preparations_is_closed_form(
     assert np.isfinite(got).all()
     assert np.abs(got - want).max() <= 1e-12
     assert np.linalg.norm(got[:2], axis=1).min() > 0.1  # on top of vec P_j: not vanishing
-    proto = build_locc_protocol(q, "haar:0:2000")
+    proto = build_locc_protocol(q, build_grid(16, "haar:0:2000"))
     assert proto.provenance["dropped_mass"] == ext.dropped_mass
 
 

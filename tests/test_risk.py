@@ -22,7 +22,7 @@ from nslocc.channels import (
     symmetrize_channel,
 )
 from nslocc.cli import _classification_family
-from nslocc.definetti import purify_extension
+from nslocc.definetti import MeasureGrid, build_grid, purify_extension
 from nslocc.locc import (
     build_locc_protocol,
     purify_channel,
@@ -284,7 +284,7 @@ def test_protocol_risk_close_to_collective_for_mp_channel(rng):
     theta = np.pi / 3
     t = two_state_task(theta, n=2)
     q = helstrom_channel(theta, n=2)
-    report = risk_gap_experiment(t, q, grid_spec="haar:0:800")
+    report = risk_gap_experiment(t, q, build_grid(16, "haar:0:800"))
     assert report.gap <= min(2 * op_norm(t.s.reshape(4, 4)), report.bound) + 1e-9
     assert report.bound == theorem1_bound(t.d_a, t.d_x, t.d_y, t.n,
                                           report.r_infnorm)
@@ -307,7 +307,7 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
     rho0, rho1, povm, preps = _classification_family(0.6)
     q = measure_and_prepare_choi(povm, preps, n)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
-    fast = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    fast = risk_gap_experiment(task, q, build_grid(16, "haar:0:200"))
 
     def dense_symmetrize_channel(ch):
         avg = dense_symmetrize(ch.omega.matrix, ch.d_a, ch.d_x * ch.d_y, ch.n)
@@ -324,7 +324,7 @@ def test_risk_gap_matches_dense_permutation_oracle(monkeypatch, n):
     monkeypatch.setattr(risk, "symmetrize_channel", dense_symmetrize_channel)
     monkeypatch.setattr(definetti, "_dense_resolution_residual", oracle_resolution_residual)
     monkeypatch.setattr(risk, "marginal_channel", loop_marginal)
-    slow = risk_gap_experiment(task, q, grid_spec="haar:0:200")
+    slow = risk_gap_experiment(task, q, build_grid(16, "haar:0:200"))
     for key in ("risk_collective", "risk_locc", "gap", "grid_residual"):
         assert getattr(fast, key) == pytest.approx(getattr(slow, key), rel=1e-9, abs=1e-12)
 
@@ -351,8 +351,8 @@ def test_structured_risk_gap_matches_the_dense_channel(n):
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
     structured = MeasurePrepareChannel.of(povm, preps, n)
     dense = measure_and_prepare_choi(povm, preps, n)
-    got = risk_gap_experiment(task, structured, grid_spec="haar:0:200")
-    want = risk_gap_experiment(task, dense, grid_spec="haar:0:200")
+    got = risk_gap_experiment(task, structured, build_grid(16, "haar:0:200"))
+    want = risk_gap_experiment(task, dense, build_grid(16, "haar:0:200"))
     for key in RiskReport.__dataclass_fields__:
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), key
     assert expected_risk(structured, task, path="both") == pytest.approx(
@@ -367,7 +367,7 @@ def test_relabelling_the_outcomes_leaves_the_risk_report_unchanged(n, seed, over
     # reduction sees the same state and only its summation order changes
     rho0, rho1, povm, preps = _classification_family(overlap)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
-    grid = f"haar:{seed}:300"
+    grid = build_grid(16, f"haar:{seed}:300")
     want = risk_gap_experiment(task, MeasurePrepareChannel.of(povm, preps, n), grid)
     got = risk_gap_experiment(task, MeasurePrepareChannel.of(povm[::-1], preps[::-1], n),
                               grid)
@@ -407,11 +407,45 @@ def test_local_unitaries_on_channel_and_task_leave_the_risk_unchanged(n, seed, o
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.3, 0.6, 0.9]))
+def test_local_unitaries_with_the_grid_rotated_leave_the_reduction_unchanged(seed, overlap):
+    """ROADMAP item 8: W = Ū ⊗ V on a site (X, Y) turns the preparations,
+    U the task's ρ_XR and V its S; the purification's doubled sites then
+    turn by W ⊗ W̄, and a grid turned by it too gives the same overlaps, so
+    the same risk_locc and grid_residual, at every n of a sweep."""
+    rho0, rho1, povm, preps = _classification_family(overlap)
+    rng = np.random.default_rng(seed)
+    u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+    w, eye = np.kron(u.conj(), v), np.eye(2)
+    grid = build_grid(16, f"haar:{seed}:200")
+    turned_grid = MeasureGrid(grid.vectors @ np.kron(w, w.conj()).T, grid.weights,
+                              grid.d_eff, grid.mode)
+
+    def turn(x, m, shape):
+        """(x ⊗ 1_R) m (x ⊗ 1_R)† in the task's array shape."""
+        g = np.kron(x, eye)
+        return (g @ m.matrix @ g.conj().T).reshape(shape)
+
+    for n in (1, 2, 3):
+        task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
+        _, rho_xr, s = task_operators(task)
+        turned = LearningTask(rho_a=task.rho_a, rho_xr=turn(u, rho_xr, task.rho_xr.shape),
+                              s=turn(v, s, task.s.shape), n=n)
+        q = MeasurePrepareChannel.of(povm, preps, n)
+        rotated = MeasurePrepareChannel(q.povm, w @ q.chois @ w.conj().T, 2, 2, n)
+        want = risk_gap_experiment(task, q, grid)
+        got = risk_gap_experiment(turned, rotated, turned_grid)
+        assert got.risk_locc == pytest.approx(want.risk_locc, rel=0, abs=1e-10)
+        assert got.grid_residual == pytest.approx(want.grid_residual, rel=0, abs=1e-10)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_protocol_is_a_channel_whose_risk_paths_agree(n):
     rho0, rho1, povm, preps = _classification_family(0.6)
     task = classification_task([0.5, 0.5], [rho0, rho1], n=n)
-    proto = build_locc_protocol(MeasurePrepareChannel.of(povm, preps, n), "haar:0:200")
+    proto = build_locc_protocol(MeasurePrepareChannel.of(povm, preps, n),
+                                build_grid(16, "haar:0:200"))
     assert isinstance(proto, MeasurePrepareChannel) and proto.n == n
     want = protocol_risk(proto, task)
     assert expected_risk(proto, task, "both") == pytest.approx(want, rel=0, abs=1e-12)
@@ -428,7 +462,8 @@ def test_risk_gap_experiment_builds_the_r_operator_once(monkeypatch):
         return r_operator(t)
 
     monkeypatch.setattr(risk, "r_operator", counted)
-    risk_gap_experiment(task, MeasurePrepareChannel.of(povm, preps, 2), "haar:0:200")
+    risk_gap_experiment(task, MeasurePrepareChannel.of(povm, preps, 2),
+                        build_grid(16, "haar:0:200"))
     assert len(calls) == 1 and calls[0] is task
 
 
@@ -530,7 +565,7 @@ def test_the_reduction_and_the_dual_path_risk_share_one_signalling_gate(case):
     q, task = case
     signals = is_nonsignalling(q).max_residual > NS_TOL
     try:
-        build_locc_protocol(q, "haar:0:50")
+        build_locc_protocol(q, build_grid(16, "haar:0:50"))
     except TensorError as err:
         assert signals and "signalling" in str(err)
     else:
