@@ -25,7 +25,6 @@ import numpy as np
 
 from .tensor_core import (
     PSD_TOL,
-    Factorization,
     Operator,
     TensorError,
     check_dense_budget,
@@ -47,13 +46,9 @@ SAMPLER_MAX_ITER = 5000  # sweeps random_nonsignalling_choi may take
 SAMPLER_TOL = 1e-9       # the largest entry move of a converged sweep
 
 
-def _round_labels(n: int) -> list[str]:
-    return [f"{reg}{i}" for i in range(1, n + 1) for reg in "XY"]
-
-
-def choi_factorization(d_a: int, d_x: int, d_y: int, n: int) -> Factorization:
-    dim_of = {"X": d_x, "Y": d_y}
-    return Factorization.of(("A", d_a), *((lab, dim_of[lab[0]]) for lab in _round_labels(n)))
+def choi_factorization(d_a: int, d_x: int, d_y: int, n: int) -> tuple[tuple[str, int], ...]:
+    return (("A", d_a),) + tuple(pair for i in range(1, n + 1)
+                                 for pair in ((f"X{i}", d_x), (f"Y{i}", d_y)))
 
 
 @dataclass(frozen=True)
@@ -73,11 +68,9 @@ class ChoiChannel:
 
     def __post_init__(self):
         want = choi_factorization(self.d_a, self.d_x, self.d_y, self.n)
-        if self.omega.shape.factors != want.factors:
-            raise TensorError(
-                f"Choi factor layout must be {want.factors}, got {self.omega.shape.factors}"
-            )
-        tr = self.omega.trace().real
+        if self.omega.factors != want:
+            raise TensorError(f"Choi factor layout must be {want}, got {self.omega.factors}")
+        tr = float(np.trace(self.omega.matrix).real)
         if abs(tr - 1.0) > NORM_TOL:
             raise TensorError(f"Choi state must have unit trace, got {tr}")
 
@@ -125,8 +118,8 @@ def choi_of_global_kraus(kraus: Sequence[np.ndarray], d_x: int, d_y: int,
     # rows and columns as (X1..Xn, Y1..Yn); one transpose interleaves the rounds
     pairs = [ax for i in range(n) for ax in (i, n + i)]
     t = m.reshape(2 * ((d_x,) * n + (d_y,) * n)).transpose(pairs + [2 * n + ax for ax in pairs])
-    fac = choi_factorization(1, d_x, d_y, n)
-    return ChoiChannel(Operator(t.reshape(fac.dim, fac.dim), fac), 1, d_x, d_y, n)
+    return ChoiChannel(Operator(t.reshape(m.shape), choi_factorization(1, d_x, d_y, n)),
+                       1, d_x, d_y, n)
 
 
 def measure_and_prepare_choi(povm: Sequence[Operator], preparations: Sequence[Operator],
@@ -201,13 +194,14 @@ class MeasurePrepareChannel:
             raise TensorError(f"need at least one POVM element and one preparation per element, "
                               f"got {len(povm)} elements and {len(preparations)} preparations")
         for what, ops in (("POVM elements", povm), ("preparations", preparations)):
-            spaces = list(dict.fromkeys(o.shape.factors for o in ops))
+            spaces = list(dict.fromkeys(o.factors for o in ops))
             if len(spaces) > 1:
                 raise TensorError(f"{what} live on different spaces: {spaces}")
-        shape = preparations[0].shape
+        dims = dict(preparations[0].factors)
+        if not {"X1", "Y1"} <= dims.keys():
+            raise TensorError(f"preparations lack X1 or Y1: {preparations[0].factors}")
         return cls(np.stack([m.matrix for m in povm]),
-                   np.stack([p.matrix for p in preparations]),
-                   shape.dim_of("X1"), shape.dim_of("Y1"), n)
+                   np.stack([p.matrix for p in preparations]), dims["X1"], dims["Y1"], n)
 
     @property
     def d_a(self) -> int:
@@ -219,8 +213,8 @@ class MeasurePrepareChannel:
         check_dense_budget(d_a * (self.d_x * self.d_y) ** n, "measure_and_prepare_choi")
         total = sum(reduce(np.kron, [m.T / d_a] + [c] * n)
                     for m, c in zip(self.povm, self.chois))
-        fac = choi_factorization(d_a, self.d_x, self.d_y, n)
-        return ChoiChannel(Operator(total, fac), d_a, self.d_x, self.d_y, n)
+        return ChoiChannel(Operator(total, choi_factorization(d_a, self.d_x, self.d_y, n)),
+                           d_a, self.d_x, self.d_y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +224,16 @@ class MeasurePrepareChannel:
 def apply_channel(channel: ChoiChannel, rho: Operator) -> Operator:
     """Q(rho) on (Y1..Yn) for rho on the input factors (A, X1..Xn): one
     contraction Q(rho)[y, y'] = d_in sum_{i, j} rho[i, j] omega[(i, y), (j, y')]."""
-    factors = channel.omega.shape.factors          # A, X1, Y1, .., Xn, Yn
+    factors = channel.omega.factors                # A, X1, Y1, .., Xn, Yn
     inputs = factors[:1] + factors[1::2]
-    if rho.shape.factors != inputs:
+    if rho.factors != inputs:
         raise TensorError(f"input state must live on {inputs}")
     k = len(factors)
     ins, outs = [0] + list(range(1, k, 2)), list(range(2, k, 2))
-    t = np.einsum(rho.matrix.reshape(2 * rho.shape.dims), ins + [k + a for a in ins],
-                  channel.omega.matrix.reshape(2 * channel.omega.shape.dims), list(range(2 * k)),
+    t = np.einsum(rho.matrix.reshape(2 * rho.dims), ins + [k + a for a in ins],
+                  channel.omega.matrix.reshape(2 * channel.omega.dims), list(range(2 * k)),
                   outs + [k + a for a in outs])
-    fac = Factorization(factors[2::2])
-    return Operator(channel.d_in * t.reshape(fac.dim, fac.dim), fac)
+    return Operator(channel.d_in * t.reshape(channel.d_y ** channel.n, -1), factors[2::2])
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +333,8 @@ def marginal_channel(channel: ChoiChannel | MeasurePrepareChannel) -> ChoiChanne
         k, pair = len(channel.povm), d_x * d_y
         total = (channel.povm.reshape(k, -1).T @ channel.chois.reshape(k, -1)).reshape(
             d_a, d_a, pair, pair).transpose(1, 2, 0, 3) / d_a
-        fac = choi_factorization(d_a, d_x, d_y, 1)
-        return ChoiChannel(Operator(total.reshape(fac.dim, fac.dim), fac), d_a, d_x, d_y, 1)
+        return ChoiChannel(Operator(total.reshape(d_a * pair, d_a * pair),
+                                    choi_factorization(d_a, d_x, d_y, 1)), d_a, d_x, d_y, 1)
     dims = (d_a, d_x, d_y, channel.n)
     res = float(trace_norm(_signalling_part(channel.omega.matrix, dims, 1)[0]))
     if not res <= NS_TOL:
@@ -366,13 +359,13 @@ def symmetrize_channel(channel: ChoiChannel | MeasurePrepareChannel
     if isinstance(channel, MeasurePrepareChannel):
         return channel
     n = channel.n
-    check_dense_budget(channel.omega.dim, "symmetrize_channel")
+    check_dense_budget(len(channel.omega.matrix), "symmetrize_channel")
     # rows and columns as (A, site_1..site_n) with site_i = (X_i, Y_i)
     t = channel.omega.matrix.reshape(
         2 * ((channel.d_a,) + (channel.d_x * channel.d_y,) * n))
     rows, cols = range(1, n + 1), range(n + 2, 2 * n + 2)
     avg = symmetrize_sites(t, [rows, cols]).reshape(channel.omega.matrix.shape)
-    return ChoiChannel(Operator(avg, channel.omega.shape),
+    return ChoiChannel(Operator(avg, channel.omega.factors),
                        channel.d_a, channel.d_x, channel.d_y, n)
 
 
@@ -452,10 +445,10 @@ def random_nonsignalling_choi(d_a: int, d_x: int, d_y: int, n: int,
     0.80 -> 1.34 s at side 1024 (best of 3, 2-vCPU VM, OpenBLAS 0.3.31).
     """
     dims = (d_a, d_x, d_y, n)
-    fac = choi_factorization(*dims)
-    check_dense_budget(fac.dim, "random_nonsignalling_choi")
+    fac, side = choi_factorization(*dims), d_a * (d_x * d_y) ** n
+    check_dense_budget(side, "random_nonsignalling_choi")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((fac.dim,) * 2) + 1j * rng.standard_normal((fac.dim,) * 2)
+    g = rng.standard_normal((side,) * 2) + 1j * rng.standard_normal((side,) * 2)
     m = g @ g.conj().T
     m /= np.trace(m).real
     correction = np.zeros_like(m)

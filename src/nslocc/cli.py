@@ -94,16 +94,19 @@ def _load_config(args) -> dict:
         for key, val in cfg.items():
             # true/false only for the store_true flag, lists of ints only for
             # --n/--k, strings only for the paths and grid names (open(2)
-            # would write to a file descriptor), fractions only for
-            # --overlap: int() would truncate them
+            # would write to a file descriptor) and number text that parses,
+            # fractions only for --overlap: int() would truncate them
             if key == "inject_signalling":
                 ok = isinstance(val, bool)
             elif isinstance(val, list):
                 ok = key in ("n", "k") and all(type(v) is int for v in val)
             elif key in ("out", "grid"):
                 ok = type(val) is str
+            elif type(val) is str:
+                # --n/--k text is parsed, and refused naming the flag, by _parse_n_range
+                ok = key in ("n", "k") or _parses(float if key == "overlap" else int, val)
             else:
-                ok = type(val) in (int, str) or (key == "overlap" and type(val) is float)
+                ok = type(val) is int or (key == "overlap" and type(val) is float)
             if not ok:
                 raise ValueError(f"{key!r} cannot be {json.dumps(val)}")
     # every explicitly given flag overrides the file's value
@@ -113,6 +116,15 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _parses(kind, text: str) -> bool:
+    """Whether kind(text), int or float, takes the text."""
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_n_range(flag: str, spec) -> list[int]:
     """The values a flag names: an int, a list, `LO..HI` or `A,B,..`; a value
     named twice is refused."""
@@ -120,13 +132,16 @@ def _parse_n_range(flag: str, spec) -> list[int]:
         values = [spec]
     elif isinstance(spec, list):
         values = [int(v) for v in spec]
-    elif ".." in str(spec):
-        bounds = str(spec).split("..")
-        if len(bounds) != 2:
-            raise ValueError(f"{flag} range must read LO..HI, got {spec!r}")
-        values = list(range(int(bounds[0]), int(bounds[1]) + 1))
     else:
-        values = [int(v) for v in str(spec).split(",")]
+        bounds = str(spec).split("..")
+        if len(bounds) > 2:
+            raise ValueError(f"{flag} range must read LO..HI, got {spec!r}")
+        parts = bounds if len(bounds) == 2 else str(spec).split(",")
+        if not all(_parses(int, v) for v in parts):
+            raise ValueError(f"{flag} must name integers, got {spec!r}")
+        values = [int(v) for v in parts]
+        if len(bounds) == 2:
+            values = list(range(values[0], values[1] + 1))
     if len(set(values)) != len(values):
         repeated = next(v for i, v in enumerate(values) if v in values[:i])
         raise ValueError(f"{flag} names {repeated} more than once")
@@ -481,7 +496,7 @@ def cmd_risk_gap(cfg: dict) -> int:
     rho0, rho1, povm, preps = _classification_family(overlap)
     # every n purifies onto sites of dimension (d_X·d_Y)², so one grid,
     # drawn (or refused) before the first purification, serves them all
-    grid = build_grid(preps[0].dim ** 2, cfg.get("grid", f"haar:{seed}:2000"))
+    grid = build_grid(len(preps[0].matrix) ** 2, cfg.get("grid", f"haar:{seed}:2000"))
     rows = []
     for n in sorted(ns):
         q = MeasurePrepareChannel.of(povm, preps, n)

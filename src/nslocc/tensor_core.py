@@ -3,7 +3,7 @@
 The pipeline computes on plain arrays and their (dims + dims) views, factor
 i of k being axes i and k + i; `permute_sites` and `symmetrize_sites` are its
 one site-permutation kernel.  Labels stay at the boundary: an `Operator`
-carries an ordered factorization (label, dim) of the space it acts on, so an
+carries the ordered (label, dim) factors of the space it acts on, so an
 operator handed in or written out names its registers, and `partial_trace`
 and `embed` take them by name.
 """
@@ -47,22 +47,31 @@ def dense_budget_rows(row_items: int) -> int:
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """Ordered list of (label, dim) factors of a tensor-product space."""
+class Operator:
+    """Square complex matrix on the tensor product of its ordered (label, dim)
+    factors. Immutable after creation."""
 
+    matrix: np.ndarray = field(repr=False)
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.factors]
+        factors = tuple((str(lab), int(d)) for lab, d in self.factors)
+        labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             raise TensorError(f"duplicate factor labels: {labels}")
-        for lab, d in self.factors:
+        for lab, d in factors:
             if d < 1:
                 raise TensorError(f"factor {lab!r} has non-positive dim {d}")
-
-    @staticmethod
-    def of(*factors: tuple[str, int]) -> "Factorization":
-        return Factorization(tuple((str(l), int(d)) for l, d in factors))
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise TensorError(f"operator matrix must be square, got {m.shape}")
+        side = prod(d for _, d in factors)
+        if m.shape[0] != side:
+            raise TensorError(f"matrix side {m.shape[0]} != product of factor dims {side}")
+        m = m.copy()
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -72,54 +81,9 @@ class Factorization:
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
 
-    @property
-    def dim(self) -> int:
-        return prod(self.dims)
-
-    def index(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.factors):
-            if lab == label:
-                return i
-        raise TensorError(f"unknown factor label {label!r} (have {self.labels})")
-
-    def dim_of(self, label: str) -> int:
-        return self.factors[self.index(label)][1]
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Square complex matrix on a factorized space. Immutable after creation."""
-
-    matrix: np.ndarray = field(repr=False)
-    shape: Factorization
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise TensorError(f"operator matrix must be square, got {m.shape}")
-        if m.shape[0] != self.shape.dim:
-            raise TensorError(
-                f"matrix side {m.shape[0]} != factorization dim {self.shape.dim}"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    # -- convenience -------------------------------------------------------
-    @property
-    def dim(self) -> int:
-        return self.shape.dim
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.shape.labels
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
 
 def op(matrix: np.ndarray, *factors: tuple[str, int]) -> Operator:
-    return Operator(np.asarray(matrix, dtype=complex), Factorization.of(*factors))
+    return Operator(matrix, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +100,10 @@ def partial_trace(operator: Operator, keep: Iterable[str]) -> Operator:
     kept = [i for i, lab in enumerate(operator.labels) if lab in keep]
     # a traced factor's column axis takes its row axis's subscript (52 at most)
     cols = [k + i if lab in keep else i for i, lab in enumerate(operator.labels)]
-    t = np.einsum(operator.matrix.reshape(operator.shape.dims * 2),
+    t = np.einsum(operator.matrix.reshape(operator.dims * 2),
                   list(range(k)) + cols, kept + [k + i for i in kept])
-    shape = Factorization(tuple(operator.shape.factors[i] for i in kept))
-    return Operator(t.reshape(shape.dim, shape.dim), shape)
+    factors = tuple(operator.factors[i] for i in kept)
+    return Operator(t.reshape(prod(d for _, d in factors), -1), factors)
 
 
 def kron_power(stack: np.ndarray, k: int) -> np.ndarray:
@@ -156,17 +120,17 @@ def kron_power(stack: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def embed(operator: Operator, full: Factorization) -> Operator:
-    """Tensor with identity on the missing factors of `full`, in full's order:
-    one np.kron, then one transpose of the (dims + dims) view."""
-    missing = tuple(f for f in full.factors if f[0] not in operator.labels)
-    have = Factorization(operator.shape.factors + missing)
-    if sorted(have.factors) != sorted(full.factors):
-        raise TensorError(f"cannot embed {operator.shape.factors} in {full.factors}")
-    perm = [have.index(lab) for lab in full.labels]
-    t = np.kron(operator.matrix, np.eye(prod(d for _, d in missing))).reshape(have.dims * 2)
-    return Operator(t.transpose(perm + [len(perm) + p for p in perm]).reshape(
-        full.dim, full.dim), full)
+def embed(operator: Operator, full: Sequence[tuple[str, int]]) -> Operator:
+    """Tensor with identity on the (label, dim) factors of `full` it lacks, in
+    full's order: one np.kron, then one transpose of the (dims + dims) view."""
+    missing = tuple(f for f in full if f[0] not in operator.labels)
+    have = operator.factors + missing
+    if len(dict(full)) != len(full) or sorted(have) != sorted(full):
+        raise TensorError(f"cannot embed {operator.factors} in {tuple(full)}")
+    perm = [have.index(f) for f in full]
+    k = np.kron(operator.matrix, np.eye(prod(d for _, d in missing)))
+    t = k.reshape([d for _, d in have] * 2).transpose(perm + [len(perm) + p for p in perm])
+    return Operator(t.reshape(k.shape), full)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +365,12 @@ def operator_to_json(operator: Operator) -> dict:
     views, for a writer to encode a block of rows at a time (`nslocc.cli`)."""
     return {
         "labels": list(operator.labels),
-        "dims": list(operator.shape.dims),
+        "dims": list(operator.dims),
         "re": operator.matrix.real,
         "im": operator.matrix.imag,
     }
 
 
 def operator_from_json(data: dict) -> Operator:
-    fac = Factorization.of(*zip(data["labels"], data["dims"]))
     m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return Operator(m, fac)
+    return Operator(m, tuple(zip(data["labels"], data["dims"])))

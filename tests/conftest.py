@@ -12,7 +12,6 @@ from nslocc.channels import (
     SAMPLER_MAX_ITER,
     SAMPLER_TOL,
     _project_nonsignalling,
-    _round_labels,
     choi_factorization,
     choi_of_kraus,
     is_cptp,
@@ -23,7 +22,6 @@ from nslocc.classical import ClassicalProtocol
 from nslocc.definetti import MeasureGrid, SymmetricExtension, _dense_extension
 from nslocc.locc import _repair_factors, tp_repair
 from nslocc.tensor_core import (
-    Factorization,
     Operator,
     TensorError,
     eigh_herm,
@@ -36,7 +34,7 @@ from nslocc.tensor_core import (
 def oracle_partial_trace(operator: Operator, keep) -> Operator:
     """Reference partial trace: one factor at a time, right to left, each as
     the middle index of a (pre, d, post) split of rows and columns."""
-    m, factors = operator.matrix, list(operator.shape.factors)
+    m, factors = operator.matrix, list(operator.factors)
     for i in reversed(range(len(factors))):
         if factors[i][0] not in keep:
             dims = [d for _, d in factors]
@@ -44,29 +42,29 @@ def oracle_partial_trace(operator: Operator, keep) -> Operator:
             t = m.reshape(pre, d, post, pre, d, post)
             m = np.einsum("aibcid->abcd", t).reshape(pre * post, pre * post)
             factors.pop(i)
-    return Operator(m, Factorization(tuple(factors)))
+    return Operator(m, tuple(factors))
 
 
-def oracle_embed(operator: Operator, full: Factorization) -> Operator:
-    """Reference embed: np.kron with an identity for each factor of `full`
-    the operator lacks, one at a time, then one transpose of the
+def oracle_embed(operator: Operator, full) -> Operator:
+    """Reference embed: np.kron with an identity for each (label, dim) factor
+    of `full` the operator lacks, one at a time, then one transpose of the
     (dims + dims) view into full's factor order."""
-    m, factors = operator.matrix, list(operator.shape.factors)
-    for lab, d in full.factors:
+    m, factors = operator.matrix, list(operator.factors)
+    for lab, d in full:
         if lab not in operator.labels:
             m = np.kron(m, np.eye(d))
             factors.append((lab, d))
     order = [lab for lab, _ in factors]
-    perm = [order.index(lab) for lab in full.labels]
+    perm = [order.index(lab) for lab, _ in full]
     t = m.reshape([d for _, d in factors] * 2)
     return Operator(t.transpose(perm + [len(perm) + p for p in perm]).reshape(
-        full.dim, full.dim), full)
+        len(m), len(m)), full)
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product of labelled operators; the factorizations are
+    """Kronecker product of labelled operators; the factors are
     concatenated, and a label on both sides is refused."""
-    return Operator(np.kron(a.matrix, b.matrix), Factorization(a.shape.factors + b.shape.factors))
+    return Operator(np.kron(a.matrix, b.matrix), a.factors + b.factors)
 
 
 def input_labels(n: int) -> list[str]:
@@ -77,13 +75,13 @@ def input_labels(n: int) -> list[str]:
 def oracle_partial_transpose(operator: Operator, subset) -> Operator:
     """Reference partial transpose: one factor at a time, swapping the middle
     index of a (pre, d, post) split between rows and columns."""
-    dims, m = operator.shape.dims, operator.matrix
+    dims, m = operator.dims, operator.matrix
     for i, lab in enumerate(operator.labels):
         if lab in subset:
             pre, d, post = int(np.prod(dims[:i])), dims[i], int(np.prod(dims[i + 1:]))
             t = m.reshape(pre, d, post, pre, d, post)
-            m = t.transpose(0, 4, 2, 3, 1, 5).reshape(operator.dim, operator.dim)
-    return Operator(m, operator.shape)
+            m = t.transpose(0, 4, 2, 3, 1, 5).reshape(len(m), len(m))
+    return Operator(m, operator.factors)
 
 
 def herm_fn(operator: Operator, f, cutoff: float | None = None) -> Operator:
@@ -100,13 +98,13 @@ def herm_fn(operator: Operator, f, cutoff: float | None = None) -> Operator:
         fw = np.zeros_like(w)
         if live.any():
             fw[live] = f(w[live])
-    return Operator((v * fw) @ v.conj().T, operator.shape)
+    return Operator((v * fw) @ v.conj().T, operator.factors)
 
 
 def relabel(operator: Operator, mapping: dict[str, str]) -> Operator:
     """The operator with its factors renamed by mapping, same matrix."""
-    return Operator(operator.matrix, Factorization(
-        tuple((mapping.get(lab, lab), d) for lab, d in operator.shape.factors)))
+    return Operator(operator.matrix,
+                    tuple((mapping.get(lab, lab), d) for lab, d in operator.factors))
 
 
 def task_operators(task) -> tuple[Operator, Operator, Operator]:
@@ -120,8 +118,8 @@ def task_operators(task) -> tuple[Operator, Operator, Operator]:
 
 def permutation_operator(perm, site_dim: int, prefix: str = "B") -> Operator:
     """permutation_matrix(perm, site_dim) on the factors prefix1..prefixn."""
-    fac = Factorization.of(*((f"{prefix}{i + 1}", site_dim) for i in range(len(perm))))
-    return Operator(permutation_matrix(perm, site_dim), fac)
+    return op(permutation_matrix(perm, site_dim),
+              *((f"{prefix}{i + 1}", site_dim) for i in range(len(perm))))
 
 
 def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
@@ -132,7 +130,7 @@ def product_channel(single: ChoiChannel, n: int) -> ChoiChannel:
     for i in range(1, n + 1):
         parts.append(relabel(single.omega, {"A": f"_a{i}", "X1": f"X{i}", "Y1": f"Y{i}"}))
     omega = reduce(tensor, parts)
-    omega = oracle_partial_trace(omega, set(["A"] + _round_labels(n)))
+    omega = oracle_partial_trace(omega, [lab for lab, _ in choi_factorization(1, 1, 1, n)])
     return ChoiChannel(omega, 1, single.d_x, single.d_y, n)
 
 
@@ -142,10 +140,10 @@ def adjoint_apply(channel: ChoiChannel, obs: Operator) -> Operator:
     if list(obs.labels) != out_labels:
         raise TensorError(f"observable must live on {out_labels}")
     twisted = oracle_partial_transpose(channel.omega, input_labels(channel.n))
-    big = oracle_embed(obs, channel.omega.shape)
-    prod = Operator(twisted.matrix @ big.matrix, channel.omega.shape)
+    big = oracle_embed(obs, channel.omega.factors)
+    prod = Operator(twisted.matrix @ big.matrix, channel.omega.factors)
     out = oracle_partial_trace(prod, input_labels(channel.n))
-    return Operator(out.matrix * channel.d_in, out.shape)
+    return Operator(out.matrix * channel.d_in, out.factors)
 
 
 def product_protocol(maps: list[np.ndarray], n: int) -> ClassicalProtocol:
@@ -258,18 +256,11 @@ def random_measure_prepare(rng, d_a: int, d_x: int, d_y: int,
                         + 1j * rng.standard_normal((d_a, d_a)))
     half = u[:, :d_a // 2]
     proj = half @ half.conj().T
-    povm = [Operator(p, Factorization.of(("A", d_a))) for p in (proj, np.eye(d_a) - proj)]
+    povm = [op(p, ("A", d_a)) for p in (proj, np.eye(d_a) - proj)]
     preps = [oracle_partial_trace(choi_of_kraus(random_kraus(rng, d_x, d_y, count=rank),
                                                 d_x, d_y).omega, ["X1", "Y1"])
              for _ in range(2)]
     return povm, preps
-
-
-def prepare_state_choi(vec: np.ndarray) -> Operator:
-    """Single-round Choi state of the channel that always prepares |vec>."""
-    d = len(vec)
-    kraus = [np.outer(vec, e) for e in np.eye(d)]
-    return oracle_partial_trace(choi_of_kraus(kraus, d, d).omega, ["X1", "Y1"])
 
 
 def classifier_choi(basis: np.ndarray) -> Operator:
@@ -328,12 +319,9 @@ def loop_marginal_choi(protocol) -> np.ndarray:
 
 def symmetrized_risk_observable(s: Operator, n: int) -> Operator:
     """S̄ on (Y1, R1, ..., Yn, Rn): the per-round score averaged over rounds."""
-    d_y = s.shape.dim_of("Y1")
-    d_r = s.shape.dim_of("R1")
-    factors = []
-    for i in range(1, n + 1):
-        factors += [(f"Y{i}", d_y), (f"R{i}", d_r)]
-    full = Factorization.of(*factors)
+    dims = dict(s.factors)
+    full = tuple(pair for i in range(1, n + 1)
+                 for pair in ((f"Y{i}", dims["Y1"]), (f"R{i}", dims["R1"])))
     total = sum(oracle_embed(relabel(s, {"Y1": f"Y{i}", "R1": f"R{i}"}), full).matrix
                 for i in range(1, n + 1))
     return Operator(total * (1.0 / n), full)
@@ -347,7 +335,7 @@ def oracle_risk_direct(q, task) -> float:
     factors = [("A", task.d_a)]
     for i in range(1, n + 1):
         factors += [(f"X{i}", task.d_x), (f"Y{i}", task.d_y), (f"R{i}", task.d_r)]
-    full = Factorization.of(*factors)
+    full = tuple(factors)
     rho_a, rho_xr, s = task_operators(task)
     parts = [rho_a] + [relabel(rho_xr, {"X1": f"X{i}", "R1": f"R{i}"})
                        for i in range(1, n + 1)]
@@ -369,8 +357,8 @@ def oracle_signalling_residuals(channel) -> list[float]:
         keep = ["A"] + [f"X{j}" for j in range(1, n + 1)] + [f"Y{i}"]
         m_i = oracle_partial_trace(channel.omega, keep)
         small = oracle_partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-        spread = oracle_embed(Operator(small.matrix * channel.d_x ** -(n - 1), small.shape),
-                              m_i.shape)
+        spread = oracle_embed(Operator(small.matrix * channel.d_x ** -(n - 1), small.factors),
+                              m_i.factors)
         out.append(trace_norm(m_i.matrix - spread.matrix))
     return out
 
@@ -383,9 +371,10 @@ def oracle_project_ns_round(m: np.ndarray, dims, i: int) -> np.ndarray:
     other_y = [f"Y{j}" for j in range(1, n + 1) if j != i]
     m_i = oracle_partial_trace(omega, [lab for lab in omega.labels if lab not in other_y])
     small = oracle_partial_trace(m_i, ["A", f"X{i}", f"Y{i}"])
-    target = oracle_embed(Operator(small.matrix * (d_x ** -(n - 1)), small.shape), m_i.shape)
-    fix = Operator((target.matrix - m_i.matrix) * (d_y ** -(n - 1)), m_i.shape)
-    return omega.matrix + oracle_embed(fix, omega.shape).matrix
+    target = oracle_embed(Operator(small.matrix * (d_x ** -(n - 1)), small.factors),
+                          m_i.factors)
+    fix = Operator((target.matrix - m_i.matrix) * (d_y ** -(n - 1)), m_i.factors)
+    return omega.matrix + oracle_embed(fix, omega.factors).matrix
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -418,9 +407,9 @@ def oracle_sampler_loop(d_a, d_x, d_y, n, seed) -> np.ndarray:
     above, each sweep's arrays fresh; the same arithmetic in the same order,
     so its Choi state should match the sampler's bit for bit."""
     dims = (d_a, d_x, d_y, n)
-    fac = choi_factorization(*dims)
+    fac, side = choi_factorization(*dims), d_a * (d_x * d_y) ** n
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((fac.dim,) * 2) + 1j * rng.standard_normal((fac.dim,) * 2)
+    g = rng.standard_normal((side,) * 2) + 1j * rng.standard_normal((side,) * 2)
     m = g @ g.conj().T
     m /= np.trace(m).real
     correction = np.zeros_like(m)
@@ -450,9 +439,9 @@ def oracle_random_nonsignalling_choi(d_a, d_x, d_y, n, seed, max_iter=5000,
     """Reference sampler: a Dykstra correction on every one of the n + 2 steps,
     the PSD step rebuilt from all eigenpairs, one more PSD step at the end."""
     dims = (d_a, d_x, d_y, n)
-    fac = choi_factorization(*dims)
+    fac, side = choi_factorization(*dims), d_a * (d_x * d_y) ** n
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((fac.dim, fac.dim)) + 1j * rng.standard_normal((fac.dim, fac.dim))
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     m = g @ g.conj().T
     m /= np.trace(m).real
     corrections = [np.zeros_like(m) for _ in range(n + 2)]
@@ -482,8 +471,8 @@ def oracle_tp_repair(phi: Operator) -> Operator:
     tau = oracle_partial_trace(phi, [phi.labels[0]]).matrix
     w, v = np.linalg.eigh((tau + tau.conj().T) / 2)
     d_x = len(tau)
-    big = np.kron((v * (1.0 / np.sqrt(w))) @ v.conj().T, np.eye(phi.dim // d_x))
-    return Operator(big @ phi.matrix @ big / d_x, phi.shape)
+    big = np.kron((v * (1.0 / np.sqrt(w))) @ v.conj().T, np.eye(len(phi.matrix) // d_x))
+    return Operator(big @ phi.matrix @ big / d_x, phi.factors)
 
 
 def repair_one(phi: np.ndarray, d_x: int, d_y: int) -> np.ndarray:
@@ -507,8 +496,7 @@ def oracle_r_operator(task) -> np.ndarray:
     through labelled embeds, a partial transpose and a partial trace over
     (A, X1, Y1, R1), then made Hermitian as (R + R†)/2."""
     rho_a, rho_xr, s = task_operators(task)
-    full = Factorization.of(("A", task.d_a), ("X1", task.d_x),
-                            ("Y1", task.d_y), ("R1", task.d_r))
+    full = (("A", task.d_a), ("X1", task.d_x), ("Y1", task.d_y), ("R1", task.d_r))
     twisted = oracle_partial_transpose(oracle_embed(tensor(rho_a, rho_xr), full), ["A", "X1"])
     product = Operator(twisted.matrix @ oracle_embed(s, full).matrix, full)
     r = oracle_partial_trace(product, ["A", "X1", "Y1"]).matrix

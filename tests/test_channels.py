@@ -106,7 +106,7 @@ def test_choi_of_global_kraus_interleaves_the_rounds(rng):
     ys = np.ravel_multi_index(tuple(digits[1::2]), (d_y,) * n)
     vecs = np.stack([k[ys, xs] for k in kraus])
     ch = choi_of_global_kraus(kraus, d_x, d_y, n)
-    assert ch.omega.shape == choi_factorization(1, d_x, d_y, n)
+    assert ch.omega.factors == choi_factorization(1, d_x, d_y, n)
     assert np.abs(ch.omega.matrix - vecs.T @ vecs.conj() / d_x ** n).max() <= 1e-15
     assert is_cptp(ch).ok
 
@@ -204,7 +204,7 @@ def test_symmetrize_matches_dense_permutation_sandwich(rng, n):
     # a generic Choi state: unit trace, but not symmetric under any site swap
     d_a, d_x, d_y = SANDWICH_DIMS[n]
     fac = choi_factorization(d_a, d_x, d_y, n)
-    omega = random_density(rng, fac.dim)
+    omega = random_density(rng, d_a * (d_x * d_y) ** n)
     got = symmetrize_channel(ChoiChannel(Operator(omega, fac), d_a, d_x, d_y, n)).omega.matrix
     assert np.abs(got - omega).max() > 1e-4
     assert np.abs(got - dense_symmetrize(omega, d_a, d_x * d_y, n)).max() <= 1e-14
@@ -214,7 +214,7 @@ def test_symmetrize_matches_dense_permutation_sandwich(rng, n):
 def test_symmetrize_is_permutation_invariant_past_the_oracle(rng, n):
     # sides 128 and 256, where the n! sum would take 5,040 and 40,320 views
     fac = choi_factorization(1, 2, 1, n)
-    omega = random_density(rng, fac.dim)
+    omega = random_density(rng, 2 ** n)
     got = symmetrize_channel(ChoiChannel(Operator(omega, fac), 1, 2, 1, n)).omega.matrix
     assert np.abs(got - omega).max() > 1e-4
     for perm in [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]:
@@ -234,15 +234,15 @@ def test_random_nonsignalling_choi_is_valid(seed):
 def test_choi_unit_trace_enforced(rng):
     kraus = random_kraus(rng, 2, 2, count=2)
     ch = choi_of_kraus(kraus, 2, 2)
-    assert np.isclose(ch.omega.trace(), 1.0)
+    assert np.isclose(np.trace(ch.omega.matrix), 1.0)
     with pytest.raises(TensorError):
-        ChoiChannel(Operator(ch.omega.matrix * 2.0, ch.omega.shape), 1, 2, 2, 1)
+        ChoiChannel(Operator(ch.omega.matrix * 2.0, ch.omega.factors), 1, 2, 2, 1)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 2, 3),
                                   (1, 2, 3, 2), (2, 3, 2, 2)])
 def test_project_nonsignalling_matches_operator_oracle(rng, dims):
-    dim = choi_factorization(*dims).dim
+    dim = dims[0] * (dims[1] * dims[2]) ** dims[3]
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     want = m
     for i in range(1, dims[3] + 1):
@@ -404,7 +404,7 @@ def test_measure_prepare_dense_is_measure_and_prepare_choi(rng, n):
     dense = MeasurePrepareChannel.of(povm, preps, n).dense()
     want = measure_and_prepare_choi(povm, preps, n)
     assert (dense.d_a, dense.d_x, dense.d_y, dense.n) == (2, 2, 2, n)
-    assert dense.omega.shape == want.omega.shape
+    assert dense.omega.factors == want.omega.factors
     assert np.array_equal(dense.omega.matrix, want.omega.matrix)
     # an independent grouping of the same sum: kron(M^T, phi^{⊗n}) / d_A
     ref = 0
@@ -423,7 +423,7 @@ def test_measure_prepare_marginal_is_the_closed_form(rng, n):
     dense = q.dense()
     got = marginal_channel(q)
     for want in (marginal_channel(dense), marginal_channel(symmetrize_channel(dense))):
-        assert got.omega.shape == want.omega.shape
+        assert got.omega.factors == want.omega.factors
         assert np.abs(got.omega.matrix - want.omega.matrix).max() <= 1e-13
 
 
@@ -453,10 +453,10 @@ def _broken_stacks(case):
     elif case == "stack-shapes":
         chois = chois[:1]
     elif case == "not-single-round-1-2":   # the Choi state of a 2-round channel
-        dim = choi_factorization(1, 2, 2, 2).dim
+        dim = 16
         povm, chois = np.eye(2)[None], np.eye(dim)[None] / dim
     elif case == "not-single-round-2-1":   # one with a side register
-        dim = choi_factorization(2, 2, 2, 1).dim
+        dim = 8
         povm, chois = np.eye(2)[None], np.eye(dim)[None] / dim
     elif case == "choi-side-not-dx-dy":
         povm, chois = np.eye(2)[None], np.eye(6)[None] / 6
@@ -495,7 +495,9 @@ def test_measure_prepare_rejects_invalid_stacks(case, message):
      r"preparations live on different spaces: \[\(\('X1', 2\), \('Y1', 2\)\), "
      r"\(\('X1', 3\), \('Y1', 2\)\)\]"),
     ("povm-on-two-spaces", "POVM elements live on different spaces"),
-], ids=["no-outcome", "preparations-on-two-spaces", "povm-on-two-spaces"])
+    ("preparations-without-Y1", r"preparations lack X1 or Y1: \(\('X1', 2\), \('Z1', 2\)\)"),
+], ids=["no-outcome", "preparations-on-two-spaces", "povm-on-two-spaces",
+        "preparations-without-Y1"])
 def test_measure_prepare_of_refuses_inputs_it_cannot_stack(case, message):
     povm = [op(np.eye(2) / 2, ("A", 2))] * 2
     preps = [op(np.eye(4) / 4, ("X1", 2), ("Y1", 2)), op(np.eye(6) / 6, ("X1", 3), ("Y1", 2))]
@@ -503,6 +505,8 @@ def test_measure_prepare_of_refuses_inputs_it_cannot_stack(case, message):
         povm, preps = [], []
     elif case == "povm-on-two-spaces":
         povm, preps = [op(np.eye(2), ("A", 2)), op(np.zeros((3, 3)), ("A", 3))], preps[:1] * 2
+    elif case == "preparations-without-Y1":
+        preps = [op(np.eye(4) / 4, ("X1", 2), ("Z1", 2))] * 2
     with pytest.raises(TensorError, match=message):
         MeasurePrepareChannel.of(povm, preps, 2)
 

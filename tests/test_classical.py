@@ -218,21 +218,26 @@ def test_lemma1_preserves_risk():
 
 @st.composite
 def sampled_protocols(draw):
-    """(table, seed): a sampled non-signalling table, drawn here so that its
-    Dykstra sweeps count as draw time, which the deadline leaves out."""
+    """(table, seed): a sampled non-signalling table of at most three rounds
+    of at most six (x, y) pairs."""
     n = draw(st.integers(1, 3))
     na, nx, ny = draw(st.sampled_from([(2, 2, 2), (1, 2, 3), (2, 3, 2)]))
     seed = draw(st.integers(0, 2 ** 31 - 1))
     return random_nonsignalling_protocol(na, nx, ny, n, seed=seed), seed
 
 
-@settings(max_examples=40, deadline=50, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(sampled_protocols())
 def test_lemma1_channel_has_the_original_risk(case):
     """ROADMAP item 11: for every training value and a random test pmf, the
     rebuilt channel's marginal-path risk is the original table's."""
     p, seed = case
     rebuilt = lemma1_pipeline(p)
+    # the example's cost, bounded by its size rather than by a wall-clock
+    # deadline: a table of na·(nx·ny)^n <= 2·6³ entries, rebuilt with
+    # ny^nx <= 9 outcomes on a (6, 6) preparation side
+    assert p.table.size <= 2 * 6 ** 3 and rebuilt.chois.shape[0] <= 9
+    assert rebuilt.chois.shape[1] <= 6
     dist = np.random.default_rng(seed).dirichlet(np.ones(p.nx * p.ny)).reshape(p.nx, p.ny)
     for a in range(p.na):
         got = protocol_risk(rebuilt, classical_task(dist, a, p.na, p.n))

@@ -154,7 +154,7 @@ def test_gen_channel_streams_the_one_shot_json_bytes(monkeypatch, tmp_path, caps
         "cptp": {"psd_violation": ch.cptp_report.psd_violation,
                  "tp_violation": ch.cptp_report.tp_violation},
         "ns_residual": ch.ns_report.max_residual,
-        "omega": {"labels": list(ch.omega.labels), "dims": list(ch.omega.shape.dims),
+        "omega": {"labels": list(ch.omega.labels), "dims": list(ch.omega.dims),
                   "re": ch.omega.matrix.real.tolist(), "im": ch.omega.matrix.imag.tolist()},
     }
     want = json.dumps(payload, sort_keys=True) + "\n"
@@ -487,8 +487,18 @@ def test_risk_gap_runs_past_the_old_dense_cap(tmp_path):
     (["verify"], {"inject_signalling": 1}, "bad config: 'inject_signalling' cannot be 1"),
     (["risk-gap", "--n", "1..2..3"], None, "error: --n range must read LO..HI"),
     (["verify"], {"out": 2}, "bad config: 'out' cannot be 2"),
+    # a value that is not a number is refused naming its flag or key
+    (["risk-gap", "--n", "1.."], None, "error: --n must name integers, got '1..'"),
+    (["risk-gap", "--n", "1,,2"], None, "error: --n must name integers, got '1,,2'"),
+    (["definetti", "--k", "a"], None, "error: --k must name integers, got 'a'"),
+    (["risk-gap"], {"overlap": "x"}, "error: bad config: 'overlap' cannot be \"x\""),
+    (["definetti"], {"count": "x"}, "error: bad config: 'count' cannot be \"x\""),
+    (["definetti"], {"seed": "x"}, "error: bad config: 'seed' cannot be \"x\""),
+    (["definetti"], {"n": "1..x"}, "error: --n must name integers, got '1..x'"),
 ], ids=["count-null", "seed-list", "overlap-null", "n-bool", "n-list-null",
-        "count-fraction", "inject-signalling-number", "n-range-of-three", "out-int"])
+        "count-fraction", "inject-signalling-number", "n-range-of-three", "out-int",
+        "n-open-range", "n-empty-item", "k-letter", "overlap-text", "count-text",
+        "seed-text", "n-range-text"])
 def test_bad_config_value_exits_2(tmp_path, capsys, argv, config, message):
     out = tmp_path / "out"
     if config is not None:

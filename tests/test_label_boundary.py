@@ -16,7 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nslocc"
 PIPELINE = ("definetti.py", "locc.py", "risk.py", "classical.py")
-LABELLED = {"Operator", "Factorization", "op", "partial_trace", "embed"}
+LABELLED = {"Operator", "op", "partial_trace", "embed"}
 
 
 def labelled_names(path: Path) -> set[str]:

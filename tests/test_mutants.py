@@ -86,7 +86,7 @@ def embed_is_the_kron_with_the_identity():
     # the operator's factor is full's last one, so its embedding is 1_AB ⊗ M;
     # the factor order it is built in, (C, A, B), is a 3-cycle of full's
     m = np.random.default_rng(16).standard_normal((2, 2))
-    full = tensor_core.Factorization.of(("A", 2), ("B", 3), ("C", 2))
+    full = (("A", 2), ("B", 3), ("C", 2))
     got = tensor_core.embed(tensor_core.op(m, ("C", 2)), full).matrix
     assert np.abs(got - np.kron(np.eye(6), m)).max() == 0
 
@@ -134,8 +134,8 @@ MUTANTS = {
                                   "for i in reversed(range(n)) for",
                                   choi_state_is_the_kraus_outer_products),
     "embed-inverse-permutation": (tensor_core, "embed",
-                                  "[have.index(lab) for lab in full.labels]",
-                                  "[full.labels.index(lab) for lab in have.labels]",
+                                  "[have.index(f) for f in full]",
+                                  "[full.index(f) for f in have]",
                                   embed_is_the_kron_with_the_identity),
     "risk-rho_X-transposed": (risk, "_risk_direct", '"arbr->ab"', '"arbr->ba"',
                               direct_risk_matches_the_embedding_oracle),
