@@ -189,7 +189,12 @@ class MeasurePrepareChannel:
     @classmethod
     def of(cls, povm: Sequence[Operator], preparations: Sequence[Operator],
            n: int) -> "MeasurePrepareChannel":
-        """From POVM elements on A and single-round Choi states on (X1, Y1)."""
+        """From POVM elements on A and single-round Choi states on (X1, Y1).
+
+        A preparation's factors end in X1 then Y1, whose dims are d_X and d_Y;
+        any factors before them have dim 1, as the ('A', 1) of
+        `choi_of_kraus(...).omega`.
+        """
         if not povm or len(povm) != len(preparations):
             raise TensorError(f"need at least one POVM element and one preparation per element, "
                               f"got {len(povm)} elements and {len(preparations)} preparations")
@@ -197,11 +202,15 @@ class MeasurePrepareChannel:
             spaces = list(dict.fromkeys(o.factors for o in ops))
             if len(spaces) > 1:
                 raise TensorError(f"{what} live on different spaces: {spaces}")
-        dims = dict(preparations[0].factors)
-        if not {"X1", "Y1"} <= dims.keys():
-            raise TensorError(f"preparations lack X1 or Y1: {preparations[0].factors}")
+        factors = preparations[0].factors
+        if not {"X1", "Y1"} <= {label for label, _ in factors}:
+            raise TensorError(f"preparations lack X1 or Y1: {factors}")
+        *lead, (x, d_x), (y, d_y) = factors
+        if (x, y) != ("X1", "Y1") or any(dim != 1 for _, dim in lead):
+            raise TensorError(f"preparations must end in X1 then Y1 after factors of "
+                              f"dim 1, got {factors}")
         return cls(np.stack([m.matrix for m in povm]),
-                   np.stack([p.matrix for p in preparations]), dims["X1"], dims["Y1"], n)
+                   np.stack([p.matrix for p in preparations]), d_x, d_y, n)
 
     @property
     def d_a(self) -> int:

@@ -61,6 +61,7 @@ from .classical import (
 from .definetti import (
     approx_error,
     branch_extension,
+    branch_extensions,
     build_grid,
     definetti_bound,
     extract_measure,
@@ -527,8 +528,9 @@ def cmd_definetti(cfg: dict) -> int:
     sigma = np.array([[1.0]], dtype=complex)
     site = np.outer([1.0, 0.0], [1.0, 0.0]).astype(complex)
     ns = sorted(ns)
-    # one grid serves every n, so one Gram pass certifies them all
-    approxes = extract_measures([branch_extension(sigma[None], site[None], n=n) for n in ns],
+    # one set of branch states and one grid serve every n, so one Gram pass
+    # certifies them all
+    approxes = extract_measures(branch_extensions(sigma[None], site[None], ns),
                                 build_grid(4, f"haar:{seed}:{count}"))
     buf = io.StringIO()
     buf.write("n,k,delta_k,bound,grid_residual\n")

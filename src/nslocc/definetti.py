@@ -247,8 +247,10 @@ def purify_product_mixture(blocks: np.ndarray, sites: np.ndarray,
 ZERO_TRACE_TOL = 1e-12  # the norm below which a preparation's vec √phi is zero
 
 
-def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> SymmetricExtension:
-    """Structured symmetric extension of sum_j K_j ⊗ phi_j^{⊗n}.
+def branch_extensions(blocks: np.ndarray, sites: np.ndarray,
+                      ns) -> list[SymmetricExtension]:
+    """Structured symmetric extensions of sum_j K_j ⊗ phi_j^{⊗n}, one per n
+    of ns.
 
     `blocks` (J, d_a, d_a) holds the K_j, PSD on A, and `sites` (J, d, d)
     the site states phi_j, the stacks `purify_product_mixture` takes.  Each
@@ -258,6 +260,10 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
     incoherent.  Requires
     sum_j tr K_j = 1 so the extension is a unit vector.  Nothing of size
     site_dim**n is ever materialized, so this scales to n in the hundreds.
+
+    Only `index` depends on n: each K_j and phi_j is eigensolved once, and
+    every extension of the list shares one read-only copy of the terms'
+    coefficients, the site vectors chi_j and the marginal on A.
     """
     count, d_a, d_site = len(blocks), blocks.shape[1], sites.shape[1]
     coeffs = np.zeros((count, d_a, count, d_a), dtype=complex)
@@ -271,10 +277,19 @@ def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> Symmetric
         if nrm < ZERO_TRACE_TOL:
             raise TensorError("preparation state has zero trace")
         chis[j] = chi / nrm
-    return SymmetricExtension(
+    coeffs, marginal = coeffs.reshape(count, -1), blocks.sum(axis=0)
+    for arr in (coeffs, chis, marginal):
+        arr.flags.writeable = False
+    return [SymmetricExtension(
         n=n, d_a=d_a, site_dim=d_site * d_site, site_keep_dim=d_site, sites=chis,
         index=np.broadcast_to(np.arange(count), (n, count)),
-        coeffs=coeffs.reshape(count, -1), marginal=blocks.sum(axis=0))
+        coeffs=coeffs, marginal=marginal) for n in ns]
+
+
+def branch_extension(blocks: np.ndarray, sites: np.ndarray, n: int) -> SymmetricExtension:
+    """The `branch_extensions` extension of the one n; a sweep over n calls
+    `branch_extensions` once, so that the K_j and phi_j are eigensolved once."""
+    return branch_extensions(blocks, sites, [n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +372,10 @@ def _dense_resolution_residual(vectors: np.ndarray, weights: np.ndarray,
     """
     coords = dicke_coordinates(vectors, n)
     d_big = coords.shape[1]
-    t = (weights[:, None] * coords).T @ coords.conj() * d_big
+    weighted = weights[:, None] * coords
+    # conjugated in place once the weighted copy is taken: two (G, sym_dim)
+    # arrays, each of the size `extract_measures` refuses over the budget
+    t = weighted.T @ np.conjugate(coords, out=coords) * d_big
     return float(trace_norm(t - np.eye(d_big)))
 
 
@@ -543,9 +561,15 @@ def extract_measures(exts: list[SymmetricExtension],
     grid, however many sweeps it serves.  Each grid residual is the dense
     `_dense_resolution_residual` when site_dim**n is at most
     DENSE_RESIDUAL_BUDGET, and otherwise certified on the state, one
-    `subspace_residuals` pass serving every such n.
+    `subspace_residuals` pass serving every such n.  A grid too large for a
+    dense residual's (count, sym_dim) coordinates is refused before the first
+    overlap.
     """
     _check_sweep(exts, grid)
+    for ext in exts:
+        if grid.d_eff ** ext.n <= DENSE_RESIDUAL_BUDGET:
+            check_dense_budget(grid.count, f"the dense grid residual at n = {ext.n}",
+                               cols=sym_dim(ext.n, grid.d_eff))
     us = [_block_overlaps(ext, grid) for ext in exts]
     todo = [i for i, ext in enumerate(exts) if grid.d_eff ** ext.n > DENSE_RESIDUAL_BUDGET]
     certified = dict(zip(todo, subspace_residuals(

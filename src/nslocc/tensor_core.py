@@ -30,13 +30,14 @@ class TensorError(ValueError):
     """Shape, label or contract violation in a tensor_core operation."""
 
 
-def check_dense_budget(side: int, what: str) -> None:
-    """Refuse, before it is allocated, a dense complex side x side operator
-    whose size exceeds DENSE_BYTES_BUDGET."""
-    nbytes = 16 * side * side
+def check_dense_budget(side: int, what: str, cols: int | None = None) -> None:
+    """Refuse, before it is allocated, a dense complex side x side operator,
+    or side x cols array, whose size exceeds DENSE_BYTES_BUDGET."""
+    nbytes = 16 * side * (side if cols is None else cols)
     if nbytes > DENSE_BYTES_BUDGET:
+        shape = f"{side} x {side} operator" if cols is None else f"{side} x {cols} array"
         raise TensorError(
-            f"{what} needs a dense {side} x {side} operator ({nbytes / 2 ** 20:.0f} MiB), "
+            f"{what} needs a dense {shape} ({nbytes / 2 ** 20:.0f} MiB), "
             f"over the {DENSE_BYTES_BUDGET / 2 ** 20:.0f} MiB budget")
 
 
@@ -312,7 +313,12 @@ def dicke_coordinates(vectors: np.ndarray, n: int) -> np.ndarray:
     occupations = (idx[:, :, None] == np.arange(d)).sum(axis=1)
     factorials = np.cumprod(np.arange(n + 1, dtype=np.int64 if n <= 20 else object).clip(1))
     scale = np.sqrt((factorials[n] // factorials[occupations].prod(axis=1)).astype(float))
-    return scale * vectors[:, idx].prod(axis=2)
+    # the product over the n gathered columns, one (G, sym_dim) column set at a time
+    coords = vectors[:, idx[:, 0]]
+    for i in range(1, n):
+        coords *= vectors[:, idx[:, i]]
+    coords *= scale
+    return coords
 
 
 def int_powers(x: np.ndarray, ns: Sequence[int], scratch: np.ndarray):
@@ -372,5 +378,8 @@ def operator_to_json(operator: Operator) -> dict:
 
 
 def operator_from_json(data: dict) -> Operator:
+    labels, dims = data["labels"], data["dims"]
+    if len(labels) != len(dims):
+        raise TensorError(f"operator JSON pairs {len(labels)} labels with {len(dims)} dims")
     m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return Operator(m, tuple(zip(data["labels"], data["dims"])))
+    return Operator(m, tuple(zip(labels, dims)))

@@ -496,8 +496,13 @@ def test_measure_prepare_rejects_invalid_stacks(case, message):
      r"\(\('X1', 3\), \('Y1', 2\)\)\]"),
     ("povm-on-two-spaces", "POVM elements live on different spaces"),
     ("preparations-without-Y1", r"preparations lack X1 or Y1: \(\('X1', 2\), \('Z1', 2\)\)"),
+    ("preparations-on-Y1-X1", r"preparations must end in X1 then Y1 after factors of dim 1, "
+                              r"got \(\('Y1', 3\), \('X1', 2\)\)"),
+    ("preparations-after-a-factor-of-dim-2",
+     r"must end in X1 then Y1 after factors of dim 1, got \(\('A', 2\), \('X1', 2\)"),
 ], ids=["no-outcome", "preparations-on-two-spaces", "povm-on-two-spaces",
-        "preparations-without-Y1"])
+        "preparations-without-Y1", "preparations-on-Y1-X1",
+        "preparations-after-a-factor-of-dim-2"])
 def test_measure_prepare_of_refuses_inputs_it_cannot_stack(case, message):
     povm = [op(np.eye(2) / 2, ("A", 2))] * 2
     preps = [op(np.eye(4) / 4, ("X1", 2), ("Y1", 2)), op(np.eye(6) / 6, ("X1", 3), ("Y1", 2))]
@@ -507,8 +512,27 @@ def test_measure_prepare_of_refuses_inputs_it_cannot_stack(case, message):
         povm, preps = [op(np.eye(2), ("A", 2)), op(np.zeros((3, 3)), ("A", 3))], preps[:1] * 2
     elif case == "preparations-without-Y1":
         preps = [op(np.eye(4) / 4, ("X1", 2), ("Z1", 2))] * 2
+    elif case == "preparations-on-Y1-X1":
+        # the qubit-to-qutrit channels x -> x and x -> x + 1, each matrix in
+        # its declared (Y1, X1) order; read as (X1, Y1) they would pass every
+        # check, as two other channels
+        preps = [op(sum(np.diag(np.kron(np.eye(3)[f(x)], np.eye(2)[x])) for x in (0, 1)) / 2,
+                    ("Y1", 3), ("X1", 2)) for f in (lambda x: x, lambda x: x + 1)]
+    elif case == "preparations-after-a-factor-of-dim-2":
+        preps = [op(np.eye(8) / 8, ("A", 2), ("X1", 2), ("Y1", 2))] * 2
     with pytest.raises(TensorError, match=message):
         MeasurePrepareChannel.of(povm, preps, 2)
+
+
+def test_measure_prepare_of_reads_a_leading_factor_of_dim_1_as_absent():
+    # choi_of_kraus(...).omega leads with ('A', 1); its matrix is the (X1, Y1) one
+    povm = [op(np.eye(2), ("A", 2))]
+    omega = choi_of_kraus([np.outer(np.eye(2)[min(x, 1)], np.eye(3)[x]) for x in range(3)],
+                          3, 2).omega
+    assert omega.factors == (("A", 1), ("X1", 3), ("Y1", 2))
+    q = MeasurePrepareChannel.of(povm, [omega], 2)
+    assert (q.d_x, q.d_y) == (3, 2)
+    assert np.array_equal(q.chois[0], omega.matrix)
 
 
 def test_a_valid_measure_prepare_channel_is_certified_without_an_eigensolve(monkeypatch, rng):

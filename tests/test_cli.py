@@ -545,12 +545,13 @@ def record_gram_blocks(monkeypatch):
 def test_subspace_residual_gram_blocks_fit_the_budget(monkeypatch, tmp_path):
     # a budget of side 8 holds 64 complex entries: a 16-point grid takes its
     # Gram matrix four rows at a time, not as a 16 x 16 block.  In the sweep,
-    # the square and the accumulators of n = 5 and 6 (n = 3 has a dense
-    # residual) fit 64 entries together, so its blocks hold one row each
+    # the square and the accumulators of n = 5 and 6 (n = 1 has a dense
+    # residual, whose 16 x 4 coordinates fill the budget) fit 64 entries
+    # together, so its blocks hold one row each
     monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 8 * 8)
     out = tmp_path / "out.csv"
     sizes = record_gram_blocks(monkeypatch)
-    for n, blocks in (("16", 4), ("3,5,6,16", 16)):
+    for n, blocks in (("16", 4), ("1,5,6,16", 16)):
         sizes.clear()
         assert main(["definetti", "--n", n, "--count", "16", "--k", "0",
                      "--out", str(out)]) == 0
@@ -581,6 +582,41 @@ def test_definetti_sweep_rows_are_the_single_n_rows(tmp_path):
         header, *body = single.read_text().splitlines()
         rows += body
     assert sweep.read_text().splitlines() == [header] + rows
+
+
+def test_grid_too_large_for_the_dense_residual_exits_2_before_the_overlaps(monkeypatch,
+                                                                           capsys):
+    # at n = 2 the residual's Dicke coordinates on C^16 are (count, 136): the
+    # budget holds 123,361 points, and parse_grid_name admits up to 2^20
+    from nslocc import definetti
+
+    def unreachable(*args):
+        raise AssertionError("overlaps computed for a refused grid")
+
+    monkeypatch.setattr(definetti, "_block_overlaps", unreachable)
+    assert main(["risk-gap", "--n", "2", "--grid", "haar:0:200000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the dense grid residual at n = 2 needs a dense "
+                            "200000 x 136 array (415 MiB), over the 256 MiB budget\n")
+    assert tensor_core.dense_budget_rows(136) == 123361
+
+
+def test_definetti_sweep_eigensolves_its_branch_states_once(monkeypatch, tmp_path):
+    # one K_j and one phi_j (J = 1): two eigensolves for the whole sweep
+    from nslocc import definetti
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return tensor_core._psd_eigs(m)
+
+    monkeypatch.setattr(definetti, "_psd_eigs", counting)
+    out = tmp_path / "out.csv"
+    for ns in ("16", "16,64,256", "1,3,5,8,13"):
+        calls.clear()
+        assert main(["definetti", "--n", ns, "--count", "50", "--out", str(out)]) == 0
+        assert calls == [(1, 1), (2, 2)], ns
 
 
 def test_haar_grid_over_the_budget_exits_2_before_it_is_drawn(monkeypatch, tmp_path,

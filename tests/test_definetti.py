@@ -17,6 +17,7 @@ from nslocc.definetti import (
     _dense_resolution_residual,
     approx_error,
     branch_extension,
+    branch_extensions,
     build_grid,
     definetti_bound,
     extract_measure,
@@ -380,8 +381,90 @@ def test_branch_extraction_matches_the_closed_form_at_large_n(rng, n):
     assert np.abs(ms - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def branch_stacks(rng, count):
+    """J = count branches: blocks K_j of total trace 1 on a qubit A, qubit sites."""
+    weights = rng.dirichlet(np.ones(count))
+    return (np.stack([random_density(rng, 2) * w for w in weights]),
+            np.stack([random_density(rng, 2) for _ in range(count)]))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("ns", [[1, 3, 16], [64, 256], [5]])
+def test_branch_extensions_are_the_per_n_branch_extensions(rng, count, ns):
+    from dataclasses import fields
+    blocks, sites = branch_stacks(rng, count)
+    sweep = branch_extensions(blocks, sites, ns)
+    assert [ext.n for ext in sweep] == ns
+    for n, got in zip(ns, sweep):
+        want = branch_extension(blocks, sites, n)
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, f.name)
+            else:
+                assert a == b, (n, f.name)
+        assert got.index.shape == (n, count)
+
+
+def test_branch_extensions_share_one_read_only_set_of_arrays(rng):
+    blocks, sites = branch_stacks(rng, 2)
+    first, *rest = branch_extensions(blocks, sites, [1, 3, 16, 64])
+    for name in ("sites", "coeffs", "marginal", "index"):
+        assert not getattr(first, name).flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first, name)[...] = 0
+    for ext in rest:
+        assert ext.sites is first.sites
+        assert ext.coeffs is first.coeffs
+        assert ext.marginal is first.marginal
+
+
+def test_branch_extensions_eigensolve_each_branch_once(rng, monkeypatch):
+    from nslocc import definetti
+    calls, eigs = [], definetti._psd_eigs
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigs(m)
+
+    blocks, sites = branch_stacks(rng, 2)
+    monkeypatch.setattr(definetti, "_psd_eigs", counting)
+    branch_extensions(blocks, sites, [1, 3, 16, 64, 256])
+    assert len(calls) == 2 * 2          # one K_j and one phi_j per branch, not per n
+
+
+@pytest.mark.parametrize("ns", [[1, 3, 16], [64, 256]])
+def test_extraction_is_bitwise_the_same_from_either_construction(rng, ns):
+    blocks, sites = branch_stacks(rng, 2)
+    grid = build_grid(4, "haar:4:60")
+    shared = extract_measures(branch_extensions(blocks, sites, ns), grid)
+    single = extract_measures([branch_extension(blocks, sites, n) for n in ns], grid)
+    for got, want in zip(shared, single, strict=True):
+        assert np.array_equal(got.ms, want.ms) and np.array_equal(got.phis, want.phis)
+        assert got.grid_residual == want.grid_residual
+        assert got.povm_deficit == want.povm_deficit
+
+
+def test_grid_over_the_dense_residual_budget_is_refused_before_the_overlaps(monkeypatch):
+    # a budget of 64 complex entries holds 3 rows of the 20 Dicke coordinates
+    # of Sym^3 on C^4; n = 6 is certified, so its coordinates are never built
+    from nslocc import definetti, tensor_core
+    monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 64)
+    exts = branch_extensions(np.eye(1)[None], np.diag([1.0, 0.0])[None], [3, 6])
+    extract_measures(exts, build_grid(4, "haar:0:3"))
+    extract_measures(exts[1:], build_grid(4, "haar:0:4"))
+
+    def unreachable(*args):
+        raise AssertionError("overlaps computed for a refused grid")
+
+    monkeypatch.setattr(definetti, "_block_overlaps", unreachable)
+    with pytest.raises(TensorError, match=r"^the dense grid residual at n = 3 needs a dense "
+                                          r"4 x 20 array \(0 MiB\), over the 0 MiB budget$"):
+        extract_measures(exts, build_grid(4, "haar:0:4"))
+
+
 def test_extraction_in_several_grid_chunks_matches_per_point_loop(rng, monkeypatch):
-    from nslocc import tensor_core
+    from nslocc import definetti, tensor_core
     n, d_a = 3, 2
     mixed, _ = symmetric_test_state(rng, d_a, 2, n)
     blocks = np.stack([random_density(rng, d_a) * w for w in (0.3, 0.7)])
@@ -391,9 +474,12 @@ def test_extraction_in_several_grid_chunks_matches_per_point_loop(rng, monkeypat
             purify_product_mixture(blocks, sites, n)]    # product mixture
     for ext in exts:
         grid = build_grid(ext.site_dim, "haar:9:50")
-        # a budget that holds 7 grid points of the two (T, chunk) buffers
+        # a budget that holds 7 grid points of the two (T, chunk) buffers; the
+        # 50 x 20 Dicke coordinates of the dense residual would be refused at
+        # it, so the residual is certified, in Gram blocks within the budget
         terms = ext.index.shape[1]
         monkeypatch.setattr(tensor_core, "DENSE_BYTES_BUDGET", 16 * 2 * terms * 7)
+        monkeypatch.setattr(definetti, "DENSE_RESIDUAL_BUDGET", 0)
         assert dense_budget_rows(2 * terms) == 7
         approx = extract_measure(ext, grid)
         monkeypatch.undo()

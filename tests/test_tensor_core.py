@@ -340,3 +340,12 @@ def test_operator_json_roundtrip(rng):
     assert back.labels == m.labels
     assert np.allclose(back.matrix, m.matrix)
 
+
+@pytest.mark.parametrize("labels, dims", [(["A", "X1", "Y1", "Z"], [2, 2, 2]),
+                                          (["A", "X1", "Y1"], [2, 2, 2, 1])],
+                         ids=["more-labels", "more-dims"])
+def test_operator_json_refuses_labels_and_dims_of_different_lengths(labels, dims):
+    data = {"labels": labels, "dims": dims, "re": np.eye(8) / 8, "im": np.zeros((8, 8))}
+    with pytest.raises(TensorError, match=rf"pairs {len(labels)} labels with "
+                                          rf"{len(dims)} dims"):
+        operator_from_json(data)
